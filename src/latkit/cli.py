@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_cvp_brute)
 
-    p = sub.add_parser("lll", help="exact rational LLL reduction")
+    p = sub.add_parser("lll", help="exact integer (fraction-free) LLL reduction")
     common(p)
     p.add_argument("--delta", type=_fraction, default=Fraction(3, 4), metavar="P/Q")
     p.set_defaults(func=cmd_lll)

@@ -10,19 +10,20 @@ optimum is not guaranteed in general.
 The residual quantities for every coordinate are ratios of minors of the
 integer-scaled Gram matrix of (b_1..b_n, v), and all of them share one
 positive denominator per coordinate. They are read off the adjugate of
-that Gram matrix, recomputed by fraction-free elimination only when a
-shift is committed, so a no-update sweep costs one elimination total.
+that Gram matrix. One fraction-free elimination builds the adjugate; a
+committed shift is a unimodular change of basis, under which the adjugate
+is updated exactly in O(n) operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import mul
 
 from .errors import DegenerateResidual, IndexOutOfRange
-from .lattice import LatticeBasis, MDSPInstance
-from .qlinalg import QVector, dist_sq_to_span
+from .lattice import MDSPInstance, apply_shift
+from .qlinalg import QVector, integer_rows
 
 
 @dataclass(frozen=True)
@@ -56,50 +57,46 @@ def _adjugate_spd(a: list[list[int]]) -> list[list[int]]:
     n = len(a)
     m = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
     prev = 1
-    width = 2 * n
     for k in range(n):
-        pivot = m[k][k]
+        rowk = m[k]
+        pivot = rowk[k]
         if pivot <= 0 and k < n - 1:
             raise DegenerateResidual("Gram matrix is not positive definite")
         for i in range(n):
-            if i == k:
-                continue
-            mik = m[i][k]
-            row = m[i]
-            rowk = m[k]
-            for j in range(width):
-                if j == k:
-                    continue
-                row[j] = (pivot * row[j] - mik * rowk[j]) // prev
-            row[k] = 0
+            if i != k:  # column k of row i becomes 0
+                mik = m[i][k]
+                m[i] = [(pivot * x - mik * y) // prev for x, y in zip(m[i], rowk)]
         prev = pivot
     return [row[n:] for row in m]
 
 
-class _GramState:
-    """Integer-scaled inner products of (b_1..b_n, v) plus their adjugate.
+def _gram(rows: list[list[int]]) -> list[list[int]]:
+    """Integer Gram matrix of the rows."""
+    g = [[0] * len(rows) for _ in rows]
+    for i, p in enumerate(rows):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = sum(map(mul, p, rows[j]))
+    return g
 
-    The fixed vector occupies the last index of the bordered Gram matrix.
-    Scaling clears denominators once; shift choices are invariant under
-    positive scaling, and the actual basis vectors are updated alongside
-    in their original coordinates.
+
+class _GramState:
+    """Integer rows b_0..b_{n-1}, the fixed vector v = rows[n], and the
+    adjugate of their bordered Gram matrix.
+
+    gram is the Gram matrix of all rows; its leading (n+1)x(n+1) block is
+    the bordered Gram matrix. Rows past index n are never shifted, but
+    committed shifts keep all of gram current, as well as the adjugate.
+    Integer rows come from scaling by a positive constant, under which
+    every shift choice is invariant.
     """
 
-    def __init__(self, inst: MDSPInstance):
-        self.v = inst.fixed
-        self.vecs = list(inst.rest.vectors)
-        self.n = len(self.vecs)
-        scale = lcm(
-            *(e.denominator for e in self.v.entries),
-            *(e.denominator for b in self.vecs for e in b.entries),
-        )
-        self._iv = [int(e * scale) for e in self.v.entries]
-        self._ib = [[int(e * scale) for e in b.entries] for b in self.vecs]
-        rows = self._ib + [self._iv]
-        self.phi = [
-            [sum(x * y for x, y in zip(p, q)) for q in rows] for p in rows
-        ]
-        self._adj = _adjugate_spd(self.phi)
+    def __init__(
+        self, rows: list[list[int]], n: int, gram: list[list[int]], adj: list[list[int]]
+    ):
+        self.rows = rows
+        self.n = n
+        self.gram = gram
+        self._adj = adj
 
     def moments(self, i: int) -> tuple[int, int, int]:
         """Numerators of (|v''|^2, v''.b_i'', |b_i''|^2) over one positive
@@ -109,26 +106,65 @@ class _GramState:
         return adj[i][i], -adj[last][i], adj[last][last]
 
     def apply_shift(self, i: int, a: int) -> None:
-        """Commit b_i := b_i - a v."""
-        self.vecs[i] = self.vecs[i] - self.v.scaled(a)
-        bi = self._ib[i]
-        iv = self._iv
-        for k in range(len(bi)):
-            bi[k] -= a * iv[k]
-        phi = self.phi
-        rows = self._ib + [self._iv]
-        for j in range(self.n + 1):
-            if j != i:
-                val = sum(x * y for x, y in zip(bi, rows[j]))
-                phi[i][j] = val
-                phi[j][i] = val
-        phi[i][i] = sum(x * x for x in bi)
-        self._adj = _adjugate_spd(phi)
+        """Commit b_i := b_i - a v.
 
-    def instance(self) -> MDSPInstance:
-        return MDSPInstance(
-            self.v, LatticeBasis(self.vecs, validate=False), validate=False
-        )
+        With rows as the rows of B, the shift is B := E B for
+        E = I - a e_i e_v^T, so G := E G E^T, and det E = 1 gives
+        adj(G) := E^-T adj(G) E^-1: add a*(row i) to row v, then
+        a*(column i) to column v.
+        """
+        f = self.n
+        rows = self.rows
+        rows[i] = [x - a * y for x, y in zip(rows[i], rows[f])]
+        g = self.gram
+        gi, gf = g[i], g[f]
+        for k in range(len(gi)):
+            gi[k] -= a * gf[k]
+        for row in g:
+            row[i] -= a * row[f]
+        adj = self._adj
+        ai, af = adj[i], adj[f]
+        for k in range(len(af)):
+            af[k] += a * ai[k]
+        for row in adj:
+            row[f] += a * row[i]
+
+    def _det(self) -> int:
+        """det(G): row v of G times column v of adj(G), which is symmetric."""
+        f = self.n
+        return sum(map(mul, self.gram[f][: f + 1], self._adj[f]))
+
+    def dist_sq(self, scale: int) -> Fraction:
+        """dist^2(v, span(b_0..b_{n-1})) for rows scaled by scale.
+
+        It is det(G) / det(G_B) / scale^2, and det(G_B) is the last diagonal
+        entry of adj(G).
+        """
+        f = self.n
+        return Fraction(self._det(), self._adj[f][f] * scale * scale)
+
+    def leading_adjugate(self) -> list[list[int]]:
+        """adj(G_B), G_B being G without the row and column of v.
+
+        By Jacobi's identity on the 2x2 minors of adj(G),
+        adj(G_B)[j][k] = (adj[j][k] adj[v][v] - adj[j][v] adj[v][k]) / det(G),
+        an exact division: O(n^2) instead of a new elimination.
+        """
+        f = self.n
+        adj = self._adj
+        af = adj[f]
+        aff = af[f]
+        det = self._det()
+        return [
+            [(aj[k] * aff - aj[f] * af[k]) // det for k in range(f)] for aj in adj[:f]
+        ]
+
+
+def _state(inst: MDSPInstance) -> tuple[_GramState, int]:
+    """Gram state of an instance, with the scale of its integer rows."""
+    rows, scale = integer_rows(inst.rest.vectors + (inst.fixed,))
+    gram = _gram(rows)
+    return _GramState(rows, inst.n, gram, _adjugate_spd(gram)), scale
 
 
 def _choose_shift(s: int, w: int, t: int) -> int:
@@ -160,8 +196,8 @@ def improve_coordinate(inst: MDSPInstance, i: int) -> tuple[int, QVector]:
     """
     if not (0 <= i < inst.n):
         raise IndexOutOfRange(f"coordinate {i} outside [0, {inst.n})")
-    s, w, t = _GramState(inst).moments(i)
-    a = _choose_shift(s, w, t)
+    state, _ = _state(inst)
+    a = _choose_shift(*state.moments(i))
     return a, inst.rest.vectors[i] - inst.fixed.scaled(a)
 
 
@@ -178,21 +214,18 @@ def _pass_over(state: _GramState) -> tuple[bool, list[int]]:
     return changed, deltas
 
 
-def _improve_pass(inst: MDSPInstance) -> tuple[MDSPInstance, bool, tuple[int, ...]]:
-    state = _GramState(inst)
-    changed, deltas = _pass_over(state)
-    return state.instance() if changed else inst, changed, tuple(deltas)
-
-
 def improve_pass(inst: MDSPInstance) -> tuple[MDSPInstance, bool]:
     """One in-order sweep over all coordinates, committing each improvement."""
-    updated, changed, _ = _improve_pass(inst)
-    return updated, changed
+    state, _ = _state(inst)
+    changed, deltas = _pass_over(state)
+    if not changed:
+        return inst, False
+    return MDSPInstance(inst.fixed, apply_shift(inst, deltas), validate=False), True
 
 
 def run_heuristic(inst: MDSPInstance, cfg: HeuristicConfig = HeuristicConfig()) -> HeuristicOutcome:
     """Sweep until a pass makes no update or cfg.max_passes is reached."""
-    state = _GramState(inst)
+    state, scale = _state(inst)
     x_total = [0] * inst.n
     converged = False
     passes = 0
@@ -204,6 +237,26 @@ def run_heuristic(inst: MDSPInstance, cfg: HeuristicConfig = HeuristicConfig()) 
         if not changed:
             converged = True
             break
-    final = state.instance()
-    d_sq = dist_sq_to_span(final.fixed, final.rest.vectors)
-    return HeuristicOutcome(tuple(x_total), d_sq, converged, passes)
+    return HeuristicOutcome(tuple(x_total), state.dist_sq(scale), converged, passes)
+
+
+def _sweep_prefixes(rows: list[list[int]], passes: int) -> list[list[int]]:
+    """Heuristic sweep over the prefixes of integer rows, in place.
+
+    For i = n-1 down to 1, b_i is the fixed vector over b_0..b_{i-1}, with
+    up to `passes` passes, and the improved prefix is used at once. The
+    bordered Gram matrix of prefix i is the leading (i+1)x(i+1) block of
+    the Gram matrix of all rows, which committed shifts keep current; it
+    is returned. One elimination gives the adjugate for i = n-1, and each
+    later prefix takes its adjugate from the one before.
+    """
+    gram = _gram(rows)
+    adj = _adjugate_spd(gram)
+    for i in range(len(rows) - 1, 0, -1):
+        state = _GramState(rows, i, gram, adj)
+        for _ in range(passes):
+            changed, _ = _pass_over(state)
+            if not changed:
+                break
+        adj = state.leading_adjugate()
+    return gram

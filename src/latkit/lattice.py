@@ -172,11 +172,17 @@ class CertificateBounds:
 
 
 def apply_shift(inst: MDSPInstance, x: Sequence[int]) -> LatticeBasis:
-    """Basis B(x) = {b_i + x_i v}; spans the same lattice as [v|B] with v."""
+    """Basis B(x) = {b_i + x_i v}; spans the same lattice as [v|B] with v.
+
+    Raises ValueError if some x_i is not an integer.
+    """
     if len(x) != inst.n:
         raise LengthMismatch(f"shift vector has length {len(x)}, expected {inst.n}")
+    xs = [rational(xi) for xi in x]
+    if any(xi.denominator != 1 for xi in xs):
+        raise ValueError(f"shift vector {tuple(map(str, xs))} is not integral")
     v = inst.fixed
-    shifted = [b + v.scaled(int(xi)) for b, xi in zip(inst.rest.vectors, x)]
+    shifted = [b + v.scaled(xi) for b, xi in zip(inst.rest.vectors, xs)]
     return LatticeBasis(shifted, validate=False)
 
 
@@ -198,12 +204,15 @@ def same_lattice(a: QMatrix, b: QMatrix) -> tuple[bool, Optional[EquivalenceWitn
 def verify_dmdsp_certificate(q: DMDSPQuery, x: Sequence[int]) -> bool:
     """Check a shift-vector certificate against a decision query.
 
-    Accepts iff [v|B(x)] spans the same lattice as [v|B] (always true for
-    genuine shift vectors, still verified) and the squared distance from v
-    to span(B(x)) is at least gamma_sq * |v|^2.
+    Accepts iff x is integral, [v|B(x)] spans the same lattice as [v|B]
+    (always true for genuine shift vectors, still verified) and the squared
+    distance from v to span(B(x)) is at least gamma_sq * |v|^2.
     """
     inst = q.instance
-    shifted = apply_shift(inst, x)
+    try:
+        shifted = apply_shift(inst, x)
+    except ValueError:  # a non-integral x is no certificate
+        return False
     ok, _ = same_lattice(
         inst.full_matrix(), QMatrix.from_columns((inst.fixed,) + shifted.vectors)
     )

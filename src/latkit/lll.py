@@ -1,10 +1,12 @@
-"""Exact rational LLL reduction and the distance-heuristic acceleration.
+"""Exact LLL reduction and the distance-heuristic acceleration.
 
-The reduction runs entirely over rationals with incrementally maintained
-Gram-Schmidt data, so the size-reduction and Lovasz postconditions can be
-checked with exact comparisons. The accelerated variant alternates cheap
-low-delta LLL rounds with greedy sub-lattice distance improvement sweeps
-until a basis vector reaches the requested norm.
+The reduction is integral (fraction-free) LLL: a rational basis is scaled
+once to integer rows, and the Gram-Schmidt data is kept as integer Gram
+determinants and scaled coefficients, so the size-reduction and Lovasz
+tests are exact integer comparisons. The accelerated variant alternates
+cheap low-delta LLL rounds with greedy sub-lattice distance improvement
+sweeps on the same integer rows until a basis vector reaches the requested
+norm.
 """
 
 from __future__ import annotations
@@ -13,14 +15,22 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .errors import DependentInput
-from .heuristic import _improve_pass
+from .heuristic import _sweep_prefixes
 from .lattice import LatticeBasis, MDSPInstance
-from .qlinalg import QVector, determinant, dist_sq_to_span, rational, rel_volume_sq
+from .qlinalg import (
+    QVector,
+    determinant,
+    dist_sq_to_span,
+    integer_rows,
+    rational,
+    rational_vectors,
+    rel_volume_sq,
+)
 
-_HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 
@@ -67,76 +77,70 @@ class AccelConfig:
             raise ValueError("max_rounds must be at least 1")
 
 
-def _gso(bs: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Full Gram-Schmidt: mu coefficients and squared orthogonal norms."""
-    n = len(bs)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    for i in range(n):
-        w = bs[i][:]
-        for j in range(i):
-            m = sum((x * y for x, y in zip(bs[i], bstar[j])), Fraction(0)) / norms[j]
-            mu[i][j] = m
-            bj = bstar[j]
-            for k in range(len(w)):
-                w[k] -= m * bj[k]
-        nsq = sum((x * x for x in w), Fraction(0))
-        if nsq == 0:
-            raise DependentInput(f"basis vector {i} is dependent")
-        mu[i][i] = Fraction(1)
-        bstar.append(w)
-        norms.append(nsq)
-    return mu, norms
+def _lll_rows(b: list[list[int]], p: int, q: int, trace: ReductionTrace) -> None:
+    """Reduce integer rows in place with parameter delta = p/q.
 
-
-def lll_reduce(basis: LatticeBasis, p: LLLParams) -> tuple[LatticeBasis, ReductionTrace]:
-    """Delta-parameterized reduction with exact arithmetic.
-
-    The output basis spans the same lattice, satisfies |mu_ij| <= 1/2 for
-    i > j, and meets the Lovasz condition with parameter delta for every
-    consecutive pair, all as exact rational statements.
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7): d[i+1] is the Gram determinant of b_0..b_i (d[0] = 1) and
+    lam[k][j] = d[j+1] * mu_kj; both stay integers and every division below
+    is exact. Each test is the rational one times a positive factor, so
+    swaps and size reductions are those of rational LLL. Gram-Schmidt data
+    of row k is computed when k is first reached, so kmax is the last row
+    whose data is current. Counts are added to trace.
     """
-    t0 = time.perf_counter()
-    bs = [list(v.entries) for v in basis.vectors]
-    n = len(bs)
-    trace = ReductionTrace()
-    mu, norms = _gso(bs)
-    delta = p.delta
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def add_row(k: int) -> None:
+        bk, lk = b[k], lam[k]
+        for j in range(k + 1):
+            u = sum(map(mul, bk, b[j]))
+            lj = lam[j]
+            for i in range(j):
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+            if j < k:
+                lk[j] = u
+            elif u == 0:
+                raise DependentInput(f"basis vector {k} is dependent")
+            else:
+                d[k + 1] = u
 
     def size_reduce(k: int, l: int) -> None:
-        m = mu[k][l]
-        if m > _HALF or m < -_HALF:
-            r = (2 * m.numerator + m.denominator) // (2 * m.denominator)
-            bl = bs[l]
-            bk = bs[k]
-            for idx in range(len(bk)):
-                bk[idx] -= r * bl[idx]
-            mu[k][l] = m - r
-            mul = mu[l]
-            muk = mu[k]
-            for idx in range(l):
-                muk[idx] -= r * mul[idx]
+        lk = lam[k]
+        m, dl = lk[l], d[l + 1]
+        if 2 * abs(m) > dl:  # |mu_kl| > 1/2
+            r = (2 * m + dl) // (2 * dl)
+            b[k] = [x - r * y for x, y in zip(b[k], b[l])]
+            lk[l] = m - r * dl
+            ll = lam[l]
+            for i in range(l):
+                lk[i] -= r * ll[i]
             trace.size_reduction_count += 1
 
+    add_row(0)
+    kmax = 0
     k = 1
     while k < n:
+        if k > kmax:
+            add_row(k)
+            kmax = k
         size_reduce(k, k - 1)
-        m = mu[k][k - 1]
-        if norms[k] < (delta - m * m) * norms[k - 1]:
-            bs[k], bs[k - 1] = bs[k - 1], bs[k]
-            muk, muk1 = mu[k], mu[k - 1]
+        m = lam[k][k - 1]
+        # Lovasz fails: |b*_k|^2 < (delta - mu^2) |b*_{k-1}|^2
+        if q * (d[k + 1] * d[k - 1] + m * m) < p * d[k] * d[k]:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            lk, lk1 = lam[k], lam[k - 1]
             for j in range(k - 1):
-                muk[j], muk1[j] = muk1[j], muk[j]
-            b_new = norms[k] + m * m * norms[k - 1]
-            mu_new = m * norms[k - 1] / b_new
-            norms[k] = norms[k - 1] * norms[k] / b_new
-            norms[k - 1] = b_new
-            mu[k][k - 1] = mu_new
-            for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu_new * mu[i][k]
+                lk[j], lk1[j] = lk1[j], lk[j]
+            dk, dk1 = d[k], d[k + 1]
+            new_dk = (d[k - 1] * dk1 + m * m) // dk
+            for i in range(k + 1, kmax + 1):
+                li = lam[i]
+                t = li[k]
+                li[k] = (dk1 * li[k - 1] - m * t) // dk
+                li[k - 1] = (new_dk * t + m * li[k]) // dk1
+            d[k] = new_dk
             trace.swap_count += 1
             k = max(k - 1, 1)
         else:
@@ -144,8 +148,25 @@ def lll_reduce(basis: LatticeBasis, p: LLLParams) -> tuple[LatticeBasis, Reducti
                 size_reduce(k, l)
             k += 1
 
-    out = LatticeBasis([QVector(b) for b in bs], validate=False)
-    _, trace.final_shortest_norm_sq = shortest_basis_vector(out)
+
+def _min_norm_sq(rows: list[list[int]]) -> int:
+    return min(sum(map(mul, r, r)) for r in rows)
+
+
+def lll_reduce(basis: LatticeBasis, p: LLLParams) -> tuple[LatticeBasis, ReductionTrace]:
+    """Delta-parameterized reduction with exact arithmetic.
+
+    The output basis spans the same lattice, satisfies |mu_ij| <= 1/2 for
+    i > j, and meets the Lovasz condition with parameter delta for every
+    consecutive pair, all as exact rational statements. A rational basis is
+    reduced as integer rows scaled by the lcm of its denominators.
+    """
+    t0 = time.perf_counter()
+    trace = ReductionTrace()
+    rows, scale = integer_rows(basis.vectors)
+    _lll_rows(rows, p.delta.numerator, p.delta.denominator, trace)
+    out = LatticeBasis(rational_vectors(rows, scale), validate=False)
+    trace.final_shortest_norm_sq = Fraction(_min_norm_sq(rows), scale * scale)
     trace.wall_time = time.perf_counter() - t0
     return out, trace
 
@@ -172,46 +193,37 @@ def accelerated_reduce(
     vector has squared norm at most the target, when rounds are exhausted,
     or when a full round leaves the basis unchanged (a fixed point, so no
     further round could make progress); the two latter cases are flagged
-    with reached_target = False.
+    with reached_target = False. The rounds work on integer rows scaled by
+    the lcm of the basis denominators.
     """
     t_start = time.perf_counter()
     trace = ReductionTrace(reached_target=False)
-    current = basis
-    n = len(basis.vectors)
-    prev: Optional[tuple[QVector, ...]] = None
+    rows, scale = integer_rows(basis.vectors)
+    # |b|^2 <= target  <=>  |row|^2 * target_den <= target_num * scale^2
+    target_num = cfg.target_norm_sq.numerator * scale * scale
+    target_den = cfg.target_norm_sq.denominator
+    delta = cfg.delta.delta
+    prev: Optional[tuple[tuple[int, ...], ...]] = None
     while trace.rounds_used < cfg.max_rounds:
         trace.rounds_used += 1
         t0 = time.perf_counter()
-        current, ltr = lll_reduce(current, cfg.delta)
+        _lll_rows(rows, delta.numerator, delta.denominator, trace)
         trace.lll_time += time.perf_counter() - t0
-        trace.swap_count += ltr.swap_count
-        trace.size_reduction_count += ltr.size_reduction_count
-        _, shortest_sq = shortest_basis_vector(current)
-        if shortest_sq <= cfg.target_norm_sq:
+        if _min_norm_sq(rows) * target_den <= target_num:
             trace.reached_target = True
             break
         t0 = time.perf_counter()
-        vecs = list(current.vectors)
-        for i in range(n - 1, 0, -1):
-            inst = MDSPInstance(
-                vecs[i], LatticeBasis(vecs[:i], validate=False), validate=False
-            )
-            for _ in range(cfg.heuristic_passes):
-                inst, changed, _ = _improve_pass(inst)
-                if not changed:
-                    break
-            vecs[:i] = inst.rest.vectors
-        current = LatticeBasis(vecs, validate=False)
+        gram = _sweep_prefixes(rows, cfg.heuristic_passes)
         trace.heuristic_time += time.perf_counter() - t0
-        _, shortest_sq = shortest_basis_vector(current)
-        if shortest_sq <= cfg.target_norm_sq:
+        if min(g[i] for i, g in enumerate(gram)) * target_den <= target_num:
             trace.reached_target = True
             break
-        snapshot = current.vectors
+        snapshot = tuple(map(tuple, rows))
         if snapshot == prev:
             break  # deterministic fixed point; further rounds are no-ops
         prev = snapshot
-    _, trace.final_shortest_norm_sq = shortest_basis_vector(current)
+    current = LatticeBasis(rational_vectors(rows, scale), validate=False)
+    trace.final_shortest_norm_sq = Fraction(_min_norm_sq(rows), scale * scale)
     trace.wall_time = time.perf_counter() - t_start
     return current, trace
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DependentInput, LengthMismatch, NonSquare, NotSPD, SingularMatrix
@@ -271,6 +271,21 @@ def gram_matrix(vectors: Sequence[QVector]) -> QMatrix:
     if not vectors:
         raise LengthMismatch("gram_matrix requires at least one vector")
     return QMatrix([[a.dot(b) for b in vectors] for a in vectors])
+
+
+def integer_rows(vectors: Sequence[QVector]) -> tuple[list[list[int]], int]:
+    """The vectors times the lcm of all their denominators, as integer rows,
+    together with that lcm."""
+    scale = lcm(*(e.denominator for v in vectors for e in v.entries))
+    rows = [[e.numerator * (scale // e.denominator) for e in v.entries] for v in vectors]
+    return rows, scale
+
+
+def rational_vectors(rows: Sequence[Sequence[int]], scale: int) -> list[QVector]:
+    """Inverse of integer_rows: each integer row divided by scale."""
+    if scale == 1:
+        return [QVector(row) for row in rows]
+    return [QVector(Fraction(e, scale) for e in row) for row in rows]
 
 
 def rel_volume_sq(basis: Sequence[QVector]) -> Fraction:

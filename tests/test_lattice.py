@@ -75,6 +75,11 @@ class TestApplyShift:
         with pytest.raises(LengthMismatch):
             apply_shift(E1, (1, 2))
 
+    def test_non_integral_rejected(self):
+        with pytest.raises(ValueError):
+            apply_shift(E1, (F(-3, 2),))
+        assert apply_shift(E1, (F(-1),)).vectors == (qv(1, -1),)
+
 
 class TestSameLattice:
     def test_identity(self):
@@ -116,6 +121,11 @@ class TestCertificates:
         inst = make_instance([0, 1], [[1, 0]])
         q = DMDSPQuery.from_gamma(inst, 1)
         assert verify_dmdsp_certificate(q, (0,))
+
+    def test_rejects_non_integral_certificate(self):
+        q = DMDSPQuery(E1, F(1, 2))
+        assert not verify_dmdsp_certificate(q, (F(-3, 2),))
+        assert verify_dmdsp_certificate(q, (-1,))
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

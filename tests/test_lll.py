@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from latkit.errors import DependentInput
+from latkit.heuristic import improve_pass
 from latkit.lattice import LatticeBasis, MDSPInstance, minkowski_bound_sq, same_lattice
 from latkit.lll import (
     AccelConfig,
@@ -29,6 +31,41 @@ def random_basis(rng, dim, bound=9):
         m = QMatrix(rows)
         if determinant(m) != 0:
             return LatticeBasis(m.row_vectors(), validate=False)
+
+
+def rational_basis(rng, dim):
+    """Nonsingular basis with non-integral entries of mixed denominators."""
+    while True:
+        rows = [
+            [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(dim)]
+            for _ in range(dim)
+        ]
+        m = QMatrix(rows)
+        if determinant(m) != 0:
+            return LatticeBasis(m.row_vectors(), validate=False)
+
+
+def knapsack_basis(rng, dim, bits=30):
+    """Rows e_i + a_i e_last for i < dim - 1, then N e_last."""
+    rows = [
+        [1 if j == i else 0 for j in range(dim - 1)] + [rng.getrandbits(bits)]
+        for i in range(dim - 1)
+    ]
+    rows.append([0] * (dim - 1) + [rng.getrandbits(bits) | 1 << (bits - 1)])
+    return LatticeBasis([QVector(r) for r in rows], validate=False)
+
+
+# accelerated_reduce at delta 1/4 stops at a fixed point above the delta
+# 99/100 target on this basis, after 3 rounds
+STALLING_ROWS = [
+    [12, 18, -24, -5, -8, -26, -1],
+    [-20, 4, -3, -22, -16, 12, -15],
+    [-7, 13, 1, -18, 13, 12, -7],
+    [-16, 21, -1, -19, -28, 13, 17],
+    [1, -21, -1, 15, 15, -4, 14],
+    [26, -18, -29, 18, 23, 4, -1],
+    [15, 21, 19, 30, -17, 4, -19],
+]
 
 
 def assert_reduced(basis: LatticeBasis, delta: F):
@@ -87,13 +124,25 @@ class TestLLL:
 
     def test_matches_textbook_implementation(self):
         rng = random.Random(149)
-        for _ in range(12):
-            dim = rng.randint(2, 6)
-            basis = random_basis(rng, dim, bound=7)
-            delta = rng.choice([F(3, 4), F(9, 10)])
+        bases = [random_basis(rng, rng.randint(2, 6), bound=7) for _ in range(12)]
+        bases += [rational_basis(rng, rng.randint(2, 5)) for _ in range(6)]
+        bases += [knapsack_basis(rng, dim) for dim in (3, 4, 5, 6)]
+        for basis in bases:
+            delta = rng.choice([F(3, 4), F(9, 10), F(99, 100)])
             out, _ = lll_reduce(basis, LLLParams(delta))
             ref = textbook_lll([list(v.entries) for v in basis.vectors], delta)
             assert [tuple(v.entries) for v in out.vectors] == ref
+
+    def test_dependent_input_raises(self):
+        dependent = [
+            [qv(1, 2), qv(2, 4)],
+            [qv(0, 0, 0), qv(1, 0, 0)],
+            [qv(3, 1, 4), qv(1, 5, 9), qv(4, 6, 13)],
+            [qv(F(1, 2), 1, 0), qv(1, 2, 0), qv(0, 0, 1)],
+        ]
+        for vecs in dependent:
+            with pytest.raises(DependentInput):
+                lll_reduce(LatticeBasis(vecs, validate=False), LLLParams(F(3, 4)))
 
     def test_det_invariant(self):
         rng = random.Random(151)
@@ -161,6 +210,96 @@ class TestAccelerated:
             AccelConfig(LLLParams(F(3, 4)), F(0))
         with pytest.raises(ValueError):
             AccelConfig(LLLParams(F(3, 4)), F(1), max_rounds=0)
+
+
+def reference_accelerated(basis, cfg):
+    """accelerated_reduce rebuilt from public calls: each round is lll_reduce,
+    then improve_pass on each prefix i = n-1..1, up to heuristic_passes times."""
+    vecs = list(basis.vectors)
+    rounds = swaps = size_reductions = 0
+    reached = False
+    prev = None
+    while rounds < cfg.max_rounds:
+        rounds += 1
+        reduced, tr = lll_reduce(LatticeBasis(vecs, validate=False), cfg.delta)
+        swaps += tr.swap_count
+        size_reductions += tr.size_reduction_count
+        vecs = list(reduced.vectors)
+        if tr.final_shortest_norm_sq <= cfg.target_norm_sq:
+            reached = True
+            break
+        for i in range(len(vecs) - 1, 0, -1):
+            inst = MDSPInstance(
+                vecs[i], LatticeBasis(vecs[:i], validate=False), validate=False
+            )
+            for _ in range(cfg.heuristic_passes):
+                inst, changed = improve_pass(inst)
+                if not changed:
+                    break
+            vecs[:i] = inst.rest.vectors
+        if min(v.norm_sq() for v in vecs) <= cfg.target_norm_sq:
+            reached = True
+            break
+        if vecs == prev:
+            break
+        prev = list(vecs)
+    shortest = min(v.norm_sq() for v in vecs)
+    return tuple(vecs), rounds, swaps, size_reductions, reached, shortest
+
+
+class TestAcceleratedEquivalence:
+    def check(self, basis, passes=1, max_rounds=1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            low = LLLParams(F(1, 4))
+        _, high = lll_reduce(basis, LLLParams(F(99, 100)))
+        cfg = AccelConfig(
+            low, high.final_shortest_norm_sq, max_rounds, heuristic_passes=passes
+        )
+        out, trace = accelerated_reduce(basis, cfg)
+        got = (
+            out.vectors,
+            trace.rounds_used,
+            trace.swap_count,
+            trace.size_reduction_count,
+            trace.reached_target,
+            trace.final_shortest_norm_sq,
+        )
+        assert got == reference_accelerated(basis, cfg)
+        return trace
+
+    def test_uniform(self):
+        rng = random.Random(173)
+        for _ in range(6):
+            self.check(random_basis(rng, rng.randint(4, 9), bound=30))
+
+    def test_knapsack(self):
+        rng = random.Random(179)
+        for dim in (5, 7, 9):
+            self.check(knapsack_basis(rng, dim))
+
+    def test_rational(self):
+        rng = random.Random(181)
+        for _ in range(3):
+            self.check(rational_basis(rng, rng.randint(3, 6)))
+
+    def test_stall_above_target(self):
+        basis = LatticeBasis([QVector(r) for r in STALLING_ROWS], validate=False)
+        trace = self.check(basis)
+        assert not trace.reached_target
+        assert trace.rounds_used == 3
+
+    def test_two_heuristic_passes(self):
+        rng = random.Random(191)
+        for _ in range(4):
+            self.check(random_basis(rng, rng.randint(4, 9), bound=30), passes=2)
+        basis = LatticeBasis([QVector(r) for r in STALLING_ROWS], validate=False)
+        self.check(basis, passes=2)
+
+    def test_round_cap(self):
+        rng = random.Random(193)
+        for _ in range(3):
+            self.check(random_basis(rng, rng.randint(5, 9), bound=30), max_rounds=1)
 
 
 class TestDetIdentity:
