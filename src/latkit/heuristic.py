@@ -23,7 +23,7 @@ from operator import mul
 
 from .errors import DegenerateResidual, IndexOutOfRange
 from .lattice import MDSPInstance, apply_shift
-from .qlinalg import QVector, integer_rows
+from .qlinalg import QVector, integer_gram, integer_rows
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,6 @@ def _adjugate_spd(a: list[list[int]]) -> list[list[int]]:
                 m[i] = [(pivot * x - mik * y) // prev for x, y in zip(m[i], rowk)]
         prev = pivot
     return [row[n:] for row in m]
-
-
-def _gram(rows: list[list[int]]) -> list[list[int]]:
-    """Integer Gram matrix of the rows."""
-    g = [[0] * len(rows) for _ in rows]
-    for i, p in enumerate(rows):
-        for j in range(i + 1):
-            g[i][j] = g[j][i] = sum(map(mul, p, rows[j]))
-    return g
 
 
 class _GramState:
@@ -163,7 +154,7 @@ class _GramState:
 def _state(inst: MDSPInstance) -> tuple[_GramState, int]:
     """Gram state of an instance, with the scale of its integer rows."""
     rows, scale = integer_rows(inst.rest.vectors + (inst.fixed,))
-    gram = _gram(rows)
+    gram = integer_gram(rows)
     return _GramState(rows, inst.n, gram, _adjugate_spd(gram)), scale
 
 
@@ -250,7 +241,7 @@ def _sweep_prefixes(rows: list[list[int]], passes: int) -> list[list[int]]:
     is returned. One elimination gives the adjugate for i = n-1, and each
     later prefix takes its adjugate from the one before.
     """
-    gram = _gram(rows)
+    gram = integer_gram(rows)
     adj = _adjugate_spd(gram)
     for i in range(len(rows) - 1, 0, -1):
         state = _GramState(rows, i, gram, adj)

@@ -1,8 +1,12 @@
 """Exact rational vectors, matrices, and orthogonalization primitives.
 
-Everything here is computed over arbitrary-precision rationals
-(``fractions.Fraction``), so all comparisons and postconditions are exact.
-No floating point enters any correctness-bearing path.
+Vectors and matrices hold arbitrary-precision rationals
+(``fractions.Fraction``). Distances to a span, relative volumes and
+independence checks run on integer rows instead: the vectors are scaled
+once by the lcm of their denominators, and the answer comes from one
+fraction-free elimination of the integer Gram matrix. Every comparison and
+postcondition is exact; no floating point enters any correctness-bearing
+path.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DependentInput, LengthMismatch, NonSquare, NotSPD, SingularMatrix
@@ -261,9 +266,18 @@ def project_onto_span(v: QVector, basis: Sequence[QVector]) -> QVector:
 
 
 def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
-    """Squared distance from v to span(basis), an exact rational."""
-    r = v - project_onto_span(v, basis)
-    return r.norm_sq()
+    """Squared distance from v to span(basis), an exact rational.
+
+    It is det G(basis, v) / det G(basis) for the Gram matrix G, both read
+    off one fraction-free elimination of the integer Gram matrix of the
+    scaled rows (basis, v): its last two leading principal minors. Raises
+    DependentInput if the basis is dependent.
+    """
+    if not basis:
+        return v.norm_sq()
+    g, scale = _scaled_gram([*basis, v])
+    det_bv = _eliminate_gram(g)
+    return Fraction(det_bv, g[-2][-2] * scale * scale)
 
 
 def gram_matrix(vectors: Sequence[QVector]) -> QMatrix:
@@ -288,19 +302,63 @@ def rational_vectors(rows: Sequence[Sequence[int]], scale: int) -> list[QVector]
     return [QVector(Fraction(e, scale) for e in row) for row in rows]
 
 
+def integer_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer Gram matrix of the rows."""
+    g = [[0] * len(rows) for _ in rows]
+    for i, p in enumerate(rows):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = sum(map(mul, p, rows[j]))
+    return g
+
+
+def _eliminate_gram(g: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) elimination of an integer Gram matrix, in
+    place; returns its determinant.
+
+    No pivoting: g[k][k] ends up as the (k+1)-th leading principal minor,
+    the Gram determinant of the first k+1 rows, which is positive unless
+    those rows are dependent. A zero pivot before the last row raises
+    DependentInput. The trailing block stays symmetric, so only its upper
+    triangle is updated (and read, through g[k][i] for g[i][k]).
+    """
+    n = len(g)
+    prev = 1
+    for k in range(n - 1):
+        gk = g[k]
+        pivot = gk[k]
+        if pivot == 0:
+            raise DependentInput(f"vector {k} is in the span of its predecessors")
+        for i in range(k + 1, n):
+            gi = g[i]
+            gki = gk[i]
+            gi[i:] = [(x * pivot - gki * y) // prev for x, y in zip(gi[i:], gk[i:])]
+        prev = pivot
+    return g[-1][-1]
+
+
+def _scaled_gram(vectors: Sequence[QVector]) -> tuple[list[list[int]], int]:
+    """Integer Gram matrix of the nonempty family scaled by the lcm of its
+    denominators, together with that lcm."""
+    dim = vectors[0].dim
+    if any(u.dim != dim for u in vectors):
+        raise LengthMismatch("vectors have differing dimensions")
+    rows, scale = integer_rows(vectors)
+    return integer_gram(rows), scale
+
+
 def rel_volume_sq(basis: Sequence[QVector]) -> Fraction:
     """Squared relative volume det(B^T B) of an independent family.
 
-    Computed by fraction-free elimination on the Gram matrix; the empty
-    family has volume 1 by convention.
+    Computed by fraction-free elimination on the integer Gram matrix; the
+    empty family has volume 1 by convention.
     """
     if not basis:
         return _ONE
-    g = [[a.dot(b) for b in basis] for a in basis]
-    vol = _det_rows(g)
+    g, scale = _scaled_gram(basis)
+    vol = _eliminate_gram(g)
     if vol == 0:
         raise DependentInput("vectors are linearly dependent")
-    return vol
+    return Fraction(vol, scale ** (2 * len(basis)))
 
 
 def _det_rows(rows: list[list[Fraction]]) -> Fraction:

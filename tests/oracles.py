@@ -2,12 +2,13 @@
 
 Everything here is written from scratch against the mathematical
 definitions (naive Gram-Schmidt, textbook reduction with full
-recomputation, exhaustive scans) and deliberately shares no code with the
-package paths it checks.
+recomputation, exhaustive scans, Bareiss determinants) and deliberately
+shares no code with the package paths it checks.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 
 def vdot(a, b):
@@ -60,22 +61,61 @@ def naive_det(rows):
     return det
 
 
+def int_det(rows):
+    """Determinant of a square integer matrix, fraction-free (Bareiss 1968).
+
+    After step k every remaining entry is a (k+1)x(k+1) minor, so the
+    division by the previous pivot is exact. The empty matrix has
+    determinant 1.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    det_sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det_sign = -det_sign
+        p = a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(a[i][j] * p - f * a[k][j]) // prev for j in range(n)]
+        prev = p
+    return det_sign * prev
+
+
+def int_gram_det(rows):
+    return int_det([[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows])
+
+
 def brute_force_mdsp(v, basis, window):
     """Max dist^2 of v over all shifts x in [-window, window]^n.
 
-    Returns (best_dist_sq, lexicographically smallest maximizing x).
+    Returns (best_dist_sq, lexicographically smallest maximizing x). Each
+    point's dist^2 is det Gram(B(x), v) / det Gram(B(x)), computed in
+    integers on the vectors scaled by the lcm of their denominators; the
+    winning point is cross-checked against naive_dist_sq.
     """
     n = len(basis)
-    best_d = None
+    scale = lcm(*(Fraction(e).denominator for w in (v, *basis) for e in w))
+    iv = [int(Fraction(e) * scale) for e in v]
+    ib = [[int(Fraction(e) * scale) for e in b] for b in basis]
+    best = None  # (numerator, denominator) of the scaled dist^2
     best_x = None
     for x in product(range(-window, window + 1), repeat=n):
-        shifted = [
-            tuple(b[k] + x[i] * v[k] for k in range(len(v)))
-            for i, b in enumerate(basis)
-        ]
-        d = naive_dist_sq(v, shifted)
-        if best_d is None or d > best_d:
-            best_d, best_x = d, x
+        shifted = [[bk + xi * vk for bk, vk in zip(b, iv)] for b, xi in zip(ib, x)]
+        num = int_gram_det(shifted + [iv])
+        den = int_gram_det(shifted)
+        if best is None or num * best[1] > best[0] * den:
+            best, best_x = (num, den), x
+    best_d = Fraction(best[0], best[1] * scale * scale)
+    shifted = [
+        tuple(b[k] + best_x[i] * v[k] for k in range(len(v)))
+        for i, b in enumerate(basis)
+    ]
+    assert naive_dist_sq(v, shifted) == best_d, "integer and naive dist^2 differ"
     return best_d, best_x
 
 

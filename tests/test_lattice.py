@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from latkit.errors import DependentInput, LengthMismatch, NonSquare
+from latkit.heuristic import run_heuristic
 from latkit.lattice import (
     DMDSPQuery,
     LatticeBasis,
@@ -22,7 +23,7 @@ from latkit.qlinalg import (
     is_unimodular,
     rel_volume_sq,
 )
-from oracles import random_mdsp_vectors
+from oracles import naive_dist_sq, random_mdsp_vectors
 
 
 def qv(*entries):
@@ -126,6 +127,36 @@ class TestCertificates:
         q = DMDSPQuery(E1, F(1, 2))
         assert not verify_dmdsp_certificate(q, (F(-3, 2),))
         assert verify_dmdsp_certificate(q, (-1,))
+
+    def test_wrong_length_certificate_raises(self):
+        q = DMDSPQuery(E1, F(1, 2))
+        with pytest.raises(LengthMismatch):
+            verify_dmdsp_certificate(q, (0, 1))
+        with pytest.raises(LengthMismatch):
+            verify_dmdsp_certificate(q, ())
+
+    def test_heuristic_certificates_at_dimension_16(self):
+        # accept exactly at the reached distance, reject one 2^-32 step above
+        rng = random.Random(61)
+        step = 1 + F(1, 1 << 32)
+        for _ in range(3):
+            inst = random_instance(rng, 16, bound=100)
+            out = run_heuristic(inst)
+            v = inst.fixed
+            v_sq = v.norm_sq()
+            naive = naive_dist_sq(
+                v.entries, [b.entries for b in apply_shift(inst, out.x_total)]
+            )
+            assert naive == out.dist_sq
+            gamma_sq = out.dist_sq / v_sq
+            accept = verify_dmdsp_certificate(DMDSPQuery(inst, gamma_sq), out.x_total)
+            assert accept and accept == (naive >= gamma_sq * v_sq)
+            gamma_hi = gamma_sq * step
+            if gamma_hi <= 1:
+                reject = verify_dmdsp_certificate(
+                    DMDSPQuery(inst, gamma_hi), out.x_total
+                )
+                assert not reject and reject == (naive >= gamma_hi * v_sq)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from latkit.qlinalg import (
     rel_volume_sq,
     sqrt_dyadic,
 )
-from oracles import random_unimodular
+from oracles import naive_dist_sq, random_unimodular
 
 
 def qv(*entries):
@@ -135,11 +135,73 @@ class TestProjection:
             assert direct == via_outer
 
 
+def _random_rational(rng, dim, bound=9):
+    return QVector(
+        [F(rng.randint(-bound, bound), rng.randint(1, 6)) for _ in range(dim)]
+    )
+
+
+def _random_rational_independent(rng, count, dim):
+    while True:
+        vecs = [_random_rational(rng, dim) for _ in range(count)]
+        try:
+            gram_schmidt(vecs)
+        except DependentInput:
+            continue
+        return vecs
+
+
 class TestDistance:
     def test_examples(self):
         assert dist_sq_to_span(qv(0, 2), [qv(1, 1)]) == 2
         assert dist_sq_to_span(qv(1, 0), [qv(1, 0)]) == 0
         assert dist_sq_to_span(qv(0, 2), []) == 4
+        assert dist_sq_to_span(qv(F(1, 2), 3, F(-2, 3)), []) == F(349, 36)
+
+    def test_matches_naive_on_rational_families(self):
+        # non-integral entries exercise the lcm scale of the integer rows
+        rng = random.Random(47)
+        for _ in range(60):
+            dim = rng.randint(2, 6)
+            count = rng.randint(1, dim)
+            basis = _random_rational_independent(rng, count, dim)
+            v = _random_rational(rng, dim)
+            expected = naive_dist_sq(v.entries, [b.entries for b in basis])
+            assert dist_sq_to_span(v, basis) == expected
+
+    def test_vector_in_span_gives_zero(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            dim = rng.randint(3, 6)
+            basis = _random_rational_independent(rng, rng.randint(1, dim - 1), dim)
+            v = QVector.zero(dim)
+            for b in basis:
+                v = v + b.scaled(F(rng.randint(-5, 5), rng.randint(1, 4)))
+            assert dist_sq_to_span(v, basis) == 0
+
+    def test_dependent_basis_rejected(self):
+        with pytest.raises(DependentInput):
+            dist_sq_to_span(qv(0, 0, 1), [qv(1, 1, 0), qv(2, 2, 0)])
+        with pytest.raises(DependentInput):
+            dist_sq_to_span(
+                qv(1, 2, 3), [qv(F(1, 2), 0, 1), qv(0, 1, 0), qv(F(1, 2), 1, 1)]
+            )
+        with pytest.raises(DependentInput):
+            dist_sq_to_span(qv(1, 2), [qv(0, 0)])
+
+    def test_result_is_canonical_fraction(self):
+        from math import gcd
+
+        rng = random.Random(59)
+        for _ in range(20):
+            dim = rng.randint(2, 5)
+            basis = _random_rational_independent(rng, rng.randint(1, dim), dim)
+            d = dist_sq_to_span(_random_rational(rng, dim), basis)
+            assert type(d) is F
+            assert d.denominator > 0
+            assert gcd(abs(d.numerator), d.denominator) == 1
+        zero = dist_sq_to_span(qv(1, 1), [qv(2, 2)])
+        assert type(zero) is F and (zero.numerator, zero.denominator) == (0, 1)
 
 
 class TestRelVolume:
