@@ -1,5 +1,5 @@
 """Bidirectional transformation between maximum-distance and closest-vector
-instances, carried entirely in rational Gram form.
+instances, carried in rational Gram form.
 
 The orthonormalizing map L of the decomposed basis is irrational in
 general, so the CVP side is represented by the quadratic form
@@ -7,22 +7,37 @@ general, so the CVP side is represented by the quadratic form
 matrix of the v-orthogonal parts b_i' = b_i - gamma_i v. The squared
 fixed-vector norm rides along so distances can be recovered without the
 original instance.
+
+The API stays in that rational form; the computation is integer. The
+forward map reads G' off the fraction-free adjugate of the integer Gram
+matrix of (B, v), and the enumeration scales the form to integers once and
+runs on the leading minors and lambda data of its fraction-free LDL^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .errors import DependentInput, DimensionCapExceeded, NotSPD
+from .errors import (
+    DegenerateResidual,
+    DependentInput,
+    DimensionCapExceeded,
+    NonSquare,
+    NotSPD,
+    SingularMatrix,
+)
 from .lattice import LatticeBasis, MDSPInstance
 from .qlinalg import (
     QMatrix,
     QVector,
-    ceil_minus_sqrt,
-    floor_plus_sqrt,
-    gram_matrix,
+    _eliminate_gram,
+    adjugate_spd,
+    integer_gram,
+    integer_rows,
     inverse,
     ldl_decompose,
     sqrt_dyadic,
@@ -73,15 +88,31 @@ class EmbeddedCVPInstance:
 
 
 def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
-    """Forward reduction: decompose against v and invert the residual Gram."""
-    v = inst.fixed
-    v_sq = v.norm_sq()
-    if v_sq == 0:
+    """Forward reduction: decompose against v and invert the residual Gram.
+
+    With G the integer Gram matrix of the rows (B, v) scaled by s, Gram(b')
+    is the Schur complement of |v|^2 in G / s^2, so its inverse is the
+    leading n x n block of s^2 adj(G) / det G. gamma_i = G[i][n] / G[n][n]
+    and |v|^2 = G[n][n] / s^2. A dependent [B; v] raises SingularMatrix.
+    """
+    if inst.fixed.is_zero():
         raise DependentInput("fixed vector is zero")
-    gamma = [b.dot(v) / v_sq for b in inst.rest.vectors]
-    b_prime = [b - v.scaled(g) for b, g in zip(inst.rest.vectors, gamma)]
-    g = gram_matrix(b_prime)
-    return CVPGramInstance(gram=inverse(g), offset=QVector(gamma), scale_sq=v_sq)
+    n = inst.n
+    rows, scale = integer_rows([*inst.rest.vectors, inst.fixed])
+    g = integer_gram(rows)
+    try:
+        adj = adjugate_spd(g)
+        det = sum(map(mul, g[n], adj[n]))  # Laplace expansion along row n
+    except DegenerateResidual:
+        det = 0
+    if det == 0:
+        raise SingularMatrix("the fixed vector and the basis are dependent")
+    s_sq = scale * scale
+    return CVPGramInstance(
+        gram=QMatrix([[Fraction(a * s_sq, det) for a in row[:n]] for row in adj[:n]]),
+        offset=QVector([Fraction(row[n], g[n][n]) for row in g[:n]]),
+        scale_sq=Fraction(g[n][n], s_sq),
+    )
 
 
 def cvp_to_mdsp(basis_rows: QMatrix, target: QVector) -> MDSPInstance:
@@ -114,65 +145,83 @@ def recover_mdsp_distance_sq(c: CVPGramInstance, j: Sequence[int]) -> Fraction:
     return c.scale_sq / (1 + c.scale_sq * c.objective(j))
 
 
-def _round_half_up(f: Fraction) -> int:
-    return (2 * f.numerator + f.denominator) // (2 * f.denominator)
-
-
 def solve_cvp_bruteforce(c: CVPGramInstance, dim_cap: int = 6) -> CVPSolution:
-    """Exact minimizer of the form over all integer vectors.
+    """Exact minimizer of the form over all integer vectors, for n <= dim_cap.
 
-    Depth-first enumeration over the exact LDL^T factorization, starting
-    from the radius at the componentwise rounding of -offset. Intervals at
-    each level come from exact floor/ceil of center +- sqrt(remaining
-    budget / pivot), and ties go to the lexicographically smallest vector.
+    The enumeration is enumerate_cvp; ties go to the lexicographically
+    smallest vector.
+    """
+    if c.n > dim_cap:
+        raise DimensionCapExceeded(f"dimension {c.n} above cap {dim_cap}")
+    return enumerate_cvp(c)
+
+
+def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
+    """Lexicographically smallest minimizer of the form, in integers.
+
+    Depth-first enumeration over the LDL^T factorization (Fincke-Pohst),
+    each level visited in zig-zag order from its center (Schnorr-Euchner).
+    The form is scaled once: M = lcm(den G') G' and u = step j + w with
+    step = lcm(den c), w = step c. One fraction-free elimination of M gives
+    its leading minors d_k and lambda data, and u^T M u is the sum over k
+    of z_k^2 / (d_k d_{k-1}) with z_k = d_k u_k + sum_{m>k} lambda_mk u_m.
+    Level k is weighted by W / (d_k d_{k-1}), W the lcm of those products,
+    so every partial sum and comparison is an integer. Zig-zag order visits
+    |z_k| in non-decreasing order, so the first value over the remaining
+    budget ends the level; only a strictly larger value is pruned, so all
+    ties reach a leaf. Raises NotSPD unless the form is positive definite.
     """
     n = c.n
-    if n > dim_cap:
-        raise DimensionCapExceeded(f"dimension {n} above cap {dim_cap}")
-    ldl = ldl_decompose(c.gram)
-    lower = ldl.lower.data
-    diag = ldl.diag
-    offset = c.offset.entries
+    if not c.gram.is_square:
+        raise NonSquare("the form needs a square matrix")
+    g = c.gram.data
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        raise NotSPD("matrix is not symmetric")
+    m, den = integer_rows(c.gram.row_vectors())
+    (w,), step = integer_rows([c.offset])
+    # the start bound: the componentwise rounding of -c
+    best_j = tuple((step - 2 * wk) // (2 * step) for wk in w)
+    u = [step * j + wk for j, wk in zip(best_j, w)]
+    best_q = sum(a * sum(map(mul, row, u)) for a, row in zip(u, m))
+    try:
+        _eliminate_gram(m)
+    except DependentInput:
+        raise NotSPD("matrix is not positive definite") from None
+    d = [m[k][k] for k in range(n)]
+    if min(d) <= 0:
+        raise NotSPD("matrix is not positive definite")
+    prods = [dk * dp for dk, dp in zip(d, [1] + d)]
+    big_w = lcm(*prods)
+    weight = [big_w // p for p in prods]
+    best_t = big_w * best_q
 
-    j0 = tuple(_round_half_up(-ci) for ci in offset)
-    best_j = j0
-    best_obj = c.objective(j0)
-
-    # w_k = (j_k + c_k) + sum_{m>k} lower[m][k] (j_m + c_m); objective is
-    # sum_k diag[k] w_k^2, processed from the last coordinate down.
-    u = [Fraction(0)] * n  # chosen j_m + c_m for m > level
-
-    def descend(level: int, partial: Fraction, chosen: tuple[int, ...]):
-        nonlocal best_j, best_obj
-        budget = best_obj - partial
-        if budget < 0:
-            return
-        center = -offset[level] - sum(
-            (lower[m][level] * u[m] for m in range(level + 1, n)), Fraction(0)
-        )
-        q = budget / diag[level]
-        lo = ceil_minus_sqrt(center, q)
-        hi = floor_plus_sqrt(center, q)
-        for jl in range(lo, hi + 1):
-            u[level] = jl + offset[level]
-            w = u[level] + sum(
-                (lower[m][level] * u[m] for m in range(level + 1, n)), Fraction(0)
-            )
-            new_partial = partial + diag[level] * w * w
-            if new_partial > best_obj:
-                continue
-            cand = (jl,) + chosen
-            if level == 0:
-                if new_partial < best_obj or (
-                    new_partial == best_obj and cand < best_j
-                ):
-                    best_obj = new_partial
-                    best_j = cand
+    def descend(k: int, partial: int, chosen: tuple[int, ...]) -> None:
+        nonlocal best_t, best_j
+        a = d[k] * step
+        b = d[k] * w[k] + sum(m[k][i] * u[i] for i in range(k + 1, n))
+        wt = weight[k]
+        j_lo = -b // a  # z(j) = a j + b; z(j_lo) <= 0 < z(j_lo + 1)
+        z_lo = a * j_lo + b
+        j_hi, z_hi = j_lo + 1, z_lo + a
+        while True:
+            if -z_lo <= z_hi:
+                j, z = j_lo, z_lo
+                j_lo, z_lo = j_lo - 1, z_lo - a
             else:
-                descend(level - 1, new_partial, cand)
+                j, z = j_hi, z_hi
+                j_hi, z_hi = j_hi + 1, z_hi + a
+            t = partial + wt * z * z
+            if t > best_t:
+                return
+            cand = (j,) + chosen
+            if k:
+                u[k] = step * j + w[k]
+                descend(k - 1, t, cand)
+            elif t < best_t or cand < best_j:
+                best_t, best_j = t, cand
 
-    descend(n - 1, Fraction(0), ())
-    return CVPSolution(best_j, best_obj)
+    descend(n - 1, 0, ())
+    return CVPSolution(best_j, Fraction(best_t, big_w * den * step * step))
 
 
 def embed_cvp(c: CVPGramInstance, precision_bits: int) -> EmbeddedCVPInstance:

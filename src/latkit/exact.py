@@ -1,27 +1,27 @@
-"""Exact maximum-distance solver: certified shift ranges plus enumeration.
+"""Exact maximum-distance solver through the MDSP = CVP isomorphism.
 
-Any basis B(x) whose span is at least as far from v as span(B) must keep
-every single-line projection of v below p = |proj(v, span(B))|. Solving
-that condition per coordinate yields an integer interval [s_i, t_i], and
-the optimum is found by exhaustive search over the Cartesian product.
+solve_exact maps the instance to its Gram-form CVP instance (mdsp_to_cvp),
+finds the closest vector by integer Schnorr-Euchner enumeration
+(enumerate_cvp) and recovers the distance. Ties go to the lexicographically
+smallest shift, and there is no dimension cap.
+
+The certified shift ranges remain a certificate, not the search: any basis
+B(x) whose span is at least as far from v as span(B) must keep every
+single-line projection of v below p = |proj(v, span(B))|, and solving that
+condition per coordinate yields an integer interval [s_i, t_i] that holds
+every maximizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Literal, Sequence
+from typing import Sequence
 
+from .cvp import enumerate_cvp, mdsp_to_cvp, recover_mdsp_distance_sq
 from .errors import DegenerateFixedVector
 from .lattice import LatticeBasis, MDSPInstance, apply_shift
-from .qlinalg import (
-    _det_rows,
-    ceil_plus_sqrt,
-    dist_sq_to_span,
-    floor_minus_sqrt,
-    project_onto_span,
-)
+from .qlinalg import ceil_plus_sqrt, dist_sq_to_span, floor_minus_sqrt
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,9 @@ class MDSPSolution:
 
 
 def projection_length_sq(inst: MDSPInstance) -> Fraction:
-    """Squared length of the projection of v onto span(B)."""
-    return project_onto_span(inst.fixed, inst.rest.vectors).norm_sq()
+    """Squared length of the projection of v onto span(B): by Pythagoras,
+    |v|^2 minus the squared distance from v to span(B)."""
+    return inst.fixed.norm_sq() - dist_sq_to_span(inst.fixed, inst.rest.vectors)
 
 
 def shift_ranges(inst: MDSPInstance) -> ShiftRanges:
@@ -84,73 +85,22 @@ def shift_ranges(inst: MDSPInstance) -> ShiftRanges:
     return ShiftRanges(tuple(s), tuple(t), tuple(alphas), tuple(beta_sqs))
 
 
-class _GramEvaluator:
-    """Distance of v to span(B(x)) via a Gram-matrix update.
-
-    dist^2 = det([v|B])^2 / det(Gram(B(x))), where the numerator is shift
-    invariant and the shifted Gram entries follow from the cached inner
-    products. Must agree exactly with the direct Gram-Schmidt route.
-    """
-
-    def __init__(self, inst: MDSPInstance):
-        vecs = inst.rest.vectors
-        self.gram = [[a.dot(b) for b in vecs] for a in vecs]
-        self.vb = [inst.fixed.dot(b) for b in vecs]
-        self.v_sq = inst.fixed.norm_sq()
-        # det(Gram([v|B])) is invariant under shifts and equals
-        # det([v|B])^2 whenever the instance is full dimensional
-        full = (inst.fixed,) + vecs
-        self.det_full_sq = _det_rows([[a.dot(b) for b in full] for a in full])
-
-    def dist_sq(self, x: Sequence[int]) -> Fraction:
-        g = self.gram
-        vb = self.vb
-        v_sq = self.v_sq
-        n = len(vb)
-        shifted = [
-            [
-                g[i][j] + x[i] * vb[j] + x[j] * vb[i] + x[i] * x[j] * v_sq
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return self.det_full_sq / _det_rows(shifted)
-
-
 def shift_dist_sq(inst: MDSPInstance, x: Sequence[int]) -> Fraction:
-    """dist^2 from v to span(B(x)) by the Gram-update route."""
-    return _GramEvaluator(inst).dist_sq(x)
+    """dist^2 from v to span(B(x))."""
+    return dist_sq_to_span(inst.fixed, apply_shift(inst, x).vectors)
 
 
-def solve_exact(
-    inst: MDSPInstance,
-    evaluator: Literal["gram", "direct"] = "gram",
-) -> MDSPSolution:
-    """Enumerate the certified ranges and return the maximizing shift.
+def solve_exact(inst: MDSPInstance) -> MDSPSolution:
+    """The maximizing shift, through the CVP route.
 
-    Ties are broken by the lexicographically smallest shift vector, which
-    makes the result independent of any enumeration partitioning. If v is
-    already orthogonal to span(B) the zero shift is returned immediately.
+    mdsp_to_cvp, then enumerate_cvp (called directly: unlike
+    solve_cvp_bruteforce it has no dimension cap), then the distance by
+    recover_mdsp_distance_sq. The shift x is the CVP minimizer j, and ties
+    go to the lexicographically smallest shift vector. If v is orthogonal
+    to span(B), the offset is 0 and the unique minimizer is x = 0.
     """
-    v = inst.fixed
-    v_sq = v.norm_sq()
-    if v_sq == 0:
+    if inst.fixed.is_zero():
         raise DegenerateFixedVector("fixed vector is zero")
-    if projection_length_sq(inst) == 0:
-        zero = (0,) * inst.n
-        return MDSPSolution(zero, v_sq, apply_shift(inst, zero))
-    ranges = shift_ranges(inst)
-    if evaluator == "gram":
-        dist_of = _GramEvaluator(inst).dist_sq
-    else:
-        def dist_of(x):
-            return dist_sq_to_span(v, apply_shift(inst, x).vectors)
-    best_x: tuple[int, ...] | None = None
-    best_d: Fraction | None = None
-    for x in product(*(range(lo, hi + 1) for lo, hi in zip(ranges.s, ranges.t))):
-        d = dist_of(x)
-        if best_d is None or d > best_d:
-            best_d = d
-            best_x = x
-    assert best_x is not None and best_d is not None
-    return MDSPSolution(best_x, best_d, apply_shift(inst, best_x))
+    c = mdsp_to_cvp(inst)
+    x = enumerate_cvp(c).j
+    return MDSPSolution(x, recover_mdsp_distance_sq(c, x), apply_shift(inst, x))

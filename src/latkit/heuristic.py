@@ -23,7 +23,7 @@ from operator import mul
 
 from .errors import DegenerateResidual, IndexOutOfRange
 from .lattice import MDSPInstance, apply_shift
-from .qlinalg import QVector, integer_gram, integer_rows
+from .qlinalg import QVector, adjugate_spd, integer_gram, integer_rows
 
 
 @dataclass(frozen=True)
@@ -43,31 +43,6 @@ class HeuristicOutcome:
     dist_sq: Fraction
     converged: bool
     passes_used: int
-
-
-def _adjugate_spd(a: list[list[int]]) -> list[list[int]]:
-    """Adjugate of a symmetric positive definite integer matrix.
-
-    One-step fraction-free Gauss-Jordan; every division is exact and no
-    pivoting is needed because all leading principal minors are positive.
-    A zero pivot before the last step means the matrix came from a
-    dependent family (only the full determinant may vanish, and then only
-    for a degenerate instance, which the caller reports).
-    """
-    n = len(a)
-    m = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        rowk = m[k]
-        pivot = rowk[k]
-        if pivot <= 0 and k < n - 1:
-            raise DegenerateResidual("Gram matrix is not positive definite")
-        for i in range(n):
-            if i != k:  # column k of row i becomes 0
-                mik = m[i][k]
-                m[i] = [(pivot * x - mik * y) // prev for x, y in zip(m[i], rowk)]
-        prev = pivot
-    return [row[n:] for row in m]
 
 
 class _GramState:
@@ -155,7 +130,7 @@ def _state(inst: MDSPInstance) -> tuple[_GramState, int]:
     """Gram state of an instance, with the scale of its integer rows."""
     rows, scale = integer_rows(inst.rest.vectors + (inst.fixed,))
     gram = integer_gram(rows)
-    return _GramState(rows, inst.n, gram, _adjugate_spd(gram)), scale
+    return _GramState(rows, inst.n, gram, adjugate_spd(gram)), scale
 
 
 def _choose_shift(s: int, w: int, t: int) -> int:
@@ -242,7 +217,7 @@ def _sweep_prefixes(rows: list[list[int]], passes: int) -> list[list[int]]:
     later prefix takes its adjugate from the one before.
     """
     gram = integer_gram(rows)
-    adj = _adjugate_spd(gram)
+    adj = adjugate_spd(gram)
     for i in range(len(rows) - 1, 0, -1):
         state = _GramState(rows, i, gram, adj)
         for _ in range(passes):

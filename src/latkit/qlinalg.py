@@ -4,9 +4,10 @@ Vectors and matrices hold arbitrary-precision rationals
 (``fractions.Fraction``). Distances to a span, relative volumes and
 independence checks run on integer rows instead: the vectors are scaled
 once by the lcm of their denominators, and the answer comes from one
-fraction-free elimination of the integer Gram matrix. Every comparison and
-postcondition is exact; no floating point enters any correctness-bearing
-path.
+fraction-free elimination of the integer Gram matrix. adjugate_spd gives
+the adjugate of such a matrix, from which the heuristic and the MDSP-to-CVP
+map read their quotients. Every comparison and postcondition is exact; no
+floating point enters any correctness-bearing path.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import DependentInput, LengthMismatch, NonSquare, NotSPD, SingularMatrix
+from .errors import (
+    DegenerateResidual,
+    DependentInput,
+    LengthMismatch,
+    NonSquare,
+    NotSPD,
+    SingularMatrix,
+)
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -311,6 +319,31 @@ def integer_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return g
 
 
+def adjugate_spd(a: list[list[int]]) -> list[list[int]]:
+    """Adjugate of a symmetric positive definite integer matrix.
+
+    One-step fraction-free Gauss-Jordan; every division is exact and no
+    pivoting is needed because all leading principal minors are positive.
+    A zero pivot before the last step means the matrix came from a
+    dependent family (only the full determinant may vanish, and then only
+    for a degenerate instance, which the caller reports).
+    """
+    n = len(a)
+    m = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        rowk = m[k]
+        pivot = rowk[k]
+        if pivot <= 0 and k < n - 1:
+            raise DegenerateResidual("Gram matrix is not positive definite")
+        for i in range(n):
+            if i != k:  # column k of row i becomes 0
+                mik = m[i][k]
+                m[i] = [(pivot * x - mik * y) // prev for x, y in zip(m[i], rowk)]
+        prev = pivot
+    return [row[n:] for row in m]
+
+
 def _eliminate_gram(g: list[list[int]]) -> int:
     """Fraction-free (Bareiss) elimination of an integer Gram matrix, in
     place; returns its determinant.
@@ -486,23 +519,6 @@ def iroot_ceil(x: int, n: int) -> int:
     return r if r ** n == x else r + 1
 
 
-def floor_plus_sqrt(r: Fraction, q: Fraction) -> int:
-    """Exact floor of r + sqrt(q) for rationals r and q >= 0."""
-    if q < 0:
-        raise ValueError("negative radicand")
-
-    def le(m: int) -> bool:
-        d = m - r
-        return d <= 0 or d * d <= q
-
-    m = (r.numerator // r.denominator) + isqrt(q.numerator // q.denominator)
-    while le(m + 1):
-        m += 1
-    while not le(m):
-        m -= 1
-    return m
-
-
 def floor_minus_sqrt(r: Fraction, q: Fraction) -> int:
     """Exact floor of r - sqrt(q) for rationals r and q >= 0."""
     if q < 0:
@@ -523,11 +539,6 @@ def floor_minus_sqrt(r: Fraction, q: Fraction) -> int:
 def ceil_plus_sqrt(r: Fraction, q: Fraction) -> int:
     """Exact ceiling of r + sqrt(q)."""
     return -floor_minus_sqrt(-r, q)
-
-
-def ceil_minus_sqrt(r: Fraction, q: Fraction) -> int:
-    """Exact ceiling of r - sqrt(q)."""
-    return -floor_plus_sqrt(-r, q)
 
 
 def sqrt_dyadic(x: Fraction, rel_bits: int) -> Fraction:

@@ -98,12 +98,13 @@ def solved_corpus(corpus):
 def test_criterion_1_exact_solver_oracle_equivalence(solved_corpus, corpus):
     _, skipped = corpus
     for inst, window, sol in solved_corpus:
-        best_d, _ = brute_force_mdsp(
+        best_d, best_x = brute_force_mdsp(
             inst.fixed.entries,
             [b.entries for b in inst.rest.vectors],
             window,
         )
         assert sol.dist_sq == best_d
+        assert sol.x == best_x  # both take the lexicographically smallest maximizer
         assert sol.dist_sq == dist_sq_to_span(inst.fixed, sol.basis.vectors)
     # runtime envelope covers generation, solving, and the oracle sweep
     elapsed = time.perf_counter() - _clock["corpus_start"]

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import floor
 
 import pytest
 
-from latkit.errors import DimensionCapExceeded
+from latkit.errors import DependentInput, DimensionCapExceeded, NotSPD, SingularMatrix
 from latkit.cvp import (
     CVPGramInstance,
     cvp_to_mdsp,
@@ -44,6 +45,23 @@ class TestForward:
         assert c.gram == QMatrix.identity(2)
         assert c.offset == QVector([F(1, 3), F(2, 3)])
         assert c.scale_sq == 9
+
+    def test_zero_fixed_vector(self):
+        inst = MDSPInstance.from_vectors([0, 0], [[1, 0]], validate=False)
+        with pytest.raises(DependentInput):
+            mdsp_to_cvp(inst)
+
+    def test_dependent_input(self):
+        # v in span(B); B itself dependent; the same with rational entries
+        cases = [
+            ([1, 1, 0], [[1, 0, 0], [0, 1, 0]]),
+            ([0, 0, 1], [[1, 2, 0], [2, 4, 0]]),
+            ([F(1, 2), 0, F(1, 3)], [[F(3, 2), 0, 1], [0, F(1, 5), 0]]),
+        ]
+        for v, basis in cases:
+            inst = MDSPInstance.from_vectors(v, basis, validate=False)
+            with pytest.raises(SingularMatrix):
+                mdsp_to_cvp(inst)
 
 
 class TestReverse:
@@ -108,14 +126,31 @@ class TestBruteforce:
         with pytest.raises(DimensionCapExceeded):
             solve_cvp_bruteforce(c)
 
+    def test_not_spd(self):
+        grams = [
+            [[1, 2], [3, 4]],  # not symmetric
+            [[1, 2], [2, 1]],  # indefinite
+            [[0, 1], [1, 0]],  # indefinite, zero leading minor
+            [[1, 1], [1, 1]],  # semidefinite
+            [[-1]],
+        ]
+        for gram in grams:
+            c = CVPGramInstance(QMatrix(gram), QVector([0] * len(gram)), F(1))
+            with pytest.raises(NotSPD):
+                solve_cvp_bruteforce(c)
+
     def test_matches_exhaustive_scan(self):
+        # Gram matrices A^T A with rational A, so most entries are not integral
         rng = random.Random(107)
         checked = 0
         while checked < 20:
-            n = rng.randint(1, 3)
+            n = 1 + checked % 5
             while True:
                 a = QMatrix(
-                    [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                    [
+                        [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                        for _ in range(n)
+                    ]
                 )
                 if determinant(a) != 0:
                     break
@@ -124,13 +159,39 @@ class TestBruteforce:
                 [F(rng.randint(-4, 4), rng.randint(2, 5)) for _ in range(n)]
             )
             c = CVPGramInstance(gram, offset, F(1))
-            scan = cvp_exhaustive([list(r) for r in gram.data], list(offset.entries))
+            scan = cvp_exhaustive(
+                [list(r) for r in gram.data], list(offset.entries), 20_000
+            )
             if scan is None:  # certified window too large for the oracle
                 continue
             sol = solve_cvp_bruteforce(c)
             assert sol.objective == scan[0]
             assert sol.j == scan[1]
             checked += 1
+
+    def test_ties_break_lexicographically(self):
+        # (-1, 0) and (0, -1) tie; the certified scan keeps the first
+        gram, offset = QMatrix([[2, 1], [1, 2]]), QVector([F(1, 2), F(1, 2)])
+        scan = cvp_exhaustive([list(r) for r in gram.data], list(offset.entries))
+        sol = solve_cvp_bruteforce(CVPGramInstance(gram, offset, F(1)))
+        assert (sol.j, sol.objective) == (scan[1], scan[0]) == ((-1, 0), F(1, 2))
+        # a diagonal form separates: each j_i minimizes |j_i + c_i| on its own,
+        # so a half-integer c_i ties two values and the smaller one,
+        # ceil(-c_i - 1/2), is taken; up to 2^n minimizers
+        rng = random.Random(139)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(3):
+                diag = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)]
+                gram = QMatrix(
+                    [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+                )
+                c = [rng.choice([F(1, 2), F(-1, 2), F(3, 2), F(1, 3)]) for _ in range(n)]
+                want = tuple(-floor(ci + F(1, 2)) for ci in c)
+                sol = solve_cvp_bruteforce(CVPGramInstance(gram, QVector(c), F(1)))
+                assert sol.j == want
+                assert sol.objective == sum(
+                    d * (j + ci) ** 2 for d, j, ci in zip(diag, want, c)
+                )
 
     def test_scaling_preserves_argmin(self):
         rng = random.Random(109)

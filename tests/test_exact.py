@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -11,7 +13,7 @@ from latkit.exact import (
     solve_exact,
 )
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift
-from latkit.qlinalg import QVector, dist_sq_to_span
+from latkit.qlinalg import QVector, dist_sq_to_span, project_onto_span
 from oracles import brute_force_mdsp, naive_dist_sq, random_mdsp_vectors
 
 
@@ -38,6 +40,20 @@ class TestProjectionLength:
     def test_orthogonal_dim2(self):
         inst = make_instance([0, 2], [[1, 0]])
         assert projection_length_sq(inst) == 0
+
+    def test_matches_projection(self):
+        # the instance stream of the criterion-1 corpus, then rational
+        # instances made from it by scaling each ambient coordinate
+        rng = random.Random(20260811)
+        for k in range(300):
+            v, basis = random_mdsp_vectors(rng, 2 + k % 3)
+            if k % 2:
+                d = [F(rng.randint(1, 7), rng.randint(1, 7)) for _ in v]
+                v = [a * b for a, b in zip(v, d)]
+                basis = [[a * b for a, b in zip(w, d)] for w in basis]
+            inst = make_instance(v, basis)
+            want = project_onto_span(inst.fixed, inst.rest.vectors).norm_sq()
+            assert projection_length_sq(inst) == want
 
 
 class TestShiftRanges:
@@ -105,6 +121,32 @@ class TestSolveExact:
         sol = solve_exact(ORTHO)
         assert sol.x == (0,)
         assert sol.dist_sq == 1
+        v = [0, 0, 0, F(3, 2)]
+        inst = make_instance(v, [[1, 2, 0, 0], [0, F(1, 3), 5, 0], [2, 0, 1, 0]])
+        sol = solve_exact(inst)
+        assert sol.x == (0, 0, 0)
+        assert sol.dist_sq == F(9, 4)
+
+    def test_zero_fixed_vector(self):
+        inst = MDSPInstance(
+            QVector([0, 0]), LatticeBasis([QVector([1, 0])]), validate=False
+        )
+        with pytest.raises(DegenerateFixedVector):
+            solve_exact(inst)
+
+    def test_no_dimension_cap(self):
+        # n = 7; frozen from an exhaustive scan of its 2187-point shift box
+        c = [1, 0, 0, -1, 0, 1, 0]
+        basis = []
+        for i in range(7):
+            b = [c[i]] + [0] * 7
+            b[i + 1] = 1
+            if i + 2 <= 7:
+                b[i + 2] = 1 if i % 2 == 0 else -1
+            basis.append(b)
+        sol = solve_exact(make_instance([20] + [0] * 7, basis))
+        assert sol.x == (0,) * 7
+        assert sol.dist_sq == 25
 
     def test_dim3_frozen(self):
         # frozen from an independent brute-force scan over [-10, 10]^2
@@ -158,7 +200,27 @@ class TestSolveExact:
                 [b.entries for b in apply_shift(inst, x).vectors],
             )
             assert fast == slow == naive
-            sol_fast = solve_exact(inst, evaluator="gram")
-            sol_slow = solve_exact(inst, evaluator="direct")
-            assert sol_fast.x == sol_slow.x
-            assert sol_fast.dist_sq == sol_slow.dist_sq
+            # the certified box lies inside the window, so the scan is global
+            r = shift_ranges(inst)
+            window = max(max(map(abs, r.s)), max(map(abs, r.t)))
+            best_d, best_x = brute_force_mdsp(
+                inst.fixed.entries, [b.entries for b in inst.rest.vectors], window
+            )
+            sol = solve_exact(inst)
+            assert (sol.x, sol.dist_sq) == (best_x, best_d)
+
+    def test_large_box_regression(self):
+        v = (7, 5, -16, -3)
+        basis = [(10, 5, -8, 2), (14, 3, 13, 12), (-2, -11, 5, -17)]
+        inst = make_instance(v, basis)
+        r = shift_ranges(inst)
+        assert prod(t - s + 1 for s, t in zip(r.s, r.t)) == 9_952_072_800
+        t0 = time.perf_counter()
+        sol = solve_exact(inst)
+        assert time.perf_counter() - t0 < 10.0  # takes about 3 ms
+        assert sol.x == (1, 5, -6)
+        assert sol.dist_sq == F(5041, 651)
+        shifted = [b.entries for b in sol.basis.vectors]
+        assert naive_dist_sq(v, shifted) == sol.dist_sq
+        # no shift within +-1 of x does better
+        assert brute_force_mdsp(v, shifted, 1)[0] == sol.dist_sq

@@ -7,12 +7,10 @@ from latkit.errors import DependentInput, NonSquare, NotSPD, SingularMatrix
 from latkit.qlinalg import (
     QMatrix,
     QVector,
-    ceil_minus_sqrt,
     ceil_plus_sqrt,
     determinant,
     dist_sq_to_span,
     floor_minus_sqrt,
-    floor_plus_sqrt,
     gram_schmidt,
     inverse,
     iroot_ceil,
@@ -326,15 +324,11 @@ class TestRootHelpers:
         for _ in range(300):
             r = F(rng.randint(-50, 50), rng.randint(1, 9))
             q = F(rng.randint(0, 400), rng.randint(1, 9))
-            m = floor_plus_sqrt(r, q)
-            # m <= r + sqrt(q) < m + 1, checked without irrationals
-            assert (m - r) <= 0 or (m - r) ** 2 <= q
-            assert (m + 1 - r) > 0 and (m + 1 - r) ** 2 > q
-            m2 = floor_minus_sqrt(r, q)
-            assert (r - m2) >= 0 and q <= (r - m2) ** 2
-            assert not ((r - m2 - 1) >= 0 and q <= (r - m2 - 1) ** 2)
+            m = floor_minus_sqrt(r, q)
+            # m <= r - sqrt(q) < m + 1, checked without irrationals
+            assert (r - m) >= 0 and q <= (r - m) ** 2
+            assert not ((r - m - 1) >= 0 and q <= (r - m - 1) ** 2)
             assert ceil_plus_sqrt(r, q) == -floor_minus_sqrt(-r, q)
-            assert ceil_minus_sqrt(r, q) == -floor_plus_sqrt(-r, q)
 
     def test_sqrt_dyadic(self):
         assert sqrt_dyadic(F(4), 64) == 2
