@@ -57,14 +57,27 @@ class CVPGramInstance:
         return self.gram.rows
 
     def objective(self, j: Sequence[int]) -> Fraction:
-        """(j + offset)^T gram (j + offset), exact."""
-        u = [Fraction(int(ji)) + ci for ji, ci in zip(j, self.offset.entries)]
-        g = self.gram.data
-        n = len(u)
-        return sum(
-            (u[a] * g[a][b] * u[b] for a in range(n) for b in range(n)),
-            Fraction(0),
-        )
+        """(j + offset)^T gram (j + offset), exact.
+
+        Evaluated in integers on the scaled form of _scaled_form:
+        u^T M u / (den step^2) with u = step j + w.
+        """
+        m, den, w, step = _scaled_form(self)
+        u = [step * int(ji) + wk for ji, wk in zip(j, w)]
+        return Fraction(_quad(m, u), den * step * step)
+
+
+def _scaled_form(c: CVPGramInstance) -> tuple[list[list[int]], int, list[int], int]:
+    """(M, den, w, step): the form scaled to integers once, M = den G' with
+    den = lcm(den G'), and the offset as w = step c with step = lcm(den c)."""
+    m, den = integer_rows(c.gram.row_vectors())
+    (w,), step = integer_rows([c.offset])
+    return m, den, w, step
+
+
+def _quad(m: list[list[int]], u: list[int]) -> int:
+    """u^T m u."""
+    return sum(a * sum(map(mul, row, u)) for a, row in zip(u, m))
 
 
 @dataclass(frozen=True)
@@ -177,12 +190,11 @@ def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
     g = c.gram.data
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
         raise NotSPD("matrix is not symmetric")
-    m, den = integer_rows(c.gram.row_vectors())
-    (w,), step = integer_rows([c.offset])
+    m, den, w, step = _scaled_form(c)
     # the start bound: the componentwise rounding of -c
     best_j = tuple((step - 2 * wk) // (2 * step) for wk in w)
     u = [step * j + wk for j, wk in zip(best_j, w)]
-    best_q = sum(a * sum(map(mul, row, u)) for a, row in zip(u, m))
+    best_q = _quad(m, u)
     try:
         _eliminate_gram(m)
     except DependentInput:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cvp import enumerate_cvp, mdsp_to_cvp, recover_mdsp_distance_sq
+from .cvp import enumerate_cvp, mdsp_to_cvp
 from .errors import DegenerateFixedVector
 from .lattice import LatticeBasis, MDSPInstance, apply_shift
 from .qlinalg import ceil_plus_sqrt, dist_sq_to_span, floor_minus_sqrt
@@ -94,13 +94,16 @@ def solve_exact(inst: MDSPInstance) -> MDSPSolution:
     """The maximizing shift, through the CVP route.
 
     mdsp_to_cvp, then enumerate_cvp (called directly: unlike
-    solve_cvp_bruteforce it has no dimension cap), then the distance by
-    recover_mdsp_distance_sq. The shift x is the CVP minimizer j, and ties
-    go to the lexicographically smallest shift vector. If v is orthogonal
-    to span(B), the offset is 0 and the unique minimizer is x = 0.
+    solve_cvp_bruteforce it has no dimension cap). The shift x is the CVP
+    minimizer j, and ties go to the lexicographically smallest shift
+    vector. The distance comes from the exact objective the enumeration
+    returns, as in recover_mdsp_distance_sq: scale_sq / (1 + scale_sq *
+    objective). If v is orthogonal to span(B), the offset is 0 and the
+    unique minimizer is x = 0.
     """
     if inst.fixed.is_zero():
         raise DegenerateFixedVector("fixed vector is zero")
     c = mdsp_to_cvp(inst)
-    x = enumerate_cvp(c).j
-    return MDSPSolution(x, recover_mdsp_distance_sq(c, x), apply_shift(inst, x))
+    sol = enumerate_cvp(c)
+    dist_sq = c.scale_sq / (1 + c.scale_sq * sol.objective)
+    return MDSPSolution(sol.j, dist_sq, apply_shift(inst, sol.j))

@@ -17,12 +17,17 @@ from .errors import (
     LengthMismatch,
     NonSquare,
 )
-from .qlinalg import (
+# dist_sq_to_span is not called in this module; it stays importable as
+# lattice.dist_sq_to_span because latbench's traced runs rebind that name.
+from .qlinalg import (  # noqa: F401
     QMatrix,
     QVector,
+    _eliminate_gram,
     determinant,
     dist_sq_to_span,
     gram_schmidt,
+    integer_gram,
+    integer_rows,
     inverse,
     iroot_ceil,
     iroot_floor,
@@ -172,16 +177,26 @@ class CertificateBounds:
     input_bit_size_l: int
 
 
+def _integral_shift(inst: MDSPInstance, x: Sequence[int]) -> list[int]:
+    """The coordinates of a shift vector as ints.
+
+    Raises LengthMismatch unless x has inst.n coordinates, and ValueError
+    if some coordinate is not an integer.
+    """
+    if len(x) != inst.n:
+        raise LengthMismatch(f"shift vector has length {len(x)}, expected {inst.n}")
+    xs = [xi if isinstance(xi, int) else rational(xi) for xi in x]
+    if any(xi.denominator != 1 for xi in xs):
+        raise ValueError(f"shift vector {tuple(map(str, xs))} is not integral")
+    return [int(xi) for xi in xs]
+
+
 def apply_shift(inst: MDSPInstance, x: Sequence[int]) -> LatticeBasis:
     """Basis B(x) = {b_i + x_i v}; spans the same lattice as [v|B] with v.
 
     Raises ValueError if some x_i is not an integer.
     """
-    if len(x) != inst.n:
-        raise LengthMismatch(f"shift vector has length {len(x)}, expected {inst.n}")
-    xs = [rational(xi) for xi in x]
-    if any(xi.denominator != 1 for xi in xs):
-        raise ValueError(f"shift vector {tuple(map(str, xs))} is not integral")
+    xs = _integral_shift(inst, x)
     v = inst.fixed
     shifted = [b + v.scaled(xi) for b, xi in zip(inst.rest.vectors, xs)]
     return LatticeBasis(shifted, validate=False)
@@ -206,20 +221,34 @@ def verify_dmdsp_certificate(q: DMDSPQuery, x: Sequence[int]) -> bool:
     """Check a shift-vector certificate against a decision query.
 
     Accepts iff x is integral and the squared distance from v to
-    span(B(x)) is at least gamma_sq * |v|^2.
+    span(B(x)) is at least gamma_sq * |v|^2. A certificate of the wrong
+    length raises LengthMismatch, and a dependent B(x) DependentInput.
 
     That [v|B(x)] spans the same lattice as [v|B] needs no computation:
     [v|B(x)] = [v|B] U with U = [[1, x^T], [0, I]], and U is integral iff
-    x is, with det U = 1. apply_shift rejects a non-integral x, so U is an
-    explicit unimodular witness for every x it accepts.
+    x is, with det U = 1; so U is an explicit unimodular witness for every
+    integral x.
+
+    The distance test runs in integers. (B, v) is scaled once to integer
+    rows, the rows b_i + x_i v are formed, and one fraction-free
+    elimination of the Gram matrix G of (B(x), v) gives its last two
+    leading minors, det G(B(x), v) and det G(B(x)). dist^2 is their
+    quotient over s^2 and |v|^2 = G[n][n] / s^2, so the test is
+    det G(B(x), v) * den(gamma_sq) >= num(gamma_sq) * G[n][n] * det G(B(x)).
     """
     inst = q.instance
     try:
-        shifted = apply_shift(inst, x)
+        xs = _integral_shift(inst, x)
     except ValueError:  # a non-integral x is no certificate
         return False
-    d_sq = dist_sq_to_span(inst.fixed, shifted.vectors)
-    return d_sq >= q.gamma_sq * inst.fixed.norm_sq()
+    rows, _ = integer_rows([*inst.rest.vectors, inst.fixed])
+    v = rows.pop()
+    rows = [[e + xi * f for e, f in zip(b, v)] for b, xi in zip(rows, xs)]
+    g = integer_gram([*rows, v])
+    v_sq = g[-1][-1]
+    det_bv = _eliminate_gram(g)  # raises DependentInput on a dependent B(x)
+    gamma_sq = q.gamma_sq
+    return det_bv * gamma_sq.denominator >= gamma_sq.numerator * v_sq * g[-2][-2]
 
 
 def _bit_size(f: Fraction) -> int:

@@ -172,14 +172,15 @@ def lll_reduce(basis: LatticeBasis, p: LLLParams) -> tuple[LatticeBasis, Reducti
 
 
 def shortest_basis_vector(basis: LatticeBasis) -> tuple[QVector, Fraction]:
-    """Basis vector of minimal squared norm; first index wins ties."""
-    best = basis.vectors[0]
-    best_sq = best.norm_sq()
-    for v in basis.vectors[1:]:
-        sq = v.norm_sq()
-        if sq < best_sq:
-            best, best_sq = v, sq
-    return best, best_sq
+    """Basis vector of minimal squared norm; first index wins ties.
+
+    The norms are compared as integers, on rows scaled once by the lcm of
+    the basis denominators.
+    """
+    rows, scale = integer_rows(basis.vectors)
+    norms = [sum(map(mul, r, r)) for r in rows]
+    i = norms.index(min(norms))
+    return basis.vectors[i], Fraction(norms[i], scale * scale)
 
 
 def accelerated_reduce(

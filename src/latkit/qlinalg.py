@@ -6,8 +6,11 @@ independence checks run on integer rows instead: the vectors are scaled
 once by the lcm of their denominators, and the answer comes from one
 fraction-free elimination of the integer Gram matrix. adjugate_spd gives
 the adjugate of such a matrix, from which the heuristic and the MDSP-to-CVP
-map read their quotients. Every comparison and postcondition is exact; no
-floating point enters any correctness-bearing path.
+map read their quotients: a fraction-free Gauss-Jordan elimination that
+keeps only the running adjugate, one off-diagonal block and the symmetric
+Schur complement, whose update step (_bareiss_step) it shares with that
+elimination. Every comparison and postcondition is exact; no floating
+point enters any correctness-bearing path.
 """
 
 from __future__ import annotations
@@ -320,28 +323,68 @@ def integer_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def adjugate_spd(a: list[list[int]]) -> list[list[int]]:
-    """Adjugate of a symmetric positive definite integer matrix.
+    """Adjugate of a symmetric positive definite integer matrix G.
 
-    One-step fraction-free Gauss-Jordan; every division is exact and no
-    pivoting is needed because all leading principal minors are positive.
-    A zero pivot before the last step means the matrix came from a
-    dependent family (only the full determinant may vanish, and then only
-    for a degenerate instance, which the caller reports).
+    One-step fraction-free Gauss-Jordan on [G | I], keeping only the
+    blocks that carry information. After k steps, with d_k the k-th leading
+    principal minor (d_0 = 1), the matrix is
+
+        [ d_k I   X  |  A     0    ]
+        [ 0       S  |  -X^T  d_k I]
+
+    with A (k x k, symmetric) the running adjugate, X (k x (n-k)) and S the
+    symmetric Bareiss Schur complement that _eliminate_gram holds. Step k,
+    with pivot p = S[0][0], prev = d_k and c the first column of X, is:
+
+        X_i <- (p X_i[1:] - c_i S_0[1:]) / prev      for each old row i
+        A_i <- (p A_i + c_i c) / prev, then -c_i     for each old row i
+        A gains the row (-c, prev) and X the row S_0[1:]
+        S <- its Bareiss update (_bareiss_step)
+
+    Every division is exact, and at k = n, A = adj(G). A is kept as its
+    lower triangle. No pivoting is needed because all leading principal
+    minors are positive; a pivot <= 0 before the last step means the
+    matrix came from a dependent family and raises DegenerateResidual. A
+    zero last pivot (det G = 0, a degenerate instance the caller reports)
+    still gives the adjugate.
     """
     n = len(a)
-    m = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    s = [row[:] for row in a]
+    x: list[list[int]] = []
+    lower: list[list[int]] = []
     prev = 1
     for k in range(n):
-        rowk = m[k]
-        pivot = rowk[k]
-        if pivot <= 0 and k < n - 1:
+        sk = s[k]
+        p = sk[k]
+        if p <= 0 and k < n - 1:
             raise DegenerateResidual("Gram matrix is not positive definite")
-        for i in range(n):
-            if i != k:  # column k of row i becomes 0
-                mik = m[i][k]
-                m[i] = [(pivot * x - mik * y) // prev for x, y in zip(m[i], rowk)]
-        prev = pivot
-    return [row[n:] for row in m]
+        c = [xi[0] for xi in x]
+        tail = sk[k + 1:]
+        x = [
+            [(p * e - ci * t) // prev for e, t in zip(xi[1:], tail)]
+            for xi, ci in zip(x, c)
+        ]
+        x.append(tail)
+        for ai, ci in zip(lower, c):
+            ai[:] = [(p * e + ci * cj) // prev for e, cj in zip(ai, c)]
+        lower.append([-ci for ci in c] + [prev])
+        _bareiss_step(s, k, prev)
+        prev = p
+    return [
+        [lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)
+    ]
+
+
+def _bareiss_step(g: list[list[int]], k: int, prev: int) -> None:
+    """Fraction-free elimination step k of a symmetric integer matrix, in
+    place: the upper triangle of rows k+1.. becomes the next Schur
+    complement, scaled by its leading minor. prev is the previous pivot."""
+    gk = g[k]
+    pivot = gk[k]
+    for i in range(k + 1, len(g)):
+        gi = g[i]
+        gki = gk[i]
+        gi[i:] = [(x * pivot - gki * y) // prev for x, y in zip(gi[i:], gk[i:])]
 
 
 def _eliminate_gram(g: list[list[int]]) -> int:
@@ -354,17 +397,12 @@ def _eliminate_gram(g: list[list[int]]) -> int:
     DependentInput. The trailing block stays symmetric, so only its upper
     triangle is updated (and read, through g[k][i] for g[i][k]).
     """
-    n = len(g)
     prev = 1
-    for k in range(n - 1):
-        gk = g[k]
-        pivot = gk[k]
+    for k in range(len(g) - 1):
+        pivot = g[k][k]
         if pivot == 0:
             raise DependentInput(f"vector {k} is in the span of its predecessors")
-        for i in range(k + 1, n):
-            gi = g[i]
-            gki = gk[i]
-            gi[i:] = [(x * pivot - gki * y) // prev for x, y in zip(gi[i:], gk[i:])]
+        _bareiss_step(g, k, prev)
         prev = pivot
     return g[-1][-1]
 

@@ -1,0 +1,107 @@
+"""SHA-256 over latkit's outputs on the benchmark's inputs.
+
+    python3 tests/identity_hash.py
+
+Draws the inputs of the three latbench workloads (reduce, mdsp-exact,
+certify) for seeds 101 and 102 from latbench/inputs.py, with as many
+rounds as a --seconds 30 run of latbench, runs the latkit calls those
+workloads make on them and prints one SHA-256 over every output and
+every trace count (times are left out). latkit is imported from the src/
+of the checkout that holds this file, so running the script in two
+checkouts shows whether a refactor kept the outputs bit-identical. The
+name does not start with test_, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "latbench")]
+
+import inputs  # noqa: E402  (latbench/inputs.py)
+import latkit as lk  # noqa: E402
+from latkit.qlinalg import adjugate_spd, integer_gram  # noqa: E402
+
+SEEDS = (101, 102)
+# rounds a --seconds 30 latbench run draws per workload
+ROUNDS = {"reduce": 42, "mdsp-exact": 83, "certify": 16}
+GAMMA_STEP = Fraction(1, 1 << 32)
+
+
+def rows_of(basis):
+    return [list(v.entries) for v in basis.vectors]
+
+
+def counts(trace):
+    return (trace.swap_count, trace.size_reduction_count,
+            trace.final_shortest_norm_sq, trace.rounds_used, trace.reached_target)
+
+
+def reduce_records(seed):
+    high_p = lk.LLLParams(Fraction(99, 100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta = 1/4 is the paper's setting
+        low_p = lk.LLLParams(Fraction(1, 4))
+    for x in inputs.reduce_inputs(seed, ROUNDS["reduce"]):
+        basis = lk.LatticeBasis([lk.QVector(r) for r in x.rows], validate=False)
+        yield adjugate_spd(integer_gram(x.rows))
+        high, tr = lk.lll_reduce(basis, high_p)
+        vec, target = lk.shortest_basis_vector(high)
+        yield rows_of(high), counts(tr), list(vec.entries), target
+        for passes in (1, 2):
+            cfg = lk.AccelConfig(low_p, target, heuristic_passes=passes)
+            accel, tr = lk.accelerated_reduce(basis, cfg)
+            yield passes, rows_of(accel), counts(tr)
+
+
+def instance(x):
+    return lk.MDSPInstance.from_vectors(x.rows[0], x.rows[1:], validate=False)
+
+
+def mdsp_records(seed):
+    raw, set_aside = inputs.mdsp_inputs(seed, ROUNDS["mdsp-exact"])
+    yield set_aside
+    for x in raw:
+        inst = instance(x)
+        sol = lk.solve_exact(inst)
+        yield sol.x, sol.dist_sq, rows_of(sol.basis)
+        c = lk.mdsp_to_cvp(inst)
+        cvp = lk.solve_cvp_bruteforce(c)
+        yield ([list(r) for r in c.gram.data], list(c.offset.entries), c.scale_sq,
+               cvp.j, cvp.objective, c.objective(cvp.j),
+               lk.recover_mdsp_distance_sq(c, cvp.j))
+
+
+def certify_records(seed):
+    for x in inputs.certify_inputs(seed, ROUNDS["certify"]):
+        inst = instance(x)
+        yield adjugate_spd(integer_gram([*x.rows[1:], x.rows[0]]))
+        out = lk.run_heuristic(inst)
+        gamma_sq = out.dist_sq / inst.fixed.norm_sq()
+        verdicts = [lk.verify_dmdsp_certificate(lk.DMDSPQuery(inst, g), out.x_total)
+                    for g in (gamma_sq, gamma_sq * (1 + GAMMA_STEP)) if g <= 1]
+        yield out.x_total, out.dist_sq, out.converged, out.passes_used, verdicts
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    for name, records in (("reduce", reduce_records), ("mdsp-exact", mdsp_records),
+                          ("certify", certify_records)):
+        for seed in SEEDS:
+            part = hashlib.sha256()
+            for rec in records(seed):
+                part.update(repr(rec).encode())
+                part.update(b"\n")
+            print(f"{name} seed {seed}: {part.hexdigest()}")
+            digest.update(part.digest())
+    print(f"identity {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

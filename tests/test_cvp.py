@@ -218,6 +218,26 @@ class TestBruteforce:
 
 
 class TestRecovery:
+    def test_objective_matches_naive_form(self):
+        # rational forms and offsets with mixed denominators, and one form
+        # that is not symmetric: the objective sums every g[a][b] term
+        rng = random.Random(127)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            gram = QMatrix(
+                [[F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n)]
+                 for _ in range(n)]
+            )
+            offset = QVector([F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n)])
+            c = CVPGramInstance(gram, offset, F(1))
+            j = tuple(rng.randint(-4, 4) for _ in range(n))
+            u = [ji + ci for ji, ci in zip(j, offset)]
+            want = sum(
+                u[a] * gram[a, b] * u[b] for a in range(n) for b in range(n)
+            )
+            got = c.objective(j)
+            assert got == want and type(got) is F
+
     def test_worked_values(self):
         assert recover_mdsp_distance_sq(E1_CVP, (0,)) == 2
         assert recover_mdsp_distance_sq(E1_CVP, (1,)) == F(2, 5)

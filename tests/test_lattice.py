@@ -135,6 +135,56 @@ class TestCertificates:
         with pytest.raises(LengthMismatch):
             verify_dmdsp_certificate(q, ())
 
+    def test_certificate_spellings(self):
+        q = DMDSPQuery(E1, F(1, 2))
+        assert verify_dmdsp_certificate(q, (F(4, 2),)) == verify_dmdsp_certificate(
+            q, (2,)
+        )
+        assert verify_dmdsp_certificate(q, ("-1",))
+        assert not verify_dmdsp_certificate(q, ("3/2",))
+        assert not verify_dmdsp_certificate(q, (F(-3, 2),))
+
+    def test_dependent_shifted_basis_raises(self):
+        # b_2 = b_1 + v, so B(1, 0) repeats a vector; only an unvalidated
+        # instance can hold such a family
+        inst = MDSPInstance.from_vectors(
+            [1, 0, 0], [[0, 1, 0], [1, 1, 0]], validate=False
+        )
+        q = DMDSPQuery(inst, F(1, 2))
+        with pytest.raises(DependentInput):
+            verify_dmdsp_certificate(q, (1, 0))
+
+    def test_rational_instances_at_the_threshold(self):
+        # scale > 1: accept exactly at the distance of B(x), reject one
+        # 2^-32 step above, both as a Gram-Schmidt oracle decides
+        rng = random.Random(67)
+        step = 1 + F(1, 1 << 32)
+        checked = 0
+        while checked < 12:
+            dim = rng.randint(2, 6)
+            rows = [
+                [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim)]
+                for _ in range(dim)
+            ]
+            try:
+                inst = MDSPInstance.from_vectors(rows[0], rows[1:])
+            except DependentInput:
+                continue
+            x = tuple(rng.randint(-3, 3) for _ in range(inst.n))
+            v = inst.fixed
+            v_sq = v.norm_sq()
+            naive = naive_dist_sq(
+                v.entries, [b.entries for b in apply_shift(inst, x)]
+            )
+            gamma_sq = naive / v_sq
+            accept = verify_dmdsp_certificate(DMDSPQuery(inst, gamma_sq), x)
+            assert accept and accept == (naive >= gamma_sq * v_sq)
+            gamma_hi = gamma_sq * step
+            if gamma_hi <= 1:
+                reject = verify_dmdsp_certificate(DMDSPQuery(inst, gamma_hi), x)
+                assert not reject and reject == (naive >= gamma_hi * v_sq)
+            checked += 1
+
     def test_heuristic_certificates_at_dimension_16(self):
         # accept exactly at the reached distance, reject one 2^-32 step above
         rng = random.Random(61)

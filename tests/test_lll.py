@@ -171,6 +171,26 @@ class TestShortest:
             F(1),
         )
 
+    def test_rational_basis(self):
+        basis = LatticeBasis([qv(F(3, 2), F(1, 3)), qv(F(-1, 4), F(5, 6))])
+        vec, norm = shortest_basis_vector(basis)
+        assert vec is basis.vectors[1]
+        assert norm == F(109, 144) and type(norm) is F
+        rng = random.Random(71)
+        for _ in range(10):
+            basis = rational_basis(rng, rng.randint(2, 6))
+            norms = [b.norm_sq() for b in basis.vectors]
+            i = norms.index(min(norms))
+            assert shortest_basis_vector(basis) == (basis.vectors[i], norms[i])
+
+    def test_tied_norms_first_index_wins(self):
+        basis = LatticeBasis([qv(0, 3, 4), qv(5, 0, 0), qv(0, 5, 0)])
+        vec, norm = shortest_basis_vector(basis)
+        assert vec is basis.vectors[0] and norm == 25
+        basis = LatticeBasis([qv(2, 2, 1), qv(F(1, 2), 0, 0), qv(0, F(-1, 2), 0)])
+        vec, norm = shortest_basis_vector(basis)
+        assert vec is basis.vectors[1] and norm == F(1, 4)
+
 
 class TestAccelerated:
     def test_immediate_target(self):

@@ -1,12 +1,20 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from latkit.errors import DependentInput, NonSquare, NotSPD, SingularMatrix
+from latkit.errors import (
+    DegenerateResidual,
+    DependentInput,
+    NonSquare,
+    NotSPD,
+    SingularMatrix,
+)
 from latkit.qlinalg import (
     QMatrix,
     QVector,
+    adjugate_spd,
     ceil_plus_sqrt,
     determinant,
     dist_sq_to_span,
@@ -21,7 +29,7 @@ from latkit.qlinalg import (
     rel_volume_sq,
     sqrt_dyadic,
 )
-from oracles import naive_dist_sq, random_unimodular
+from oracles import int_det, naive_dist_sq, random_unimodular
 
 
 def qv(*entries):
@@ -267,6 +275,93 @@ class TestDeterminantInverse:
             u = QMatrix(random_unimodular(rng, n))
             assert is_unimodular(u)
             assert is_unimodular(inverse(u))
+
+
+def _cofactor_adjugate(g):
+    """adj(g)[i][j] = (-1)^(i+j) det(g without row j and column i)."""
+    n = len(g)
+    return [
+        [
+            (-1) ** (i + j)
+            * int_det([r[:i] + r[i + 1:] for k, r in enumerate(g) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _gram(rows):
+    return [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+
+
+def _independent_rows(rng, n, draw):
+    while True:
+        rows = [draw() for _ in range(n)]
+        if int_det(_gram(rows)) != 0:
+            return rows
+
+
+class TestAdjugate:
+    def _check(self, g):
+        before = [row[:] for row in g]
+        assert adjugate_spd(g) == _cofactor_adjugate(g)
+        assert g == before  # the input is left as it was
+
+    def test_small_integer_rows(self):
+        rng = random.Random(41)
+        for n in range(1, 10):
+            for _ in range(3):
+                rows = _independent_rows(
+                    rng, n, lambda: [rng.randint(-9, 9) for _ in range(n + 1)]
+                )
+                self._check(_gram(rows))
+
+    def test_lcm_scaled_rational_rows(self):
+        rng = random.Random(43)
+        for n in range(1, 10):
+            rows = _independent_rows(
+                rng,
+                n,
+                lambda: [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)],
+            )
+            scale = lcm(*(e.denominator for row in rows for e in row))
+            self._check(_gram([[int(e * scale) for e in row] for row in rows]))
+
+    def test_knapsack_rows(self):
+        rng = random.Random(47)
+        for n in range(2, 10):
+            rows = [
+                [1 if j == i else 0 for j in range(n - 1)] + [rng.getrandbits(30)]
+                for i in range(n - 1)
+            ]
+            rows.append([0] * (n - 1) + [rng.getrandbits(30) | 1 << 29])
+            self._check(_gram(rows))
+
+    def test_worked_example(self):
+        assert adjugate_spd([[2, 1], [1, 3]]) == [[3, -1], [-1, 2]]
+        assert adjugate_spd([[5]]) == [[1]]
+
+    def test_zero_leading_minor_raises(self):
+        with pytest.raises(DegenerateResidual):
+            adjugate_spd([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+        # the first two rows are dependent: the second leading minor is 0
+        rows = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
+        with pytest.raises(DegenerateResidual):
+            adjugate_spd(_gram(rows))
+
+    def test_singular_last_step(self):
+        # independent leading rows, the last one in their span: det G = 0
+        rng = random.Random(53)
+        for n in range(2, 8):
+            rows = _independent_rows(
+                rng, n - 1, lambda: [rng.randint(-9, 9) for _ in range(n)]
+            )
+            coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
+            rows.append([sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n)])
+            g = _gram(rows)
+            adj = adjugate_spd(g)
+            assert sum(x * y for x, y in zip(g[-1], adj[-1])) == 0
+            assert adj == _cofactor_adjugate(g)
 
 
 class TestLDL:
