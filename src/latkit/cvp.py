@@ -8,10 +8,12 @@ matrix of the v-orthogonal parts b_i' = b_i - gamma_i v. The squared
 fixed-vector norm rides along so distances can be recovered without the
 original instance.
 
-The API stays in that rational form; the computation is integer. The
-forward map reads G' off the fraction-free adjugate of the integer Gram
-matrix of (B, v), and the enumeration scales the form to integers once and
-runs on the leading minors and lambda data of its fraction-free LDL^T.
+The API stays in that rational form; the computation is integer, on a form
+(M, w, step) with G' a positive multiple of M and c = w / step. The
+forward map reads it off the fraction-free adjugate of the integer Gram
+matrix of (B, v) and stores it on the instance it returns; any other
+instance is scaled to integers once. The enumeration runs on the leading
+minors and lambda data of the fraction-free LDL^T of M.
 """
 
 from __future__ import annotations
@@ -59,20 +61,30 @@ class CVPGramInstance:
     def objective(self, j: Sequence[int]) -> Fraction:
         """(j + offset)^T gram (j + offset), exact.
 
-        Evaluated in integers on the scaled form of _scaled_form:
-        u^T M u / (den step^2) with u = step j + w.
+        Evaluated in integers on the form of _scaled_form:
+        num u^T M u / (den step^2) with u = step j + w.
         """
-        m, den, w, step = _scaled_form(self)
+        m, w, step, num, den = _scaled_form(self)
         u = [step * int(ji) + wk for ji, wk in zip(j, w)]
-        return Fraction(_quad(m, u), den * step * step)
+        return Fraction(num * _quad(m, u), den * step * step)
 
 
-def _scaled_form(c: CVPGramInstance) -> tuple[list[list[int]], int, list[int], int]:
-    """(M, den, w, step): the form scaled to integers once, M = den G' with
-    den = lcm(den G'), and the offset as w = step c with step = lcm(den c)."""
+# A CVP form in integers, (M, w, step, num, den): gram = (num / den) M and
+# offset = w / step, with num, den and step positive. M may be shared and
+# is never modified in place.
+_Form = tuple[list[list[int]], list[int], int, int, int]
+
+
+def _scaled_form(c: CVPGramInstance) -> _Form:
+    """The integer form of c: the one mdsp_to_cvp stored, or else the form
+    scaled once, M = den G' with den = lcm(den G'), and w = step c with
+    step = lcm(den c)."""
+    stored = getattr(c, "_form", None)
+    if stored is not None:
+        return stored
     m, den = integer_rows(c.gram.row_vectors())
     (w,), step = integer_rows([c.offset])
-    return m, den, w, step
+    return m, w, step, 1, den
 
 
 def _quad(m: list[list[int]], u: list[int]) -> int:
@@ -100,13 +112,14 @@ class EmbeddedCVPInstance:
     precision_bits: int
 
 
-def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
-    """Forward reduction: decompose against v and invert the residual Gram.
+def _mdsp_form(inst: MDSPInstance) -> tuple[list[list[int]], int, _Form]:
+    """(rows, s, form): the rows (B, v) scaled to integers by s, and the
+    integer form of the instance's CVP side, read off G = Gram(rows) and its
+    adjugate.
 
-    With G the integer Gram matrix of the rows (B, v) scaled by s, Gram(b')
-    is the Schur complement of |v|^2 in G / s^2, so its inverse is the
-    leading n x n block of s^2 adj(G) / det G. gamma_i = G[i][n] / G[n][n]
-    and |v|^2 = G[n][n] / s^2. A dependent [B; v] raises SingularMatrix.
+    Gram(b') is the Schur complement of |v|^2 in G / s^2, so its inverse is
+    (s^2 / det G) adj(G)[:n, :n]; gamma_i = G[i][n] / G[n][n]. A zero v
+    raises DependentInput and a dependent [B; v] SingularMatrix.
     """
     if inst.fixed.is_zero():
         raise DependentInput("fixed vector is zero")
@@ -120,12 +133,28 @@ def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
         det = 0
     if det == 0:
         raise SingularMatrix("the fixed vector and the basis are dependent")
-    s_sq = scale * scale
-    return CVPGramInstance(
-        gram=QMatrix([[Fraction(a * s_sq, det) for a in row[:n]] for row in adj[:n]]),
-        offset=QVector([Fraction(row[n], g[n][n]) for row in g[:n]]),
-        scale_sq=Fraction(g[n][n], s_sq),
+    m = [row[:n] for row in adj[:n]]
+    w = [row[n] for row in g[:n]]
+    return rows, scale, (m, w, g[n][n], scale * scale, det)
+
+
+def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
+    """Forward reduction: decompose against v and invert the residual Gram.
+
+    The fields are the integer form of _mdsp_form as Fractions. The form
+    itself rides along as an attribute that is not a field, so equality
+    and repr see only the rational fields. A zero v raises DependentInput
+    and a dependent [B; v] SingularMatrix.
+    """
+    _, scale, form = _mdsp_form(inst)
+    m, w, step, num, den = form
+    c = CVPGramInstance(
+        gram=QMatrix([[Fraction(a * num, den) for a in row] for row in m]),
+        offset=QVector([Fraction(wk, step) for wk in w]),
+        scale_sq=Fraction(step, scale * scale),
     )
+    object.__setattr__(c, "_form", form)
+    return c
 
 
 def cvp_to_mdsp(basis_rows: QMatrix, target: QVector) -> MDSPInstance:
@@ -172,29 +201,47 @@ def solve_cvp_bruteforce(c: CVPGramInstance, dim_cap: int = 6) -> CVPSolution:
 def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
     """Lexicographically smallest minimizer of the form, in integers.
 
+    Runs _enumerate on the integer form of _scaled_form. Raises NonSquare
+    unless the form is square and NotSPD unless it is symmetric positive
+    definite.
+    """
+    if not c.gram.is_square:
+        raise NonSquare("the form needs a square matrix")
+    m, w, step, num, den = _scaled_form(c)
+    n = c.n
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise NotSPD("matrix is not symmetric")
+    j, t, big_w = _enumerate(m, w, step)
+    return CVPSolution(j, Fraction(num * t, den * big_w * step * step))
+
+
+def _enumerate(
+    m: list[list[int]], w: list[int], step: int
+) -> tuple[tuple[int, ...], int, int]:
+    """(j, T, W): the lexicographically smallest minimizer j of
+    (j + w / step)^T M (j + w / step) for a symmetric integer M, with
+    u^T M u = T / W at u = step j + w.
+
     Depth-first enumeration over the LDL^T factorization (Fincke-Pohst),
     each level visited in zig-zag order from its center (Schnorr-Euchner).
-    The form is scaled once: M = lcm(den G') G' and u = step j + w with
-    step = lcm(den c), w = step c. One fraction-free elimination of M gives
-    its leading minors d_k and lambda data, and u^T M u is the sum over k
-    of z_k^2 / (d_k d_{k-1}) with z_k = d_k u_k + sum_{m>k} lambda_mk u_m.
+    One fraction-free elimination of a copy of M gives its leading minors
+    d_k and lambda data, and u^T M u is the sum over k of
+    z_k^2 / (d_k d_{k-1}) with z_k = d_k u_k + sum_{m>k} lambda_mk u_m.
     Level k is weighted by W / (d_k d_{k-1}), W the lcm of those products,
     so every partial sum and comparison is an integer. Zig-zag order visits
     |z_k| in non-decreasing order, so the first value over the remaining
     budget ends the level; only a strictly larger value is pruned, so all
-    ties reach a leaf. Raises NotSPD unless the form is positive definite.
+    ties reach a leaf. The start bound, the order, the pruning and the tie
+    comparisons are homogeneous in a positive scaling of (M, w, step), so
+    every such scaling gives the same j. Raises NotSPD unless M is
+    positive definite.
     """
-    n = c.n
-    if not c.gram.is_square:
-        raise NonSquare("the form needs a square matrix")
-    g = c.gram.data
-    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
-        raise NotSPD("matrix is not symmetric")
-    m, den, w, step = _scaled_form(c)
-    # the start bound: the componentwise rounding of -c
+    n = len(m)
+    # the start bound: the componentwise rounding of -w / step
     best_j = tuple((step - 2 * wk) // (2 * step) for wk in w)
     u = [step * j + wk for j, wk in zip(best_j, w)]
     best_q = _quad(m, u)
+    m = [row[:] for row in m]  # _eliminate_gram works in place
     try:
         _eliminate_gram(m)
     except DependentInput:
@@ -233,7 +280,7 @@ def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
                 best_t, best_j = t, cand
 
     descend(n - 1, 0, ())
-    return CVPSolution(best_j, Fraction(best_t, big_w * den * step * step))
+    return best_j, best_t, big_w
 
 
 def embed_cvp(c: CVPGramInstance, precision_bits: int) -> EmbeddedCVPInstance:

@@ -1,9 +1,11 @@
 """Exact maximum-distance solver through the MDSP = CVP isomorphism.
 
-solve_exact maps the instance to its Gram-form CVP instance (mdsp_to_cvp),
-finds the closest vector by integer Schnorr-Euchner enumeration
-(enumerate_cvp) and recovers the distance. Ties go to the lexicographically
-smallest shift, and there is no dimension cap.
+solve_exact maps the instance to the integer form of its Gram-form CVP
+instance, read off the adjugate of the integer Gram matrix of (B, v) (as
+mdsp_to_cvp does, without building that instance's Fractions), finds the
+closest vector by integer Schnorr-Euchner enumeration (the core of
+enumerate_cvp) and recovers the distance and B(x) from integers. Ties go
+to the lexicographically smallest shift, and there is no dimension cap.
 
 The certified shift ranges remain a certificate, not the search: any basis
 B(x) whose span is at least as far from v as span(B) must keep every
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cvp import enumerate_cvp, mdsp_to_cvp
+from .cvp import _enumerate, _mdsp_form
 from .errors import DegenerateFixedVector
 from .lattice import LatticeBasis, MDSPInstance, apply_shift
-from .qlinalg import ceil_plus_sqrt, dist_sq_to_span, floor_minus_sqrt
+from .qlinalg import ceil_plus_sqrt, dist_sq_to_span, floor_minus_sqrt, rational_vectors
 
 
 @dataclass(frozen=True)
@@ -91,19 +93,26 @@ def shift_dist_sq(inst: MDSPInstance, x: Sequence[int]) -> Fraction:
 
 
 def solve_exact(inst: MDSPInstance) -> MDSPSolution:
-    """The maximizing shift, through the CVP route.
+    """The maximizing shift, through the CVP route, in integers.
 
-    mdsp_to_cvp, then enumerate_cvp (called directly: unlike
-    solve_cvp_bruteforce it has no dimension cap). The shift x is the CVP
-    minimizer j, and ties go to the lexicographically smallest shift
-    vector. The distance comes from the exact objective the enumeration
-    returns, as in recover_mdsp_distance_sq: scale_sq / (1 + scale_sq *
-    objective). If v is orthogonal to span(B), the offset is 0 and the
-    unique minimizer is x = 0.
+    The enumeration core of enumerate_cvp (no dimension cap) runs on the
+    integer form of _mdsp_form and returns the minimizer x, ties going to
+    the lexicographically smallest, and u^T M u = T / W at u = step x + w.
+    The objective is then s^2 T / (det G W step^2) and scale_sq is
+    step / s^2, so recover_mdsp_distance_sq gives
+
+        d^2 = det G W step^2 / (s^2 (det G W step + T)).
+
+    B(x) is rows_i + x_i v on the scaled rows, divided by s once. If v is
+    orthogonal to span(B), w = 0 and the unique minimizer is x = 0.
     """
     if inst.fixed.is_zero():
         raise DegenerateFixedVector("fixed vector is zero")
-    c = mdsp_to_cvp(inst)
-    sol = enumerate_cvp(c)
-    dist_sq = c.scale_sq / (1 + c.scale_sq * sol.objective)
-    return MDSPSolution(sol.j, dist_sq, apply_shift(inst, sol.j))
+    rows, scale, (m, w, step, _, det) = _mdsp_form(inst)
+    x, t, big_w = _enumerate(m, w, step)
+    det_w = det * big_w
+    dist_sq = Fraction(det_w * step * step, scale * scale * (det_w * step + t))
+    *rest, v = rows
+    shifted = [[b + xi * e for b, e in zip(row, v)] for row, xi in zip(rest, x)]
+    basis = LatticeBasis(rational_vectors(shifted, scale), validate=False)
+    return MDSPSolution(x, dist_sq, basis)

@@ -6,10 +6,14 @@ Draws the inputs of the three latbench workloads (reduce, mdsp-exact,
 certify) for seeds 101 and 102 from latbench/inputs.py, with as many
 rounds as a --seconds 30 run of latbench, runs the latkit calls those
 workloads make on them and prints one SHA-256 over every output and
-every trace count (times are left out). latkit is imported from the src/
-of the checkout that holds this file, so running the script in two
-checkouts shows whether a refactor kept the outputs bit-identical. The
-name does not start with test_, so pytest does not collect it.
+every trace count (times are left out). The "identity" line covers those
+workloads as they are; the "extended" line adds a rational copy of the
+mdsp-exact inputs (each vector divided by a small denominator, so the
+scaled rows have scale > 1) run through solve_exact and the CVP route.
+latkit is imported from the src/ of the checkout that holds this file, so
+running the script in two checkouts shows whether a refactor kept the
+outputs bit-identical. The name does not start with test_, so pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -59,15 +63,20 @@ def reduce_records(seed):
             yield passes, rows_of(accel), counts(tr)
 
 
-def instance(x):
-    return lk.MDSPInstance.from_vectors(x.rows[0], x.rows[1:], validate=False)
+def instance(rows):
+    return lk.MDSPInstance.from_vectors(rows[0], rows[1:], validate=False)
 
 
-def mdsp_records(seed):
+def rational_copy(k, rows):
+    """Row i of the k-th instance divided by 1 + (k + 2 i) % 6."""
+    return [[Fraction(e, 1 + (k + 2 * i) % 6) for e in row] for i, row in enumerate(rows)]
+
+
+def mdsp_records(seed, rational=False):
     raw, set_aside = inputs.mdsp_inputs(seed, ROUNDS["mdsp-exact"])
     yield set_aside
-    for x in raw:
-        inst = instance(x)
+    for k, x in enumerate(raw):
+        inst = instance(rational_copy(k, x.rows) if rational else x.rows)
         sol = lk.solve_exact(inst)
         yield sol.x, sol.dist_sq, rows_of(sol.basis)
         c = lk.mdsp_to_cvp(inst)
@@ -79,7 +88,7 @@ def mdsp_records(seed):
 
 def certify_records(seed):
     for x in inputs.certify_inputs(seed, ROUNDS["certify"]):
-        inst = instance(x)
+        inst = instance(x.rows)
         yield adjugate_spd(integer_gram([*x.rows[1:], x.rows[0]]))
         out = lk.run_heuristic(inst)
         gamma_sq = out.dist_sq / inst.fixed.norm_sq()
@@ -88,18 +97,25 @@ def certify_records(seed):
         yield out.x_total, out.dist_sq, out.converged, out.passes_used, verdicts
 
 
+def hash_part(digest, name, seed, records):
+    part = hashlib.sha256()
+    for rec in records:
+        part.update(repr(rec).encode())
+        part.update(b"\n")
+    print(f"{name} seed {seed}: {part.hexdigest()}")
+    digest.update(part.digest())
+
+
 def main() -> int:
     digest = hashlib.sha256()
     for name, records in (("reduce", reduce_records), ("mdsp-exact", mdsp_records),
                           ("certify", certify_records)):
         for seed in SEEDS:
-            part = hashlib.sha256()
-            for rec in records(seed):
-                part.update(repr(rec).encode())
-                part.update(b"\n")
-            print(f"{name} seed {seed}: {part.hexdigest()}")
-            digest.update(part.digest())
+            hash_part(digest, name, seed, records(seed))
     print(f"identity {digest.hexdigest()}")
+    for seed in SEEDS:
+        hash_part(digest, "mdsp-exact rational", seed, mdsp_records(seed, rational=True))
+    print(f"extended {digest.hexdigest()}")
     return 0
 
 

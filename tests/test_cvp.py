@@ -9,6 +9,7 @@ from latkit.cvp import (
     CVPGramInstance,
     cvp_to_mdsp,
     embed_cvp,
+    enumerate_cvp,
     mdsp_to_cvp,
     recover_mdsp_distance_sq,
     solve_cvp_bruteforce,
@@ -26,6 +27,22 @@ def make_instance(v, basis):
 E1 = make_instance([0, 2], [[1, 1]])
 DIM3 = make_instance([0, 0, 3], [[1, 0, 1], [0, 1, 2]])
 E1_CVP = CVPGramInstance(QMatrix([[1]]), QVector([F(1, 2)]), F(4))
+
+
+def mixed_instances(seed, count=12):
+    """Integer instances, then the same ones with each vector divided by its
+    own small denominator, so the scaled rows have scale > 1."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        v, basis = random_mdsp_vectors(rng, rng.randint(2, 5))
+        out.append(make_instance(v, basis))
+        dens = [rng.randint(2, 6)] + [rng.randint(1, 6) for _ in basis]
+        out.append(make_instance(
+            [e / dens[0] for e in v],
+            [[e / den for e in b] for b, den in zip(basis, dens[1:])],
+        ))
+    return out
 
 
 class TestForward:
@@ -138,6 +155,14 @@ class TestBruteforce:
             c = CVPGramInstance(QMatrix(gram), QVector([0] * len(gram)), F(1))
             with pytest.raises(NotSPD):
                 solve_cvp_bruteforce(c)
+
+    def test_not_symmetric_definite_triangle(self):
+        # the elimination reads the upper triangle only, which is positive
+        # definite here; the symmetry check alone rejects these forms
+        for gram in ([[2, 1], [0, 2]], [[2, F(1, 2)], [F(1, 3), 2]]):
+            c = CVPGramInstance(QMatrix(gram), QVector([0, 0]), F(1))
+            with pytest.raises(NotSPD):
+                enumerate_cvp(c)
 
     def test_matches_exhaustive_scan(self):
         # Gram matrices A^T A with rational A, so most entries are not integral
@@ -312,6 +337,49 @@ class TestEquivalence:
         for x in range(-3, 4):
             d = dist_sq_to_span(v, apply_shift(inst, (x,)).vectors)
             assert d == F(1, 1 + x * x)
+
+
+class TestStoredForm:
+    """mdsp_to_cvp stores the integer form it read off the adjugate on the
+    instance it returns; the enumeration eliminates in place, so the form
+    must come out of every call unchanged."""
+
+    def test_repeated_calls_identical(self):
+        for inst in mixed_instances(211):
+            c = mdsp_to_cvp(inst)
+            j0 = (1,) * inst.n
+            runs = []
+            for _ in range(2):
+                sol = enumerate_cvp(c)
+                runs.append((
+                    c.objective(j0),
+                    sol,
+                    recover_mdsp_distance_sq(c, sol.j),
+                    recover_mdsp_distance_sq(c, j0),
+                    c.objective(sol.j),
+                ))
+            assert runs[0] == runs[1]
+            assert runs[0][4] == runs[0][1].objective
+
+    def test_matches_rebuilt_instance(self):
+        saw_scale = False
+        for inst in mixed_instances(223):
+            c = mdsp_to_cvp(inst)
+            rebuilt = CVPGramInstance(c.gram, c.offset, c.scale_sq)
+            assert c == rebuilt and hash(c) == hash(rebuilt)
+            assert repr(c) == repr(rebuilt)
+            sol, want = enumerate_cvp(c), enumerate_cvp(rebuilt)
+            assert (sol.j, sol.objective) == (want.j, want.objective)
+            assert type(sol.objective) is F
+            j = tuple(i - 2 for i in range(inst.n))
+            assert c.objective(j) == rebuilt.objective(j)
+            assert recover_mdsp_distance_sq(c, sol.j) == recover_mdsp_distance_sq(
+                rebuilt, want.j
+            ) == dist_sq_to_span(inst.fixed, apply_shift(inst, sol.j).vectors)
+            saw_scale |= any(
+                e.denominator > 1 for u in (inst.fixed, *inst.rest) for e in u
+            )
+        assert saw_scale
 
 
 class TestEmbedding:

@@ -209,6 +209,24 @@ class TestSolveExact:
             sol = solve_exact(inst)
             assert (sol.x, sol.dist_sq) == (best_x, best_d)
 
+    def test_integer_outputs_match_public_route(self):
+        # B(x) and d^2 come from integer rows scaled once; integer and
+        # rational instances (each vector over its own denominator, scale > 1)
+        rng = random.Random(229)
+        for k in range(24):
+            v, basis = random_mdsp_vectors(rng, rng.randint(2, 5))
+            if k % 2:
+                dens = [rng.randint(2, 6)] + [rng.randint(1, 6) for _ in basis]
+                v = [e / dens[0] for e in v]
+                basis = [[e / den for e in b] for b, den in zip(basis, dens[1:])]
+            inst = make_instance(v, basis)
+            sol = solve_exact(inst)
+            shifted = apply_shift(inst, sol.x)
+            assert sol.basis == shifted
+            assert repr(sol.basis) == repr(shifted)
+            assert sol.dist_sq == naive_dist_sq(v, [b.entries for b in shifted.vectors])
+            assert type(sol.dist_sq) is F
+
     def test_large_box_regression(self):
         v = (7, 5, -16, -3)
         basis = [(10, 5, -8, 2), (14, 3, 13, 12), (-2, -11, 5, -17)]

@@ -68,6 +68,43 @@ STALLING_ROWS = [
 ]
 
 
+# operations 14 and 164 of the benchmark's reduce workload at seed 101
+# (uniform, dimension 14): accelerated_reduce at delta 1/4 stops above the
+# delta 99/100 target there too, after 5 and 11 rounds
+STALLING_OP14_ROWS = [
+    [48, -14, 85, -65, -50, 97, 85, -39, -22, 75, -1, -31, -66, 91],
+    [-99, -85, -63, -96, 1, -20, 63, 83, 43, 67, -26, -85, -84, 67],
+    [-7, 60, 7, -35, -93, 41, -4, -14, 89, 71, 39, 36, -60, -85],
+    [19, 94, -19, -65, 80, 72, 55, -54, 77, -86, -47, 17, -67, -34],
+    [-5, -72, -46, -8, -31, -13, 76, 62, 60, 91, 13, 81, 78, -36],
+    [-21, 21, -39, 0, 91, -83, 25, -48, -97, -90, -4, -13, -41, 62],
+    [-42, -76, 66, -26, 59, 10, 7, 64, -97, 67, 21, -54, -83, -97],
+    [41, 22, -40, 59, -37, 0, -97, 95, 37, -38, 30, -9, -4, 74],
+    [-54, -70, 54, 65, 26, -61, 29, -48, 36, -72, 16, 31, 8, 35],
+    [10, 12, -24, -5, -82, 4, 98, 20, -80, 82, -83, -86, -17, -8],
+    [95, -25, -9, 5, -50, 83, -10, -43, 74, 83, -48, 99, 30, -60],
+    [46, 47, 13, 35, 69, 37, -16, 71, 11, -27, -50, -93, -77, 7],
+    [87, 89, 31, -80, -24, 77, 8, 0, -78, -6, -20, -79, 56, 93],
+    [43, 23, 45, 1, -80, 60, -59, -96, -51, -5, -8, 38, -79, -16],
+]
+STALLING_OP164_ROWS = [
+    [-26, 44, 55, 42, 66, 62, 62, 75, -25, -68, 90, 99, 80, 87],
+    [-58, 37, -72, -1, 52, 13, -30, 79, -24, 97, -39, -100, -9, 23],
+    [-52, 47, -73, -8, 49, -57, -29, -29, -61, -75, 47, 65, 25, -26],
+    [99, 55, -22, 24, 40, 73, -82, 63, -84, 51, 48, -53, 91, -97],
+    [-43, 29, -12, 97, 45, 84, -68, -27, 18, 42, -1, 37, -79, 87],
+    [-34, 61, -64, -100, 12, -67, -46, -76, -88, -17, -14, -81, 68, -74],
+    [81, -55, 37, 34, 32, 9, -16, -88, -75, -34, -10, 2, -30, -33],
+    [-49, 71, -44, -60, -41, -42, -48, 86, 54, 66, -13, 71, 5, 64],
+    [-66, 0, -83, 55, 76, -48, 93, -73, -32, 74, -85, 90, -7, -74],
+    [-68, -2, 94, 52, 17, 22, 65, -81, -97, 37, -77, -9, 54, -4],
+    [18, 75, -87, -55, 82, -39, 12, -51, -54, -95, 90, 17, -77, 81],
+    [41, 30, -24, -11, -39, -73, 78, 58, -66, 81, 89, 58, -95, 95],
+    [-34, -100, 37, -37, 25, -5, 99, -60, -60, 93, -86, -21, 17, 66],
+    [97, -46, 19, -68, -43, -54, 67, 98, 78, 51, 93, -73, 35, -23],
+]
+
+
 def assert_reduced(basis: LatticeBasis, delta: F):
     gs = gram_schmidt(basis.vectors)
     n = len(basis.vectors)
@@ -308,6 +345,20 @@ class TestAcceleratedEquivalence:
         trace = self.check(basis)
         assert not trace.reached_target
         assert trace.rounds_used == 3
+
+    def test_stalls_pinned_from_benchmark(self):
+        cases = (
+            (STALLING_OP14_ROWS, 5, 17155, 16407),
+            (STALLING_OP164_ROWS, 11, 8533, 8315),
+        )
+        for rows, rounds, shortest, target in cases:
+            basis = LatticeBasis([QVector(r) for r in rows], validate=False)
+            _, high = lll_reduce(basis, LLLParams(F(99, 100)))
+            assert high.final_shortest_norm_sq == target
+            trace = self.check(basis)
+            assert not trace.reached_target
+            assert trace.rounds_used == rounds
+            assert trace.final_shortest_norm_sq == shortest
 
     def test_two_heuristic_passes(self):
         rng = random.Random(191)
