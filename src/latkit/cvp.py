@@ -8,19 +8,23 @@ matrix of the v-orthogonal parts b_i' = b_i - gamma_i v. The squared
 fixed-vector norm rides along so distances can be recovered without the
 original instance.
 
-The API stays in that rational form; the computation is integer, on a form
-(M, w, step) with G' a positive multiple of M and c = w / step. The
-forward map reads it off the fraction-free adjugate of the integer Gram
-matrix of (B, v) and stores it on the instance it returns; any other
-instance is scaled to integers once. The enumeration runs on the leading
-minors and lambda data of the fraction-free LDL^T of M.
+The API stays in that rational form; the computation is integer. The
+forward map reads the form (M, w, step), with G' a positive multiple of M
+and c = w / step, off the fraction-free adjugate of the integer Gram
+matrix P of (B, v), and stores the form and P on the instance it
+returns; any other instance is scaled to integers once. The enumeration
+runs on the primal side of the isomorphism: the objective is an affine
+function of z^T P^-1 z, z = (x, -1) up to order, which forward
+substitution with the fraction-free LDL^T of P, in reversed order, gives
+level by level, so it needs neither M nor a second elimination. A form
+with no stored P is first bordered into one, from step adj(M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -112,14 +116,16 @@ class EmbeddedCVPInstance:
     precision_bits: int
 
 
-def _mdsp_form(inst: MDSPInstance) -> tuple[list[list[int]], int, _Form]:
-    """(rows, s, form): the rows (B, v) scaled to integers by s, and the
-    integer form of the instance's CVP side, read off G = Gram(rows) and its
-    adjugate.
+def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
+    """Forward reduction: decompose against v and invert the residual Gram.
 
-    Gram(b') is the Schur complement of |v|^2 in G / s^2, so its inverse is
-    (s^2 / det G) adj(G)[:n, :n]; gamma_i = G[i][n] / G[n][n]. A zero v
-    raises DependentInput and a dependent [B; v] SingularMatrix.
+    On the rows (B, v) scaled to integers by s, with G their Gram matrix,
+    Gram(b') is the Schur complement of |v|^2 in G / s^2, so its inverse
+    is (s^2 / det G) adj(G)[:n, :n]; gamma_i = G[i][n] / G[n][n]. The
+    fields are that integer form as Fractions. The form itself, and G for
+    enumerate_cvp, ride along as attributes that are not fields, so
+    equality and repr see only the rational fields. A zero v raises
+    DependentInput and a dependent [B; v] SingularMatrix.
     """
     if inst.fixed.is_zero():
         raise DependentInput("fixed vector is zero")
@@ -135,25 +141,14 @@ def _mdsp_form(inst: MDSPInstance) -> tuple[list[list[int]], int, _Form]:
         raise SingularMatrix("the fixed vector and the basis are dependent")
     m = [row[:n] for row in adj[:n]]
     w = [row[n] for row in g[:n]]
-    return rows, scale, (m, w, g[n][n], scale * scale, det)
-
-
-def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
-    """Forward reduction: decompose against v and invert the residual Gram.
-
-    The fields are the integer form of _mdsp_form as Fractions. The form
-    itself rides along as an attribute that is not a field, so equality
-    and repr see only the rational fields. A zero v raises DependentInput
-    and a dependent [B; v] SingularMatrix.
-    """
-    _, scale, form = _mdsp_form(inst)
-    m, w, step, num, den = form
+    step, scale_sq = g[n][n], scale * scale
     c = CVPGramInstance(
-        gram=QMatrix([[Fraction(a * num, den) for a in row] for row in m]),
+        gram=QMatrix([[Fraction(a * scale_sq, det) for a in row] for row in m]),
         offset=QVector([Fraction(wk, step) for wk in w]),
-        scale_sq=Fraction(step, scale * scale),
+        scale_sq=Fraction(step, scale_sq),
     )
-    object.__setattr__(c, "_form", form)
+    object.__setattr__(c, "_form", (m, w, step, scale_sq, det))
+    object.__setattr__(c, "_primal", (g, scale_sq, 1))
     return c
 
 
@@ -201,67 +196,116 @@ def solve_cvp_bruteforce(c: CVPGramInstance, dim_cap: int = 6) -> CVPSolution:
 def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
     """Lexicographically smallest minimizer of the form, in integers.
 
-    Runs _enumerate on the integer form of _scaled_form. Raises NonSquare
-    unless the form is square and NotSPD unless it is symmetric positive
-    definite.
+    Runs _enumerate on the bordered Gram matrix G of _bordered, in
+    reversed order. The form is the CVP side of the MDSP instance with
+    Gram matrix G, whose squared distance is 1 / (z^T G^-1 z) on G's own
+    scale, so the objective is f (G[n][n] T - W) / (W G[n][n]) with f the
+    factor _bordered returns. Raises NonSquare unless the form is square
+    and NotSPD unless it is symmetric positive definite.
     """
     if not c.gram.is_square:
         raise NonSquare("the form needs a square matrix")
+    g, f_num, f_den = _bordered(c)
+    step = g[-1][-1]
+    j, t, big_w = _enumerate([row[::-1] for row in reversed(g)])
+    return CVPSolution(j, Fraction(f_num * (step * t - big_w), f_den * big_w * step))
+
+
+def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
+    """(G, f_num, f_den): an integer Gram matrix G of some (B, v) whose CVP
+    side is a positive multiple of c, and the factor f = f_num / f_den that
+    scales its objective to c's.
+
+    mdsp_to_cvp stored the Gram matrix it read its form off, with f = s^2.
+    Any other form (M, w, step, num, den) of _scaled_form, with M positive
+    definite, borders step adj(M) as
+
+        G = [[step adj(M) / k + w w^T, step w], [step w^T, step^2]],
+
+    with adj(M) divided by the gcd k of its entries, which strips the
+    powers of det(G) that a form read off an adjugate carries. Its Schur
+    complement of step^2 is step adj(M) / k = (step det(M) / k) M^-1 and
+    its offset is w / step, so f = num det(M) step / (den k). Raises NotSPD
+    unless M is symmetric positive definite: adjugate_spd checks every
+    leading minor but the last, det(M).
+    """
+    stored = getattr(c, "_primal", None)
+    if stored is not None:
+        return stored
     m, w, step, num, den = _scaled_form(c)
     n = c.n
     if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise NotSPD("matrix is not symmetric")
-    j, t, big_w = _enumerate(m, w, step)
-    return CVPSolution(j, Fraction(num * t, den * big_w * step * step))
-
-
-def _enumerate(
-    m: list[list[int]], w: list[int], step: int
-) -> tuple[tuple[int, ...], int, int]:
-    """(j, T, W): the lexicographically smallest minimizer j of
-    (j + w / step)^T M (j + w / step) for a symmetric integer M, with
-    u^T M u = T / W at u = step j + w.
-
-    Depth-first enumeration over the LDL^T factorization (Fincke-Pohst),
-    each level visited in zig-zag order from its center (Schnorr-Euchner).
-    One fraction-free elimination of a copy of M gives its leading minors
-    d_k and lambda data, and u^T M u is the sum over k of
-    z_k^2 / (d_k d_{k-1}) with z_k = d_k u_k + sum_{m>k} lambda_mk u_m.
-    Level k is weighted by W / (d_k d_{k-1}), W the lcm of those products,
-    so every partial sum and comparison is an integer. Zig-zag order visits
-    |z_k| in non-decreasing order, so the first value over the remaining
-    budget ends the level; only a strictly larger value is pruned, so all
-    ties reach a leaf. The start bound, the order, the pruning and the tie
-    comparisons are homogeneous in a positive scaling of (M, w, step), so
-    every such scaling gives the same j. Raises NotSPD unless M is
-    positive definite.
-    """
-    n = len(m)
-    # the start bound: the componentwise rounding of -w / step
-    best_j = tuple((step - 2 * wk) // (2 * step) for wk in w)
-    u = [step * j + wk for j, wk in zip(best_j, w)]
-    best_q = _quad(m, u)
-    m = [row[:] for row in m]  # _eliminate_gram works in place
     try:
-        _eliminate_gram(m)
-    except DependentInput:
+        adj = adjugate_spd(m)
+    except DegenerateResidual:
         raise NotSPD("matrix is not positive definite") from None
-    d = [m[k][k] for k in range(n)]
-    if min(d) <= 0:
+    det = sum(map(mul, m[0], adj[0]))  # Laplace expansion along row 0
+    if det <= 0:
         raise NotSPD("matrix is not positive definite")
-    prods = [dk * dp for dk, dp in zip(d, [1] + d)]
-    big_w = lcm(*prods)
-    weight = [big_w // p for p in prods]
-    best_t = big_w * best_q
+    content = gcd(*(a for row in adj for a in row))
+    g = [[step * (a // content) + wi * wj for a, wj in zip(row, w)] + [step * wi]
+         for row, wi in zip(adj, w)]
+    g.append([step * wj for wj in w] + [step * step])
+    return g, num * det * step, den * content
 
-    def descend(k: int, partial: int, chosen: tuple[int, ...]) -> None:
-        nonlocal best_t, best_j
-        a = d[k] * step
-        b = d[k] * w[k] + sum(m[k][i] * u[i] for i in range(k + 1, n))
-        wt = weight[k]
-        j_lo = -b // a  # z(j) = a j + b; z(j_lo) <= 0 < z(j_lo + 1)
-        z_lo = a * j_lo + b
+
+def _enumerate(p: list[list[int]]) -> tuple[tuple[int, ...], int, int]:
+    """(x, T, W): the lexicographically smallest integer x minimizing
+    z^T P^-1 z = T / W, z = (1, -x_{n-1}, ..., -x_0), for P the positive
+    definite Gram matrix of (v, b_{n-1}, ..., b_0). P is eliminated in
+    place; a zero pivot raises DependentInput.
+
+    det Gram(B(x)) = det P z^T P^-1 z with B(x) = (b_i + x_i v), so x
+    maximizes the distance of v from span(B(x)), d^2 = W / T on P's scale.
+    One fraction-free elimination of P gives its leading minors D_0..D_n
+    (D_-1 = 1) and Bareiss rows R, and forward substitution gives
+
+        z^T P^-1 z = sum over p of H_p^2 / (D_{p-1} D_p),
+
+    with H_0 = 1 and H_p = c_p - D_{p-1} x_{n-p} at level p. The centre
+    c_q starts as -P[0][q], and choosing level p updates every deeper one
+    exactly (a Bareiss step on the column z):
+
+        c_q <- (D_p c_q - R[p][q] H_p) / D_{p-1}.
+
+    Level p is weighted by W / (D_{p-1} D_p), W the lcm of those products,
+    so every partial sum and comparison is an integer. The search is
+    depth-first from x_{n-1} down to x_0 (Fincke-Pohst), each level in
+    zig-zag order from its centre (Schnorr-Euchner), starting from the
+    componentwise rounding of -P[0][q] / P[0][0]. Zig-zag order visits
+    |H_p| in non-decreasing order, so the first value over the remaining
+    budget ends the level; only a strictly larger value is pruned, so all
+    ties reach a leaf.
+    """
+    n = len(p) - 1
+    step, w = p[0][0], p[0]
+    best_x = tuple((step - 2 * w[n - i]) // (2 * step) for i in range(n))
+    if _eliminate_gram(p) == 0:
+        raise DependentInput("the vectors are dependent")
+    d = [1] + [p[k][k] for k in range(n + 1)]  # d[k] = D_{k-1}
+    prods = [a * b for a, b in zip(d, d[1:])]
+    big_w = lcm(*prods)
+    weight = [big_w // q for q in prods]
+    tails = [row[k + 1:] for k, row in enumerate(p)]  # R[k][q] for q > k
+    # T at the start point, by the same substitution
+    c = [-e for e in w]
+    best_t = weight[0]
+    for k in range(1, n + 1):
+        h = c[k] - d[k] * best_x[n - k]
+        best_t += weight[k] * h * h
+        for q in range(k + 1, n + 1):
+            c[q] = (d[k + 1] * c[q] - p[k][q] * h) // d[k]
+
+    def descend(k: int, partial: int, chosen: tuple[int, ...], c: list[int]) -> None:
+        # c[i] is the centre of level k + i
+        nonlocal best_t, best_x
+        a, wt, c0 = d[k], weight[k], c[0]
+        j_lo = c0 // a  # z(j) = a j - c0 = -H_k; z(j_lo) <= 0 < z(j_lo + 1)
+        z_lo = a * j_lo - c0
         j_hi, z_hi = j_lo + 1, z_lo + a
+        if k < n:
+            nxt, row, rest = d[k + 1], tails[k], c[1:]
         while True:
             if -z_lo <= z_hi:
                 j, z = j_lo, z_lo
@@ -273,14 +317,14 @@ def _enumerate(
             if t > best_t:
                 return
             cand = (j,) + chosen
-            if k:
-                u[k] = step * j + w[k]
-                descend(k - 1, t, cand)
-            elif t < best_t or cand < best_j:
-                best_t, best_j = t, cand
+            if k < n:
+                deeper = [(nxt * cq + r * z) // a for cq, r in zip(rest, row)]
+                descend(k + 1, t, cand, deeper)
+            elif t < best_t or cand < best_x:
+                best_t, best_x = t, cand
 
-    descend(n - 1, 0, ())
-    return best_j, best_t, big_w
+    descend(1, weight[0], (), [-e for e in w[1:]])
+    return best_x, best_t, big_w
 
 
 def embed_cvp(c: CVPGramInstance, precision_bits: int) -> EmbeddedCVPInstance:

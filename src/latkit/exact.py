@@ -1,11 +1,12 @@
 """Exact maximum-distance solver through the MDSP = CVP isomorphism.
 
-solve_exact maps the instance to the integer form of its Gram-form CVP
-instance, read off the adjugate of the integer Gram matrix of (B, v) (as
-mdsp_to_cvp does, without building that instance's Fractions), finds the
-closest vector by integer Schnorr-Euchner enumeration (the core of
-enumerate_cvp) and recovers the distance and B(x) from integers. Ties go
-to the lexicographically smallest shift, and there is no dimension cap.
+solve_exact scales (B, v) to integer rows once and finds the closest
+vector of the instance's Gram-form CVP side by the integer
+Schnorr-Euchner enumeration of enumerate_cvp, run on the fraction-free
+LDL^T of the Gram matrix of (v, b_{n-1}, ..., b_0): one elimination, with
+no adjugate and no CVP form built. dist^2 and B(x) come from integers,
+once. Ties go to the lexicographically smallest shift, and there is no
+dimension cap.
 
 The certified shift ranges remain a certificate, not the search: any basis
 B(x) whose span is at least as far from v as span(B) must keep every
@@ -20,10 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cvp import _enumerate, _mdsp_form
-from .errors import DegenerateFixedVector
+from .cvp import _enumerate
+from .errors import DegenerateFixedVector, DependentInput, SingularMatrix
 from .lattice import LatticeBasis, MDSPInstance, apply_shift
-from .qlinalg import ceil_plus_sqrt, dist_sq_to_span, floor_minus_sqrt, rational_vectors
+from .qlinalg import (
+    ceil_plus_sqrt,
+    dist_sq_to_span,
+    floor_minus_sqrt,
+    integer_gram,
+    integer_rows,
+    rational_vectors,
+)
 
 
 @dataclass(frozen=True)
@@ -95,24 +103,23 @@ def shift_dist_sq(inst: MDSPInstance, x: Sequence[int]) -> Fraction:
 def solve_exact(inst: MDSPInstance) -> MDSPSolution:
     """The maximizing shift, through the CVP route, in integers.
 
-    The enumeration core of enumerate_cvp (no dimension cap) runs on the
-    integer form of _mdsp_form and returns the minimizer x, ties going to
-    the lexicographically smallest, and u^T M u = T / W at u = step x + w.
-    The objective is then s^2 T / (det G W step^2) and scale_sq is
-    step / s^2, so recover_mdsp_distance_sq gives
-
-        d^2 = det G W step^2 / (s^2 (det G W step + T)).
-
-    B(x) is rows_i + x_i v on the scaled rows, divided by s once. If v is
-    orthogonal to span(B), w = 0 and the unique minimizer is x = 0.
+    The rows (B, v) are scaled to integers by s once. The enumeration core
+    of enumerate_cvp (no dimension cap) runs on the integer Gram matrix P
+    of (v, b_{n-1}, ..., b_0) and returns the maximizer x, ties going to
+    the lexicographically smallest, with z^T P^-1 z = T / W at
+    z = (1, -x_{n-1}, ..., -x_0); so d^2 = W / (s^2 T). B(x) is
+    rows_i + x_i v on the scaled rows, divided by s once. If v is
+    orthogonal to span(B), the unique maximizer is x = 0. A zero v raises
+    DegenerateFixedVector and a dependent [B; v] SingularMatrix.
     """
     if inst.fixed.is_zero():
         raise DegenerateFixedVector("fixed vector is zero")
-    rows, scale, (m, w, step, _, det) = _mdsp_form(inst)
-    x, t, big_w = _enumerate(m, w, step)
-    det_w = det * big_w
-    dist_sq = Fraction(det_w * step * step, scale * scale * (det_w * step + t))
+    rows, scale = integer_rows([*inst.rest.vectors, inst.fixed])
+    try:
+        x, t, big_w = _enumerate(integer_gram(rows[::-1]))
+    except DependentInput:
+        raise SingularMatrix("the fixed vector and the basis are dependent") from None
     *rest, v = rows
     shifted = [[b + xi * e for b, e in zip(row, v)] for row, xi in zip(rest, x)]
     basis = LatticeBasis(rational_vectors(shifted, scale), validate=False)
-    return MDSPSolution(x, dist_sq, basis)
+    return MDSPSolution(x, Fraction(big_w, scale * scale * t), basis)

@@ -300,8 +300,11 @@ def gram_matrix(vectors: Sequence[QVector]) -> QMatrix:
 
 def integer_rows(vectors: Sequence[QVector]) -> tuple[list[list[int]], int]:
     """The vectors times the lcm of all their denominators, as integer rows,
-    together with that lcm."""
+    together with that lcm. An integral family (lcm 1) gives its numerators
+    as they are."""
     scale = lcm(*(e.denominator for v in vectors for e in v.entries))
+    if scale == 1:
+        return [[e.numerator for e in v.entries] for v in vectors], 1
     rows = [[e.numerator * (scale // e.denominator) for e in v.entries] for v in vectors]
     return rows, scale
 

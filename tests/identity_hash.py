@@ -10,7 +10,11 @@ every trace count (times are left out). The "identity" line covers those
 workloads as they are; the "extended" line adds a rational copy of the
 mdsp-exact inputs (each vector divided by a small denominator, so the
 scaled rows have scale > 1) run through solve_exact and the CVP route.
-latkit is imported from the src/ of the checkout that holds this file, so
+The "large" line adds instances of rank n + 1 for n = 7 to 10, beyond
+the benchmark's n <= 6, drawn with inputs.uniform_rows from this
+script's own SplitMix64 streams, with their rational copies, through
+solve_exact, the CVP route and enumerate_cvp on an instance rebuilt from
+the public fields. latkit is imported from the src/ of the checkout that holds this file, so
 running the script in two checkouts shows whether a refactor kept the
 outputs bit-identical. The name does not start with test_, so pytest does
 not collect it.
@@ -29,12 +33,17 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "latbench")]
 
 import inputs  # noqa: E402  (latbench/inputs.py)
 import latkit as lk  # noqa: E402
+from latkit.cvp import enumerate_cvp  # noqa: E402
 from latkit.qlinalg import adjugate_spd, integer_gram  # noqa: E402
 
 SEEDS = (101, 102)
 # rounds a --seconds 30 latbench run draws per workload
 ROUNDS = {"reduce": 42, "mdsp-exact": 83, "certify": 16}
 GAMMA_STEP = Fraction(1, 1 << 32)
+# large: n = 7..10 with LARGE_PER_N draws each, entries in +-LARGE_BOUND
+LARGE_NS = range(7, 11)
+LARGE_PER_N = 5
+LARGE_BOUND = 100
 
 
 def rows_of(basis):
@@ -86,6 +95,21 @@ def mdsp_records(seed, rational=False):
                lk.recover_mdsp_distance_sq(c, cvp.j))
 
 
+def large_records(seed):
+    rng = inputs.stream(seed, "identity-large")
+    raw = [inputs.uniform_rows(rng, n + 1, LARGE_BOUND)
+           for n in LARGE_NS for _ in range(LARGE_PER_N)]
+    for k, rows in enumerate(raw):
+        for inst in (instance(rows), instance(rational_copy(k, rows))):
+            sol = lk.solve_exact(inst)
+            yield sol.x, sol.dist_sq, rows_of(sol.basis)
+            c = lk.mdsp_to_cvp(inst)
+            cvp = enumerate_cvp(c)
+            rebuilt = enumerate_cvp(lk.CVPGramInstance(c.gram, c.offset, c.scale_sq))
+            yield (cvp.j, cvp.objective, lk.recover_mdsp_distance_sq(c, cvp.j),
+                   rebuilt.j, rebuilt.objective)
+
+
 def certify_records(seed):
     for x in inputs.certify_inputs(seed, ROUNDS["certify"]):
         inst = instance(x.rows)
@@ -116,6 +140,9 @@ def main() -> int:
     for seed in SEEDS:
         hash_part(digest, "mdsp-exact rational", seed, mdsp_records(seed, rational=True))
     print(f"extended {digest.hexdigest()}")
+    for seed in SEEDS:
+        hash_part(digest, "large", seed, large_records(seed))
+    print(f"large {digest.hexdigest()}")
     return 0
 
 

@@ -164,6 +164,39 @@ class TestBruteforce:
             with pytest.raises(NotSPD):
                 enumerate_cvp(c)
 
+    def test_negative_definite_odd_order(self):
+        # adj(-I) = I for odd n, so the bordered matrix built from the
+        # adjugate would be positive definite; M itself is checked
+        c = CVPGramInstance(QMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+                            QVector([F(1, 2)] * 3), F(1))
+        with pytest.raises(NotSPD):
+            enumerate_cvp(c)
+
+    def test_larger_forms_frozen(self):
+        # hand-built forms A^T A at n = 7 (integral A) and n = 8 (rational
+        # A), above the dimension cap of solve_cvp_bruteforce; frozen from
+        # the enumeration on the LDL^T of M
+        rng = random.Random(251)
+        want = {
+            7: ((5, 0, 1, 2, 1, -3, 0), F(733, 225)),
+            8: ((2, 0, -1, -1, 0, -2, 0, 0), F(1433143, 396900)),
+        }
+        for n, den in ((7, 1), (8, 3)):
+            while True:
+                a = QMatrix([[F(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(n)]
+                             for _ in range(n)])
+                if determinant(a) != 0:
+                    break
+            gram = a.transpose() @ a
+            offset = QVector([F(rng.randint(-9, 9), rng.randint(2, 7)) for _ in range(n)])
+            c = CVPGramInstance(gram, offset, F(1))
+            sol = enumerate_cvp(c)
+            assert (sol.j, sol.objective) == want[n]
+            u = [j + o for j, o in zip(sol.j, offset)]
+            assert sol.objective == sum(
+                u[i] * gram[i, k] * u[k] for i in range(n) for k in range(n)
+            )
+
     def test_matches_exhaustive_scan(self):
         # Gram matrices A^T A with rational A, so most entries are not integral
         rng = random.Random(107)

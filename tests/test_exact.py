@@ -5,7 +5,8 @@ from math import prod
 
 import pytest
 
-from latkit.errors import DegenerateFixedVector
+from latkit.cvp import enumerate_cvp, mdsp_to_cvp, recover_mdsp_distance_sq
+from latkit.errors import DegenerateFixedVector, SingularMatrix
 from latkit.exact import (
     projection_length_sq,
     shift_dist_sq,
@@ -133,6 +134,71 @@ class TestSolveExact:
         )
         with pytest.raises(DegenerateFixedVector):
             solve_exact(inst)
+
+    def test_dependent_input(self):
+        # v in span(B); B itself dependent; the same with rational entries
+        cases = [
+            ([1, 1, 0], [[1, 0, 0], [0, 1, 0]]),
+            ([0, 0, 1], [[1, 2, 0], [2, 4, 0]]),
+            ([F(1, 2), 0, F(1, 3)], [[F(3, 2), 0, 1], [0, F(1, 5), 0]]),
+        ]
+        for v, basis in cases:
+            inst = MDSPInstance.from_vectors(v, basis, validate=False)
+            with pytest.raises(SingularMatrix):
+                solve_exact(inst)
+
+    def test_larger_n_frozen(self):
+        # n = 7..10, each instance as drawn and then with each vector over
+        # its own denominator (scale > 1); frozen from the enumeration on
+        # the LDL^T of the CVP form M = adj(G)[:n, :n]
+        want = {
+            (7, False): ((1, 0, 1, 0, 0, -1, 0), F(20762792649, 850213750)),
+            (7, True): ((0, 0, 1, 0, 0, 0, 0), F(20762792649, 10828338907)),
+            (8, False): ((-1, 1, 1, -1, 0, 0, 1, -1), F(752941469284, 37662575847)),
+            (8, True): ((0, 1, 0, -1, 1, -1, 0, -1), F(3011765877136, 914164201567)),
+            (9, False): ((0,) * 9, F(1434451465467409, 34653075392548)),
+            (9, True): ((0,) * 9, F(1434451465467409, 138612301570192)),
+            (10, False): ((-1, -1, 0, -1, 0, -1, 0, 1, 0, 1),
+                          F(84974115620704203, 2808146123997428)),
+            (10, True): ((0, 0, 0, -1, 0, -1, 2, 0, 0, 0),
+                         F(9441568402300467, 4464813733484627)),
+        }
+        rng = random.Random(241)
+        for n in (7, 8, 9, 10):
+            v, basis = random_mdsp_vectors(rng, n + 1)
+            dens = [rng.randint(2, 6)] + [rng.randint(1, 6) for _ in basis]
+            rational = (
+                [e / dens[0] for e in v],
+                [[e / den for e in b] for b, den in zip(basis, dens[1:])],
+            )
+            for is_rational, (vv, bb) in ((False, (v, basis)), (True, rational)):
+                inst = make_instance(vv, bb)
+                sol = solve_exact(inst)
+                assert (sol.x, sol.dist_sq) == want[n, is_rational]
+                assert sol.basis == apply_shift(inst, sol.x)
+                assert naive_dist_sq(vv, [b.entries for b in sol.basis.vectors]) == sol.dist_sq
+                c = mdsp_to_cvp(inst)
+                j = enumerate_cvp(c).j
+                assert (j, recover_mdsp_distance_sq(c, j)) == (sol.x, sol.dist_sq)
+
+    def test_larger_n_tie(self):
+        # b_i = a_i e_0 + e_{i+1} and v = 2 e_0 with every a_i odd: each
+        # x_i ties between -(a_i + 1) / 2 and -(a_i - 1) / 2, 2^7 maximizers,
+        # and the lexicographically smallest is the first of each pair
+        a = (1, 3, -1, 5, 1, -3, 1)
+        v = [2] + [0] * 7
+        basis = [[ai] + [int(j == i) for j in range(7)] for i, ai in enumerate(a)]
+        x = tuple(-(ai + 1) // 2 for ai in a)
+        for k in (1, 3):  # integral, then the whole lattice over 3
+            vk = [F(e, k) for e in v]
+            bk = [[F(e, k) for e in b] for b in basis]
+            sol = solve_exact(make_instance(vk, bk))
+            assert (sol.x, sol.dist_sq) == (x, F(1, 2 * k * k))
+            for i in range(7):
+                other = list(x)
+                other[i] += 1
+                shifted = [b.entries for b in apply_shift(make_instance(vk, bk), other).vectors]
+                assert naive_dist_sq(vk, shifted) == sol.dist_sq
 
     def test_no_dimension_cap(self):
         # n = 7; frozen from an exhaustive scan of its 2187-point shift box

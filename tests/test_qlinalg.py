@@ -20,12 +20,14 @@ from latkit.qlinalg import (
     dist_sq_to_span,
     floor_minus_sqrt,
     gram_schmidt,
+    integer_rows,
     inverse,
     iroot_ceil,
     iroot_floor,
     is_unimodular,
     ldl_decompose,
     project_onto_span,
+    rational_vectors,
     rel_volume_sq,
     sqrt_dyadic,
 )
@@ -155,6 +157,30 @@ def _random_rational_independent(rng, count, dim):
         except DependentInput:
             continue
         return vecs
+
+
+class TestIntegerRows:
+    def test_integral_rational_and_mixed(self):
+        # an integral family takes the scale-1 path; every family must give
+        # the rows e * lcm as plain ints, and rational_vectors inverts them
+        rng = random.Random(263)
+        for kind in ("integral", "rational", "mixed"):
+            for _ in range(10):
+                dim = rng.randint(1, 6)
+                fam = [
+                    _random_rational(rng, dim)
+                    if kind == "rational" or (kind == "mixed" and k % 2)
+                    else QVector([rng.randint(-9, 9) for _ in range(dim)])
+                    for k in range(rng.randint(1, 5))
+                ]
+                rows, scale = integer_rows(fam)
+                assert scale == lcm(*(e.denominator for v in fam for e in v))
+                assert rows == [[int(e * scale) for e in v] for v in fam]
+                assert all(type(e) is int for row in rows for e in row)
+                assert rational_vectors(rows, scale) == fam
+                if kind == "integral":
+                    assert scale == 1
+                    assert rows == [[e.numerator for e in v] for v in fam]
 
 
 class TestDistance:
