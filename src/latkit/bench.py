@@ -83,8 +83,15 @@ class BenchReport:
     delta_high: Fraction = Fraction(99, 100)
 
 
-def _bench_one(args) -> BenchInstance:
-    dim, index, seed, delta_low, delta_high, entry_bound, max_rounds = args
+def _bench_one(
+    dim: int,
+    index: int,
+    seed: int,
+    delta_low: Fraction,
+    delta_high: Fraction,
+    entry_bound: int,
+    max_rounds: int,
+) -> BenchInstance:
     m = generate_random_basis(dim, entry_bound, _instance_seed(seed, dim, index))
     basis = LatticeBasis(m.row_vectors(), validate=False)
     high = LLLParams(delta_high)
@@ -118,7 +125,6 @@ def bench_compare(
     *,
     entry_bound: int = 100,
     max_rounds: int = 1000,
-    workers: int = 1,
 ) -> BenchReport:
     """Run both arms over seeded random bases and aggregate per dimension.
 
@@ -129,18 +135,11 @@ def bench_compare(
         raise ValueError("instances_per_dim must be at least 1")
     delta_low = Fraction(delta_low)
     delta_high = Fraction(delta_high)
-    jobs = [
-        (dim, idx, seed, delta_low, delta_high, entry_bound, max_rounds)
+    results = [
+        _bench_one(dim, idx, seed, delta_low, delta_high, entry_bound, max_rounds)
         for dim in dims
         for idx in range(instances_per_dim)
     ]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_bench_one, jobs)
-    else:
-        results = [_bench_one(job) for job in jobs]
     # deterministic fold ordered by (dim, instance index)
     results.sort(key=lambda r: (r.dim, r.index))
     ok = [r for r in results if r.reached_target]

@@ -260,7 +260,6 @@ def cmd_bench(args) -> int:
         args.seed,
         entry_bound=args.entry_bound,
         max_rounds=args.max_rounds,
-        workers=args.workers,
     )
     payload = report_to_json(report)
     if args.out:
@@ -380,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--entry-bound", type=int, default=100, metavar="N")
     p.add_argument("--max-rounds", type=int, default=1000, metavar="N")
-    p.add_argument("--workers", type=int, default=1, metavar="N")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="seeded random full-rank integer basis")

@@ -163,7 +163,7 @@ def cvp_to_mdsp(basis_rows: QMatrix, target: QVector) -> MDSPInstance:
     if target.dim != n:
         raise ValueError("target dimension does not match the basis")
     l_inv = inverse(basis_rows)  # raises SingularMatrix
-    gamma = inverse(basis_rows.transpose()).mul_vec(-target)
+    gamma = l_inv.transpose().mul_vec(-target)  # (L^T)^-1 = (L^-1)^T
     e0 = QVector([1] + [0] * n)
     rest = []
     for i in range(n):

@@ -14,10 +14,20 @@ The "large" line adds instances of rank n + 1 for n = 7 to 10, beyond
 the benchmark's n <= 6, drawn with inputs.uniform_rows from this
 script's own SplitMix64 streams, with their rational copies, through
 solve_exact, the CVP route and enumerate_cvp on an instance rebuilt from
-the public fields. latkit is imported from the src/ of the checkout that holds this file, so
-running the script in two checkouts shows whether a refactor kept the
-outputs bit-identical. The name does not start with test_, so pytest does
-not collect it.
+the public fields. The "core" line adds the exact linear algebra that the
+workloads do not reach (determinant, inverse, gram_schmidt, ldl_decompose,
+project_onto_span, same_lattice, is_unimodular) and the instance
+utilities built on it (cvp_to_mdsp, embed_cvp, certificate_bounds,
+minkowski_bound_sq, det_identity_check), on seeded rational matrices of
+order 1 to 8, a tenth of them singular; a call that raises contributes its
+exception's name. The "ties" line adds inputs with many tied optima,
+where only the lexicographic tie rule fixes the answer: diagonal CVP forms
+with half-integer offsets, and MDSP instances b_i = a_i e_0 + e_{i+1},
+v = 2 e_0 with every a_i odd (2^n maximizers), among them the n = 7 case
+of the exact solver's tests. latkit is imported from the src/ of the
+checkout that holds this file, so running the script in two checkouts
+shows whether a refactor kept the outputs bit-identical. The name does
+not start with test_, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -44,6 +54,15 @@ GAMMA_STEP = Fraction(1, 1 << 32)
 LARGE_NS = range(7, 11)
 LARGE_PER_N = 5
 LARGE_BOUND = 100
+# core: CORE_PER_N matrices of each order n = 1..8, entries p/q with
+# |p| <= CORE_BOUND and 1 <= q <= CORE_DEN
+CORE_NS = range(1, 9)
+CORE_PER_N = 5
+CORE_BOUND = 9
+CORE_DEN = 6
+# ties: forms and instances of order 1..TIE_MAX_N
+TIE_MAX_N = 7
+LARGER_N_TIE = (1, 3, -1, 5, 1, -3, 1)  # a_i of the exact solver's n = 7 tie test
 
 
 def rows_of(basis):
@@ -110,6 +129,105 @@ def large_records(seed):
                    rebuilt.j, rebuilt.objective)
 
 
+def call(f, *args):
+    """f(*args), or the name of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e).__name__
+
+
+def core_entry(rng):
+    return Fraction(rng.randint(-CORE_BOUND, CORE_BOUND), rng.randint(1, CORE_DEN))
+
+
+def core_matrix(rng, n):
+    """n x n rational matrix with some denominator above 1; one in ten has a
+    row that is a multiple of another, one in twenty a zero column."""
+    while True:
+        rows = [[core_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.below(10) == 0:
+            i = rng.below(n)
+            j = (i + 1 + rng.below(n - 1)) % n
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[i] = [c * e for e in rows[j]]
+        if rng.below(20) == 0:
+            col = rng.below(n)
+            for row in rows:
+                row[col] = Fraction(0)
+        if any(e.denominator > 1 for row in rows for e in row):
+            return rows
+
+
+def unimodular(rng, n):
+    """Product of 2n random integer shears of the identity."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i = rng.below(n)
+        j = (i + 1 + rng.below(n - 1)) % n
+        c = rng.randint(-3, 3)
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return lk.QMatrix(u)
+
+
+def core_records(seed):
+    rng = inputs.stream(seed, "identity-core")
+    for n in CORE_NS:
+        for _ in range(CORE_PER_N):
+            rows = core_matrix(rng, n)
+            m = lk.QMatrix(rows)
+            vecs = [lk.QVector(r) for r in rows]
+            t = lk.QVector([core_entry(rng) for _ in range(n)])
+            gs = call(lk.gram_schmidt, vecs)
+            # the row Gram matrix (SPD iff m is invertible) and m + m^T (indefinite)
+            sym = lk.QMatrix([[x + y for x, y in zip(r, c)] for r, c in zip(m.data, zip(*m.data))])
+            ldls = [call(lk.ldl_decompose, f) for f in (m @ m.transpose(), sym)]
+            u = unimodular(rng, n)
+            two = lk.QMatrix([[2 * (i == j) for j in range(n)] for i in range(n)])
+            yield (lk.determinant(m), call(lk.inverse, m),
+                   gs if isinstance(gs, str) else (gs.bstar, gs.mu, gs.dk),
+                   [x if isinstance(x, str) else (x.lower, x.diag) for x in ldls],
+                   call(lk.project_onto_span, t, vecs[:-1]),
+                   lk.is_unimodular(m), lk.is_unimodular(u),
+                   call(lk.same_lattice, m, m @ u), call(lk.same_lattice, m, m @ two))
+            yield call(lk.cvp_to_mdsp, m, t)
+            if n < 2:
+                continue
+            inst = instance(rows)
+            cvp = call(lk.mdsp_to_cvp, inst)
+            yield (call(lk.certificate_bounds, inst), call(lk.det_identity_check, inst),
+                   call(lk.minkowski_bound_sq, lk.LatticeBasis(vecs, validate=False)),
+                   cvp if isinstance(cvp, str) else call(lk.embed_cvp, cvp, 64))
+
+
+def tie_instance(a, k):
+    """b_i = a_i e_0 + e_{i+1}, v = 2 e_0, the whole lattice divided by k."""
+    n = len(a)
+    v = [Fraction(2, k)] + [Fraction(0)] * n
+    basis = [[Fraction(ai, k)] + [Fraction(int(j == i), k) for j in range(n)]
+             for i, ai in enumerate(a)]
+    return instance([v, *basis])
+
+
+def ties_records(seed):
+    rng = inputs.stream(seed, "identity-ties")
+    for n in range(1, TIE_MAX_N + 1):
+        diag = [[Fraction(rng.randint(1, 9), rng.randint(1, 3)) if i == j else 0
+                 for j in range(n)] for i in range(n)]
+        offset = [Fraction(2 * rng.randint(-4, 4) + 1, 2) for _ in range(n)]
+        c = lk.CVPGramInstance(lk.QMatrix(diag), lk.QVector(offset), Fraction(1))
+        yield enumerate_cvp(c)
+        a = tuple(2 * rng.randint(-4, 4) + 1 for _ in range(n))
+        for inst in (tie_instance(a, 1), tie_instance(a, 3)):
+            sol = lk.solve_exact(inst)
+            c = lk.mdsp_to_cvp(inst)
+            rebuilt = lk.CVPGramInstance(c.gram, c.offset, c.scale_sq)
+            yield sol.x, sol.dist_sq, enumerate_cvp(c), enumerate_cvp(rebuilt)
+    for k in (1, 3):
+        sol = lk.solve_exact(tie_instance(LARGER_N_TIE, k))
+        yield sol.x, sol.dist_sq, rows_of(sol.basis)
+
+
 def certify_records(seed):
     for x in inputs.certify_inputs(seed, ROUNDS["certify"]):
         inst = instance(x.rows)
@@ -143,6 +261,10 @@ def main() -> int:
     for seed in SEEDS:
         hash_part(digest, "large", seed, large_records(seed))
     print(f"large {digest.hexdigest()}")
+    for name, records in (("core", core_records), ("ties", ties_records)):
+        for seed in SEEDS:
+            hash_part(digest, name, seed, records(seed))
+        print(f"{name} {digest.hexdigest()}")
     return 0
 
 

@@ -31,7 +31,14 @@ from latkit.qlinalg import (
     rel_volume_sq,
     sqrt_dyadic,
 )
-from oracles import int_det, naive_dist_sq, random_unimodular
+from oracles import (
+    int_det,
+    naive_det,
+    naive_dist_sq,
+    naive_gs,
+    naive_inverse,
+    random_unimodular,
+)
 
 
 def qv(*entries):
@@ -63,8 +70,11 @@ class TestGramSchmidt:
         assert res.mu[1, 0] == F(1, 2)
 
     def test_collinear_rejected(self):
-        with pytest.raises(DependentInput):
-            gram_schmidt([qv(1, 1), qv(2, 2)])
+        # the second vector, then only the last one, in the span of the others
+        for basis in ([qv(1, 1), qv(2, 2)], [qv(1, 0, 0), qv(0, 1, 0), qv(1, 1, 0)],
+                      [qv(F(1, 2), 1, 0), qv(0, F(1, 3), 2), qv(1, 3, 6)]):
+            with pytest.raises(DependentInput):
+                gram_schmidt(basis)
 
     def test_orthogonality_and_reconstruction(self):
         rng = random.Random(101)
@@ -256,6 +266,20 @@ class TestRelVolume:
             assert rel_volume_sq(vecs) == res.dk[-1]
 
 
+def _rational_square(rng, n):
+    """Random n x n rational matrix with some denominator above 1; about one
+    in ten has a row that is a rational multiple of another."""
+    while True:
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.1:
+            i, j = rng.sample(range(n), 2)
+            c = F(rng.randint(-5, 5), rng.randint(1, 4))
+            rows[i] = [c * e for e in rows[j]]
+        if any(e.denominator > 1 for row in rows for e in row):
+            return rows
+
+
 class TestDeterminantInverse:
     def test_identity(self):
         m = QMatrix.identity(4)
@@ -278,8 +302,45 @@ class TestDeterminantInverse:
             determinant(QMatrix([[1, 2, 3], [4, 5, 6]]))
 
     def test_singular(self):
-        with pytest.raises(SingularMatrix):
-            inverse(QMatrix([[1, 2], [2, 4]]))
+        # the first two are singular at an early pivot, the rest only at the last
+        for rows in ([[0, 0], [0, 1]], [[F(1, 2), 1, 5], [1, 2, 7], [3, 6, 1]],
+                     [[1, 2], [2, 4]], [[0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+                     [[F(1, 2), 0, 1, F(3, 2)], [0, 1, 0, 1], [1, 0, 3, 4], [0, 2, 1, 3]]):
+            with pytest.raises(SingularMatrix):
+                inverse(QMatrix(rows))
+
+    def test_row_swaps_and_zero_columns(self):
+        assert determinant(QMatrix([[0, 1], [1, 0]])) == -1
+        m = [[0, F(1, 2), 3], [2, 0, 1], [0, 0, F(5, 3)]]
+        assert determinant(QMatrix(m)) == naive_det(m) == F(-5, 3)
+        m = [[1, 2, 3], [2, 4, 7], [1, 5, 1]]  # a zero pivot after the first step
+        assert determinant(QMatrix(m)) == naive_det(m) == -3
+        assert determinant(QMatrix([[1, 0, 2], [3, 0, 4], [5, 0, 6]])) == 0
+        assert determinant(QMatrix([[0, 1], [0, F(1, 2)]])) == 0
+        assert determinant(QMatrix([[0]])) == 0
+
+    def test_matches_oracles(self):
+        # determinant, inverse and gram_schmidt against the textbook Fraction
+        # eliminations of tests/oracles.py
+        rng = random.Random(71)
+        singular = 0
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            rows = _rational_square(rng, n)
+            m = QMatrix(rows)
+            det = determinant(m)
+            assert det == naive_det(rows)
+            vecs = [QVector(r) for r in rows]
+            if det == 0:
+                singular += 1
+                with pytest.raises(SingularMatrix):
+                    inverse(m)
+                with pytest.raises(DependentInput):
+                    gram_schmidt(vecs)
+                continue
+            assert [list(r) for r in inverse(m).data] == naive_inverse(rows)
+            assert [tuple(w) for w in gram_schmidt(vecs).bstar] == naive_gs(rows)
+        assert singular >= 5
 
     def test_inverse_roundtrip(self):
         rng = random.Random(13)
@@ -406,6 +467,10 @@ class TestLDL:
             ldl_decompose(QMatrix([[1, 2], [2, 1]]))
         with pytest.raises(NotSPD):
             ldl_decompose(QMatrix([[1, 2], [3, 4]]))  # not symmetric
+        # zero first pivot, negative 1 x 1 form, zero last pivot
+        for rows in ([[0, 1], [1, 0]], [[-1]], [[1, 1], [1, 1]]):
+            with pytest.raises(NotSPD):
+                ldl_decompose(QMatrix(rows))
 
     def test_reconstruction_exact(self):
         rng = random.Random(19)

@@ -7,7 +7,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from latkit.bench import bench_compare
 from latkit.cli import main
 from latkit.cvp import embed_cvp, mdsp_to_cvp, recover_mdsp_distance_sq, solve_cvp_bruteforce
 from latkit.errors import DegenerateResidual
@@ -138,19 +137,6 @@ class TestAccelFixedPoint:
         assert not trace.reached_target
         # the basis is a fixed point; the loop notices after two rounds
         assert trace.rounds_used == 2
-
-
-class TestWorkerPool:
-    def test_bench_workers_match_sequential(self):
-        kwargs = dict(entry_bound=5, max_rounds=50)
-        seq = bench_compare([3], 2, F(1, 4), F(99, 100), seed=11, **kwargs)
-        par = bench_compare([3], 2, F(1, 4), F(99, 100), seed=11, workers=2, **kwargs)
-        assert [r.target_norm_sq for r in seq.instances] == [
-            r.target_norm_sq for r in par.instances
-        ]
-        assert [r.achieved_norm_sq for r in seq.instances] == [
-            r.achieved_norm_sq for r in par.instances
-        ]
 
 
 class TestEmbeddedTarget:
