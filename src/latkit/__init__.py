@@ -30,7 +30,6 @@ from .qlinalg import (
     Rational,
     determinant,
     dist_sq_to_span,
-    gram_matrix,
     gram_schmidt,
     inverse,
     is_unimodular,

@@ -51,20 +51,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from None
 
 
-def _load_instance(path: str, fixed_index: int) -> MDSPInstance:
-    m = parse_basis_file(path)
-    if m.rows != m.cols:
-        raise RankError(f"need a square matrix, got {m.rows}x{m.cols}")
-    rows = m.row_vectors()
-    if not (0 <= fixed_index < len(rows)):
-        raise RankError(f"--fixed-index {fixed_index} outside 0..{len(rows) - 1}")
-    fixed = rows[fixed_index]
-    rest = rows[:fixed_index] + rows[fixed_index + 1:]
-    if determinant(m) == 0:
-        raise RankError("input rows are not linearly independent")
-    return MDSPInstance(fixed, LatticeBasis(rest, validate=False), validate=False)
-
-
 def _load_square_basis(path: str) -> LatticeBasis:
     m = parse_basis_file(path)
     if m.rows != m.cols:
@@ -72,6 +58,14 @@ def _load_square_basis(path: str) -> LatticeBasis:
     if determinant(m) == 0:
         raise RankError("input rows are not linearly independent")
     return LatticeBasis(m.row_vectors(), validate=False)
+
+
+def _load_instance(path: str, fixed_index: int) -> MDSPInstance:
+    rows = list(_load_square_basis(path))
+    if not (0 <= fixed_index < len(rows)):
+        raise RankError(f"--fixed-index {fixed_index} outside 0..{len(rows) - 1}")
+    fixed = rows.pop(fixed_index)
+    return MDSPInstance(fixed, LatticeBasis(rows, validate=False), validate=False)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -94,12 +88,17 @@ def _cvp_to_dict(c: CVPGramInstance) -> dict:
     }
 
 
-def _cvp_from_dict(d: dict) -> CVPGramInstance:
-    return CVPGramInstance(
-        gram=QMatrix([[Fraction(e) for e in row] for row in d["gram"]]),
-        offset=QVector([Fraction(e) for e in d["offset"]]),
-        scale_sq=Fraction(d["scale_sq"]),
-    )
+def _load_cvp(path: str) -> CVPGramInstance:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+        return CVPGramInstance(
+            gram=QMatrix([[Fraction(e) for e in row] for row in d["gram"]]),
+            offset=QVector([Fraction(e) for e in d["offset"]]),
+            scale_sq=Fraction(d["scale_sq"]),
+        )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise LatkitError(f"{path}: not a CVP instance ({exc})") from None
 
 
 def cmd_mdsp_exact(args) -> int:
@@ -169,8 +168,7 @@ def cmd_from_cvp(args) -> int:
 
 
 def cmd_cvp_brute(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        c = _cvp_from_dict(json.load(fh))
+    c = _load_cvp(args.infile)
     sol = solve_cvp_bruteforce(c)
     _emit(
         args,
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LatkitError as exc:
+    except (LatkitError, OSError, ValueError) as exc:  # ValueError: a bad parameter
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

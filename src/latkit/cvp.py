@@ -49,6 +49,8 @@ from .qlinalg import (
     sqrt_dyadic,
 )
 
+_DIM_CAP = 6  # largest dimension solve_cvp_bruteforce accepts
+
 
 @dataclass(frozen=True)
 class CVPGramInstance:
@@ -182,14 +184,14 @@ def recover_mdsp_distance_sq(c: CVPGramInstance, j: Sequence[int]) -> Fraction:
     return c.scale_sq / (1 + c.scale_sq * c.objective(j))
 
 
-def solve_cvp_bruteforce(c: CVPGramInstance, dim_cap: int = 6) -> CVPSolution:
-    """Exact minimizer of the form over all integer vectors, for n <= dim_cap.
+def solve_cvp_bruteforce(c: CVPGramInstance) -> CVPSolution:
+    """Exact minimizer of the form over all integer vectors, for n <= _DIM_CAP.
 
     The enumeration is enumerate_cvp; ties go to the lexicographically
     smallest vector.
     """
-    if c.n > dim_cap:
-        raise DimensionCapExceeded(f"dimension {c.n} above cap {dim_cap}")
+    if c.n > _DIM_CAP:
+        raise DimensionCapExceeded(f"dimension {c.n} above cap {_DIM_CAP}")
     return enumerate_cvp(c)
 
 

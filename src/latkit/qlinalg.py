@@ -4,13 +4,14 @@ Vectors and matrices hold ``fractions.Fraction`` entries, but every
 elimination runs on integer rows, scaled once by the lcm of their
 denominators (integer_rows); Fractions are built only from the results.
 One fraction-free elimination of the integer Gram matrix (_eliminate_gram)
-gives distances, volumes, Gram-Schmidt and LDL. adjugate_spd, which shares
-its step (_bareiss_step), gives inverses and the quotients of the heuristic
-and the MDSP-to-CVP map. Two eliminations stay apart: determinant pivots
-rows, since a Gram matrix loses the sign, and lll._lll_rows builds its
-d/lambda data row by row, since eliminating up front makes every swap
-update the rows past kmax (22% slower on the reduce workload). No floating
-point enters any correctness-bearing path.
+gives distances, volumes and LDL, and, with the scaled rows carried along,
+Gram-Schmidt and projections. adjugate_spd, which shares its step
+(_bareiss_step), gives inverses and the quotients of the heuristic and the
+MDSP-to-CVP map. Two eliminations stay apart: determinant pivots rows,
+since a Gram matrix loses the sign, and lll._lll_rows builds its d/lambda
+data row by row, since eliminating up front makes every swap update the
+rows past kmax (22% slower on the reduce workload). No floating point
+enters any correctness-bearing path.
 """
 
 from __future__ import annotations
@@ -156,17 +157,11 @@ class QMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row(self, i: int) -> QVector:
-        return QVector(self.data[i])
-
     def col(self, j: int) -> QVector:
         return QVector(r[j] for r in self.data)
 
     def row_vectors(self) -> list[QVector]:
         return [QVector(r) for r in self.data]
-
-    def col_vectors(self) -> list[QVector]:
-        return [self.col(j) for j in range(self.cols)]
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -232,35 +227,42 @@ class LDLDecomposition:
 def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
     """Orthogonalize a linearly independent basis, exactly.
 
-    One elimination of the scaled integer Gram matrix g gives mu and dk:
+    One elimination of the scaled integer Gram matrix g, each row carrying
+    its scaled vector s b_k, gives all three (Cohen's integral Gram-Schmidt):
     g[j][i] = d_{j+1} mu_ij (i > j) for the leading minors d_{k+1} = g[k][k]
-    = dk[k] s^(2k+2). Raises DependentInput at the first dependent vector.
+    = dk[k] s^(2k+2), and the carried part of row k ends as d_k s b*_k
+    (d_0 = 1). Raises DependentInput at the first dependent vector.
     """
     if not basis:
         raise LengthMismatch("gram_schmidt requires a nonempty basis")
-    g, scale = _scaled_gram(basis)
+    g, rows, scale = _scaled_gram(basis)
+    g = [gi + r for gi, r in zip(g, rows)]
     n = len(g)
-    if _eliminate_gram(g) == 0:
+    _eliminate_gram(g)
+    d = [1] + [g[k][k] for k in range(n)]
+    if d[n] == 0:
         raise DependentInput(f"vector {n - 1} is in the span of its predecessors")
     mu = [[Fraction(g[j][i], g[j][j]) if j < i else _ONE if i == j else _ZERO
            for j in range(n)] for i in range(n)]
-    bstar: list[QVector] = []
-    for b, mu_i in zip(basis, mu):
-        w = b.entries
-        for m, u in zip(mu_i, bstar):
-            w = [x - m * y for x, y in zip(w, u)]
-        bstar.append(QVector(w))
+    bstar = [QVector(Fraction(e, d[k] * scale) for e in g[k][n:]) for k in range(n)]
     dk = [Fraction(g[k][k], scale ** (2 * k + 2)) for k in range(n)]
     return GramSchmidtResult(bstar, QMatrix(mu), dk)
 
 
 def project_onto_span(v: QVector, basis: Sequence[QVector]) -> QVector:
-    """Orthogonal projection of v onto span(basis); empty span maps to 0."""
-    proj = QVector.zero(v.dim)
-    if basis:
-        for w in gram_schmidt(basis).bstar:
-            proj = proj + w.scaled(v.dot(w) / w.norm_sq())
-    return proj
+    """Orthogonal projection of v onto span(basis); empty span maps to 0.
+
+    Eliminating (basis, v) as gram_schmidt does leaves d s (v - proj) in the
+    carried part of the last row, d the Gram determinant of the scaled basis.
+    """
+    if not basis:
+        return QVector.zero(v.dim)
+    g, rows, scale = _scaled_gram([*basis, v])
+    g = [gi + r for gi, r in zip(g, rows)]
+    _eliminate_gram(g)
+    n = len(basis)
+    d = g[n - 1][n - 1]
+    return QVector(Fraction(d * x - e, d * scale) for x, e in zip(rows[n], g[n][n + 1:]))
 
 
 def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
@@ -273,16 +275,9 @@ def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
     """
     if not basis:
         return v.norm_sq()
-    g, scale = _scaled_gram([*basis, v])
+    g, _, scale = _scaled_gram([*basis, v])
     det_bv = _eliminate_gram(g)
     return Fraction(det_bv, g[-2][-2] * scale * scale)
-
-
-def gram_matrix(vectors: Sequence[QVector]) -> QMatrix:
-    """Matrix of pairwise inner products."""
-    if not vectors:
-        raise LengthMismatch("gram_matrix requires at least one vector")
-    return QMatrix([[a.dot(b) for b in vectors] for a in vectors])
 
 
 def integer_rows(vectors: Sequence[QVector]) -> tuple[list[list[int]], int]:
@@ -385,7 +380,9 @@ def _eliminate_gram(g: list[list[int]]) -> int:
     the Gram determinant of the first k+1 rows, which is positive unless
     those rows are dependent. A zero pivot before the last row raises
     DependentInput. The trailing block stays symmetric, so only its upper
-    triangle is updated (and read, through g[k][i] for g[i][k]).
+    triangle is updated (and read, through g[k][i] for g[i][k]). Columns
+    that the rows carry past the Gram matrix are eliminated along; the
+    returned corner entry is then a carried one, not the determinant.
     """
     prev = 1
     for k in range(len(g) - 1):
@@ -397,14 +394,14 @@ def _eliminate_gram(g: list[list[int]]) -> int:
     return g[-1][-1]
 
 
-def _scaled_gram(vectors: Sequence[QVector]) -> tuple[list[list[int]], int]:
+def _scaled_gram(vectors: Sequence[QVector]) -> tuple[list[list[int]], list[list[int]], int]:
     """Integer Gram matrix of the nonempty family scaled by the lcm of its
-    denominators, together with that lcm."""
+    denominators, together with the scaled rows and that lcm."""
     dim = vectors[0].dim
     if any(u.dim != dim for u in vectors):
         raise LengthMismatch("vectors have differing dimensions")
     rows, scale = integer_rows(vectors)
-    return integer_gram(rows), scale
+    return integer_gram(rows), rows, scale
 
 
 def rel_volume_sq(basis: Sequence[QVector]) -> Fraction:
@@ -415,7 +412,7 @@ def rel_volume_sq(basis: Sequence[QVector]) -> Fraction:
     """
     if not basis:
         return _ONE
-    g, scale = _scaled_gram(basis)
+    g, _, scale = _scaled_gram(basis)
     vol = _eliminate_gram(g)
     if vol == 0:
         raise DependentInput("vectors are linearly dependent")

@@ -228,6 +228,35 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out["count"] == 1 and out["seed"] == 3
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["verify-cert", "--gamma-sq", "2", "--cert", "0"], "2 2\n0 2\n1 1\n"),
+            (["lll", "--delta", "3/2"], "2 2\n0 2\n1 1\n"),
+            (["mdsp-heur", "--max-passes", "0"], "2 2\n0 2\n1 1\n"),
+            (["accel", "--max-rounds", "0"], "2 2\n0 2\n1 1\n"),
+            (["bench", "--dims", "1"], None),
+            (["gen", "--dims", "1"], None),
+            (["cvp-brute"], "{bad"),
+            (["cvp-brute"], '{"gram": [["1/0"]], "offset": ["0"], "scale_sq": "1"}'),
+        ],
+        ids=["gamma-sq", "delta", "max-passes", "max-rounds", "bench-dims",
+             "gen-dims", "cvp-json", "cvp-zero-denominator"],
+    )
+    def test_input_error_exits_2(self, tmp_path, capsys, argv, text):
+        # out-of-range parameters and malformed files are input errors
+        # (exit 2), not tracebacks; verify-cert keeps exit 1 for "rejected"
+        if text is not None:
+            path = tmp_path / "input"
+            path.write_text(text)
+            argv = argv[:1] + ["--in", str(path)] + argv[1:]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        assert main(["mdsp-exact", "--in", str(tmp_path / "absent.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_error_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1 0\n1\n")

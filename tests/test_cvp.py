@@ -137,11 +137,19 @@ class TestBruteforce:
         assert sol.objective == F(2, 9)
 
     def test_dimension_cap(self):
+        # the cap is 6: n = 7 is refused, and a hand-built n = 6 form gets
+        # enumerate_cvp's answer
         c = CVPGramInstance(
             QMatrix.identity(7), QVector([0] * 7), F(1)
         )
         with pytest.raises(DimensionCapExceeded):
             solve_cvp_bruteforce(c)
+        rng = random.Random(617)
+        b = QMatrix([[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)])
+        assert determinant(b) != 0
+        offset = QVector([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)])
+        c = CVPGramInstance(b @ b.transpose(), offset, F(3, 2))
+        assert solve_cvp_bruteforce(c) == enumerate_cvp(c)
 
     def test_not_spd(self):
         grams = [

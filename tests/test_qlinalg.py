@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 from math import lcm
+from operator import mul
 
 import pytest
 
 from latkit.errors import (
     DegenerateResidual,
     DependentInput,
+    LengthMismatch,
     NonSquare,
     NotSPD,
     SingularMatrix,
@@ -38,6 +41,7 @@ from oracles import (
     naive_gs,
     naive_inverse,
     random_unimodular,
+    vdot,
 )
 
 
@@ -167,6 +171,67 @@ def _random_rational_independent(rng, count, dim):
         except DependentInput:
             continue
         return vecs
+
+
+class TestRationalFamilies:
+    """gram_schmidt and project_onto_span on rational, non-square families
+    (scale > 1, dim > count) against naive_gs of tests/oracles.py."""
+
+    def test_matches_naive_gs(self):
+        rng = random.Random(409)
+        scaled = 0
+        for _ in range(60):
+            count = rng.randint(1, 6)
+            dim = rng.randint(count + 1, count + 3)
+            vecs = [_random_rational(rng, dim) for _ in range(count)]
+            v = _random_rational(rng, dim)
+            rows = [tuple(b) for b in vecs]
+            scaled += integer_rows(vecs)[1] > 1
+            bstar = naive_gs(rows)
+            norms = [vdot(w, w) for w in bstar]
+            res = gram_schmidt(vecs)
+            assert [tuple(w) for w in res.bstar] == bstar
+            assert res.dk == list(accumulate(norms, mul))
+            for i, b in enumerate(rows):
+                for j in range(i):
+                    assert res.mu[i, j] == vdot(b, bstar[j]) / norms[j]
+            residual = naive_gs(rows + [tuple(v)])[-1]
+            assert tuple(project_onto_span(v, vecs)) == tuple(
+                x - r for x, r in zip(v, residual)
+            )
+        assert scaled >= 50
+
+    def test_zero_trailing_coordinates(self):
+        # an independent family whose b* end in zeros is not dependent
+        assert gram_schmidt([qv(2, 0)]).bstar == [qv(2, 0)]
+        res = gram_schmidt([qv(1, 0, 0), qv(1, F(1, 2), 0)])
+        assert res.bstar == [qv(1, 0, 0), qv(0, F(1, 2), 0)]
+        assert project_onto_span(qv(3, 4, 5), [qv(1, 0, 0), qv(1, 1, 0)]) == qv(3, 4, 0)
+
+    def test_dependent_rejected(self):
+        rng = random.Random(419)
+        for _ in range(20):
+            count = rng.randint(2, 5)
+            dim = rng.randint(count, count + 2)
+            vecs = [_random_rational(rng, dim) for _ in range(count)]
+            k = rng.randint(1, count - 1)
+            combo = QVector.zero(dim)
+            for b in vecs[:k]:
+                combo = combo + b.scaled(F(rng.randint(-3, 3), rng.randint(1, 4)))
+            vecs[k] = combo
+            v = _random_rational(rng, dim)
+            with pytest.raises(DependentInput, match=f"^vector {k} "):
+                gram_schmidt(vecs)
+            with pytest.raises(DependentInput, match=f"^vector {k} "):
+                project_onto_span(v, vecs)
+
+    def test_ragged_rejected(self):
+        with pytest.raises(LengthMismatch):
+            gram_schmidt([qv(1, 2), qv(F(1, 2), 0, 1)])
+        with pytest.raises(LengthMismatch):
+            project_onto_span(qv(1, 2, 3), [qv(1, 2), qv(F(1, 2), 0, 1)])
+        with pytest.raises(LengthMismatch):
+            project_onto_span(qv(1, 2), [qv(F(1, 2), 0, 1)])
 
 
 class TestIntegerRows:
