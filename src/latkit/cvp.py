@@ -9,15 +9,16 @@ fixed-vector norm rides along so distances can be recovered without the
 original instance.
 
 The API stays in that rational form; the computation is integer. The
-forward map reads the form (M, w, step), with G' a positive multiple of M
-and c = w / step, off the fraction-free adjugate of the integer Gram
-matrix P of (B, v), and stores the form and P on the instance it
-returns; any other instance is scaled to integers once. The enumeration
-runs on the primal side of the isomorphism: the objective is an affine
-function of z^T P^-1 z, z = (x, -1) up to order, which forward
-substitution with the fraction-free LDL^T of P, in reversed order, gives
-level by level, so it needs neither M nor a second elimination. A form
-with no stored P is first bordered into one, from step adj(M).
+enumeration runs on the primal side of the isomorphism: the objective is
+an affine function of z^T P^-1 z, with P the integer Gram matrix of
+(v, b_{n-1}, ..., b_0) and z = (1, -x_{n-1}, ..., -x_0), which forward
+substitution with the fraction-free LDL^T of P gives level by level. The
+forward map scales (B, v) to integer rows once, eliminates P once and
+stores the eliminated P on the instance it returns; enumeration, the
+objective and distance recovery all read that P. The rational fields
+gram and offset are read off the adjugate of the Gram matrix of (B, v)
+only when a caller first reads them. A hand-built form is scaled to
+integers once and bordered into such a P, from step adj(M).
 """
 
 from __future__ import annotations
@@ -51,46 +52,70 @@ from .qlinalg import (
 
 _DIM_CAP = 6  # largest dimension solve_cvp_bruteforce accepts
 
+# A primal Gram matrix P as _eliminate leaves it: (P, d, weight, W), with
+# d[k] = D_{k-1} the leading minors of P (D_-1 = 1), weight[p] =
+# W / (D_{p-1} D_p) and W the lcm of those products.
+_Eliminated = tuple[list[list[int]], list[int], list[int], int]
+# An eliminated P with the factor f = f_num / f_den that scales its
+# objective to the form's (_primal_of).
+_Primal = tuple[_Eliminated, int, int]
+
 
 @dataclass(frozen=True)
 class CVPGramInstance:
-    """Closest-vector instance as a rational positive definite form."""
+    """Closest-vector instance as a rational positive definite form.
+
+    An instance returned by mdsp_to_cvp carries its eliminated primal Gram
+    matrix, which is not a field, and builds gram and offset on first
+    access; equality, hashing, repr, copies and pickles see the same
+    fields as on an instance built from them.
+    """
 
     gram: QMatrix
     offset: QVector
     scale_sq: Fraction
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute missing from the instance
+        primal = self.__dict__.get("_primal")
+        if primal is None or name not in ("gram", "offset"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        gram, offset = _public_fields(self.__dict__["_rows"], primal[1])
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "offset", offset)
+        return self.__dict__[name]
+
     @property
     def n(self) -> int:
-        return self.gram.rows
+        primal = self.__dict__.get("_primal")
+        return len(primal[0][0]) - 1 if primal is not None else self.gram.rows
 
     def objective(self, j: Sequence[int]) -> Fraction:
         """(j + offset)^T gram (j + offset), exact.
 
-        Evaluated in integers on the form of _scaled_form:
-        num u^T M u / (den step^2) with u = step j + w.
+        Evaluated in integers: on mdsp_to_cvp's instance by _value on the
+        stored P, otherwise on the form of _scaled_form as
+        u^T M u / (den step^2) with u = step j + w.
         """
-        m, w, step, num, den = _scaled_form(self)
+        primal = self.__dict__.get("_primal")
+        if primal is not None:
+            return _objective(primal, *_value(primal[0], [int(ji) for ji in j]))
+        m, w, step, den = _scaled_form(self)
         u = [step * int(ji) + wk for ji, wk in zip(j, w)]
-        return Fraction(num * _quad(m, u), den * step * step)
+        return Fraction(_quad(m, u), den * step * step)
 
 
-# A CVP form in integers, (M, w, step, num, den): gram = (num / den) M and
-# offset = w / step, with num, den and step positive. M may be shared and
-# is never modified in place.
-_Form = tuple[list[list[int]], list[int], int, int, int]
+# A hand-built CVP form in integers, (M, w, step, den): gram = M / den and
+# offset = w / step, with den and step positive.
+_Form = tuple[list[list[int]], list[int], int, int]
 
 
 def _scaled_form(c: CVPGramInstance) -> _Form:
-    """The integer form of c: the one mdsp_to_cvp stored, or else the form
-    scaled once, M = den G' with den = lcm(den G'), and w = step c with
-    step = lcm(den c)."""
-    stored = getattr(c, "_form", None)
-    if stored is not None:
-        return stored
+    """The form of c scaled once, M = den G' with den = lcm(den G'), and
+    w = step c with step = lcm(den c)."""
     m, den = integer_rows(c.gram.row_vectors())
     (w,), step = integer_rows([c.offset])
-    return m, w, step, 1, den
+    return m, w, step, den
 
 
 def _quad(m: list[list[int]], u: list[int]) -> int:
@@ -121,37 +146,41 @@ class EmbeddedCVPInstance:
 def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
     """Forward reduction: decompose against v and invert the residual Gram.
 
-    On the rows (B, v) scaled to integers by s, with G their Gram matrix,
-    Gram(b') is the Schur complement of |v|^2 in G / s^2, so its inverse
-    is (s^2 / det G) adj(G)[:n, :n]; gamma_i = G[i][n] / G[n][n]. The
-    fields are that integer form as Fractions. The form itself, and G for
-    enumerate_cvp, ride along as attributes that are not fields, so
-    equality and repr see only the rational fields. A zero v raises
-    DependentInput and a dependent [B; v] SingularMatrix.
+    The rows (B, v) are scaled to integers by s once, and the Gram matrix
+    P of (v, b_{n-1}, ..., b_0) is eliminated once (_eliminate). The
+    instance stores that P, which enumerate_cvp, objective and
+    recover_mdsp_distance_sq read, and the scaled rows; scale_sq is
+    P[0][0] / s^2 = |v|^2. gram and offset are built on first access
+    (_public_fields). A zero v raises DependentInput and a dependent
+    [B; v] SingularMatrix.
     """
     if inst.fixed.is_zero():
         raise DependentInput("fixed vector is zero")
-    n = inst.n
     rows, scale = integer_rows([*inst.rest.vectors, inst.fixed])
-    g = integer_gram(rows)
-    try:
-        adj = adjugate_spd(g)
-        det = sum(map(mul, g[n], adj[n]))  # Laplace expansion along row n
-    except DegenerateResidual:
-        det = 0
-    if det == 0:
-        raise SingularMatrix("the fixed vector and the basis are dependent")
-    m = [row[:n] for row in adj[:n]]
-    w = [row[n] for row in g[:n]]
-    step, scale_sq = g[n][n], scale * scale
-    c = CVPGramInstance(
-        gram=QMatrix([[Fraction(a * scale_sq, det) for a in row] for row in m]),
-        offset=QVector([Fraction(wk, step) for wk in w]),
-        scale_sq=Fraction(step, scale_sq),
-    )
-    object.__setattr__(c, "_form", (m, w, step, scale_sq, det))
-    object.__setattr__(c, "_primal", (g, scale_sq, 1))
+    p = integer_gram(rows[::-1])
+    eliminated = _eliminate(p)
+    scale_sq = scale * scale
+    c = object.__new__(CVPGramInstance)
+    object.__setattr__(c, "scale_sq", Fraction(p[0][0], scale_sq))
+    object.__setattr__(c, "_primal", (eliminated, scale_sq, 1))
+    object.__setattr__(c, "_rows", rows)
     return c
+
+
+def _public_fields(rows: list[list[int]], scale_sq: int) -> tuple[QMatrix, QVector]:
+    """gram and offset of the instance mdsp_to_cvp built from the scaled
+    rows (B, v), with s^2 = scale_sq.
+
+    With G the Gram matrix of the rows, Gram(b') is the Schur complement
+    of |v|^2 in G / s^2, so its inverse is (s^2 / det G) adj(G)[:n, :n];
+    gamma_i = G[i][n] / G[n][n].
+    """
+    n = len(rows) - 1
+    g = integer_gram(rows)
+    adj = adjugate_spd(g)
+    det = sum(map(mul, g[n], adj[n]))  # Laplace expansion along row n
+    gram = QMatrix([[Fraction(a * scale_sq, det) for a in row[:n]] for row in adj[:n]])
+    return gram, QVector([Fraction(row[n], g[n][n]) for row in g[:n]])
 
 
 def cvp_to_mdsp(basis_rows: QMatrix, target: QVector) -> MDSPInstance:
@@ -198,43 +227,59 @@ def solve_cvp_bruteforce(c: CVPGramInstance) -> CVPSolution:
 def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
     """Lexicographically smallest minimizer of the form, in integers.
 
-    Runs _enumerate on the bordered Gram matrix G of _bordered, in
-    reversed order. The form is the CVP side of the MDSP instance with
-    Gram matrix G, whose squared distance is 1 / (z^T G^-1 z) on G's own
-    scale, so the objective is f (G[n][n] T - W) / (W G[n][n]) with f the
-    factor _bordered returns. Raises NonSquare unless the form is square
-    and NotSPD unless it is symmetric positive definite.
+    Runs _search on the eliminated primal Gram matrix P of _primal_of.
+    The form is the CVP side of the MDSP instance with Gram matrix P,
+    whose squared distance is 1 / (z^T P^-1 z) on P's own scale, so the
+    objective is that of _objective. Raises NonSquare unless the form is
+    square and NotSPD unless it is symmetric positive definite.
     """
+    primal = _primal_of(c)
+    j, t, big_w = _search(primal[0])
+    return CVPSolution(j, _objective(primal, t, big_w))
+
+
+def _objective(primal: _Primal, t: int, big_w: int) -> Fraction:
+    """The form's value where z^T P^-1 z = T / W: f (step T - W) / (W step),
+    with step = P[0][0] = |v|^2 on P's scale and f the primal's factor."""
+    (p, *_), f_num, f_den = primal
+    step = p[0][0]
+    return Fraction(f_num * (step * t - big_w), f_den * big_w * step)
+
+
+def _primal_of(c: CVPGramInstance) -> _Primal:
+    """(P, f_num, f_den): the primal Gram matrix P of c, in the order
+    (v, b_{n-1}, ..., b_0), as _eliminate leaves it, and the factor
+    f = f_num / f_den that scales its objective to c's. mdsp_to_cvp stored
+    P, with f = s^2; any other form is bordered (_bordered), reversed and
+    eliminated here."""
+    primal = c.__dict__.get("_primal")
+    if primal is not None:
+        return primal
     if not c.gram.is_square:
         raise NonSquare("the form needs a square matrix")
     g, f_num, f_den = _bordered(c)
-    step = g[-1][-1]
-    j, t, big_w = _enumerate([row[::-1] for row in reversed(g)])
-    return CVPSolution(j, Fraction(f_num * (step * t - big_w), f_den * big_w * step))
+    return _eliminate([row[::-1] for row in reversed(g)]), f_num, f_den
 
 
 def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
     """(G, f_num, f_den): an integer Gram matrix G of some (B, v) whose CVP
-    side is a positive multiple of c, and the factor f = f_num / f_den that
-    scales its objective to c's.
+    side is a positive multiple of the hand-built form c, and the factor
+    f = f_num / f_den that scales its objective to c's.
 
-    mdsp_to_cvp stored the Gram matrix it read its form off, with f = s^2.
-    Any other form (M, w, step, num, den) of _scaled_form, with M positive
-    definite, borders step adj(M) as
+    The form (M, w, step, den) of _scaled_form, with M positive definite,
+    borders step adj(M) as
 
         G = [[step adj(M) / k + w w^T, step w], [step w^T, step^2]],
 
     with adj(M) divided by the gcd k of its entries, which strips the
     powers of det(G) that a form read off an adjugate carries. Its Schur
     complement of step^2 is step adj(M) / k = (step det(M) / k) M^-1 and
-    its offset is w / step, so f = num det(M) step / (den k). Raises NotSPD
-    unless M is symmetric positive definite: adjugate_spd checks every
-    leading minor but the last, det(M).
+    its offset is w / step, so f = det(M) step / (den k). This bordering
+    is the price of one enumerator for both kinds of instance. Raises
+    NotSPD unless M is symmetric positive definite: adjugate_spd checks
+    every leading minor but the last, det(M).
     """
-    stored = getattr(c, "_primal", None)
-    if stored is not None:
-        return stored
-    m, w, step, num, den = _scaled_form(c)
+    m, w, step, den = _scaled_form(c)
     n = c.n
     if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise NotSPD("matrix is not symmetric")
@@ -249,18 +294,51 @@ def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
     g = [[step * (a // content) + wi * wj for a, wj in zip(row, w)] + [step * wi]
          for row, wi in zip(adj, w)]
     g.append([step * wj for wj in w] + [step * step])
-    return g, num * det * step, den * content
+    return g, det * step, den * content
 
 
-def _enumerate(p: list[list[int]]) -> tuple[tuple[int, ...], int, int]:
+def _eliminate(p: list[list[int]]) -> _Eliminated:
+    """Fraction-free elimination (_eliminate_gram) of the integer Gram
+    matrix P of (v, b_{n-1}, ..., b_0), in place, with the minors and
+    weights that _search and _value read. A dependent family raises
+    SingularMatrix."""
+    try:
+        det = _eliminate_gram(p)
+    except DependentInput:
+        det = 0
+    if det == 0:
+        raise SingularMatrix("the fixed vector and the basis are dependent")
+    d = [1] + [row[k] for k, row in enumerate(p)]
+    prods = [a * b for a, b in zip(d, d[1:])]
+    big_w = lcm(*prods)
+    return p, d, [big_w // q for q in prods], big_w
+
+
+def _value(e: _Eliminated, x: Sequence[int]) -> tuple[int, int]:
+    """(T, W) with z^T P^-1 z = T / W at z = (1, -x_{n-1}, ..., -x_0), for P
+    as _eliminate leaves it: _search's forward substitution along one
+    path."""
+    p, d, weight, big_w = e
+    n = len(p) - 1
+    c = [-a for a in p[0]]
+    t = weight[0]
+    for k in range(1, n + 1):
+        h = c[k] - d[k] * x[n - k]
+        t += weight[k] * h * h
+        for q in range(k + 1, n + 1):
+            c[q] = (d[k + 1] * c[q] - p[k][q] * h) // d[k]
+    return t, big_w
+
+
+def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:
     """(x, T, W): the lexicographically smallest integer x minimizing
     z^T P^-1 z = T / W, z = (1, -x_{n-1}, ..., -x_0), for P the positive
-    definite Gram matrix of (v, b_{n-1}, ..., b_0). P is eliminated in
-    place; a zero pivot raises DependentInput.
+    definite Gram matrix of (v, b_{n-1}, ..., b_0), as _eliminate leaves
+    it. P is only read.
 
     det Gram(B(x)) = det P z^T P^-1 z with B(x) = (b_i + x_i v), so x
     maximizes the distance of v from span(B(x)), d^2 = W / T on P's scale.
-    One fraction-free elimination of P gives its leading minors D_0..D_n
+    The fraction-free elimination of P gives its leading minors D_0..D_n
     (D_-1 = 1) and Bareiss rows R, and forward substitution gives
 
         z^T P^-1 z = sum over p of H_p^2 / (D_{p-1} D_p),
@@ -271,33 +349,21 @@ def _enumerate(p: list[list[int]]) -> tuple[tuple[int, ...], int, int]:
 
         c_q <- (D_p c_q - R[p][q] H_p) / D_{p-1}.
 
-    Level p is weighted by W / (D_{p-1} D_p), W the lcm of those products,
-    so every partial sum and comparison is an integer. The search is
-    depth-first from x_{n-1} down to x_0 (Fincke-Pohst), each level in
-    zig-zag order from its centre (Schnorr-Euchner), starting from the
-    componentwise rounding of -P[0][q] / P[0][0]. Zig-zag order visits
+    Level p is weighted by W / (D_{p-1} D_p), so every partial sum and
+    comparison is an integer. The search is depth-first from x_{n-1} down
+    to x_0 (Fincke-Pohst), each level in zig-zag order from its centre
+    (Schnorr-Euchner), starting from the componentwise rounding of
+    -P[0][q] / P[0][0], whose value _value gives. Zig-zag order visits
     |H_p| in non-decreasing order, so the first value over the remaining
     budget ends the level; only a strictly larger value is pruned, so all
     ties reach a leaf.
     """
+    p, d, weight, big_w = e
     n = len(p) - 1
     step, w = p[0][0], p[0]
     best_x = tuple((step - 2 * w[n - i]) // (2 * step) for i in range(n))
-    if _eliminate_gram(p) == 0:
-        raise DependentInput("the vectors are dependent")
-    d = [1] + [p[k][k] for k in range(n + 1)]  # d[k] = D_{k-1}
-    prods = [a * b for a, b in zip(d, d[1:])]
-    big_w = lcm(*prods)
-    weight = [big_w // q for q in prods]
+    best_t, _ = _value(e, best_x)
     tails = [row[k + 1:] for k, row in enumerate(p)]  # R[k][q] for q > k
-    # T at the start point, by the same substitution
-    c = [-e for e in w]
-    best_t = weight[0]
-    for k in range(1, n + 1):
-        h = c[k] - d[k] * best_x[n - k]
-        best_t += weight[k] * h * h
-        for q in range(k + 1, n + 1):
-            c[q] = (d[k + 1] * c[q] - p[k][q] * h) // d[k]
 
     def descend(k: int, partial: int, chosen: tuple[int, ...], c: list[int]) -> None:
         # c[i] is the centre of level k + i

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cvp import _enumerate
-from .errors import DegenerateFixedVector, DependentInput, SingularMatrix
+from .cvp import _eliminate, _search
+from .errors import DegenerateFixedVector
 from .lattice import LatticeBasis, MDSPInstance, apply_shift
 from .qlinalg import (
     ceil_plus_sqrt,
@@ -103,22 +103,20 @@ def shift_dist_sq(inst: MDSPInstance, x: Sequence[int]) -> Fraction:
 def solve_exact(inst: MDSPInstance) -> MDSPSolution:
     """The maximizing shift, through the CVP route, in integers.
 
-    The rows (B, v) are scaled to integers by s once. The enumeration core
-    of enumerate_cvp (no dimension cap) runs on the integer Gram matrix P
-    of (v, b_{n-1}, ..., b_0) and returns the maximizer x, ties going to
-    the lexicographically smallest, with z^T P^-1 z = T / W at
-    z = (1, -x_{n-1}, ..., -x_0); so d^2 = W / (s^2 T). B(x) is
-    rows_i + x_i v on the scaled rows, divided by s once. If v is
+    The rows (B, v) are scaled to integers by s once. The elimination and
+    the search of enumerate_cvp (no dimension cap) run on the integer Gram
+    matrix P of (v, b_{n-1}, ..., b_0), and the search returns the
+    maximizer x, ties going to the lexicographically smallest, with
+    z^T P^-1 z = T / W at z = (1, -x_{n-1}, ..., -x_0); so
+    d^2 = W / (s^2 T). B(x) is rows_i + x_i v on the scaled rows, divided
+    by s once. If v is
     orthogonal to span(B), the unique maximizer is x = 0. A zero v raises
     DegenerateFixedVector and a dependent [B; v] SingularMatrix.
     """
     if inst.fixed.is_zero():
         raise DegenerateFixedVector("fixed vector is zero")
     rows, scale = integer_rows([*inst.rest.vectors, inst.fixed])
-    try:
-        x, t, big_w = _enumerate(integer_gram(rows[::-1]))
-    except DependentInput:
-        raise SingularMatrix("the fixed vector and the basis are dependent") from None
+    x, t, big_w = _search(_eliminate(integer_gram(rows[::-1])))  # raises SingularMatrix
     *rest, v = rows
     shifted = [[b + xi * e for b, e in zip(row, v)] for row, xi in zip(rest, x)]
     basis = LatticeBasis(rational_vectors(shifted, scale), validate=False)

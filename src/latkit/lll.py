@@ -41,9 +41,11 @@ class LLLParams:
     def __post_init__(self):
         object.__setattr__(self, "delta", rational(self.delta))
         if self.delta == _QUARTER:
+            # no approximation guarantee at 1/4; stacklevel 3 skips the
+            # dataclass-generated __init__ to name the caller's line
             warnings.warn(
                 "delta = 1/4 gives the weakest admissible reduction",
-                stacklevel=2,
+                stacklevel=3,
             )
         elif not (_QUARTER < self.delta < 1):
             raise ValueError("delta must lie in [1/4, 1)")

@@ -56,6 +56,14 @@ class QVector:
             raise LengthMismatch("vector must have positive dimension")
 
     @classmethod
+    def _of(cls, entries: tuple[Fraction, ...]) -> "QVector":
+        """The vector of a nonempty tuple of canonical Fractions, taken as
+        it is: no coercion and no check."""
+        v = cls.__new__(cls)
+        v.entries = entries
+        return v
+
+    @classmethod
     def zero(cls, dim: int) -> "QVector":
         return cls([_ZERO] * dim)
 
@@ -292,10 +300,10 @@ def integer_rows(vectors: Sequence[QVector]) -> tuple[list[list[int]], int]:
 
 
 def rational_vectors(rows: Sequence[Sequence[int]], scale: int) -> list[QVector]:
-    """Inverse of integer_rows: each integer row divided by scale."""
+    """Inverse of integer_rows: each nonempty integer row divided by scale."""
     if scale == 1:
-        return [QVector(row) for row in rows]
-    return [QVector(Fraction(e, scale) for e in row) for row in rows]
+        return [QVector._of(tuple(map(Fraction, row))) for row in rows]
+    return [QVector._of(tuple([Fraction(e, scale) for e in row])) for row in rows]
 
 
 def integer_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -25,9 +25,12 @@ where only the lexicographic tie rule fixes the answer: diagonal CVP forms
 with half-integer offsets, and MDSP instances b_i = a_i e_0 + e_{i+1},
 v = 2 e_0 with every a_i odd (2^n maximizers), among them the n = 7 case
 of the exact solver's tests. latkit is imported from the src/ of the
-checkout that holds this file, so running the script in two checkouts
-shows whether a refactor kept the outputs bit-identical. The name does
-not start with test_, so pytest does not collect it.
+checkout that holds this file. The five digests are pinned in EXPECTED:
+the script exits 0 when all five match and 1 when any moved, naming each
+one that did, so one run in one checkout shows whether a refactor kept
+the outputs bit-identical. A change that means to alter outputs updates
+EXPECTED and says why. The name does not start with test_, so pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,14 @@ import latkit as lk  # noqa: E402
 from latkit.cvp import enumerate_cvp  # noqa: E402
 from latkit.qlinalg import adjugate_spd, integer_gram  # noqa: E402
 
+# the digests of the outputs as they stand; any refactor must keep them
+EXPECTED = {
+    "identity": "c0b52095a1f45d9782657c26323638dedb49d0c04e806c745a6bf19f225abbe4",
+    "extended": "2751c4740fd23bab30d8966ca1c95ce39be475a39f432a384ad47b39d43f7076",
+    "large": "d953ea7722d0ab742f5589b061b0774b85e92d223d8cd5d6713e6ad37e1e4908",
+    "core": "578030b14383b8b925a33123c21ef7f5c329baf693d86b232ae3e619ad7feaed",
+    "ties": "7139b47582cabad008a41474fe81e6d6b1650cd9069f9f9080f570832c1db6d9",
+}
 SEEDS = (101, 102)
 # rounds a --seconds 30 latbench run draws per workload
 ROUNDS = {"reduce": 42, "mdsp-exact": 83, "certify": 16}
@@ -250,22 +261,32 @@ def hash_part(digest, name, seed, records):
 
 def main() -> int:
     digest = hashlib.sha256()
+    got = {}
+
+    def close(name):
+        got[name] = digest.hexdigest()
+        print(f"{name} {got[name]}")
+
     for name, records in (("reduce", reduce_records), ("mdsp-exact", mdsp_records),
                           ("certify", certify_records)):
         for seed in SEEDS:
             hash_part(digest, name, seed, records(seed))
-    print(f"identity {digest.hexdigest()}")
+    close("identity")
     for seed in SEEDS:
         hash_part(digest, "mdsp-exact rational", seed, mdsp_records(seed, rational=True))
-    print(f"extended {digest.hexdigest()}")
+    close("extended")
     for seed in SEEDS:
         hash_part(digest, "large", seed, large_records(seed))
-    print(f"large {digest.hexdigest()}")
+    close("large")
     for name, records in (("core", core_records), ("ties", ties_records)):
         for seed in SEEDS:
             hash_part(digest, name, seed, records(seed))
-        print(f"{name} {digest.hexdigest()}")
-    return 0
+        close(name)
+    moved = [name for name, want in EXPECTED.items() if got[name] != want]
+    for name in moved:
+        print(f"MOVED {name}: expected {EXPECTED[name][:8]}..., got {got[name][:8]}...")
+    print("all five digests match" if not moved else f"{len(moved)} of 5 digests moved")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

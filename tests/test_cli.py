@@ -180,12 +180,14 @@ class TestCLI:
         reduced = parse_basis_text(out_path.read_text())
         assert reduced == QMatrix([[1, 0], [0, 1]])
 
-    def test_accel(self, tmp_path, capsys):
+    def test_accel(self, tmp_path, capsys, recwarn):
         path = tmp_path / "basis.txt"
         path.write_text("3 3\n9 2 7\n4 8 1\n3 3 6\n")
         assert main(["accel", "--in", str(path), "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["reached_target"] is True
+        # the default --delta is the paper's delta_low, 1/4: no warning
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_verify_cert_exit_codes(self, instance_file, capsys):
         assert main(
@@ -218,7 +220,7 @@ class TestCLI:
         m = parse_basis_text(out_path.read_text())
         assert m == generate_random_basis(4, 9, 7)
 
-    def test_bench_cli(self, capsys):
+    def test_bench_cli(self, capsys, recwarn):
         assert main(
             [
                 "bench", "--dims", "3", "--count", "1", "--seed", "3",
@@ -227,6 +229,7 @@ class TestCLI:
         ) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["count"] == 1 and out["seed"] == 3
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     @pytest.mark.parametrize(
         "argv, text",

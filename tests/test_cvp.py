@@ -1,12 +1,18 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 from math import floor
 
 import pytest
 
+from latkit import cvp
 from latkit.errors import DependentInput, DimensionCapExceeded, NotSPD, SingularMatrix
 from latkit.cvp import (
     CVPGramInstance,
+    _quad,
+    _scaled_form,
     cvp_to_mdsp,
     embed_cvp,
     enumerate_cvp,
@@ -74,6 +80,8 @@ class TestForward:
             ([1, 1, 0], [[1, 0, 0], [0, 1, 0]]),
             ([0, 0, 1], [[1, 2, 0], [2, 4, 0]]),
             ([F(1, 2), 0, F(1, 3)], [[F(3, 2), 0, 1], [0, F(1, 5), 0]]),
+            # b_1 = 2v: the elimination of (v, b_1, b_0) stops at pivot 1
+            ([1, 0, 0], [[0, 1, 0], [2, 0, 0]]),
         ]
         for v, basis in cases:
             inst = MDSPInstance.from_vectors(v, basis, validate=False)
@@ -381,9 +389,9 @@ class TestEquivalence:
 
 
 class TestStoredForm:
-    """mdsp_to_cvp stores the integer form it read off the adjugate on the
-    instance it returns; the enumeration eliminates in place, so the form
-    must come out of every call unchanged."""
+    """mdsp_to_cvp stores the eliminated primal Gram matrix on the instance
+    it returns; the enumeration and the objective only read it, so it must
+    come out of every call unchanged."""
 
     def test_repeated_calls_identical(self):
         for inst in mixed_instances(211):
@@ -403,17 +411,23 @@ class TestStoredForm:
             assert runs[0][4] == runs[0][1].objective
 
     def test_matches_rebuilt_instance(self):
+        # the stored route (no adjugate, no Fraction field) and the bordered
+        # route of a hand-built form agree on the solution and the objective
         saw_scale = False
         for inst in mixed_instances(223):
             c = mdsp_to_cvp(inst)
+            sol = enumerate_cvp(c)
+            js = [sol.j, (0,) * inst.n, tuple(i - 2 for i in range(inst.n))]
+            values = [c.objective(j) for j in js]
+            assert "gram" not in vars(c) and "offset" not in vars(c)
             rebuilt = CVPGramInstance(c.gram, c.offset, c.scale_sq)
             assert c == rebuilt and hash(c) == hash(rebuilt)
             assert repr(c) == repr(rebuilt)
-            sol, want = enumerate_cvp(c), enumerate_cvp(rebuilt)
+            want = enumerate_cvp(rebuilt)
             assert (sol.j, sol.objective) == (want.j, want.objective)
             assert type(sol.objective) is F
-            j = tuple(i - 2 for i in range(inst.n))
-            assert c.objective(j) == rebuilt.objective(j)
+            assert values == [rebuilt.objective(j) for j in js]
+            assert values[0] == sol.objective
             assert recover_mdsp_distance_sq(c, sol.j) == recover_mdsp_distance_sq(
                 rebuilt, want.j
             ) == dist_sq_to_span(inst.fixed, apply_shift(inst, sol.j).vectors)
@@ -421,6 +435,61 @@ class TestStoredForm:
                 e.denominator > 1 for u in (inst.fixed, *inst.rest) for e in u
             )
         assert saw_scale
+
+
+class TestLazyInstance:
+    """mdsp_to_cvp's instance builds gram and offset on first access; every
+    value-level operation must match an instance built from those fields."""
+
+    def test_value_semantics_match_eager(self):
+        for inst in mixed_instances(229, count=6):
+            fields = mdsp_to_cvp(inst)
+            eager = CVPGramInstance(fields.gram, fields.offset, fields.scale_sq)
+            assert "gram" not in vars(mdsp_to_cvp(inst))
+            assert mdsp_to_cvp(inst) == eager and eager == mdsp_to_cvp(inst)
+            assert hash(mdsp_to_cvp(inst)) == hash(eager)
+            assert repr(mdsp_to_cvp(inst)) == repr(eager)
+            assert dataclasses.replace(mdsp_to_cvp(inst)) == eager
+            half = dataclasses.replace(mdsp_to_cvp(inst), scale_sq=eager.scale_sq / 2)
+            assert half == dataclasses.replace(eager, scale_sq=eager.scale_sq / 2)
+            assert copy.copy(mdsp_to_cvp(inst)) == eager
+            twins = (copy.deepcopy(mdsp_to_cvp(inst)),
+                     pickle.loads(pickle.dumps(mdsp_to_cvp(inst))))
+            for twin in twins:
+                assert "gram" not in vars(twin)
+                assert enumerate_cvp(twin) == enumerate_cvp(eager)
+                assert twin == eager and repr(twin) == repr(eager)
+            assert pickle.loads(pickle.dumps(eager)) == mdsp_to_cvp(inst)
+            assert mdsp_to_cvp(inst).n == eager.n == inst.n
+
+    def test_objective_matches_quad(self):
+        rng = random.Random(233)
+        scaled = 0
+        for inst in mixed_instances(233):
+            c = mdsp_to_cvp(inst)
+            m, w, step, den = _scaled_form(mdsp_to_cvp(inst))  # the public fields
+            for _ in range(5):
+                j = [rng.randint(-4, 4) for _ in range(inst.n)]
+                u = [step * ji + wk for ji, wk in zip(j, w)]
+                assert c.objective(j) == F(_quad(m, u), den * step * step)
+            assert "gram" not in vars(c)
+            scaled += any(e.denominator > 1 for u in (inst.fixed, *inst.rest) for e in u)
+        assert scaled >= 10
+
+    def test_hot_path_adjugate_free(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("adjugate_spd on the stored route")
+
+        monkeypatch.setattr(cvp, "adjugate_spd", refuse)
+        for inst in mixed_instances(239):
+            c = mdsp_to_cvp(inst)
+            sol = solve_cvp_bruteforce(c)
+            d = recover_mdsp_distance_sq(c, sol.j)
+            assert "gram" not in vars(c) and "offset" not in vars(c)
+            assert d == dist_sq_to_span(inst.fixed, apply_shift(inst, sol.j).vectors)
+            assert sol.j == solve_exact(inst).x
+        with pytest.raises(AssertionError):
+            c.gram
 
 
 class TestEmbedding:

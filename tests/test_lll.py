@@ -119,8 +119,10 @@ def assert_reduced(basis: LatticeBasis, delta: F):
 
 class TestParams:
     def test_quarter_warns(self):
-        with pytest.warns(UserWarning):
+        # the warning names the caller's line, not dataclass-generated code
+        with pytest.warns(UserWarning, match="delta = 1/4") as record:
             LLLParams(F(1, 4))
+        assert [w.filename for w in record] == [__file__]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
