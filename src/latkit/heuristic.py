@@ -12,7 +12,10 @@ integer-scaled Gram matrix of (b_1..b_n, v), and all of them share one
 positive denominator per coordinate. They are read off the adjugate of
 that Gram matrix. One fraction-free elimination builds the adjugate; a
 committed shift is a unimodular change of basis, under which the adjugate
-is updated exactly in O(n) operations.
+is updated exactly in O(n) operations and det G does not change. The
+adjugate and det G are the whole state: no Gram matrix or row is kept, and
+a pass hands back only the shift vector x, from which the caller forms
+B(x) = {b_i + x_i v}.
 """
 
 from __future__ import annotations
@@ -46,23 +49,26 @@ class HeuristicOutcome:
 
 
 class _GramState:
-    """Integer rows b_0..b_{n-1}, the fixed vector v = rows[n], and the
-    adjugate of their bordered Gram matrix.
+    """adj(G) and det G, for G the Gram matrix of rows (b_0..b_{n-1}, v).
 
-    gram is the Gram matrix of all rows; its leading (n+1)x(n+1) block is
-    the bordered Gram matrix. Rows past index n are never shifted, but
-    committed shifts keep all of gram current, as well as the adjugate.
-    Integer rows come from scaling by a positive constant, under which
-    every shift choice is invariant.
+    Every shift choice reads only adj(G), and det G is fixed: a committed
+    shift is a unimodular change of basis. Integer rows come from scaling
+    by a positive constant, under which every shift choice is invariant.
     """
 
-    def __init__(
-        self, rows: list[list[int]], n: int, gram: list[list[int]], adj: list[list[int]]
-    ):
-        self.rows = rows
-        self.n = n
-        self.gram = gram
+    def __init__(self, adj: list[list[int]], det: int, n: int):
         self._adj = adj
+        self.det = det
+        self.n = n
+
+    @classmethod
+    def of_rows(cls, rows: list[list[int]]) -> "_GramState":
+        """One elimination gives adj(G); det G is row v of G times column v
+        of adj(G), which is symmetric."""
+        gram = integer_gram(rows)
+        adj = adjugate_spd(gram)
+        f = len(rows) - 1
+        return cls(adj, sum(map(mul, gram[f], adj[f])), f)
 
     def moments(self, i: int) -> tuple[int, int, int]:
         """Numerators of (|v''|^2, v''.b_i'', |b_i''|^2) over one positive
@@ -80,25 +86,12 @@ class _GramState:
         a*(column i) to column v.
         """
         f = self.n
-        rows = self.rows
-        rows[i] = [x - a * y for x, y in zip(rows[i], rows[f])]
-        g = self.gram
-        gi, gf = g[i], g[f]
-        for k in range(len(gi)):
-            gi[k] -= a * gf[k]
-        for row in g:
-            row[i] -= a * row[f]
         adj = self._adj
         ai, af = adj[i], adj[f]
         for k in range(len(af)):
             af[k] += a * ai[k]
         for row in adj:
             row[f] += a * row[i]
-
-    def _det(self) -> int:
-        """det(G): row v of G times column v of adj(G), which is symmetric."""
-        f = self.n
-        return sum(map(mul, self.gram[f][: f + 1], self._adj[f]))
 
     def dist_sq(self, scale: int) -> Fraction:
         """dist^2(v, span(b_0..b_{n-1})) for rows scaled by scale.
@@ -107,30 +100,30 @@ class _GramState:
         entry of adj(G).
         """
         f = self.n
-        return Fraction(self._det(), self._adj[f][f] * scale * scale)
+        return Fraction(self.det, self._adj[f][f] * scale * scale)
 
-    def leading_adjugate(self) -> list[list[int]]:
-        """adj(G_B), G_B being G without the row and column of v.
+    def leading(self) -> "_GramState":
+        """State of (b_0..b_{n-2}, b_{n-1}): G_B is G without the row and
+        column of v, and det(G_B) = adj[v][v].
 
         By Jacobi's identity on the 2x2 minors of adj(G),
         adj(G_B)[j][k] = (adj[j][k] adj[v][v] - adj[j][v] adj[v][k]) / det(G),
         an exact division: O(n^2) instead of a new elimination.
         """
         f = self.n
-        adj = self._adj
+        adj, det = self._adj, self.det
         af = adj[f]
         aff = af[f]
-        det = self._det()
-        return [
+        lead = [
             [(aj[k] * aff - aj[f] * af[k]) // det for k in range(f)] for aj in adj[:f]
         ]
+        return _GramState(lead, aff, f - 1)
 
 
 def _state(inst: MDSPInstance) -> tuple[_GramState, int]:
     """Gram state of an instance, with the scale of its integer rows."""
     rows, scale = integer_rows(inst.rest.vectors + (inst.fixed,))
-    gram = integer_gram(rows)
-    return _GramState(rows, inst.n, gram, adjugate_spd(gram)), scale
+    return _GramState.of_rows(rows), scale
 
 
 def _choose_shift(s: int, w: int, t: int) -> int:
@@ -167,62 +160,61 @@ def improve_coordinate(inst: MDSPInstance, i: int) -> tuple[int, QVector]:
     return a, inst.rest.vectors[i] - inst.fixed.scaled(a)
 
 
-def _pass_over(state: _GramState) -> tuple[bool, list[int]]:
-    deltas = [0] * state.n
+def _pass_over(state: _GramState, x: list[int]) -> bool:
+    """One in-order pass committing each coordinate's best shift.
+
+    b_i := b_i - a v is recorded as x_i -= a, so B(x) = {b_i + x_i v}, over
+    the basis the state started from, is the basis the passes so far have
+    reached. Returns whether any shift was nonzero.
+    """
     changed = False
     for i in range(state.n):
-        s, w, t = state.moments(i)
-        a = _choose_shift(s, w, t)
+        a = _choose_shift(*state.moments(i))
         if a != 0:
             state.apply_shift(i, a)
-            deltas[i] = -a
+            x[i] -= a
             changed = True
-    return changed, deltas
+    return changed
 
 
 def improve_pass(inst: MDSPInstance) -> tuple[MDSPInstance, bool]:
     """One in-order sweep over all coordinates, committing each improvement."""
     state, _ = _state(inst)
-    changed, deltas = _pass_over(state)
-    if not changed:
+    x = [0] * inst.n
+    if not _pass_over(state, x):
         return inst, False
-    return MDSPInstance(inst.fixed, apply_shift(inst, deltas), validate=False), True
+    return MDSPInstance(inst.fixed, apply_shift(inst, x), validate=False), True
 
 
 def run_heuristic(inst: MDSPInstance, cfg: HeuristicConfig = HeuristicConfig()) -> HeuristicOutcome:
     """Sweep until a pass makes no update or cfg.max_passes is reached."""
     state, scale = _state(inst)
-    x_total = [0] * inst.n
+    x = [0] * inst.n
     converged = False
-    passes = 0
-    for _ in range(cfg.max_passes):
-        passes += 1
-        changed, deltas = _pass_over(state)
-        for i, d in enumerate(deltas):
-            x_total[i] += d
-        if not changed:
+    for passes in range(1, cfg.max_passes + 1):
+        if not _pass_over(state, x):
             converged = True
             break
-    return HeuristicOutcome(tuple(x_total), state.dist_sq(scale), converged, passes)
+    return HeuristicOutcome(tuple(x), state.dist_sq(scale), converged, passes)
 
 
-def _sweep_prefixes(rows: list[list[int]], passes: int) -> list[list[int]]:
+def _sweep_prefixes(rows: list[list[int]], passes: int) -> None:
     """Heuristic sweep over the prefixes of integer rows, in place.
 
     For i = n-1 down to 1, b_i is the fixed vector over b_0..b_{i-1}, with
-    up to `passes` passes, and the improved prefix is used at once. The
-    bordered Gram matrix of prefix i is the leading (i+1)x(i+1) block of
-    the Gram matrix of all rows, which committed shifts keep current; it
-    is returned. One elimination gives the adjugate for i = n-1, and each
-    later prefix takes its adjugate from the one before.
+    up to `passes` passes. The prefix's shift vector x is then applied to
+    rows[:i] once, b_j := b_j + x_j b_i, before the next prefix. One
+    elimination gives the state for i = n-1, and each later prefix takes
+    its state from the one before, so the passes never read the rows.
     """
-    gram = integer_gram(rows)
-    adj = adjugate_spd(gram)
+    state = _GramState.of_rows(rows)
     for i in range(len(rows) - 1, 0, -1):
-        state = _GramState(rows, i, gram, adj)
+        x = [0] * i
         for _ in range(passes):
-            changed, _ = _pass_over(state)
-            if not changed:
+            if not _pass_over(state, x):
                 break
-        adj = state.leading_adjugate()
-    return gram
+        v = rows[i]
+        for j, xj in enumerate(x):
+            if xj:
+                rows[j] = [b + xj * c for b, c in zip(rows[j], v)]
+        state = state.leading()

@@ -145,6 +145,7 @@ class DMDSPQuery:
     gamma_sq: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma_sq", rational(self.gamma_sq))
         if not (0 < self.gamma_sq <= 1):
             raise ValueError("gamma_sq must lie in (0, 1]")
 

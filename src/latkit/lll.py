@@ -77,6 +77,8 @@ class AccelConfig:
             raise ValueError("target_norm_sq must be positive")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
+        if self.heuristic_passes < 1:
+            raise ValueError("heuristic_passes must be at least 1")
 
 
 def _lll_rows(b: list[list[int]], p: int, q: int, trace: ReductionTrace) -> None:
@@ -192,12 +194,13 @@ def accelerated_reduce(
 
     Each round first reduces, then for i = n-1 down to 1 treats b_i as the
     fixed vector over the prefix b_0..b_{i-1}, runs the greedy improvement,
-    and copies the improved prefix back immediately. Stops once a basis
-    vector has squared norm at most the target, when rounds are exhausted,
-    or when a full round leaves the basis unchanged (a fixed point, so no
-    further round could make progress); the two latter cases are flagged
-    with reached_target = False. The rounds work on integer rows scaled by
-    the lcm of the basis denominators.
+    and applies its shift vector to the prefix before the next i. The same
+    row-norm test, after LLL and again after the sweep, stops the run once
+    a basis vector has squared norm at most the target. It also stops when
+    rounds are exhausted, or when a full round leaves the basis unchanged
+    (a fixed point, so no further round could make progress); the two
+    latter cases are flagged with reached_target = False. The rounds work
+    on integer rows scaled by the lcm of the basis denominators.
     """
     t_start = time.perf_counter()
     trace = ReductionTrace(reached_target=False)
@@ -216,9 +219,9 @@ def accelerated_reduce(
             trace.reached_target = True
             break
         t0 = time.perf_counter()
-        gram = _sweep_prefixes(rows, cfg.heuristic_passes)
+        _sweep_prefixes(rows, cfg.heuristic_passes)
         trace.heuristic_time += time.perf_counter() - t0
-        if min(g[i] for i, g in enumerate(gram)) * target_den <= target_num:
+        if _min_norm_sq(rows) * target_den <= target_num:
             trace.reached_target = True
             break
         snapshot = tuple(map(tuple, rows))

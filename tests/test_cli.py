@@ -84,8 +84,9 @@ class TestGenerate:
 class TestBench:
     def test_small_run_reproducible(self):
         kwargs = dict(entry_bound=5, max_rounds=50)
-        r1 = bench_compare([3, 4], 2, F(1, 4), F(99, 100), seed=9, **kwargs)
-        r2 = bench_compare([3, 4], 2, F(1, 4), F(99, 100), seed=9, **kwargs)
+        with pytest.warns(UserWarning, match="delta = 1/4"):
+            r1 = bench_compare([3, 4], 2, F(1, 4), F(99, 100), seed=9, **kwargs)
+            r2 = bench_compare([3, 4], 2, F(1, 4), F(99, 100), seed=9, **kwargs)
         assert len(r1.instances) + len(r1.exhausted) == 4
         for a, b in zip(r1.instances, r2.instances):
             assert a.dim == b.dim and a.index == b.index
@@ -95,7 +96,8 @@ class TestBench:
             assert inst.achieved_norm_sq <= inst.target_norm_sq
 
     def test_json_schema(self):
-        r = bench_compare([3], 2, F(1, 4), F(99, 100), seed=5, entry_bound=5)
+        with pytest.warns(UserWarning, match="delta = 1/4"):
+            r = bench_compare([3], 2, F(1, 4), F(99, 100), seed=5, entry_bound=5)
         payload = report_to_json(r)
         assert set(payload) >= {"rows", "seed", "count"}
         for row in payload["rows"]:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from latkit.errors import IndexOutOfRange
+from latkit.errors import DependentInput, IndexOutOfRange
 from latkit.heuristic import (
     HeuristicConfig,
     improve_coordinate,
@@ -15,7 +15,7 @@ from latkit.lll import det_identity_check
 from latkit.exact import solve_exact
 from latkit.qlinalg import QMatrix, QVector, dist_sq_to_span, rel_volume_sq
 from latkit.lattice import same_lattice
-from oracles import random_mdsp_vectors
+from oracles import naive_dist_sq, random_mdsp_vectors, vscale, vsub
 
 
 def make_instance(v, basis):
@@ -102,6 +102,61 @@ class TestImprovePass:
             updated, _ = improve_pass(inst)
             after = dist_sq_to_span(updated.fixed, updated.rest.vectors)
             assert after >= before
+
+
+def rational_instances(seed, count):
+    """Seeded instances with n = 2..6, entries p/q for q <= 7, and at least
+    one denominator above 1, so the integer rows are scaled."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.randint(3, 7)
+        rows = [
+            [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim)]
+            for _ in range(dim)
+        ]
+        if all(e.denominator == 1 for r in rows for e in r):
+            continue
+        try:
+            out.append(MDSPInstance.from_vectors(rows[0], rows[1:]))
+        except DependentInput:
+            continue
+    return out
+
+
+class TestRationalInstances:
+    def test_dist_sq_matches_gram_schmidt_oracle(self):
+        for inst in rational_instances(107, 30):
+            out = run_heuristic(inst)
+            v = inst.fixed.entries
+            # B(x) = {b_i + x_i v}, formed in oracle arithmetic
+            shifted = [
+                vsub(b.entries, vscale(v, -xi))
+                for b, xi in zip(inst.rest.vectors, out.x_total)
+            ]
+            assert out.dist_sq == naive_dist_sq(v, shifted)
+
+    def test_improve_pass_reproduces_run_heuristic(self):
+        cfg = HeuristicConfig()
+        for inst in rational_instances(109, 30):
+            out = run_heuristic(inst, cfg)
+            current, passes, converged = inst, 0, False
+            while passes < cfg.max_passes:
+                passes += 1
+                current, changed = improve_pass(current)
+                if not changed:
+                    converged = True
+                    break
+            # b_i' = b_i + x_i v: read x_i off a nonzero coordinate of v
+            v = inst.fixed.entries
+            k = next(j for j, e in enumerate(v) if e != 0)
+            x = tuple(
+                (after.entries[k] - before.entries[k]) / v[k]
+                for before, after in zip(inst.rest.vectors, current.rest.vectors)
+            )
+            assert x == out.x_total
+            assert passes == out.passes_used
+            assert converged == out.converged
 
 
 class TestRunHeuristic:

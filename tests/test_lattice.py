@@ -211,8 +211,19 @@ class TestCertificates:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             DMDSPQuery(E1, F(0))
-        with pytest.raises(ValueError):
-            DMDSPQuery(E1, F(3, 2))
+        for bad in (F(3, 2), "3/2", "x"):
+            with pytest.raises(ValueError):
+                DMDSPQuery(E1, bad)
+
+    def test_gamma_sq_spellings(self):
+        # "1/2", 0.5 and 1 are coerced to the equal Fraction
+        for spelled, exact in (("1/2", F(1, 2)), (0.5, F(1, 2)), (1, F(1))):
+            q, ref = DMDSPQuery(E1, spelled), DMDSPQuery(E1, exact)
+            assert q == ref and type(q.gamma_sq) is F
+            for x in range(-3, 4):
+                assert verify_dmdsp_certificate(q, (x,)) == verify_dmdsp_certificate(
+                    ref, (x,)
+                )
         assert DMDSPQuery.from_gamma(E1, F(1, 3)).gamma_sq == F(1, 9)
 
 

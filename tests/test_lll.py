@@ -269,6 +269,9 @@ class TestAccelerated:
             AccelConfig(LLLParams(F(3, 4)), F(0))
         with pytest.raises(ValueError):
             AccelConfig(LLLParams(F(3, 4)), F(1), max_rounds=0)
+        for passes in (0, -1):
+            with pytest.raises(ValueError):
+                AccelConfig(LLLParams(F(3, 4)), F(1), heuristic_passes=passes)
 
 
 def reference_accelerated(basis, cfg):
