@@ -12,7 +12,6 @@ from .errors import (
     DegenerateFixedVector,
     DegenerateResidual,
     DependentInput,
-    DimensionCapExceeded,
     IndexOutOfRange,
     LatkitError,
     LengthMismatch,

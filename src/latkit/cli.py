@@ -99,7 +99,7 @@ def _load_cvp(path: str) -> CVPGramInstance:
             offset=QVector([Fraction(e) for e in d["offset"]]),
             scale_sq=Fraction(d["scale_sq"]),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, LatkitError) as exc:
         raise LatkitError(f"{path}: not a CVP instance ({exc})") from None
 
 

@@ -32,12 +32,12 @@ from typing import Sequence
 from .errors import (
     DegenerateResidual,
     DependentInput,
-    DimensionCapExceeded,
+    LengthMismatch,
     NonSquare,
     NotSPD,
     SingularMatrix,
 )
-from .lattice import LatticeBasis, MDSPInstance
+from .lattice import LatticeBasis, MDSPInstance, _integral_shift
 from .qlinalg import (
     QMatrix,
     QVector,
@@ -49,8 +49,6 @@ from .qlinalg import (
     ldl_decompose,
     sqrt_dyadic,
 )
-
-_DIM_CAP = 6  # largest dimension solve_cvp_bruteforce accepts
 
 # A primal Gram matrix P as _eliminate leaves it: (P, d, weight, W), with
 # d[k] = D_{k-1} the leading minors of P (D_-1 = 1), weight[p] =
@@ -68,12 +66,22 @@ class CVPGramInstance:
     An instance returned by mdsp_to_cvp carries its eliminated primal Gram
     matrix, which is not a field, and builds gram and offset on first
     access; equality, hashing, repr, copies and pickles see the same
-    fields as on an instance built from them.
+    fields as on an instance built from them. A hand-built form raises
+    NonSquare unless gram is square and LengthMismatch unless offset has
+    its order.
     """
 
     gram: QMatrix
     offset: QVector
     scale_sq: Fraction
+
+    def __post_init__(self):
+        if not self.gram.is_square:
+            raise NonSquare("the form needs a square matrix")
+        if self.offset.dim != self.gram.rows:
+            raise LengthMismatch(
+                f"offset has length {self.offset.dim}, expected {self.gram.rows}"
+            )
 
     def __getattr__(self, name: str):
         # reached only for an attribute missing from the instance
@@ -95,13 +103,15 @@ class CVPGramInstance:
 
         Evaluated in integers: on mdsp_to_cvp's instance by _value on the
         stored P, otherwise on the form of _scaled_form as
-        u^T M u / (den step^2) with u = step j + w.
+        u^T M u / (den step^2) with u = step j + w. Raises LengthMismatch
+        unless j has n coordinates and ValueError unless they are integers.
         """
+        x = _integral_shift(self.n, j)
         primal = self.__dict__.get("_primal")
         if primal is not None:
-            return _objective(primal, *_value(primal[0], [int(ji) for ji in j]))
+            return _objective(primal, *_value(primal[0], x))
         m, w, step, den = _scaled_form(self)
-        u = [step * int(ji) + wk for ji, wk in zip(j, w)]
+        u = [step * ji + wk for ji, wk in zip(x, w)]
         return Fraction(_quad(m, u), den * step * step)
 
 
@@ -147,7 +157,7 @@ def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
     """Forward reduction: decompose against v and invert the residual Gram.
 
     The rows (B, v) are scaled to integers by s once, and the Gram matrix
-    P of (v, b_{n-1}, ..., b_0) is eliminated once (_eliminate). The
+    P of (v, b_{n-1}, ..., b_0) is eliminated once (_primal). The
     instance stores that P, which enumerate_cvp, objective and
     recover_mdsp_distance_sq read, and the scaled rows; scale_sq is
     P[0][0] / s^2 = |v|^2. gram and offset are built on first access
@@ -156,12 +166,10 @@ def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
     """
     if inst.fixed.is_zero():
         raise DependentInput("fixed vector is zero")
-    rows, scale = integer_rows([*inst.rest.vectors, inst.fixed])
-    p = integer_gram(rows[::-1])
-    eliminated = _eliminate(p)
+    rows, scale, eliminated = _primal(inst)
     scale_sq = scale * scale
     c = object.__new__(CVPGramInstance)
-    object.__setattr__(c, "scale_sq", Fraction(p[0][0], scale_sq))
+    object.__setattr__(c, "scale_sq", Fraction(eliminated[0][0][0], scale_sq))
     object.__setattr__(c, "_primal", (eliminated, scale_sq, 1))
     object.__setattr__(c, "_rows", rows)
     return c
@@ -177,8 +185,7 @@ def _public_fields(rows: list[list[int]], scale_sq: int) -> tuple[QMatrix, QVect
     """
     n = len(rows) - 1
     g = integer_gram(rows)
-    adj = adjugate_spd(g)
-    det = sum(map(mul, g[n], adj[n]))  # Laplace expansion along row n
+    adj, det = adjugate_spd(g)
     gram = QMatrix([[Fraction(a * scale_sq, det) for a in row[:n]] for row in adj[:n]])
     return gram, QVector([Fraction(row[n], g[n][n]) for row in g[:n]])
 
@@ -213,29 +220,22 @@ def recover_mdsp_distance_sq(c: CVPGramInstance, j: Sequence[int]) -> Fraction:
     return c.scale_sq / (1 + c.scale_sq * c.objective(j))
 
 
-def solve_cvp_bruteforce(c: CVPGramInstance) -> CVPSolution:
-    """Exact minimizer of the form over all integer vectors, for n <= _DIM_CAP.
-
-    The enumeration is enumerate_cvp; ties go to the lexicographically
-    smallest vector.
-    """
-    if c.n > _DIM_CAP:
-        raise DimensionCapExceeded(f"dimension {c.n} above cap {_DIM_CAP}")
-    return enumerate_cvp(c)
-
-
 def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
-    """Lexicographically smallest minimizer of the form, in integers.
+    """Lexicographically smallest minimizer of the form over all integer
+    vectors, in integers and in any dimension.
 
     Runs _search on the eliminated primal Gram matrix P of _primal_of.
     The form is the CVP side of the MDSP instance with Gram matrix P,
     whose squared distance is 1 / (z^T P^-1 z) on P's own scale, so the
-    objective is that of _objective. Raises NonSquare unless the form is
-    square and NotSPD unless it is symmetric positive definite.
+    objective is that of _objective. Raises NotSPD unless the form is
+    symmetric positive definite.
     """
     primal = _primal_of(c)
     j, t, big_w = _search(primal[0])
     return CVPSolution(j, _objective(primal, t, big_w))
+
+
+solve_cvp_bruteforce = enumerate_cvp  # the name the CLI and latbench call
 
 
 def _objective(primal: _Primal, t: int, big_w: int) -> Fraction:
@@ -255,8 +255,6 @@ def _primal_of(c: CVPGramInstance) -> _Primal:
     primal = c.__dict__.get("_primal")
     if primal is not None:
         return primal
-    if not c.gram.is_square:
-        raise NonSquare("the form needs a square matrix")
     g, f_num, f_den = _bordered(c)
     return _eliminate([row[::-1] for row in reversed(g)]), f_num, f_den
 
@@ -277,17 +275,16 @@ def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
     its offset is w / step, so f = det(M) step / (den k). This bordering
     is the price of one enumerator for both kinds of instance. Raises
     NotSPD unless M is symmetric positive definite: adjugate_spd checks
-    every leading minor but the last, det(M).
+    every leading minor but the last, det(M), which it returns.
     """
     m, w, step, den = _scaled_form(c)
     n = c.n
     if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise NotSPD("matrix is not symmetric")
     try:
-        adj = adjugate_spd(m)
+        adj, det = adjugate_spd(m)
     except DegenerateResidual:
         raise NotSPD("matrix is not positive definite") from None
-    det = sum(map(mul, m[0], adj[0]))  # Laplace expansion along row 0
     if det <= 0:
         raise NotSPD("matrix is not positive definite")
     content = gcd(*(a for row in adj for a in row))
@@ -295,6 +292,14 @@ def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
          for row, wi in zip(adj, w)]
     g.append([step * wj for wj in w] + [step * step])
     return g, det * step, den * content
+
+
+def _primal(inst: MDSPInstance) -> tuple[list[list[int]], int, _Eliminated]:
+    """(rows, s, P): the rows (B, v) scaled to integers by s once, and the
+    Gram matrix P of (v, b_{n-1}, ..., b_0) as _eliminate leaves it. A
+    dependent [B; v] raises SingularMatrix."""
+    rows, scale = integer_rows([*inst.rest.vectors, inst.fixed])
+    return rows, scale, _eliminate(integer_gram(rows[::-1]))
 
 
 def _eliminate(p: list[list[int]]) -> _Eliminated:

@@ -37,10 +37,6 @@ class DegenerateResidual(LatkitError):
     """A residual that must be nonzero vanished (dependent input)."""
 
 
-class DimensionCapExceeded(LatkitError):
-    """An enumeration was requested above its configured dimension cap."""
-
-
 class ParseError(LatkitError):
     """Malformed input text; carries 1-based line and column."""
 

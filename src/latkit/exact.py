@@ -21,15 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cvp import _eliminate, _search
+from .cvp import _primal, _search
 from .errors import DegenerateFixedVector
 from .lattice import LatticeBasis, MDSPInstance, apply_shift
 from .qlinalg import (
     ceil_plus_sqrt,
     dist_sq_to_span,
     floor_minus_sqrt,
-    integer_gram,
-    integer_rows,
     rational_vectors,
 )
 
@@ -103,20 +101,20 @@ def shift_dist_sq(inst: MDSPInstance, x: Sequence[int]) -> Fraction:
 def solve_exact(inst: MDSPInstance) -> MDSPSolution:
     """The maximizing shift, through the CVP route, in integers.
 
-    The rows (B, v) are scaled to integers by s once. The elimination and
-    the search of enumerate_cvp (no dimension cap) run on the integer Gram
-    matrix P of (v, b_{n-1}, ..., b_0), and the search returns the
-    maximizer x, ties going to the lexicographically smallest, with
-    z^T P^-1 z = T / W at z = (1, -x_{n-1}, ..., -x_0); so
-    d^2 = W / (s^2 T). B(x) is rows_i + x_i v on the scaled rows, divided
-    by s once. If v is
+    cvp._primal, which mdsp_to_cvp shares, scales the rows (B, v) to
+    integers by s once and eliminates the integer Gram matrix P of
+    (v, b_{n-1}, ..., b_0) once. The search of enumerate_cvp (no dimension
+    cap) runs on P and returns the maximizer x, ties going to the
+    lexicographically smallest, with z^T P^-1 z = T / W at
+    z = (1, -x_{n-1}, ..., -x_0); so d^2 = W / (s^2 T). B(x) is
+    rows_i + x_i v on the scaled rows, divided by s once. If v is
     orthogonal to span(B), the unique maximizer is x = 0. A zero v raises
     DegenerateFixedVector and a dependent [B; v] SingularMatrix.
     """
     if inst.fixed.is_zero():
         raise DegenerateFixedVector("fixed vector is zero")
-    rows, scale = integer_rows([*inst.rest.vectors, inst.fixed])
-    x, t, big_w = _search(_eliminate(integer_gram(rows[::-1])))  # raises SingularMatrix
+    rows, scale, eliminated = _primal(inst)  # raises SingularMatrix
+    x, t, big_w = _search(eliminated)
     *rest, v = rows
     shifted = [[b + xi * e for b, e in zip(row, v)] for row, xi in zip(rest, x)]
     basis = LatticeBasis(rational_vectors(shifted, scale), validate=False)

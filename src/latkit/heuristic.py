@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import DegenerateResidual, IndexOutOfRange
 from .lattice import MDSPInstance, apply_shift
@@ -63,12 +62,8 @@ class _GramState:
 
     @classmethod
     def of_rows(cls, rows: list[list[int]]) -> "_GramState":
-        """One elimination gives adj(G); det G is row v of G times column v
-        of adj(G), which is symmetric."""
-        gram = integer_gram(rows)
-        adj = adjugate_spd(gram)
-        f = len(rows) - 1
-        return cls(adj, sum(map(mul, gram[f], adj[f])), f)
+        """One elimination gives adj(G) and det G, its last pivot."""
+        return cls(*adjugate_spd(integer_gram(rows)), len(rows) - 1)
 
     def moments(self, i: int) -> tuple[int, int, int]:
         """Numerators of (|v''|^2, v''.b_i'', |b_i''|^2) over one positive

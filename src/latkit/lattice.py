@@ -178,14 +178,14 @@ class CertificateBounds:
     input_bit_size_l: int
 
 
-def _integral_shift(inst: MDSPInstance, x: Sequence[int]) -> list[int]:
+def _integral_shift(n: int, x: Sequence[int]) -> list[int]:
     """The coordinates of a shift vector as ints.
 
-    Raises LengthMismatch unless x has inst.n coordinates, and ValueError
-    if some coordinate is not an integer.
+    Raises LengthMismatch unless x has n coordinates, and ValueError if
+    some coordinate is not an integer.
     """
-    if len(x) != inst.n:
-        raise LengthMismatch(f"shift vector has length {len(x)}, expected {inst.n}")
+    if len(x) != n:
+        raise LengthMismatch(f"shift vector has length {len(x)}, expected {n}")
     xs = [xi if isinstance(xi, int) else rational(xi) for xi in x]
     if any(xi.denominator != 1 for xi in xs):
         raise ValueError(f"shift vector {tuple(map(str, xs))} is not integral")
@@ -197,7 +197,7 @@ def apply_shift(inst: MDSPInstance, x: Sequence[int]) -> LatticeBasis:
 
     Raises ValueError if some x_i is not an integer.
     """
-    xs = _integral_shift(inst, x)
+    xs = _integral_shift(inst.n, x)
     v = inst.fixed
     shifted = [b + v.scaled(xi) for b, xi in zip(inst.rest.vectors, xs)]
     return LatticeBasis(shifted, validate=False)
@@ -239,7 +239,7 @@ def verify_dmdsp_certificate(q: DMDSPQuery, x: Sequence[int]) -> bool:
     """
     inst = q.instance
     try:
-        xs = _integral_shift(inst, x)
+        xs = _integral_shift(inst.n, x)
     except ValueError:  # a non-integral x is no certificate
         return False
     rows, _ = integer_rows([*inst.rest.vectors, inst.fixed])

@@ -315,8 +315,8 @@ def integer_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return g
 
 
-def adjugate_spd(a: list[list[int]]) -> list[list[int]]:
-    """Adjugate of a symmetric positive definite integer matrix G.
+def adjugate_spd(a: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(adj(G), det G) for a symmetric positive definite integer matrix G.
 
     One-step fraction-free Gauss-Jordan on [G | I], keeping only the
     blocks that carry information. After k steps, with d_k the k-th leading
@@ -334,12 +334,12 @@ def adjugate_spd(a: list[list[int]]) -> list[list[int]]:
         A gains the row (-c, prev) and X the row S_0[1:]
         S <- its Bareiss update (_bareiss_step)
 
-    Every division is exact, and at k = n, A = adj(G). A is kept as its
-    lower triangle. No pivoting is needed because all leading principal
-    minors are positive; a pivot <= 0 before the last step means the
-    matrix came from a dependent family and raises DegenerateResidual. A
-    zero last pivot (det G = 0, a degenerate instance the caller reports)
-    still gives the adjugate.
+    Every division is exact, and at k = n, A = adj(G) and the last pivot
+    is d_n = det G. A is kept as its lower triangle. No pivoting is needed
+    because all leading principal minors are positive; a pivot <= 0 before
+    the last step means the matrix came from a dependent family and raises
+    DegenerateResidual. The last pivot is returned unchecked: det G <= 0, a
+    degenerate instance the caller reports, still gives the adjugate.
     """
     n = len(a)
     s = [row[:] for row in a]
@@ -363,9 +363,8 @@ def adjugate_spd(a: list[list[int]]) -> list[list[int]]:
         lower.append([-ci for ci in c] + [prev])
         _bareiss_step(s, k, prev)
         prev = p
-    return [
-        [lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)
-    ]
+    adj = [[lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)]
+    return adj, prev
 
 
 def _bareiss_step(g: list[list[int]], k: int, prev: int) -> None:
@@ -456,10 +455,9 @@ def inverse(m: QMatrix) -> QMatrix:
     a, scale = integer_rows(m.row_vectors())
     g = integer_gram(list(zip(*a)))
     try:
-        adj = adjugate_spd(g)
+        adj, det = adjugate_spd(g)
     except DegenerateResidual:
         raise SingularMatrix("matrix is singular") from None
-    det = sum(map(mul, g[0], adj[0]))  # Laplace expansion along row 0
     if det == 0:
         raise SingularMatrix("matrix is singular")
     return QMatrix([[Fraction(scale * sum(map(mul, r, aj)), det) for aj in a] for r in adj])

@@ -92,7 +92,7 @@ def reduce_records(seed):
         low_p = lk.LLLParams(Fraction(1, 4))
     for x in inputs.reduce_inputs(seed, ROUNDS["reduce"]):
         basis = lk.LatticeBasis([lk.QVector(r) for r in x.rows], validate=False)
-        yield adjugate_spd(integer_gram(x.rows))
+        yield adjugate_spd(integer_gram(x.rows))[0]
         high, tr = lk.lll_reduce(basis, high_p)
         vec, target = lk.shortest_basis_vector(high)
         yield rows_of(high), counts(tr), list(vec.entries), target
@@ -242,7 +242,7 @@ def ties_records(seed):
 def certify_records(seed):
     for x in inputs.certify_inputs(seed, ROUNDS["certify"]):
         inst = instance(x.rows)
-        yield adjugate_spd(integer_gram([*x.rows[1:], x.rows[0]]))
+        yield adjugate_spd(integer_gram([*x.rows[1:], x.rows[0]]))[0]
         out = lk.run_heuristic(inst)
         gamma_sq = out.dist_sq / inst.fixed.norm_sq()
         verdicts = [lk.verify_dmdsp_certificate(lk.DMDSPQuery(inst, g), out.x_total)

@@ -244,9 +244,11 @@ class TestCLI:
             (["gen", "--dims", "1"], None),
             (["cvp-brute"], "{bad"),
             (["cvp-brute"], '{"gram": [["1/0"]], "offset": ["0"], "scale_sq": "1"}'),
+            (["cvp-brute"],
+             '{"gram": [[2, 1], [1, 1]], "offset": ["1/3", "1/3", "1/2"], "scale_sq": 1}'),
         ],
         ids=["gamma-sq", "delta", "max-passes", "max-rounds", "bench-dims",
-             "gen-dims", "cvp-json", "cvp-zero-denominator"],
+             "gen-dims", "cvp-json", "cvp-zero-denominator", "cvp-offset-length"],
     )
     def test_input_error_exits_2(self, tmp_path, capsys, argv, text):
         # out-of-range parameters and malformed files are input errors

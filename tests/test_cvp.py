@@ -8,7 +8,13 @@ from math import floor
 import pytest
 
 from latkit import cvp
-from latkit.errors import DependentInput, DimensionCapExceeded, NotSPD, SingularMatrix
+from latkit.errors import (
+    DependentInput,
+    LengthMismatch,
+    NonSquare,
+    NotSPD,
+    SingularMatrix,
+)
 from latkit.cvp import (
     CVPGramInstance,
     _quad,
@@ -144,20 +150,22 @@ class TestBruteforce:
         assert sol.j == (0, -1)
         assert sol.objective == F(2, 9)
 
-    def test_dimension_cap(self):
-        # the cap is 6: n = 7 is refused, and a hand-built n = 6 form gets
-        # enumerate_cvp's answer
-        c = CVPGramInstance(
-            QMatrix.identity(7), QVector([0] * 7), F(1)
-        )
-        with pytest.raises(DimensionCapExceeded):
-            solve_cvp_bruteforce(c)
-        rng = random.Random(617)
-        b = QMatrix([[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)])
-        assert determinant(b) != 0
-        offset = QVector([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)])
-        c = CVPGramInstance(b @ b.transpose(), offset, F(3, 2))
+    def test_no_dimension_cap(self):
+        # hand-built n = 7 and n = 8 forms are answered, as by enumerate_cvp
+        c = CVPGramInstance(QMatrix.identity(7), QVector([0] * 7), F(1))
         assert solve_cvp_bruteforce(c) == enumerate_cvp(c)
+        assert solve_cvp_bruteforce(c).j == (0,) * 7
+        rng = random.Random(617)
+        for n in (7, 8):
+            while True:
+                b = QMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+                if determinant(b) != 0:
+                    break
+            offset = QVector([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
+            c = CVPGramInstance(b @ b.transpose(), offset, F(3, 2))
+            sol = solve_cvp_bruteforce(c)
+            assert sol == enumerate_cvp(c)
+            assert len(sol.j) == n and sol.objective == c.objective(sol.j)
 
     def test_not_spd(self):
         grams = [
@@ -190,8 +198,8 @@ class TestBruteforce:
 
     def test_larger_forms_frozen(self):
         # hand-built forms A^T A at n = 7 (integral A) and n = 8 (rational
-        # A), above the dimension cap of solve_cvp_bruteforce; frozen from
-        # the enumeration on the LDL^T of M
+        # A), above the benchmark's n <= 6; frozen from the enumeration on
+        # the LDL^T of M
         rng = random.Random(251)
         want = {
             7: ((5, 0, 1, 2, 1, -3, 0), F(733, 225)),
@@ -289,6 +297,34 @@ class TestBruteforce:
             s2 = solve_cvp_bruteforce(c2)
             assert s1.j == s2.j
             assert s2.objective == kappa * s1.objective
+
+
+class TestValidation:
+    def test_malformed_form_raises(self):
+        # an offset of another order is refused at construction: unchecked,
+        # a 3-entry offset on this positive definite form gives a negative
+        # objective and a 1-entry offset a 1-entry j
+        gram = QMatrix([[2, 1], [1, 1]])
+        for offset in ([F(1, 3), F(1, 3), F(1, 2)], [F(1, 3)]):
+            with pytest.raises(LengthMismatch):
+                CVPGramInstance(gram, QVector(offset), F(1))
+        with pytest.raises(NonSquare):
+            CVPGramInstance(QMatrix([[2, 1, 0], [1, 1, 0]]), QVector([0, 0]), F(1))
+
+    def test_objective_checks_j(self):
+        hand = CVPGramInstance(QMatrix([[2, 1], [1, 1]]), QVector([F(1, 3)] * 2), F(1))
+        stored = mdsp_to_cvp(make_instance([1, 2, 0], [[3, 1, 1], [0, 1, 4]]))
+        for c in (hand, stored):
+            assert c.objective((F(2), -1)) == c.objective((2, -1))
+            for j in ((0,), (0, 0, 5), ()):
+                with pytest.raises(LengthMismatch):
+                    c.objective(j)
+                with pytest.raises(LengthMismatch):
+                    recover_mdsp_distance_sq(c, j)
+            with pytest.raises(ValueError):
+                c.objective((F(1, 2), 0))
+            with pytest.raises(ValueError):
+                recover_mdsp_distance_sq(c, (0, F(-1, 3)))
 
 
 class TestRecovery:

@@ -456,7 +456,9 @@ def _independent_rows(rng, n, draw):
 class TestAdjugate:
     def _check(self, g):
         before = [row[:] for row in g]
-        assert adjugate_spd(g) == _cofactor_adjugate(g)
+        adj, det = adjugate_spd(g)
+        assert adj == _cofactor_adjugate(g)
+        assert det == int_det(g)
         assert g == before  # the input is left as it was
 
     def test_small_integer_rows(self):
@@ -490,8 +492,8 @@ class TestAdjugate:
             self._check(_gram(rows))
 
     def test_worked_example(self):
-        assert adjugate_spd([[2, 1], [1, 3]]) == [[3, -1], [-1, 2]]
-        assert adjugate_spd([[5]]) == [[1]]
+        assert adjugate_spd([[2, 1], [1, 3]]) == ([[3, -1], [-1, 2]], 5)
+        assert adjugate_spd([[5]]) == ([[1]], 5)
 
     def test_zero_leading_minor_raises(self):
         with pytest.raises(DegenerateResidual):
@@ -511,7 +513,8 @@ class TestAdjugate:
             coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
             rows.append([sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n)])
             g = _gram(rows)
-            adj = adjugate_spd(g)
+            adj, det = adjugate_spd(g)
+            assert det == 0
             assert sum(x * y for x, y in zip(g[-1], adj[-1])) == 0
             assert adj == _cofactor_adjugate(g)
 
