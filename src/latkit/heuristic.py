@@ -10,22 +10,33 @@ optimum is not guaranteed in general.
 The residual quantities for every coordinate are ratios of minors of the
 integer-scaled Gram matrix of (b_1..b_n, v), and all of them share one
 positive denominator per coordinate. They are read off the adjugate of
-that Gram matrix. One fraction-free elimination builds the adjugate; a
-committed shift is a unimodular change of basis, under which the adjugate
-is updated exactly in O(n) operations and det G does not change. The
-adjugate and det G are the whole state: no Gram matrix or row is kept, and
-a pass hands back only the shift vector x, from which the caller forms
-B(x) = {b_i + x_i v}.
+that Gram matrix, but only three parts of it are read: its diagonal, its
+row v, and the row of each coordinate that gets shifted. One
+fraction-free elimination is recorded (or, in LLL's sweeps, taken from
+LLL's own d/lambda data), and those parts are built from the record,
+a row when first read. A committed shift is a unimodular change of
+basis: it changes only row v of the adjugate, in O(n) operations, and
+det G not at all. No Gram matrix or row is kept, and a pass hands back
+only the shift vector x, from which the caller forms B(x) = {b_i + x_i v}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .errors import DegenerateResidual, IndexOutOfRange
 from .lattice import MDSPInstance, apply_shift
-from .qlinalg import QVector, adjugate_spd, integer_gram, integer_rows
+from .qlinalg import (
+    QVector,
+    _adjugate_diagonal,
+    _adjugate_row,
+    _gauss_jordan,
+    _jordan_columns,
+    integer_gram,
+    integer_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -48,29 +59,76 @@ class HeuristicOutcome:
 
 
 class _GramState:
-    """adj(G) and det G, for G the Gram matrix of rows (b_0..b_{n-1}, v).
+    """The entries of adj(G) that the passes read, and det G, for G the
+    Gram matrix of rows (b_0..b_{n-1}, v).
 
-    Every shift choice reads only adj(G), and det G is fixed: a committed
-    shift is a unimodular change of basis. Integer rows come from scaling
-    by a positive constant, under which every shift choice is invariant.
+    Every shift choice reads only adj(G): its diagonal on B, its row v and
+    its B-block row i for a shifted coordinate i. det G is fixed, since a
+    committed shift is a unimodular change of basis, and so is the B block,
+    diagonal included, since a shift changes only row and column v. The
+    state holds the record of one elimination (qlinalg._gauss_jordan), the
+    diagonal and row v; a B-block row is built from the record when first
+    read, and the whole B block only by leading(). Integer rows come from
+    scaling by a positive constant, under which every shift choice is
+    invariant.
     """
 
-    def __init__(self, adj: list[list[int]], det: int, n: int):
-        self._adj = adj
+    def __init__(
+        self,
+        det: int,
+        diag: list[int],
+        row_v: list[int],
+        record: Optional[tuple[list[int], list[list[int]]]] = None,
+        lower: Optional[list[list[int]]] = None,
+    ):
         self.det = det
-        self.n = n
+        self.n = len(diag)
+        self._diag = diag
+        self._v = row_v  # adj[v][0..n], the one part a shift changes
+        self._record = record
+        self._lower = lower  # B block's lower triangle, when leading() built it
+        self._rows: list[Optional[list[int]]] = [None] * self.n
+
+    @classmethod
+    def of_record(cls, d: list[int], cols: list[list[int]]) -> "_GramState":
+        """State from the pivots d and columns cols of an elimination of G:
+        row v is the last step's (-c_n, d_n), det G its last pivot."""
+        n = len(cols) - 1
+        row_v = [-c for c in cols[n]]
+        row_v.append(d[n])
+        return cls(d[-1], _adjugate_diagonal(d, cols)[:n], row_v, record=(d, cols))
+
+    @classmethod
+    def of_lll(cls, d: list[int], lam: list[list[int]]) -> "_GramState":
+        """State of rows from their integral LLL data (lll._lll_rows), which
+        is the fraction-free elimination of their Gram matrix: only the
+        back-substitution runs, with no Gram matrix and no elimination."""
+        n = len(lam)
+        tails = [[lam[i][k] for i in range(k + 1, n)] for k in range(n)]
+        return cls.of_record(d, _jordan_columns(d, tails))
 
     @classmethod
     def of_rows(cls, rows: list[list[int]]) -> "_GramState":
-        """One elimination gives adj(G) and det G, its last pivot."""
-        return cls(*adjugate_spd(integer_gram(rows)), len(rows) - 1)
+        """State of the integer rows from one elimination of their Gram matrix."""
+        return cls.of_record(*_gauss_jordan(integer_gram(rows)))
+
+    def _row(self, i: int) -> list[int]:
+        """adj[i][0..n-1], built once."""
+        row = self._rows[i]
+        if row is None:
+            low = self._lower
+            if low is None:
+                row = _adjugate_row(*self._record, i)[: self.n]
+            else:
+                row = low[i] + [low[k][i] for k in range(i + 1, self.n)]
+            self._rows[i] = row
+        return row
 
     def moments(self, i: int) -> tuple[int, int, int]:
         """Numerators of (|v''|^2, v''.b_i'', |b_i''|^2) over one positive
         common denominator, for coordinate i."""
-        adj = self._adj
-        last = self.n
-        return adj[i][i], -adj[last][i], adj[last][last]
+        row_v = self._v
+        return self._diag[i], -row_v[i], row_v[self.n]
 
     def apply_shift(self, i: int, a: int) -> None:
         """Commit b_i := b_i - a v.
@@ -78,15 +136,14 @@ class _GramState:
         With rows as the rows of B, the shift is B := E B for
         E = I - a e_i e_v^T, so G := E G E^T, and det E = 1 gives
         adj(G) := E^-T adj(G) E^-1: add a*(row i) to row v, then
-        a*(column i) to column v.
+        a*(column i) to column v. Only row v changes (column v is its
+        transpose): adj[v][k] += a adj[i][k] off the corner, and
+        adj[v][v] += a (adj[v][i] before + adj[v][i] after).
         """
-        f = self.n
-        adj = self._adj
-        ai, af = adj[i], adj[f]
-        for k in range(len(af)):
-            af[k] += a * ai[k]
-        for row in adj:
-            row[f] += a * row[i]
+        row_v, n = self._v, self.n
+        old = row_v[i]
+        row_v[:n] = [e + a * r for e, r in zip(row_v, self._row(i))]
+        row_v[n] += a * (old + row_v[i])
 
     def dist_sq(self, scale: int) -> Fraction:
         """dist^2(v, span(b_0..b_{n-1})) for rows scaled by scale.
@@ -94,8 +151,7 @@ class _GramState:
         It is det(G) / det(G_B) / scale^2, and det(G_B) is the last diagonal
         entry of adj(G).
         """
-        f = self.n
-        return Fraction(self.det, self._adj[f][f] * scale * scale)
+        return Fraction(self.det, self._v[self.n] * scale * scale)
 
     def leading(self) -> "_GramState":
         """State of (b_0..b_{n-2}, b_{n-1}): G_B is G without the row and
@@ -103,16 +159,23 @@ class _GramState:
 
         By Jacobi's identity on the 2x2 minors of adj(G),
         adj(G_B)[j][k] = (adj[j][k] adj[v][v] - adj[j][v] adj[v][k]) / det(G),
-        an exact division: O(n^2) instead of a new elimination.
+        an exact division: O(n^2) on the B block of adj(G), which a state
+        from a record builds here whole, at the cost of adjugate_spd's A
+        block, instead of a new elimination. Only the lower triangle is
+        formed.
         """
-        f = self.n
-        adj, det = self._adj, self.det
-        af = adj[f]
-        aff = af[f]
+        n, det, row_v = self.n, self.det, self._v
+        low = self._lower
+        if low is None:
+            d, cols = self._record
+            low = [_adjugate_row(d, cols, j, lower=True) for j in range(n)]
+        aff = row_v[n]
         lead = [
-            [(aj[k] * aff - aj[f] * af[k]) // det for k in range(f)] for aj in adj[:f]
+            [(a * aff - vj * vk) // det for a, vk in zip(lj, row_v)]
+            for lj, vj in zip(low, row_v)
         ]
-        return _GramState(lead, aff, f - 1)
+        row_v = lead.pop()
+        return _GramState(aff, [lj[-1] for lj in lead], row_v, lower=lead)
 
 
 def _state(inst: MDSPInstance) -> tuple[_GramState, int]:
@@ -193,16 +256,20 @@ def run_heuristic(inst: MDSPInstance, cfg: HeuristicConfig = HeuristicConfig()) 
     return HeuristicOutcome(tuple(x), state.dist_sq(scale), converged, passes)
 
 
-def _sweep_prefixes(rows: list[list[int]], passes: int) -> None:
+def _sweep_prefixes(
+    rows: list[list[int]], d: list[int], lam: list[list[int]], passes: int
+) -> None:
     """Heuristic sweep over the prefixes of integer rows, in place.
 
     For i = n-1 down to 1, b_i is the fixed vector over b_0..b_{i-1}, with
     up to `passes` passes. The prefix's shift vector x is then applied to
-    rows[:i] once, b_j := b_j + x_j b_i, before the next prefix. One
-    elimination gives the state for i = n-1, and each later prefix takes
-    its state from the one before, so the passes never read the rows.
+    rows[:i] once, b_j := b_j + x_j b_i, before the next prefix. The state
+    for i = n-1 comes from the rows' integral LLL data d and lam
+    (lll._lll_rows), with no Gram matrix and no elimination, and each later
+    prefix takes its state from the one before, so the passes never read
+    the rows.
     """
-    state = _GramState.of_rows(rows)
+    state = _GramState.of_lll(d, lam)
     for i in range(len(rows) - 1, 0, -1):
         x = [0] * i
         for _ in range(passes):

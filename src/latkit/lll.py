@@ -81,8 +81,11 @@ class AccelConfig:
             raise ValueError("heuristic_passes must be at least 1")
 
 
-def _lll_rows(b: list[list[int]], p: int, q: int, trace: ReductionTrace) -> None:
-    """Reduce integer rows in place with parameter delta = p/q.
+def _lll_rows(
+    b: list[list[int]], p: int, q: int, trace: ReductionTrace
+) -> tuple[list[int], list[list[int]]]:
+    """Reduce integer rows in place with parameter delta = p/q, and return
+    their integral Gram-Schmidt data (d, lam).
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 2.6.7): d[i+1] is the Gram determinant of b_0..b_i (d[0] = 1) and
@@ -90,11 +93,15 @@ def _lll_rows(b: list[list[int]], p: int, q: int, trace: ReductionTrace) -> None
     is exact. Each test is the rational one times a positive factor, so
     swaps and size reductions are those of rational LLL. Gram-Schmidt data
     of row k is computed when k is first reached, so kmax is the last row
-    whose data is current. Counts are added to trace.
+    whose data is current. At the end every row's data is current: d and
+    lam are then the fraction-free elimination of the reduced rows' Gram
+    matrix, g[k][k] = d[k+1] and g[k][i] = lam[i][k], which the heuristic
+    sweep starts from. Counts are added to trace.
     """
     n = len(b)
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
+    swaps = reductions = 0
 
     def add_row(k: int) -> None:
         bk, lk = b[k], lam[k]
@@ -110,17 +117,14 @@ def _lll_rows(b: list[list[int]], p: int, q: int, trace: ReductionTrace) -> None
             else:
                 d[k + 1] = u
 
-    def size_reduce(k: int, l: int) -> None:
-        lk = lam[k]
-        m, dl = lk[l], d[l + 1]
-        if 2 * abs(m) > dl:  # |mu_kl| > 1/2
-            r = (2 * m + dl) // (2 * dl)
-            b[k] = [x - r * y for x, y in zip(b[k], b[l])]
-            lk[l] = m - r * dl
-            ll = lam[l]
-            for i in range(l):
-                lk[i] -= r * ll[i]
-            trace.size_reduction_count += 1
+    def size_reduce(k: int, l: int, m: int, dl: int) -> None:
+        """b_k -= r b_l for r the integer nearest mu_kl = m / dl."""
+        r = (2 * m + dl) // (2 * dl)
+        b[k] = [x - r * y for x, y in zip(b[k], b[l])]
+        lk, ll = lam[k], lam[l]
+        lk[l] = m - r * dl
+        for i in range(l):
+            lk[i] -= r * ll[i]
 
     add_row(0)
     kmax = 0
@@ -129,12 +133,16 @@ def _lll_rows(b: list[list[int]], p: int, q: int, trace: ReductionTrace) -> None
         if k > kmax:
             add_row(k)
             kmax = k
-        size_reduce(k, k - 1)
-        m = lam[k][k - 1]
+        lk = lam[k]
+        m = lk[k - 1]
+        if 2 * abs(m) > d[k]:  # |mu_k,k-1| > 1/2
+            size_reduce(k, k - 1, m, d[k])
+            reductions += 1
+            m = lk[k - 1]
         # Lovasz fails: |b*_k|^2 < (delta - mu^2) |b*_{k-1}|^2
         if q * (d[k + 1] * d[k - 1] + m * m) < p * d[k] * d[k]:
             b[k], b[k - 1] = b[k - 1], b[k]
-            lk, lk1 = lam[k], lam[k - 1]
+            lk1 = lam[k - 1]
             for j in range(k - 1):
                 lk[j], lk1[j] = lk1[j], lk[j]
             dk, dk1 = d[k], d[k + 1]
@@ -145,12 +153,18 @@ def _lll_rows(b: list[list[int]], p: int, q: int, trace: ReductionTrace) -> None
                 li[k] = (dk1 * li[k - 1] - m * t) // dk
                 li[k - 1] = (new_dk * t + m * li[k]) // dk1
             d[k] = new_dk
-            trace.swap_count += 1
+            swaps += 1
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
+                m, dl = lk[l], d[l + 1]
+                if 2 * abs(m) > dl:
+                    size_reduce(k, l, m, dl)
+                    reductions += 1
             k += 1
+    trace.swap_count += swaps
+    trace.size_reduction_count += reductions
+    return d, lam
 
 
 def _min_norm_sq(rows: list[list[int]]) -> int:
@@ -213,13 +227,13 @@ def accelerated_reduce(
     while trace.rounds_used < cfg.max_rounds:
         trace.rounds_used += 1
         t0 = time.perf_counter()
-        _lll_rows(rows, delta.numerator, delta.denominator, trace)
+        d, lam = _lll_rows(rows, delta.numerator, delta.denominator, trace)
         trace.lll_time += time.perf_counter() - t0
         if _min_norm_sq(rows) * target_den <= target_num:
             trace.reached_target = True
             break
         t0 = time.perf_counter()
-        _sweep_prefixes(rows, cfg.heuristic_passes)
+        _sweep_prefixes(rows, d, lam, cfg.heuristic_passes)
         trace.heuristic_time += time.perf_counter() - t0
         if _min_norm_sq(rows) * target_den <= target_num:
             trace.reached_target = True

@@ -6,12 +6,17 @@ denominators (integer_rows); Fractions are built only from the results.
 One fraction-free elimination of the integer Gram matrix (_eliminate_gram)
 gives distances, volumes and LDL, and, with the scaled rows carried along,
 Gram-Schmidt and projections. adjugate_spd, which shares its step
-(_bareiss_step), gives inverses and the quotients of the heuristic and the
-MDSP-to-CVP map. Two eliminations stay apart: determinant pivots rows,
-since a Gram matrix loses the sign, and lll._lll_rows builds its d/lambda
-data row by row, since eliminating up front makes every swap update the
-rows past kmax (22% slower on the reduce workload). No floating point
-enters any correctness-bearing path.
+(_bareiss_step), records the elimination with its back-substitution
+(_gauss_jordan) and builds the adjugate from that record, entry by
+entry if need be (_adjugate_row): it gives inverses and the MDSP-to-CVP
+map, and the heuristic builds only the entries it reads. Two
+eliminations stay apart: determinant pivots rows, since a Gram matrix
+loses the sign, and lll._lll_rows builds its d/lambda data row by row,
+since eliminating up front makes every swap update the rows past kmax
+(22% slower on the reduce workload). Its final d/lambda data is the
+Gram matrix's elimination, so the heuristic sweep after it
+back-substitutes from that data (_jordan_columns) without eliminating
+again. No floating point enters any correctness-bearing path.
 """
 
 from __future__ import annotations
@@ -327,44 +332,104 @@ def adjugate_spd(a: list[list[int]]) -> tuple[list[list[int]], int]:
 
     with A (k x k, symmetric) the running adjugate, X (k x (n-k)) and S the
     symmetric Bareiss Schur complement that _eliminate_gram holds. Step k,
-    with pivot p = S[0][0], prev = d_k and c the first column of X, is:
+    with pivot p = S[0][0] = d_{k+1}, prev = d_k and c_k the first column
+    of X, is:
 
-        X_i <- (p X_i[1:] - c_i S_0[1:]) / prev      for each old row i
-        A_i <- (p A_i + c_i c) / prev, then -c_i     for each old row i
-        A gains the row (-c, prev) and X the row S_0[1:]
+        X_i <- (p X_i[1:] - c_k[i] S_0[1:]) / prev   for each old row i
+        A_ij <- (p A_ij + c_k[i] c_k[j]) / prev      for old i, j
+        A gains the row (-c_k, prev) and X the row S_0[1:]
         S <- its Bareiss update (_bareiss_step)
 
     Every division is exact, and at k = n, A = adj(G) and the last pivot
-    is d_n = det G. A is kept as its lower triangle. No pivoting is needed
-    because all leading principal minors are positive; a pivot <= 0 before
-    the last step means the matrix came from a dependent family and raises
-    DegenerateResidual. The last pivot is returned unchecked: det G <= 0, a
-    degenerate instance the caller reports, still gives the adjugate.
+    is d_n = det G. A never feeds back into S or X, so the elimination is
+    recorded first (_gauss_jordan: the pivots and the columns c_k), and
+    A is built from the record afterwards, its lower triangle row by row
+    (_adjugate_row): each entry is its own recurrence. No pivoting is
+    needed because all leading principal minors are positive; a pivot <= 0
+    before the last step means the matrix came from a dependent family and
+    raises DegenerateResidual. The last pivot is returned unchecked:
+    det G <= 0, a degenerate instance the caller reports, still gives the
+    adjugate.
     """
     n = len(a)
+    d, cols = _gauss_jordan(a)
+    lower = [_adjugate_row(d, cols, i, lower=True) for i in range(n)]
+    adj = [[lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)]
+    return adj, d[n]
+
+
+def _gauss_jordan(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The record of adjugate_spd's elimination of G: the pivots d_0 = 1,
+    ..., d_n and the first column c_k of X at each step k.
+
+    The S block is the Bareiss elimination of G, with adjugate_spd's check
+    on its pivots; the X block is then a back-substitution (_jordan_columns)
+    on the eliminated rows.
+    """
     s = [row[:] for row in a]
-    x: list[list[int]] = []
-    lower: list[list[int]] = []
-    prev = 1
+    n = len(s)
+    d = [1]
     for k in range(n):
-        sk = s[k]
-        p = sk[k]
+        p = s[k][k]
         if p <= 0 and k < n - 1:
             raise DegenerateResidual("Gram matrix is not positive definite")
+        _bareiss_step(s, k, d[k])
+        d.append(p)
+    return d, _jordan_columns(d, [row[k + 1:] for k, row in enumerate(s)])
+
+
+def _jordan_columns(d: Sequence[int], tails: Sequence[list[int]]) -> list[list[int]]:
+    """The columns c_k of adjugate_spd's X block, by back-substitution.
+
+    d holds the pivots d_0 = 1, ..., d_n of a fraction-free elimination of
+    G, and tails[k] the eliminated row k past its pivot, g[k][k+1:]. Cohen's
+    integral LLL data of a basis is such an elimination of its Gram matrix
+    (d[k+1] = g[k][k], lam[i][k] = g[k][i]), so it serves as it is.
+    """
+    x: list[list[int]] = []
+    cols = []
+    for k, tail in enumerate(tails):
+        p, prev = d[k + 1], d[k]
         c = [xi[0] for xi in x]
-        tail = sk[k + 1:]
+        cols.append(c)
         x = [
             [(p * e - ci * t) // prev for e, t in zip(xi[1:], tail)]
             for xi, ci in zip(x, c)
         ]
         x.append(tail)
-        for ai, ci in zip(lower, c):
-            ai[:] = [(p * e + ci * cj) // prev for e, cj in zip(ai, c)]
-        lower.append([-ci for ci in c] + [prev])
-        _bareiss_step(s, k, prev)
-        prev = p
-    adj = [[lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)]
-    return adj, prev
+    return cols
+
+
+def _adjugate_row(
+    d: Sequence[int], cols: Sequence[list[int]], i: int, lower: bool = False
+) -> list[int]:
+    """Row i of adj(G) from the record of its elimination; with lower, only
+    its entries j <= i.
+
+    Entry (i, j), j <= i, starts at step i as d_i (j = i) or -c_i[j], and
+    each later step k makes it (d_{k+1} a + c_k[i] c_k[j]) / d_k; entry
+    (i, k), k > i, starts at step k as -c_k[i].
+    """
+    row = [-c for c in cols[i]]
+    row.append(d[i])
+    for k in range(i + 1, len(cols)):
+        ck = cols[k]
+        p, prev, ci = d[k + 1], d[k], ck[i]
+        row = [(p * e + ci * cj) // prev for e, cj in zip(row, ck)]
+        if not lower:
+            row.append(-ci)
+    return row
+
+
+def _adjugate_diagonal(d: Sequence[int], cols: Sequence[list[int]]) -> list[int]:
+    """The diagonal of adj(G) from the record of its elimination, in
+    O(n^2): the recurrence of _adjugate_row for the entries (i, i)."""
+    diag: list[int] = []
+    for k, ck in enumerate(cols):
+        p, prev = d[k + 1], d[k]
+        diag = [(p * e + c * c) // prev for e, c in zip(diag, ck)]
+        diag.append(prev)
+    return diag
 
 
 def _bareiss_step(g: list[list[int]], k: int, prev: int) -> None:

@@ -4,18 +4,35 @@ from fractions import Fraction as F
 import pytest
 
 from latkit.errors import DependentInput, IndexOutOfRange
+from latkit import heuristic, qlinalg
 from latkit.heuristic import (
     HeuristicConfig,
+    _GramState,
+    _pass_over,
+    _sweep_prefixes,
     improve_coordinate,
     improve_pass,
     run_heuristic,
 )
-from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift
-from latkit.lll import det_identity_check
+from latkit.lattice import (
+    DMDSPQuery,
+    LatticeBasis,
+    MDSPInstance,
+    apply_shift,
+    verify_dmdsp_certificate,
+)
+from latkit.lll import ReductionTrace, _lll_rows, det_identity_check
 from latkit.exact import solve_exact
-from latkit.qlinalg import QMatrix, QVector, dist_sq_to_span, rel_volume_sq
+from latkit.qlinalg import (
+    QMatrix,
+    QVector,
+    dist_sq_to_span,
+    integer_rows,
+    rel_volume_sq,
+)
 from latkit.lattice import same_lattice
-from oracles import naive_dist_sq, random_mdsp_vectors, vscale, vsub
+from oracles import int_det, naive_dist_sq, random_mdsp_vectors, vscale, vsub
+from test_qlinalg import _cofactor_adjugate, _gram
 
 
 def make_instance(v, basis):
@@ -240,3 +257,140 @@ class TestRunHeuristic:
                 assert rel_volume_sq(current.rest.vectors) <= vol_before
                 if not changed_any:
                     break
+
+
+def state_rows(seed):
+    """Seeded independent integer rows, N = 2..10 of them: uniform ones,
+    knapsack ones and lcm-scaled rational ones, for each N."""
+    rng = random.Random(seed)
+
+    def independent(draw):
+        while True:
+            rows = draw()
+            if int_det(_gram(rows)) != 0:
+                return rows
+
+    for size in range(2, 11):
+        yield independent(
+            lambda: [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        )
+        yield independent(
+            lambda: [
+                [int(j == i) for j in range(size - 1)] + [rng.getrandbits(30)]
+                for i in range(size - 1)
+            ]
+            + [[0] * (size - 1) + [rng.getrandbits(30) | 1 << 29]]
+        )
+        yield independent(
+            lambda: integer_rows(
+                [
+                    QVector(F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(size))
+                    for _ in range(size)
+                ]
+            )[0]
+        )
+
+
+def check_state(state, rows):
+    """moments, det and dist_sq of a state against the cofactor adjugate of
+    the Gram matrix of its rows (b_0..b_{n-1}, v)."""
+    g = _gram(rows)
+    adj, det, n = _cofactor_adjugate(g), int_det(g), len(rows) - 1
+    assert (state.n, state.det) == (n, det)
+    for i in range(n):
+        assert state.moments(i) == (adj[i][i], -adj[n][i], adj[n][n])
+    assert state.dist_sq(3) == F(det, adj[n][n] * 9)
+
+
+def shift_and_check(rng, state, rows):
+    """A random shift sequence, each shift applied to the state and to the
+    rows explicitly, checking the state after each."""
+    n = len(rows) - 1
+    for _ in range(n + 1):
+        i, a = rng.randrange(n), rng.choice([-3, -2, -1, 1, 2, 3])
+        state.apply_shift(i, a)
+        rows[i] = [b - a * c for b, c in zip(rows[i], rows[n])]
+        check_state(state, rows)
+
+
+class TestGramState:
+    def test_shifts_and_leading_against_cofactor_adjugate(self):
+        rng = random.Random(131)
+        for rows in state_rows(137):
+            rows = [r[:] for r in rows]
+            state = _GramState.of_rows(rows)
+            check_state(state, rows)
+            while True:
+                shift_and_check(rng, state, rows)
+                if len(rows) == 2:
+                    break
+                state = state.leading()
+                rows.pop()
+                check_state(state, rows)
+
+    def test_state_from_lll_data(self):
+        rng = random.Random(139)
+        for rows in state_rows(149):
+            rows = [r[:] for r in rows]
+            d, lam = _lll_rows(rows, 99, 100, ReductionTrace())
+            state = _GramState.of_lll(d, lam)
+            check_state(state, rows)
+            shift_and_check(rng, state, rows)
+            check_state(state.leading(), rows[:-1])
+
+
+class TestHotPath:
+    """The heuristic and the verifier build no full adjugate, and the
+    accelerated sweep no Gram matrix and no elimination."""
+
+    def test_certify_without_adjugate(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("full adjugate on the heuristic's path")
+
+        built, shifted = [], set()
+        row = heuristic._adjugate_row
+        shift = heuristic._GramState.apply_shift
+
+        def counting_row(*args, **kwargs):
+            built.append(args[2])
+            return row(*args, **kwargs)
+
+        def recording_shift(state, i, a):
+            shifted.add(i)
+            shift(state, i, a)
+
+        monkeypatch.setattr(qlinalg, "adjugate_spd", refuse)
+        monkeypatch.setattr(heuristic, "_adjugate_row", counting_row)
+        monkeypatch.setattr(heuristic._GramState, "apply_shift", recording_shift)
+        rng = random.Random(151)
+        rows = [[rng.randint(-100, 100) for _ in range(24)] for _ in range(24)]
+        inst = MDSPInstance.from_vectors(rows[0], rows[1:])
+        out = run_heuristic(inst)
+        assert shifted and len(built) <= len(shifted)
+        gamma_sq = out.dist_sq / inst.fixed.norm_sq()
+        assert verify_dmdsp_certificate(DMDSPQuery(inst, gamma_sq), out.x_total)
+        gamma_hi = gamma_sq * (1 + F(1, 1 << 32))
+        assert not verify_dmdsp_certificate(DMDSPQuery(inst, gamma_hi), out.x_total)
+
+    def test_sweep_without_gram_or_elimination(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("Gram matrix or elimination in the sweep")
+
+        rng = random.Random(157)
+        for size in (6, 10, 14):
+            rows = [[rng.randint(-100, 100) for _ in range(size)] for _ in range(size)]
+            d, lam = _lll_rows(rows, 1, 4, ReductionTrace())
+            expected = [r[:] for r in rows]
+            with monkeypatch.context() as m:
+                m.setattr(heuristic, "integer_gram", refuse)
+                m.setattr(qlinalg, "_bareiss_step", refuse)
+                _sweep_prefixes(rows, d, lam, 1)
+            # the same sweep on a state from a fresh elimination
+            state = _GramState.of_rows(expected)
+            for i in range(size - 1, 0, -1):
+                x = [0] * i
+                _pass_over(state, x)
+                for j, xj in enumerate(x):
+                    expected[j] = [b + xj * c for b, c in zip(expected[j], expected[i])]
+                state = state.leading()
+            assert rows == expected
