@@ -13,12 +13,13 @@ enumeration runs on the primal side of the isomorphism: the objective is
 an affine function of z^T P^-1 z, with P the integer Gram matrix of
 (v, b_{n-1}, ..., b_0) and z = (1, -x_{n-1}, ..., -x_0), which forward
 substitution with the fraction-free LDL^T of P gives level by level. The
-forward map scales (B, v) to integer rows once, eliminates P once and
-stores the eliminated P on the instance it returns; enumeration, the
-objective and distance recovery all read that P. The rational fields
-gram and offset are read off the adjugate of the Gram matrix of (B, v)
-only when a caller first reads them. A hand-built form is scaled to
-integers once and bordered into such a P, from step adj(M).
+forward map scales (B, v) to integer rows once, eliminates P once, which
+leaves P as it was, and stores P with its elimination on the instance it
+returns; enumeration, the objective and distance recovery all read them.
+The rational fields gram and offset are read off the adjugate of P
+reversed, the Gram matrix of (B, v), only when a caller first reads
+them. A hand-built form is scaled to integers once and bordered into such
+a P, from step adj(M).
 """
 
 from __future__ import annotations
@@ -50,10 +51,12 @@ from .qlinalg import (
     sqrt_dyadic,
 )
 
-# A primal Gram matrix P as _eliminate leaves it: (P, d, weight, W), with
-# d[k] = D_{k-1} the leading minors of P (D_-1 = 1), weight[p] =
-# W / (D_{p-1} D_p) and W the lcm of those products.
-_Eliminated = tuple[list[list[int]], list[int], list[int], int]
+# A primal Gram matrix P with its elimination, as _eliminate returns it:
+# (P, d, lam, weight, W), with P unchanged, (d, lam) its fraction-free
+# elimination (qlinalg._eliminate_gram): d[k] = D_{k-1} the leading minors
+# of P (D_-1 = 1) and lam[q][k] = R[k][q] for q > k the Bareiss rows;
+# weight[p] = W / (D_{p-1} D_p) and W the lcm of those products.
+_Eliminated = tuple[list[list[int]], list[int], list[list[int]], list[int], int]
 # An eliminated P with the factor f = f_num / f_den that scales its
 # objective to the form's (_primal_of).
 _Primal = tuple[_Eliminated, int, int]
@@ -88,7 +91,7 @@ class CVPGramInstance:
         primal = self.__dict__.get("_primal")
         if primal is None or name not in ("gram", "offset"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        gram, offset = _public_fields(self.__dict__["_rows"], primal[1])
+        gram, offset = _public_fields(primal[0][0], primal[1])
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "offset", offset)
         return self.__dict__[name]
@@ -158,33 +161,31 @@ def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
 
     The rows (B, v) are scaled to integers by s once, and the Gram matrix
     P of (v, b_{n-1}, ..., b_0) is eliminated once (_primal). The
-    instance stores that P, which enumerate_cvp, objective and
-    recover_mdsp_distance_sq read, and the scaled rows; scale_sq is
-    P[0][0] / s^2 = |v|^2. gram and offset are built on first access
-    (_public_fields). A zero v raises DependentInput and a dependent
-    [B; v] SingularMatrix.
+    instance stores P with its elimination, which enumerate_cvp, objective
+    and recover_mdsp_distance_sq read; scale_sq is P[0][0] / s^2 = |v|^2.
+    gram and offset are built on first access (_public_fields). A zero v
+    raises DependentInput and a dependent [B; v] SingularMatrix.
     """
     if inst.fixed.is_zero():
         raise DependentInput("fixed vector is zero")
-    rows, scale, eliminated = _primal(inst)
+    _, scale, eliminated = _primal(inst)
     scale_sq = scale * scale
     c = object.__new__(CVPGramInstance)
     object.__setattr__(c, "scale_sq", Fraction(eliminated[0][0][0], scale_sq))
     object.__setattr__(c, "_primal", (eliminated, scale_sq, 1))
-    object.__setattr__(c, "_rows", rows)
     return c
 
 
-def _public_fields(rows: list[list[int]], scale_sq: int) -> tuple[QMatrix, QVector]:
-    """gram and offset of the instance mdsp_to_cvp built from the scaled
-    rows (B, v), with s^2 = scale_sq.
+def _public_fields(p: list[list[int]], scale_sq: int) -> tuple[QMatrix, QVector]:
+    """gram and offset of the instance mdsp_to_cvp built from the Gram
+    matrix P of the scaled rows (v, b_{n-1}, ..., b_0), with s^2 = scale_sq.
 
-    With G the Gram matrix of the rows, Gram(b') is the Schur complement
-    of |v|^2 in G / s^2, so its inverse is (s^2 / det G) adj(G)[:n, :n];
-    gamma_i = G[i][n] / G[n][n].
+    With G = P reversed, the Gram matrix of (B, v), Gram(b') is the Schur
+    complement of |v|^2 in G / s^2, so its inverse is
+    (s^2 / det G) adj(G)[:n, :n]; gamma_i = G[i][n] / G[n][n].
     """
-    n = len(rows) - 1
-    g = integer_gram(rows)
+    n = len(p) - 1
+    g = [row[::-1] for row in reversed(p)]
     adj, det = adjugate_spd(g)
     gram = QMatrix([[Fraction(a * scale_sq, det) for a in row[:n]] for row in adj[:n]])
     return gram, QVector([Fraction(row[n], g[n][n]) for row in g[:n]])
@@ -248,7 +249,7 @@ def _objective(primal: _Primal, t: int, big_w: int) -> Fraction:
 
 def _primal_of(c: CVPGramInstance) -> _Primal:
     """(P, f_num, f_den): the primal Gram matrix P of c, in the order
-    (v, b_{n-1}, ..., b_0), as _eliminate leaves it, and the factor
+    (v, b_{n-1}, ..., b_0), as _eliminate returns it, and the factor
     f = f_num / f_den that scales its objective to c's. mdsp_to_cvp stored
     P, with f = s^2; any other form is bordered (_bordered), reversed and
     eliminated here."""
@@ -296,34 +297,33 @@ def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
 
 def _primal(inst: MDSPInstance) -> tuple[list[list[int]], int, _Eliminated]:
     """(rows, s, P): the rows (B, v) scaled to integers by s once, and the
-    Gram matrix P of (v, b_{n-1}, ..., b_0) as _eliminate leaves it. A
+    Gram matrix P of (v, b_{n-1}, ..., b_0) as _eliminate returns it. A
     dependent [B; v] raises SingularMatrix."""
     rows, scale = integer_rows([*inst.rest.vectors, inst.fixed])
     return rows, scale, _eliminate(integer_gram(rows[::-1]))
 
 
 def _eliminate(p: list[list[int]]) -> _Eliminated:
-    """Fraction-free elimination (_eliminate_gram) of the integer Gram
-    matrix P of (v, b_{n-1}, ..., b_0), in place, with the minors and
-    weights that _search and _value read. A dependent family raises
+    """P with its fraction-free elimination (_eliminate_gram), P the
+    integer Gram matrix of (v, b_{n-1}, ..., b_0), and the weights that
+    _search and _value read. P is only read. A dependent family raises
     SingularMatrix."""
     try:
-        det = _eliminate_gram(p)
+        d, lam = _eliminate_gram(p)
     except DependentInput:
-        det = 0
-    if det == 0:
+        d = [0]
+    if d[-1] == 0:
         raise SingularMatrix("the fixed vector and the basis are dependent")
-    d = [1] + [row[k] for k, row in enumerate(p)]
     prods = [a * b for a, b in zip(d, d[1:])]
     big_w = lcm(*prods)
-    return p, d, [big_w // q for q in prods], big_w
+    return p, d, lam, [big_w // q for q in prods], big_w
 
 
 def _value(e: _Eliminated, x: Sequence[int]) -> tuple[int, int]:
     """(T, W) with z^T P^-1 z = T / W at z = (1, -x_{n-1}, ..., -x_0), for P
-    as _eliminate leaves it: _search's forward substitution along one
+    as _eliminate returns it: _search's forward substitution along one
     path."""
-    p, d, weight, big_w = e
+    p, d, lam, weight, big_w = e
     n = len(p) - 1
     c = [-a for a in p[0]]
     t = weight[0]
@@ -331,15 +331,15 @@ def _value(e: _Eliminated, x: Sequence[int]) -> tuple[int, int]:
         h = c[k] - d[k] * x[n - k]
         t += weight[k] * h * h
         for q in range(k + 1, n + 1):
-            c[q] = (d[k + 1] * c[q] - p[k][q] * h) // d[k]
+            c[q] = (d[k + 1] * c[q] - lam[q][k] * h) // d[k]
     return t, big_w
 
 
 def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:
     """(x, T, W): the lexicographically smallest integer x minimizing
     z^T P^-1 z = T / W, z = (1, -x_{n-1}, ..., -x_0), for P the positive
-    definite Gram matrix of (v, b_{n-1}, ..., b_0), as _eliminate leaves
-    it. P is only read.
+    definite Gram matrix of (v, b_{n-1}, ..., b_0), as _eliminate returns
+    it.
 
     det Gram(B(x)) = det P z^T P^-1 z with B(x) = (b_i + x_i v), so x
     maximizes the distance of v from span(B(x)), d^2 = W / T on P's scale.
@@ -363,12 +363,12 @@ def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:
     budget ends the level; only a strictly larger value is pruned, so all
     ties reach a leaf.
     """
-    p, d, weight, big_w = e
+    p, d, lam, weight, big_w = e
     n = len(p) - 1
     step, w = p[0][0], p[0]
     best_x = tuple((step - 2 * w[n - i]) // (2 * step) for i in range(n))
     best_t, _ = _value(e, best_x)
-    tails = [row[k + 1:] for k, row in enumerate(p)]  # R[k][q] for q > k
+    tails = [[lq[k] for lq in lam[k + 1:]] for k in range(n)]  # R[k][q], q > k
 
     def descend(k: int, partial: int, chosen: tuple[int, ...], c: list[int]) -> None:
         # c[i] is the centre of level k + i

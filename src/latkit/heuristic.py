@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Optional
 
 from .errors import DegenerateResidual, IndexOutOfRange
@@ -32,11 +33,22 @@ from .qlinalg import (
     QVector,
     _adjugate_diagonal,
     _adjugate_row,
-    _gauss_jordan,
+    _eliminate_spd,
     _jordan_columns,
     integer_gram,
     integer_rows,
 )
+
+
+def _check_count(name: str, value: int) -> None:
+    """Raise ValueError unless the config field name holds an integer
+    (operator.index accepts it) of at least 1."""
+    try:
+        if index(value) >= 1:
+            return
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -44,8 +56,7 @@ class HeuristicConfig:
     max_passes: int = 64
 
     def __post_init__(self):
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
+        _check_count("max_passes", self.max_passes)
 
 
 @dataclass(frozen=True)
@@ -66,11 +77,11 @@ class _GramState:
     its B-block row i for a shifted coordinate i. det G is fixed, since a
     committed shift is a unimodular change of basis, and so is the B block,
     diagonal included, since a shift changes only row and column v. The
-    state holds the record of one elimination (qlinalg._gauss_jordan), the
-    diagonal and row v; a B-block row is built from the record when first
-    read, and the whole B block only by leading(). Integer rows come from
-    scaling by a positive constant, under which every shift choice is
-    invariant.
+    state holds the record of one elimination (its pivots d and the
+    columns of qlinalg._jordan_columns), the diagonal and row v; a B-block
+    row is built from the record when first read, and the whole B block
+    only by leading(). Integer rows come from scaling by a positive
+    constant, under which every shift choice is invariant.
     """
 
     def __init__(
@@ -90,27 +101,21 @@ class _GramState:
         self._rows: list[Optional[list[int]]] = [None] * self.n
 
     @classmethod
-    def of_record(cls, d: list[int], cols: list[list[int]]) -> "_GramState":
-        """State from the pivots d and columns cols of an elimination of G:
-        row v is the last step's (-c_n, d_n), det G its last pivot."""
+    def of_lll(cls, d: list[int], lam: list[list[int]]) -> "_GramState":
+        """State of rows from the fraction-free elimination (d, lam) of their
+        Gram matrix, which is also their integral LLL data (lll._lll_rows):
+        the back-substitution (_jordan_columns) gives the record, row v is
+        its last step's (-c_n, d_n) and det G its last pivot."""
+        cols = _jordan_columns(d, lam)
         n = len(cols) - 1
         row_v = [-c for c in cols[n]]
         row_v.append(d[n])
         return cls(d[-1], _adjugate_diagonal(d, cols)[:n], row_v, record=(d, cols))
 
     @classmethod
-    def of_lll(cls, d: list[int], lam: list[list[int]]) -> "_GramState":
-        """State of rows from their integral LLL data (lll._lll_rows), which
-        is the fraction-free elimination of their Gram matrix: only the
-        back-substitution runs, with no Gram matrix and no elimination."""
-        n = len(lam)
-        tails = [[lam[i][k] for i in range(k + 1, n)] for k in range(n)]
-        return cls.of_record(d, _jordan_columns(d, tails))
-
-    @classmethod
     def of_rows(cls, rows: list[list[int]]) -> "_GramState":
         """State of the integer rows from one elimination of their Gram matrix."""
-        return cls.of_record(*_gauss_jordan(integer_gram(rows)))
+        return cls.of_lll(*_eliminate_spd(integer_gram(rows)))
 
     def _row(self, i: int) -> list[int]:
         """adj[i][0..n-1], built once."""

@@ -246,10 +246,9 @@ def verify_dmdsp_certificate(q: DMDSPQuery, x: Sequence[int]) -> bool:
     v = rows.pop()
     rows = [[e + xi * f for e, f in zip(b, v)] for b, xi in zip(rows, xs)]
     g = integer_gram([*rows, v])
-    v_sq = g[-1][-1]
-    det_bv = _eliminate_gram(g)  # raises DependentInput on a dependent B(x)
+    d, _ = _eliminate_gram(g)  # raises DependentInput on a dependent B(x)
     gamma_sq = q.gamma_sq
-    return det_bv * gamma_sq.denominator >= gamma_sq.numerator * v_sq * g[-2][-2]
+    return d[-1] * gamma_sq.denominator >= gamma_sq.numerator * g[-1][-1] * d[-2]
 
 
 def _bit_size(f: Fraction) -> int:

@@ -19,10 +19,11 @@ from operator import mul
 from typing import Optional
 
 from .errors import DependentInput
-from .heuristic import _sweep_prefixes
+from .heuristic import _check_count, _sweep_prefixes
 from .lattice import LatticeBasis, MDSPInstance
 from .qlinalg import (
     QVector,
+    _gso_row,
     determinant,
     dist_sq_to_span,
     integer_rows,
@@ -75,10 +76,8 @@ class AccelConfig:
         object.__setattr__(self, "target_norm_sq", rational(self.target_norm_sq))
         if self.target_norm_sq <= 0:
             raise ValueError("target_norm_sq must be positive")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-        if self.heuristic_passes < 1:
-            raise ValueError("heuristic_passes must be at least 1")
+        _check_count("max_rounds", self.max_rounds)
+        _check_count("heuristic_passes", self.heuristic_passes)
 
 
 def _lll_rows(
@@ -92,30 +91,24 @@ def _lll_rows(
     lam[k][j] = d[j+1] * mu_kj; both stay integers and every division below
     is exact. Each test is the rational one times a positive factor, so
     swaps and size reductions are those of rational LLL. Gram-Schmidt data
-    of row k is computed when k is first reached, so kmax is the last row
-    whose data is current. At the end every row's data is current: d and
-    lam are then the fraction-free elimination of the reduced rows' Gram
-    matrix, g[k][k] = d[k+1] and g[k][i] = lam[i][k], which the heuristic
-    sweep starts from. Counts are added to trace.
+    of row k is computed when k is first reached, by qlinalg's elimination
+    kernel (_gso_row) on the row's inner products with rows 0..k, so kmax
+    is the last row whose data is current and lam holds rows 0..kmax. At
+    the end every row's data is current: (d, lam) is then exactly
+    qlinalg._eliminate_gram of the reduced rows' Gram matrix, which the
+    heuristic sweep starts from. Counts are added to trace.
     """
     n = len(b)
     d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
+    lam: list[list[int]] = []
     swaps = reductions = 0
 
     def add_row(k: int) -> None:
-        bk, lk = b[k], lam[k]
-        for j in range(k + 1):
-            u = sum(map(mul, bk, b[j]))
-            lj = lam[j]
-            for i in range(j):
-                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
-            if j < k:
-                lk[j] = u
-            elif u == 0:
-                raise DependentInput(f"basis vector {k} is dependent")
-            else:
-                d[k + 1] = u
+        bk = b[k]
+        u = _gso_row([sum(map(mul, bk, bj)) for bj in b[: k + 1]], d, lam)
+        if u == 0:
+            raise DependentInput(f"basis vector {k} is dependent")
+        d[k + 1] = u
 
     def size_reduce(k: int, l: int, m: int, dl: int) -> None:
         """b_k -= r b_l for r the integer nearest mu_kl = m / dl."""

@@ -3,20 +3,22 @@
 Vectors and matrices hold ``fractions.Fraction`` entries, but every
 elimination runs on integer rows, scaled once by the lcm of their
 denominators (integer_rows); Fractions are built only from the results.
-One fraction-free elimination of the integer Gram matrix (_eliminate_gram)
-gives distances, volumes and LDL, and, with the scaled rows carried along,
-Gram-Schmidt and projections. adjugate_spd, which shares its step
-(_bareiss_step), records the elimination with its back-substitution
-(_gauss_jordan) and builds the adjugate from that record, entry by
-entry if need be (_adjugate_row): it gives inverses and the MDSP-to-CVP
-map, and the heuristic builds only the entries it reads. Two
-eliminations stay apart: determinant pivots rows, since a Gram matrix
-loses the sign, and lll._lll_rows builds its d/lambda data row by row,
-since eliminating up front makes every swap update the rows past kmax
-(22% slower on the reduce workload). Its final d/lambda data is the
-Gram matrix's elimination, so the heuristic sweep after it
-back-substitutes from that data (_jordan_columns) without eliminating
-again. No floating point enters any correctness-bearing path.
+Every symmetric elimination is one kernel, the row step of Cohen's
+integral Gram-Schmidt (_gso_row): row k of the integer data (d, lambda)
+from the inner products of row k with rows 0..k. _eliminate_gram runs it
+once per row of an integer Gram matrix, which it only reads. Its
+(d, lambda) give distances, volumes and LDL; with the same recurrence run
+on the scaled rows (_carried_rows), Gram-Schmidt and projections; and,
+back-substituted (_jordan_columns), the record from which adjugate_spd
+builds the adjugate, entry by entry if need be (_adjugate_row): it gives
+inverses and the MDSP-to-CVP map, and the heuristic builds only the
+entries it reads. lll._lll_rows calls the kernel itself, a row when it
+first reaches it, since eliminating up front makes every swap update the
+rows past kmax (22% slower on the reduce workload); its final
+(d, lambda) is _eliminate_gram's, so the heuristic sweep after it
+back-substitutes from that data without eliminating again. Only
+determinant eliminates apart: it pivots rows, since a Gram matrix loses
+the sign. No floating point enters any correctness-bearing path.
 """
 
 from __future__ import annotations
@@ -240,42 +242,40 @@ class LDLDecomposition:
 def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
     """Orthogonalize a linearly independent basis, exactly.
 
-    One elimination of the scaled integer Gram matrix g, each row carrying
-    its scaled vector s b_k, gives all three (Cohen's integral Gram-Schmidt):
-    g[j][i] = d_{j+1} mu_ij (i > j) for the leading minors d_{k+1} = g[k][k]
-    = dk[k] s^(2k+2), and the carried part of row k ends as d_k s b*_k
-    (d_0 = 1). Raises DependentInput at the first dependent vector.
+    One elimination of the scaled integer Gram matrix gives all three
+    (Cohen's integral Gram-Schmidt): lam[i][j] = d_{j+1} mu_ij (i > j) for
+    the leading minors d_{k+1} = dk[k] s^(2k+2), and the same recurrence
+    run on the scaled rows gives d_k s b*_k (_carried_rows, d_0 = 1).
+    Raises DependentInput at the first dependent vector.
     """
     if not basis:
         raise LengthMismatch("gram_schmidt requires a nonempty basis")
     g, rows, scale = _scaled_gram(basis)
-    g = [gi + r for gi, r in zip(g, rows)]
     n = len(g)
-    _eliminate_gram(g)
-    d = [1] + [g[k][k] for k in range(n)]
+    d, lam = _eliminate_gram(g)
     if d[n] == 0:
         raise DependentInput(f"vector {n - 1} is in the span of its predecessors")
-    mu = [[Fraction(g[j][i], g[j][j]) if j < i else _ONE if i == j else _ZERO
+    mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else _ONE if i == j else _ZERO
            for j in range(n)] for i in range(n)]
-    bstar = [QVector(Fraction(e, d[k] * scale) for e in g[k][n:]) for k in range(n)]
-    dk = [Fraction(g[k][k], scale ** (2 * k + 2)) for k in range(n)]
+    carried = _carried_rows(rows, d, lam)
+    bstar = [QVector(Fraction(e, dk * scale) for e in c) for dk, c in zip(d, carried)]
+    dk = [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(d[1:])]
     return GramSchmidtResult(bstar, QMatrix(mu), dk)
 
 
 def project_onto_span(v: QVector, basis: Sequence[QVector]) -> QVector:
     """Orthogonal projection of v onto span(basis); empty span maps to 0.
 
-    Eliminating (basis, v) as gram_schmidt does leaves d s (v - proj) in the
-    carried part of the last row, d the Gram determinant of the scaled basis.
+    Eliminating (basis, v) as gram_schmidt does gives the carried row
+    d s (v - proj) for v, d the Gram determinant of the scaled basis.
     """
     if not basis:
         return QVector.zero(v.dim)
     g, rows, scale = _scaled_gram([*basis, v])
-    g = [gi + r for gi, r in zip(g, rows)]
-    _eliminate_gram(g)
+    d, lam = _eliminate_gram(g)
     n = len(basis)
-    d = g[n - 1][n - 1]
-    return QVector(Fraction(d * x - e, d * scale) for x, e in zip(rows[n], g[n][n + 1:]))
+    dn, last = d[n], _carried_rows(rows, d, lam)[n]
+    return QVector(Fraction(dn * x - e, dn * scale) for x, e in zip(rows[n], last))
 
 
 def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
@@ -289,8 +289,8 @@ def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
     if not basis:
         return v.norm_sq()
     g, _, scale = _scaled_gram([*basis, v])
-    det_bv = _eliminate_gram(g)
-    return Fraction(det_bv, g[-2][-2] * scale * scale)
+    d, _ = _eliminate_gram(g)
+    return Fraction(d[-1], d[-2] * scale * scale)
 
 
 def integer_rows(vectors: Sequence[QVector]) -> tuple[list[list[int]], int]:
@@ -331,72 +331,60 @@ def adjugate_spd(a: list[list[int]]) -> tuple[list[list[int]], int]:
         [ 0       S  |  -X^T  d_k I]
 
     with A (k x k, symmetric) the running adjugate, X (k x (n-k)) and S the
-    symmetric Bareiss Schur complement that _eliminate_gram holds. Step k,
+    symmetric Bareiss Schur complement, whose first row past its pivot is
+    row k of lam in _eliminate_gram's layout, lam[q][k] for q > k. Step k,
     with pivot p = S[0][0] = d_{k+1}, prev = d_k and c_k the first column
     of X, is:
 
         X_i <- (p X_i[1:] - c_k[i] S_0[1:]) / prev   for each old row i
         A_ij <- (p A_ij + c_k[i] c_k[j]) / prev      for old i, j
         A gains the row (-c_k, prev) and X the row S_0[1:]
-        S <- its Bareiss update (_bareiss_step)
 
     Every division is exact, and at k = n, A = adj(G) and the last pivot
     is d_n = det G. A never feeds back into S or X, so the elimination is
-    recorded first (_gauss_jordan: the pivots and the columns c_k), and
-    A is built from the record afterwards, its lower triangle row by row
-    (_adjugate_row): each entry is its own recurrence. No pivoting is
-    needed because all leading principal minors are positive; a pivot <= 0
-    before the last step means the matrix came from a dependent family and
-    raises DegenerateResidual. The last pivot is returned unchecked:
-    det G <= 0, a degenerate instance the caller reports, still gives the
-    adjugate.
+    recorded first (_eliminate_spd: the pivots, and _jordan_columns: the
+    columns c_k), and A is built from the record afterwards, its lower
+    triangle row by row (_adjugate_row): each entry is its own recurrence.
+    No pivoting is needed because all leading principal minors are
+    positive; a pivot <= 0 before the last step means the matrix came from
+    a dependent family and raises DegenerateResidual. The last pivot is
+    returned unchecked: det G <= 0, a degenerate instance the caller
+    reports, still gives the adjugate.
     """
     n = len(a)
-    d, cols = _gauss_jordan(a)
+    d, lam = _eliminate_spd(a)
+    cols = _jordan_columns(d, lam)
     lower = [_adjugate_row(d, cols, i, lower=True) for i in range(n)]
     adj = [[lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)]
     return adj, d[n]
 
 
-def _gauss_jordan(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """The record of adjugate_spd's elimination of G: the pivots d_0 = 1,
-    ..., d_n and the first column c_k of X at each step k.
-
-    The S block is the Bareiss elimination of G, with adjugate_spd's check
-    on its pivots; the X block is then a back-substitution (_jordan_columns)
-    on the eliminated rows.
-    """
-    s = [row[:] for row in a]
-    n = len(s)
-    d = [1]
-    for k in range(n):
-        p = s[k][k]
-        if p <= 0 and k < n - 1:
-            raise DegenerateResidual("Gram matrix is not positive definite")
-        _bareiss_step(s, k, d[k])
-        d.append(p)
-    return d, _jordan_columns(d, [row[k + 1:] for k, row in enumerate(s)])
+def _eliminate_spd(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """_eliminate_gram(a) for adjugate_spd and the heuristic's state, which
+    report a pivot <= 0 before the last as DegenerateResidual."""
+    try:
+        return _eliminate_gram(a)
+    except DependentInput:
+        raise DegenerateResidual("Gram matrix is not positive definite") from None
 
 
-def _jordan_columns(d: Sequence[int], tails: Sequence[list[int]]) -> list[list[int]]:
+def _jordan_columns(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int]]:
     """The columns c_k of adjugate_spd's X block, by back-substitution.
 
-    d holds the pivots d_0 = 1, ..., d_n of a fraction-free elimination of
-    G, and tails[k] the eliminated row k past its pivot, g[k][k+1:]. Cohen's
-    integral LLL data of a basis is such an elimination of its Gram matrix
-    (d[k+1] = g[k][k], lam[i][k] = g[k][i]), so it serves as it is.
+    (d, lam) is the fraction-free elimination of G in _eliminate_gram's
+    layout, which is also Cohen's integral LLL data of a basis of Gram
+    matrix G (lll._lll_rows), so that serves as it is. Column q of X starts
+    at step i as lam[q][i] and each later step k < q makes it
+    (d_{k+1} x - c_k[i] lam[q][k]) / d_k.
     """
-    x: list[list[int]] = []
-    cols = []
-    for k, tail in enumerate(tails):
-        p, prev = d[k + 1], d[k]
-        c = [xi[0] for xi in x]
-        cols.append(c)
-        x = [
-            [(p * e - ci * t) // prev for e, t in zip(xi[1:], tail)]
-            for xi, ci in zip(x, c)
-        ]
-        x.append(tail)
+    cols: list[list[int]] = []
+    for lq in lam:
+        x: list[int] = []
+        for k, (t, ck) in enumerate(zip(lq, cols)):
+            p, prev = d[k + 1], d[k]
+            x = [(p * e - ci * t) // prev for e, ci in zip(x, ck)]
+            x.append(t)
+        cols.append(x)
     return cols
 
 
@@ -432,38 +420,67 @@ def _adjugate_diagonal(d: Sequence[int], cols: Sequence[list[int]]) -> list[int]
     return diag
 
 
-def _bareiss_step(g: list[list[int]], k: int, prev: int) -> None:
-    """Fraction-free elimination step k of a symmetric integer matrix, in
-    place: the upper triangle of rows k+1.. becomes the next Schur
-    complement, scaled by its leading minor. prev is the previous pivot."""
-    gk = g[k]
-    pivot = gk[k]
-    for i in range(k + 1, len(g)):
-        gi = g[i]
-        gki = gk[i]
-        gi[i:] = [(x * pivot - gki * y) // prev for x, y in zip(gi[i:], gk[i:])]
+def _gso_row(gk: Sequence[int], d: Sequence[int], lam: list[list[int]]) -> int:
+    """Row k = len(lam) of Cohen's integral Gram-Schmidt data from the
+    inner products gk[j] = G[k][j], j <= k; returns its pivot d_{k+1}.
 
-
-def _eliminate_gram(g: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) elimination of an integer Gram matrix, in
-    place; returns its determinant.
-
-    No pivoting: g[k][k] ends up as the (k+1)-th leading principal minor,
-    the Gram determinant of the first k+1 rows, which is positive unless
-    those rows are dependent. A zero pivot before the last row raises
-    DependentInput. The trailing block stays symmetric, so only its upper
-    triangle is updated (and read, through g[k][i] for g[i][k]). Columns
-    that the rows carry past the Gram matrix are eliminated along; the
-    returned corner entry is then a carried one, not the determinant.
+    With d_{i+1} the Gram determinant of rows 0..i (d_0 = 1) and
+    lam[k][j] = d_{j+1} mu_kj, entry j is the recurrence
+    u <- (d_{i+1} u - lam[k][i] lam[j][i]) / d_i over i < j from
+    u = G[k][j], every division exact (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7), and the pivot is the same
+    recurrence at j = k. d[0..k] and lam[0..k-1] are read, and gk only on
+    and below the diagonal; the row lam[k][0..k-1] is appended to lam, and
+    the pivot is returned unchecked. This is the only symmetric elimination
+    step in latkit: the row is row k of the fraction-free (Bareiss)
+    elimination of G, lam[k][j] = g[j][k].
     """
-    prev = 1
-    for k in range(len(g) - 1):
-        pivot = g[k][k]
-        if pivot == 0:
+    k = len(lam)
+    lk = [0] * (k + 1)  # the pivot passes through lk[k]
+    lam.append(lk)
+    for j in range(k + 1):
+        u, lj = gk[j], lam[j]
+        for i in range(j):
+            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+        lk[j] = u
+    return lk.pop()
+
+
+def _eliminate_gram(g: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """(d, lam): the fraction-free elimination of an integer Gram matrix,
+    one _gso_row per row; g is read on and below its diagonal only, and
+    never written.
+
+    No pivoting: d[k+1] is the (k+1)-th leading principal minor, the Gram
+    determinant of the first k+1 rows, which is positive unless those rows
+    are dependent, and lam[k][j] (j < k) is d_{j+1} mu_kj. A pivot <= 0
+    before the last row raises DependentInput; the last, det g, is returned
+    unchecked.
+    """
+    d, lam = [1], []
+    last = len(g) - 1
+    for k, gk in enumerate(g):
+        p = _gso_row(gk, d, lam)
+        if p <= 0 and k < last:
             raise DependentInput(f"vector {k} is in the span of its predecessors")
-        _bareiss_step(g, k, prev)
-        prev = pivot
-    return g[-1][-1]
+        d.append(p)
+    return d, lam
+
+
+def _carried_rows(
+    rows: Sequence[list[int]], d: Sequence[int], lam: Sequence[list[int]]
+) -> list[list[int]]:
+    """The rows d_k b*_k of integral Gram-Schmidt, b*_k the part of row k
+    orthogonal to rows 0..k-1, from (d, lam) of the rows' Gram matrix: the
+    kernel's recurrence run on the rows, c <- (d_{i+1} c - lam[k][i] c_i) / d_i
+    over i < k from c = row k, with c_i = d_i b*_i."""
+    out: list[list[int]] = []
+    for c, lk in zip(rows, lam):
+        for i, ci in enumerate(out):
+            p, a, q = d[i + 1], lk[i], d[i]
+            c = [(p * x - a * y) // q for x, y in zip(c, ci)]
+        out.append(c)
+    return out
 
 
 def _scaled_gram(vectors: Sequence[QVector]) -> tuple[list[list[int]], list[list[int]], int]:
@@ -485,7 +502,7 @@ def rel_volume_sq(basis: Sequence[QVector]) -> Fraction:
     if not basis:
         return _ONE
     g, _, scale = _scaled_gram(basis)
-    vol = _eliminate_gram(g)
+    vol = _eliminate_gram(g)[0][-1]
     if vol == 0:
         raise DependentInput("vectors are linearly dependent")
     return Fraction(vol, scale ** (2 * len(basis)))
@@ -540,9 +557,9 @@ def is_unimodular(m: QMatrix) -> bool:
 def ldl_decompose(g: QMatrix) -> LDLDecomposition:
     """Exact L D L^T factorization of a symmetric positive definite matrix.
 
-    With a = den g integral, eliminated, and d_k its leading minors (d_0 = 1):
-    L[i][j] = a[j][i] / d_{j+1} and D_k = d_{k+1} / (d_k den). Raises NotSPD
-    at the first pivot <= 0.
+    With a = den g integral and (d, lam) its elimination (_eliminate_gram),
+    d_k the leading minors (d_0 = 1): L[i][j] = lam[i][j] / d_{j+1} and
+    D_k = d_{k+1} / (d_k den). Raises NotSPD if a pivot is <= 0.
     """
     if not g.is_square:
         raise NonSquare("LDL factorization needs a square matrix")
@@ -550,13 +567,13 @@ def ldl_decompose(g: QMatrix) -> LDLDecomposition:
     if any(g.data[i][j] != g.data[j][i] for i in range(n) for j in range(i)):
         raise NotSPD("matrix is not symmetric")
     a, den = integer_rows(g.row_vectors())
-    d = [1]
-    for k in range(n):
-        if a[k][k] <= 0:
-            raise NotSPD(f"pivot {k} is not positive")
-        _bareiss_step(a, k, d[-1])
-        d.append(a[k][k])
-    lower = [[Fraction(a[j][i], d[j + 1]) if j < i else _ONE if i == j else _ZERO
+    try:
+        d, lam = _eliminate_gram(a)
+    except DependentInput:
+        d = [0]
+    if d[-1] <= 0:
+        raise NotSPD("matrix is not positive definite")
+    lower = [[Fraction(lam[i][j], d[j + 1]) if j < i else _ONE if i == j else _ZERO
               for j in range(n)] for i in range(n)]
     return LDLDecomposition(QMatrix(lower), [Fraction(q, p * den) for p, q in zip(d, d[1:])])
 

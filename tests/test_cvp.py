@@ -482,6 +482,7 @@ class TestLazyInstance:
             fields = mdsp_to_cvp(inst)
             eager = CVPGramInstance(fields.gram, fields.offset, fields.scale_sq)
             assert "gram" not in vars(mdsp_to_cvp(inst))
+            assert "_rows" not in vars(mdsp_to_cvp(inst))  # P is stored, no rows
             assert mdsp_to_cvp(inst) == eager and eager == mdsp_to_cvp(inst)
             assert hash(mdsp_to_cvp(inst)) == hash(eager)
             assert repr(mdsp_to_cvp(inst)) == repr(eager)

@@ -207,6 +207,11 @@ class TestRunHeuristic:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HeuristicConfig(max_passes=0)
+        # a float count used to pass construction and raise TypeError
+        # inside run_heuristic
+        for bad in (2.5, 2.0, F(5, 2), "2"):
+            with pytest.raises(ValueError, match="^max_passes must be an integer"):
+                HeuristicConfig(max_passes=bad)
 
     def test_x_total_reproduces_final_basis(self):
         rng = random.Random(89)
@@ -383,7 +388,7 @@ class TestHotPath:
             expected = [r[:] for r in rows]
             with monkeypatch.context() as m:
                 m.setattr(heuristic, "integer_gram", refuse)
-                m.setattr(qlinalg, "_bareiss_step", refuse)
+                m.setattr(qlinalg, "_eliminate_gram", refuse)
                 _sweep_prefixes(rows, d, lam, 1)
             # the same sweep on a state from a fresh elimination
             state = _GramState.of_rows(expected)

@@ -10,12 +10,22 @@ from latkit.lattice import LatticeBasis, MDSPInstance, minkowski_bound_sq, same_
 from latkit.lll import (
     AccelConfig,
     LLLParams,
+    ReductionTrace,
+    _lll_rows,
     accelerated_reduce,
     det_identity_check,
     lll_reduce,
     shortest_basis_vector,
 )
-from latkit.qlinalg import QMatrix, QVector, determinant, gram_schmidt
+from latkit.qlinalg import (
+    QMatrix,
+    QVector,
+    _eliminate_gram,
+    determinant,
+    gram_schmidt,
+    integer_gram,
+    integer_rows,
+)
 from oracles import textbook_lll
 
 
@@ -172,6 +182,20 @@ class TestLLL:
             ref = textbook_lll([list(v.entries) for v in basis.vectors], delta)
             assert [tuple(v.entries) for v in out.vectors] == ref
 
+    def test_returned_data_is_the_gram_elimination(self):
+        # the invariant accelerated_reduce's first sweep state starts from
+        rng = random.Random(163)
+        bases = [random_basis(rng, rng.randint(2, 12), bound=30) for _ in range(8)]
+        bases += [rational_basis(rng, rng.randint(2, 6)) for _ in range(4)]
+        bases += [knapsack_basis(rng, dim) for dim in (4, 8, 12)]
+        for basis in bases:
+            for p, q in ((1, 4), (99, 100)):
+                rows, _ = integer_rows(basis.vectors)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    d, lam = _lll_rows(rows, p, q, ReductionTrace())
+                assert (d, lam) == _eliminate_gram(integer_gram(rows))
+
     def test_dependent_input_raises(self):
         dependent = [
             [qv(1, 2), qv(2, 4)],
@@ -272,6 +296,14 @@ class TestAccelerated:
         for passes in (0, -1):
             with pytest.raises(ValueError):
                 AccelConfig(LLLParams(F(3, 4)), F(1), heuristic_passes=passes)
+
+    def test_integer_fields_reject_non_integers(self):
+        # a float count used to pass construction: max_rounds=1.5 ran two
+        # rounds, heuristic_passes=1.5 raised TypeError inside the run
+        for field in ("max_rounds", "heuristic_passes"):
+            for bad in (1.5, 2.0, F(3, 2), "2"):
+                with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                    AccelConfig(LLLParams(F(3, 4)), F(1), **{field: bad})
 
 
 def reference_accelerated(basis, cfg):

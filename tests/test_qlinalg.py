@@ -14,9 +14,13 @@ from latkit.errors import (
     NotSPD,
     SingularMatrix,
 )
+from latkit.cvp import mdsp_to_cvp
+from latkit.exact import solve_exact
+from latkit.lattice import MDSPInstance
 from latkit.qlinalg import (
     QMatrix,
     QVector,
+    _eliminate_gram,
     adjugate_spd,
     ceil_plus_sqrt,
     determinant,
@@ -517,6 +521,99 @@ class TestAdjugate:
             assert det == 0
             assert sum(x * y for x, y in zip(g[-1], adj[-1])) == 0
             assert adj == _cofactor_adjugate(g)
+
+
+def _kernel_families(seed):
+    """Seeded integer Gram matrices for the elimination kernel: of uniform,
+    knapsack and lcm-scaled rational rows (n = 1..10, rank n), of families
+    whose row k depends on rows 0..k-1, and symmetric matrices that are
+    mostly indefinite."""
+    rng = random.Random(seed)
+    for n in range(1, 11):
+        yield _gram(_independent_rows(
+            rng, n, lambda: [rng.randint(-9, 9) for _ in range(n + 1)]))
+        rows = [[int(j == i) for j in range(n - 1)] + [rng.getrandbits(30)]
+                for i in range(n - 1)]
+        yield _gram(rows + [[0] * (n - 1) + [rng.getrandbits(30) | 1 << 29]])
+        rows = _independent_rows(
+            rng, n, lambda: [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)])
+        scale = lcm(*(e.denominator for row in rows for e in row))
+        yield _gram([[int(e * scale) for e in row] for row in rows])
+    for n in range(2, 9):
+        for k in range(1, n):
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            coeffs = [rng.randint(-2, 2) for _ in range(k)]
+            rows[k] = [sum(a * r[c] for a, r in zip(coeffs, rows)) for c in range(n)]
+            yield _gram(rows)
+        for _ in range(4):
+            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            yield [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+
+
+def _leading_minors(g):
+    return [int_det([row[:k] for row in g[:k]]) for k in range(1, len(g) + 1)]
+
+
+class TestEliminationKernel:
+    """_eliminate_gram, the one symmetric elimination, against leading
+    minors computed by tests/oracles.py's int_det."""
+
+    def test_against_oracle_minors(self):
+        spd = raised = zero_last = 0
+        for g in _kernel_families(59):
+            before = [row[:] for row in g]
+            minors = _leading_minors(g)
+            bad = [k for k, m in enumerate(minors[:-1]) if m <= 0]
+            if bad:
+                # the first pivot <= 0 before the last row
+                with pytest.raises(DependentInput, match=f"^vector {bad[0]} "):
+                    _eliminate_gram(g)
+                raised += 1
+            else:
+                d, lam = _eliminate_gram(g)
+                assert d == [1] + minors  # the last pivot unchecked
+                # lam[k][j] is the minor on rows 0..j, columns 0..j-1 and k
+                assert lam == [
+                    [int_det([[row[c] for c in [*range(j), k]] for row in g[:j + 1]])
+                     for j in range(k)]
+                    for k in range(len(g))
+                ]
+                spd += minors[-1] > 0
+                zero_last += minors[-1] == 0
+            assert g == before  # only read
+        assert spd >= 30 and raised >= 20 and zero_last >= 5
+
+    def test_callers_keep_their_exceptions(self):
+        # a zero leading minor before the last: each caller's own type
+        rows = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
+        g = _gram(rows)
+        with pytest.raises(DependentInput, match="^vector 1 "):
+            _eliminate_gram(g)
+        with pytest.raises(DependentInput, match="^vector 1 "):
+            dist_sq_to_span(qv(1, 1, 1), [QVector(r) for r in rows[:2]])
+        with pytest.raises(DependentInput, match="^vector 1 "):
+            rel_volume_sq([QVector(r) for r in rows])
+        with pytest.raises(DegenerateResidual):
+            adjugate_spd(g)
+        with pytest.raises(NotSPD):
+            ldl_decompose(QMatrix(g))
+        with pytest.raises(SingularMatrix):
+            inverse(QMatrix(rows))
+        inst = MDSPInstance.from_vectors(rows[2], rows[:2], validate=False)
+        for route in (mdsp_to_cvp, solve_exact):
+            with pytest.raises(SingularMatrix):
+                route(inst)
+        # a zero last pivot, v in the span of the others, is returned as it is
+        rows = [[1, 2, 0], [0, 0, 1], [3, 6, 0]]
+        d, _ = _eliminate_gram(_gram(rows))
+        assert d[-1] == 0 and min(d[:-1]) > 0
+        assert dist_sq_to_span(QVector(rows[2]), [QVector(r) for r in rows[:2]]) == 0
+        with pytest.raises(NotSPD):
+            ldl_decompose(QMatrix(_gram(rows)))
+        inst = MDSPInstance.from_vectors(rows[2], rows[:2], validate=False)
+        for route in (mdsp_to_cvp, solve_exact):
+            with pytest.raises(SingularMatrix):
+                route(inst)
 
 
 class TestLDL:
