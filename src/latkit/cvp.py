@@ -13,9 +13,10 @@ enumeration runs on the primal side of the isomorphism: the objective is
 an affine function of z^T P^-1 z, with P the integer Gram matrix of
 (v, b_{n-1}, ..., b_0) and z = (1, -x_{n-1}, ..., -x_0), which forward
 substitution with the fraction-free LDL^T of P gives level by level. The
-forward map scales (B, v) to integer rows once, eliminates P once, which
-leaves P as it was, and stores P with its elimination on the instance it
-returns; enumeration, the objective and distance recovery all read them.
+forward map takes P with its elimination from the MDSP instance's stored
+integer form (MDSPInstance._primal, which the heuristic and the
+certificate verifier read too) and keeps them on the instance it returns;
+enumeration, the objective and distance recovery all read them.
 The rational fields gram and offset are read off the adjugate of P
 reversed, the Gram matrix of (B, v), only when a caller first reads
 them. A hand-built form is scaled to integers once and bordered into such
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -36,29 +37,27 @@ from .errors import (
     LengthMismatch,
     NonSquare,
     NotSPD,
-    SingularMatrix,
 )
-from .lattice import LatticeBasis, MDSPInstance, _integral_shift
+from .lattice import (
+    LatticeBasis,
+    MDSPInstance,
+    _eliminate,
+    _Eliminated,
+    _integral_shift,
+    _value,
+)
 from .qlinalg import (
     QMatrix,
     QVector,
-    _eliminate_gram,
     adjugate_spd,
-    integer_gram,
     integer_rows,
     inverse,
     ldl_decompose,
     sqrt_dyadic,
 )
 
-# A primal Gram matrix P with its elimination, as _eliminate returns it:
-# (P, d, lam, weight, W), with P unchanged, (d, lam) its fraction-free
-# elimination (qlinalg._eliminate_gram): d[k] = D_{k-1} the leading minors
-# of P (D_-1 = 1) and lam[q][k] = R[k][q] for q > k the Bareiss rows;
-# weight[p] = W / (D_{p-1} D_p) and W the lcm of those products.
-_Eliminated = tuple[list[list[int]], list[int], list[list[int]], list[int], int]
-# An eliminated P with the factor f = f_num / f_den that scales its
-# objective to the form's (_primal_of).
+# An eliminated P (lattice._Eliminated) with the factor f = f_num / f_den
+# that scales its objective to the form's (_primal_of).
 _Primal = tuple[_Eliminated, int, int]
 
 
@@ -159,16 +158,17 @@ class EmbeddedCVPInstance:
 def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
     """Forward reduction: decompose against v and invert the residual Gram.
 
-    The rows (B, v) are scaled to integers by s once, and the Gram matrix
-    P of (v, b_{n-1}, ..., b_0) is eliminated once (_primal). The
-    instance stores P with its elimination, which enumerate_cvp, objective
-    and recover_mdsp_distance_sq read; scale_sq is P[0][0] / s^2 = |v|^2.
+    The Gram matrix P of (v, b_{n-1}, ..., b_0), on the rows (B, v) scaled
+    to integers by s, and its elimination come from inst's stored integer
+    form (MDSPInstance._primal). The CVP instance keeps them, and
+    enumerate_cvp, objective and recover_mdsp_distance_sq read them;
+    scale_sq is P[0][0] / s^2 = |v|^2.
     gram and offset are built on first access (_public_fields). A zero v
     raises DependentInput and a dependent [B; v] SingularMatrix.
     """
     if inst.fixed.is_zero():
         raise DependentInput("fixed vector is zero")
-    _, scale, eliminated = _primal(inst)
+    _, scale, eliminated = inst._primal()
     scale_sq = scale * scale
     c = object.__new__(CVPGramInstance)
     object.__setattr__(c, "scale_sq", Fraction(eliminated[0][0][0], scale_sq))
@@ -293,46 +293,6 @@ def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
          for row, wi in zip(adj, w)]
     g.append([step * wj for wj in w] + [step * step])
     return g, det * step, den * content
-
-
-def _primal(inst: MDSPInstance) -> tuple[list[list[int]], int, _Eliminated]:
-    """(rows, s, P): the rows (B, v) scaled to integers by s once, and the
-    Gram matrix P of (v, b_{n-1}, ..., b_0) as _eliminate returns it. A
-    dependent [B; v] raises SingularMatrix."""
-    rows, scale = integer_rows([*inst.rest.vectors, inst.fixed])
-    return rows, scale, _eliminate(integer_gram(rows[::-1]))
-
-
-def _eliminate(p: list[list[int]]) -> _Eliminated:
-    """P with its fraction-free elimination (_eliminate_gram), P the
-    integer Gram matrix of (v, b_{n-1}, ..., b_0), and the weights that
-    _search and _value read. P is only read. A dependent family raises
-    SingularMatrix."""
-    try:
-        d, lam = _eliminate_gram(p)
-    except DependentInput:
-        d = [0]
-    if d[-1] == 0:
-        raise SingularMatrix("the fixed vector and the basis are dependent")
-    prods = [a * b for a, b in zip(d, d[1:])]
-    big_w = lcm(*prods)
-    return p, d, lam, [big_w // q for q in prods], big_w
-
-
-def _value(e: _Eliminated, x: Sequence[int]) -> tuple[int, int]:
-    """(T, W) with z^T P^-1 z = T / W at z = (1, -x_{n-1}, ..., -x_0), for P
-    as _eliminate returns it: _search's forward substitution along one
-    path."""
-    p, d, lam, weight, big_w = e
-    n = len(p) - 1
-    c = [-a for a in p[0]]
-    t = weight[0]
-    for k in range(1, n + 1):
-        h = c[k] - d[k] * x[n - k]
-        t += weight[k] * h * h
-        for q in range(k + 1, n + 1):
-            c[q] = (d[k + 1] * c[q] - lam[q][k] * h) // d[k]
-    return t, big_w
 
 
 def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:

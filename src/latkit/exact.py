@@ -1,12 +1,14 @@
 """Exact maximum-distance solver through the MDSP = CVP isomorphism.
 
-solve_exact scales (B, v) to integer rows once and finds the closest
-vector of the instance's Gram-form CVP side by the integer
-Schnorr-Euchner enumeration of enumerate_cvp, run on the fraction-free
-LDL^T of the Gram matrix of (v, b_{n-1}, ..., b_0): one elimination, with
-no adjugate and no CVP form built. dist^2 and B(x) come from integers,
-once. Ties go to the lexicographically smallest shift, and there is no
-dimension cap.
+Every function here reads the instance's stored integer form
+(MDSPInstance._primal): the rows (B, v) scaled to integers once and the
+fraction-free LDL^T of the Gram matrix P of (v, b_{n-1}, ..., b_0).
+solve_exact finds the closest vector of the instance's Gram-form CVP side
+by the integer Schnorr-Euchner enumeration of enumerate_cvp on P, with no
+adjugate and no CVP form built; dist^2 and B(x) come from integers, once.
+Ties go to the lexicographically smallest shift, and there is no
+dimension cap. shift_dist_sq, and through it projection_length_sq, is one
+forward substitution on P (lattice._value).
 
 The certified shift ranges remain a certificate, not the search: any basis
 B(x) whose span is at least as far from v as span(B) must keep every
@@ -21,15 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cvp import _primal, _search
+from .cvp import _search
 from .errors import DegenerateFixedVector
-from .lattice import LatticeBasis, MDSPInstance, apply_shift
-from .qlinalg import (
-    ceil_plus_sqrt,
-    dist_sq_to_span,
-    floor_minus_sqrt,
-    rational_vectors,
-)
+from .lattice import LatticeBasis, MDSPInstance, _integral_shift, _value
+from .qlinalg import ceil_plus_sqrt, floor_minus_sqrt, rational_vectors
 
 
 @dataclass(frozen=True)
@@ -57,8 +54,9 @@ class MDSPSolution:
 
 def projection_length_sq(inst: MDSPInstance) -> Fraction:
     """Squared length of the projection of v onto span(B): by Pythagoras,
-    |v|^2 minus the squared distance from v to span(B)."""
-    return inst.fixed.norm_sq() - dist_sq_to_span(inst.fixed, inst.rest.vectors)
+    |v|^2 minus the squared distance from v to span(B), shift_dist_sq at
+    x = 0."""
+    return inst.fixed.norm_sq() - shift_dist_sq(inst, [0] * inst.n)
 
 
 def shift_ranges(inst: MDSPInstance) -> ShiftRanges:
@@ -94,16 +92,24 @@ def shift_ranges(inst: MDSPInstance) -> ShiftRanges:
 
 
 def shift_dist_sq(inst: MDSPInstance, x: Sequence[int]) -> Fraction:
-    """dist^2 from v to span(B(x))."""
-    return dist_sq_to_span(inst.fixed, apply_shift(inst, x).vectors)
+    """dist^2 from v to span(B(x)): W / (s^2 T) for (T, W) = _value at x
+    on the instance's stored form, in O(n^2).
+
+    Raises LengthMismatch unless x has n coordinates, ValueError unless
+    they are integers, and SingularMatrix on a dependent [B; v].
+    """
+    _, scale, e = inst._primal()
+    t, big_w = _value(e, _integral_shift(inst.n, x))
+    return Fraction(big_w, scale * scale * t)
 
 
 def solve_exact(inst: MDSPInstance) -> MDSPSolution:
     """The maximizing shift, through the CVP route, in integers.
 
-    cvp._primal, which mdsp_to_cvp shares, scales the rows (B, v) to
-    integers by s once and eliminates the integer Gram matrix P of
-    (v, b_{n-1}, ..., b_0) once. The search of enumerate_cvp (no dimension
+    The instance's stored form (MDSPInstance._primal), which mdsp_to_cvp,
+    the heuristic and the verifier share, holds the rows (B, v) scaled to
+    integers by s and the eliminated integer Gram matrix P of
+    (v, b_{n-1}, ..., b_0). The search of enumerate_cvp (no dimension
     cap) runs on P and returns the maximizer x, ties going to the
     lexicographically smallest, with z^T P^-1 z = T / W at
     z = (1, -x_{n-1}, ..., -x_0); so d^2 = W / (s^2 T). B(x) is
@@ -113,7 +119,7 @@ def solve_exact(inst: MDSPInstance) -> MDSPSolution:
     """
     if inst.fixed.is_zero():
         raise DegenerateFixedVector("fixed vector is zero")
-    rows, scale, eliminated = _primal(inst)  # raises SingularMatrix
+    rows, scale, eliminated = inst._primal()  # raises SingularMatrix
     x, t, big_w = _search(eliminated)
     *rest, v = rows
     shifted = [[b + xi * e for b, e in zip(row, v)] for row, xi in zip(rest, x)]

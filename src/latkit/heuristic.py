@@ -11,12 +11,15 @@ The residual quantities for every coordinate are ratios of minors of the
 integer-scaled Gram matrix of (b_1..b_n, v), and all of them share one
 positive denominator per coordinate. They are read off the adjugate of
 that Gram matrix, but only three parts of it are read: its diagonal, its
-row v, and the row of each coordinate that gets shifted. One
-fraction-free elimination is recorded (or, in LLL's sweeps, taken from
-LLL's own d/lambda data), and those parts are built from the record,
-a row when first read. A committed shift is a unimodular change of
-basis: it changes only row v of the adjugate, in O(n) operations, and
-det G not at all. No Gram matrix or row is kept, and a pass hands back
+row v, and the row of each coordinate that gets shifted. Those parts are
+built from the record of one fraction-free elimination, a row when first
+read. On an instance the elimination is the one its stored integer form
+already holds (MDSPInstance._primal), which the certificate verifier and
+the exact solver read too: that of the Gram matrix in the reversed order
+(v, b_n..b_1), whose adjugate holds the same integers reversed. In LLL's
+sweeps it is LLL's own d/lambda data. A committed shift is a unimodular
+change of basis: it changes only row v of the adjugate, in O(n)
+operations, and det G not at all. No Gram matrix or row is kept, and a pass hands back
 only the shift vector x, from which the caller forms B(x) = {b_i + x_i v}.
 """
 
@@ -27,7 +30,7 @@ from fractions import Fraction
 from operator import index
 from typing import Optional
 
-from .errors import DegenerateResidual, IndexOutOfRange
+from .errors import DegenerateResidual, IndexOutOfRange, SingularMatrix
 from .lattice import MDSPInstance, apply_shift
 from .qlinalg import (
     QVector,
@@ -36,7 +39,6 @@ from .qlinalg import (
     _eliminate_spd,
     _jordan_columns,
     integer_gram,
-    integer_rows,
 )
 
 
@@ -80,7 +82,10 @@ class _GramState:
     state holds the record of one elimination (its pivots d and the
     columns of qlinalg._jordan_columns), the diagonal and row v; a B-block
     row is built from the record when first read, and the whole B block
-    only by leading(). Integer rows come from scaling by a positive
+    only by leading(). The record is of G itself, or, when flipped, of
+    P = J G J, the Gram matrix of (v, b_{n-1}, ..., b_0) for the reversal
+    J, whose adjugate J adj(G) J holds the same integers: coordinate i is
+    P's index n - i. Integer rows come from scaling by a positive
     constant, under which every shift choice is invariant.
     """
 
@@ -91,12 +96,14 @@ class _GramState:
         row_v: list[int],
         record: Optional[tuple[list[int], list[list[int]]]] = None,
         lower: Optional[list[list[int]]] = None,
+        flipped: bool = False,
     ):
         self.det = det
         self.n = len(diag)
         self._diag = diag
         self._v = row_v  # adj[v][0..n], the one part a shift changes
         self._record = record
+        self._flipped = flipped  # the record is of P = J G J
         self._lower = lower  # B block's lower triangle, when leading() built it
         self._rows: list[Optional[list[int]]] = [None] * self.n
 
@@ -117,12 +124,26 @@ class _GramState:
         """State of the integer rows from one elimination of their Gram matrix."""
         return cls.of_lll(*_eliminate_spd(integer_gram(rows)))
 
+    @classmethod
+    def of_primal(cls, d: list[int], lam: list[list[int]]) -> "_GramState":
+        """State of rows (b_0..b_{n-1}, v) from the fraction-free
+        elimination (d, lam) of P, the Gram matrix of (v, b_{n-1}, ..., b_0),
+        as MDSPInstance._primal holds it: adj(G)[i][j] = adj(P)[n-i][n-j], so
+        the diagonal is P's reversed, less v's entry, and row v is row 0 of
+        adj(P) reversed."""
+        cols = _jordan_columns(d, lam)
+        diag = _adjugate_diagonal(d, cols)[:0:-1]
+        row_v = _adjugate_row(d, cols, 0)[::-1]
+        return cls(d[-1], diag, row_v, record=(d, cols), flipped=True)
+
     def _row(self, i: int) -> list[int]:
         """adj[i][0..n-1], built once."""
         row = self._rows[i]
         if row is None:
             low = self._lower
-            if low is None:
+            if low is None and self._flipped:
+                row = _adjugate_row(*self._record, self.n - i)[:0:-1]
+            elif low is None:
                 row = _adjugate_row(*self._record, i)[: self.n]
             else:
                 row = low[i] + [low[k][i] for k in range(i + 1, self.n)]
@@ -167,11 +188,13 @@ class _GramState:
         an exact division: O(n^2) on the B block of adj(G), which a state
         from a record builds here whole, at the cost of adjugate_spd's A
         block, instead of a new elimination. Only the lower triangle is
-        formed.
+        formed, but a flipped record gives whole rows.
         """
         n, det, row_v = self.n, self.det, self._v
         low = self._lower
-        if low is None:
+        if low is None and self._flipped:
+            low = [self._row(j)[: j + 1] for j in range(n)]
+        elif low is None:
             d, cols = self._record
             low = [_adjugate_row(d, cols, j, lower=True) for j in range(n)]
         aff = row_v[n]
@@ -184,9 +207,14 @@ class _GramState:
 
 
 def _state(inst: MDSPInstance) -> tuple[_GramState, int]:
-    """Gram state of an instance, with the scale of its integer rows."""
-    rows, scale = integer_rows(inst.rest.vectors + (inst.fixed,))
-    return _GramState.of_rows(rows), scale
+    """Gram state of an instance, read off its stored integer form, with
+    the scale of its integer rows. A dependent [B; v] raises
+    DegenerateResidual."""
+    try:
+        _, scale, (_, d, lam, _, _) = inst._primal()
+    except SingularMatrix:
+        raise DegenerateResidual("fixed vector lies in the span of the others") from None
+    return _GramState.of_primal(d, lam), scale
 
 
 def _choose_shift(s: int, w: int, t: int) -> int:

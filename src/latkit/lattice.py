@@ -4,18 +4,30 @@ An MDSP instance is a full basis of an (n+1)-dimensional lattice split into
 a distinguished fixed vector v and the n remaining vectors B. Candidate
 sub-lattice bases have the shift form B(x) = {b_i + x_i v} for integer x,
 and a decision certificate is exactly such an integer tuple.
+
+An instance carries its integer form, built on first use and kept for its
+lifetime: the rows (B, v) scaled to integers once, and one fraction-free
+elimination of their Gram matrix P in the order (v, b_{n-1}, ..., b_0)
+(_eliminate). Every MDSP computation reads it: the distance of v from
+span B(x) at any x is one forward substitution on it (_value), which the
+certificate verifier and exact.shift_dist_sq evaluate; the exact solver
+and the CVP map search it; and the heuristic reads its adjugate entries
+off the same elimination. Its vectors cannot be rebound, so the form
+cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
     DependentInput,
     LengthMismatch,
     NonSquare,
+    SingularMatrix,
 )
 # dist_sq_to_span is not called in this module; it stays importable as
 # lattice.dist_sq_to_span because latbench's traced runs rebind that name.
@@ -38,11 +50,22 @@ from .qlinalg import (  # noqa: F401
 
 ShiftVector = tuple[int, ...]
 
+# A primal Gram matrix P with its elimination, as _eliminate returns it:
+# (P, d, lam, weight, W), with P unchanged, (d, lam) its fraction-free
+# elimination (qlinalg._eliminate_gram): d[k] = D_{k-1} the leading minors
+# of P (D_-1 = 1) and lam[q][k] = R[k][q] for q > k the Bareiss rows;
+# weight[p] = W / (D_{p-1} D_p) and W the lcm of those products.
+_Eliminated = tuple[list[list[int]], list[int], list[list[int]], list[int], int]
+# An instance's integer form, as MDSPInstance._primal returns it: the rows
+# (B, v) scaled to integers by s, s, and their eliminated P.
+_IntegerForm = tuple[list[list[int]], int, _Eliminated]
+
 
 class LatticeBasis:
-    """An ordered, linearly independent family of rational vectors."""
+    """An ordered, linearly independent family of rational vectors; its
+    vectors cannot be rebound."""
 
-    __slots__ = ("vectors", "dim")
+    __slots__ = ("_vectors", "dim")
 
     def __init__(self, vectors: Sequence[QVector], *, validate: bool = True):
         vecs = tuple(vectors)
@@ -55,8 +78,12 @@ class LatticeBasis:
             raise DependentInput("more vectors than the ambient dimension")
         if validate:
             rel_volume_sq(vecs)  # raises DependentInput on dependence
-        self.vectors = vecs
+        self._vectors = vecs
         self.dim = dim
+
+    @property
+    def vectors(self) -> tuple[QVector, ...]:
+        return self._vectors
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -89,9 +116,12 @@ class MDSPInstance:
     ambient dimension is also n+1, but the family may sit inside a larger
     space (the accelerated reduction builds such prefixes); operations that
     need a square matrix require is_full_dimensional.
+
+    fixed and rest cannot be rebound, since the integer form that _primal
+    builds on first use answers for them for the instance's lifetime.
     """
 
-    __slots__ = ("fixed", "rest")
+    __slots__ = ("_fixed", "_rest", "_form")
 
     def __init__(self, fixed: QVector, rest: LatticeBasis, *, validate: bool = True):
         if fixed.dim != rest.dim:
@@ -102,8 +132,17 @@ class MDSPInstance:
             )
         if validate:
             rel_volume_sq((fixed,) + rest.vectors)  # raises DependentInput
-        self.fixed = fixed
-        self.rest = rest
+        self._fixed = fixed
+        self._rest = rest
+        self._form = None  # built by _primal on first use
+
+    @property
+    def fixed(self) -> QVector:
+        return self._fixed
+
+    @property
+    def rest(self) -> LatticeBasis:
+        return self._rest
 
     @classmethod
     def from_vectors(cls, fixed, rest_vectors, *, validate: bool = True) -> "MDSPInstance":
@@ -123,8 +162,56 @@ class MDSPInstance:
         """Columns [v | b_1 ... b_n]; square iff the instance is full dimensional."""
         return QMatrix.from_columns((self.fixed,) + self.rest.vectors)
 
+    def _primal(self) -> _IntegerForm:
+        """(rows, s, P): the rows (B, v) scaled to integers by s, and the
+        Gram matrix P of (v, b_{n-1}, ..., b_0) as _eliminate returns it.
+        Built on the first call and kept, so an instance is scaled and
+        eliminated once. A dependent [B; v] raises SingularMatrix on every
+        call."""
+        form = self._form
+        if form is None:
+            rows, scale = integer_rows([*self._rest.vectors, self._fixed])
+            form = self._form = (rows, scale, _eliminate(integer_gram(rows[::-1])))
+        return form
+
     def __repr__(self) -> str:
         return f"MDSPInstance(fixed={self.fixed!r}, rest={self.rest!r})"
+
+
+def _eliminate(p: list[list[int]]) -> _Eliminated:
+    """P with its fraction-free elimination (_eliminate_gram), P the
+    integer Gram matrix of (v, b_{n-1}, ..., b_0), and the weights that
+    cvp._search and _value read. P is only read. A dependent family raises
+    SingularMatrix."""
+    try:
+        d, lam = _eliminate_gram(p)
+    except DependentInput:
+        d = [0]
+    if d[-1] == 0:
+        raise SingularMatrix("the fixed vector and the basis are dependent")
+    prods = [a * b for a, b in zip(d, d[1:])]
+    big_w = lcm(*prods)
+    return p, d, lam, [big_w // q for q in prods], big_w
+
+
+def _value(e: _Eliminated, x: Sequence[int]) -> tuple[int, int]:
+    """(T, W) with z^T P^-1 z = T / W at z = (1, -x_{n-1}, ..., -x_0), for P
+    as _eliminate returns it: cvp._search's forward substitution along one
+    path, O(n^2).
+
+    With B(x) = (b_i + x_i v), det Gram(B(x)) = det P z^T P^-1 z, so on
+    P's scale dist^2(v, span B(x)) = W / T and |v|^2 = P[0][0].
+    """
+    p, d, lam, weight, big_w = e
+    n = len(p) - 1
+    c = [-a for a in p[0]]
+    t = weight[0]
+    for k in range(1, n + 1):
+        h = c[k] - d[k] * x[n - k]
+        t += weight[k] * h * h
+        for q in range(k + 1, n + 1):
+            c[q] = (d[k + 1] * c[q] - lam[q][k] * h) // d[k]
+    return t, big_w
 
 
 @dataclass(frozen=True)
@@ -223,32 +310,32 @@ def verify_dmdsp_certificate(q: DMDSPQuery, x: Sequence[int]) -> bool:
 
     Accepts iff x is integral and the squared distance from v to
     span(B(x)) is at least gamma_sq * |v|^2. A certificate of the wrong
-    length raises LengthMismatch, and a dependent B(x) DependentInput.
+    length raises LengthMismatch, and a dependent [B; v] (so B(x) is
+    dependent or v lies in its span) DependentInput.
 
     That [v|B(x)] spans the same lattice as [v|B] needs no computation:
     [v|B(x)] = [v|B] U with U = [[1, x^T], [0, I]], and U is integral iff
     x is, with det U = 1; so U is an explicit unimodular witness for every
     integral x.
 
-    The distance test runs in integers. (B, v) is scaled once to integer
-    rows, the rows b_i + x_i v are formed, and one fraction-free
-    elimination of the Gram matrix G of (B(x), v) gives its last two
-    leading minors, det G(B(x), v) and det G(B(x)). dist^2 is their
-    quotient over s^2 and |v|^2 = G[n][n] / s^2, so the test is
-    det G(B(x), v) * den(gamma_sq) >= num(gamma_sq) * G[n][n] * det G(B(x)).
+    The distance test runs in integers on the instance's stored form, with
+    no elimination of its own: (T, W) = _value(P, x) gives
+    dist^2 = W / T and |v|^2 = P[0][0] on P's scale, so the test is
+    W * den(gamma_sq) >= num(gamma_sq) * P[0][0] * T, in O(n^2).
     """
     inst = q.instance
     try:
         xs = _integral_shift(inst.n, x)
     except ValueError:  # a non-integral x is no certificate
         return False
-    rows, _ = integer_rows([*inst.rest.vectors, inst.fixed])
-    v = rows.pop()
-    rows = [[e + xi * f for e, f in zip(b, v)] for b, xi in zip(rows, xs)]
-    g = integer_gram([*rows, v])
-    d, _ = _eliminate_gram(g)  # raises DependentInput on a dependent B(x)
+    try:
+        _, _, e = inst._primal()
+    except SingularMatrix:
+        raise DependentInput("the fixed vector and the basis are dependent") from None
+    t, big_w = _value(e, xs)
+    v_sq = e[0][0][0]  # P[0][0]
     gamma_sq = q.gamma_sq
-    return d[-1] * gamma_sq.denominator >= gamma_sq.numerator * g[-1][-1] * d[-2]
+    return big_w * gamma_sq.denominator >= gamma_sq.numerator * v_sq * t
 
 
 def _bit_size(f: Fraction) -> int:

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from latkit.cvp import enumerate_cvp, mdsp_to_cvp, recover_mdsp_distance_sq
-from latkit.errors import DegenerateFixedVector, SingularMatrix
+from latkit.errors import DegenerateFixedVector, DependentInput, SingularMatrix
 from latkit.exact import (
     projection_length_sq,
     shift_dist_sq,
@@ -55,6 +55,38 @@ class TestProjectionLength:
             inst = make_instance(v, basis)
             want = project_onto_span(inst.fixed, inst.rest.vectors).norm_sq()
             assert projection_length_sq(inst) == want
+
+
+class TestStoredFormDistances:
+    def test_against_gram_schmidt_oracle(self):
+        # shift_dist_sq and projection_length_sq read the stored form; the
+        # oracle projects B(x) by plain Gram-Schmidt, on integer, rational
+        # (scale > 1) and non-full-dimensional (n + 1 < dim) instances
+        rng = random.Random(179)
+        kinds = {
+            "integer": lambda n: (n + 1, lambda: rng.randint(-9, 9)),
+            "rational": lambda n: (n + 1, lambda: F(rng.randint(-9, 9), rng.randint(1, 8))),
+            "sub-dimensional": lambda n: (n + 1 + rng.randint(1, 3), lambda: rng.randint(-9, 9)),
+        }
+        for kind, shape in kinds.items():
+            checked = 0
+            while checked < 12:
+                n = rng.randint(1, 5)
+                dim, entry = shape(n)
+                rows = [[entry() for _ in range(dim)] for _ in range(n + 1)]
+                try:
+                    inst = make_instance(rows[0], rows[1:])
+                except DependentInput:
+                    continue
+                assert (inst._primal()[1] > 1) == (kind == "rational")  # the scale
+                v = inst.fixed.entries
+                for _ in range(3):
+                    x = [rng.randint(-4, 4) for _ in range(n)]
+                    shifted = [b.entries for b in apply_shift(inst, x).vectors]
+                    assert shift_dist_sq(inst, x) == naive_dist_sq(v, shifted)
+                rest = [b.entries for b in inst.rest.vectors]
+                assert projection_length_sq(inst) == inst.fixed.norm_sq() - naive_dist_sq(v, rest)
+                checked += 1
 
 
 class TestShiftRanges:

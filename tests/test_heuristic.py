@@ -343,6 +343,22 @@ class TestGramState:
             shift_and_check(rng, state, rows)
             check_state(state.leading(), rows[:-1])
 
+    def test_state_from_primal_elimination(self):
+        # the record of P, the Gram matrix of the rows reversed, as an
+        # instance's stored form holds it; leading() then reads whole rows
+        rng = random.Random(163)
+        for rows in state_rows(167):
+            rows = [r[:] for r in rows]
+            state = _GramState.of_primal(*qlinalg._eliminate_gram(_gram(rows[::-1])))
+            check_state(state, rows)
+            while True:
+                shift_and_check(rng, state, rows)
+                if len(rows) == 2:
+                    break
+                state = state.leading()
+                rows.pop()
+                check_state(state, rows)
+
 
 class TestHotPath:
     """The heuristic and the verifier build no full adjugate, and the
@@ -356,9 +372,12 @@ class TestHotPath:
         row = heuristic._adjugate_row
         shift = heuristic._GramState.apply_shift
 
-        def counting_row(*args, **kwargs):
-            built.append(args[2])
-            return row(*args, **kwargs)
+        def counting_row(d, cols, i, **kwargs):
+            # the state's record is of P, the Gram matrix of (v, b_{n-1},
+            # ..., b_0): its row 0 is row v, every other row a B-block row
+            if i != 0:
+                built.append(i)
+            return row(d, cols, i, **kwargs)
 
         def recording_shift(state, i, a):
             shifted.add(i)

@@ -1,10 +1,21 @@
+import copy
+import pickle
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from latkit.errors import DependentInput, LengthMismatch, NonSquare
-from latkit.heuristic import run_heuristic
+from latkit.cvp import enumerate_cvp, mdsp_to_cvp
+from latkit.errors import (
+    DegenerateResidual,
+    DependentInput,
+    LengthMismatch,
+    NonSquare,
+    SingularMatrix,
+)
+from latkit.exact import shift_dist_sq, shift_ranges, solve_exact
+from latkit.heuristic import improve_coordinate, improve_pass, run_heuristic
 from latkit.lattice import (
     DMDSPQuery,
     LatticeBasis,
@@ -303,3 +314,132 @@ class TestDetIdentity:
             assert d <= v_sq
             orthogonal = all(inst.fixed.dot(b) == 0 for b in shifted.vectors)
             assert (d == v_sq) == orthogonal
+
+
+def stored_form_instances():
+    """Builders of fresh equal instances: integer, and rational with scale
+    > 1, each with a certificate from the heuristic and its gamma^2."""
+    rng = random.Random(173)
+    integer = [[rng.randint(-100, 100) for _ in range(7)] for _ in range(7)]
+    rational = [[F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(6)] for _ in range(6)]
+    for rows in (integer, rational):
+        def build(rows=rows):
+            return MDSPInstance.from_vectors(rows[0], rows[1:])
+        out = run_heuristic(build())
+        yield build, out.x_total, out.dist_sq / build().fixed.norm_sq()
+
+
+def stored_form_ops(x, gamma_sq):
+    """Every computation that reads an instance's stored form, by name."""
+    gamma_hi = gamma_sq * (1 + F(1, 1 << 32))
+    assert gamma_hi <= 1
+    return {
+        "accept": lambda inst: verify_dmdsp_certificate(DMDSPQuery(inst, gamma_sq), x),
+        "reject": lambda inst: verify_dmdsp_certificate(DMDSPQuery(inst, gamma_hi), x),
+        "heuristic": run_heuristic,
+        "exact": solve_exact,
+        "cvp": lambda inst: enumerate_cvp(mdsp_to_cvp(inst)),
+        "shift_dist_sq": lambda inst: shift_dist_sq(inst, x),
+        "shift_ranges": shift_ranges,
+    }
+
+
+class TestStoredForm:
+    """An instance is scaled and eliminated once, whatever reads it and in
+    whatever order, and its vectors cannot be rebound under that form."""
+
+    def test_one_elimination_per_instance(self, monkeypatch):
+        counts = {"_eliminate_gram": 0, "integer_gram": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "latkit"]
+        for build, x, gamma_sq in stored_form_instances():
+            ops = stored_form_ops(x, gamma_sq)
+            fresh = {name: op(build()) for name, op in ops.items()}
+            assert fresh["accept"] and not fresh["reject"]
+            orders = (
+                ["accept", "reject", "heuristic", "exact", "cvp", "shift_dist_sq", "shift_ranges"],
+                ["heuristic", "accept", "reject", "cvp", "exact", "shift_ranges", "shift_dist_sq"],
+                ["exact", "shift_ranges", "heuristic", "reject", "accept", "cvp", "shift_dist_sq"],
+            )
+            for order in orders:
+                inst = build()  # validation eliminates apart from the form
+                with monkeypatch.context() as m:
+                    for name in counts:
+                        counts[name] = 0
+                        for mod in modules:
+                            if hasattr(mod, name):
+                                m.setattr(mod, name, counting(name, getattr(mod, name)))
+                    assert {name: ops[name](inst) for name in order} == fresh
+                assert counts == {"_eliminate_gram": 1, "integer_gram": 1}
+
+    def test_vectors_cannot_be_rebound(self):
+        inst = make_instance([0, 0, 3], [[1, 0, 1], [0, 1, 2]])
+        other = make_instance([1, 0, 0], [[0, 1, 0], [0, 0, 1]])
+        for obj, name, value in (
+            (inst, "fixed", other.fixed),
+            (inst, "rest", other.rest),
+            (inst.rest, "vectors", other.rest.vectors),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+        assert inst.fixed == qv(0, 0, 3) and inst.rest == LatticeBasis([qv(1, 0, 1), qv(0, 1, 2)])
+
+    def test_copy_and_pickle_round_trips(self):
+        for build, x, gamma_sq in stored_form_instances():
+            ops = stored_form_ops(x, gamma_sq)
+            fresh = {name: op(build()) for name, op in ops.items()}
+            for built in (False, True):
+                inst = build()
+                if built:
+                    inst._primal()
+                for twin in (copy.copy(inst), copy.deepcopy(inst),
+                             pickle.loads(pickle.dumps(inst))):
+                    assert (twin.fixed, twin.rest) == (inst.fixed, inst.rest)
+                    assert {name: op(twin) for name, op in ops.items()} == fresh
+                    with pytest.raises(AttributeError):
+                        twin.fixed = twin.rest.vectors[0]
+
+
+# Unvalidated instances whose [B; v] is dependent. The elimination of the
+# stored form raises at its first zero pivot, in the order
+# (v, b_{n-1}, ..., b_0), and each caller reports it by one rule. In the
+# first, B(x) is independent and holds v for every x: the verifier once
+# rejected such a certificate and the heuristic divided 0 by 0.
+DEGENERATE = {
+    "v in span B": ([1, 1, 0], [[1, 0, 0], [0, 1, 0]]),
+    "B dependent": ([0, 0, 1], [[1, 0, 0], [2, 0, 0]]),
+    "v on the line of b_1": ([1, 0, 0], [[0, 1, 0], [2, 0, 0]]),
+    "B(1, 0) dependent": ([1, 0, 0], [[0, 1, 0], [1, 1, 0]]),
+}
+
+
+class TestDegenerateRule:
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_one_rule_per_caller(self, case):
+        v, basis = DEGENERATE[case]
+        inst = MDSPInstance.from_vectors(v, basis, validate=False)
+        message = "fixed vector lies in the span of the others"
+        for heuristic_call in (
+            lambda: run_heuristic(inst),
+            lambda: improve_pass(inst),
+            lambda: improve_coordinate(inst, 0),
+        ):
+            with pytest.raises(DegenerateResidual, match=message):
+                heuristic_call()
+        for x in ((0, 0), (1, 0)):
+            with pytest.raises(DependentInput):
+                verify_dmdsp_certificate(DMDSPQuery(inst, F(1, 2)), x)
+        for exact_call in (
+            lambda: solve_exact(inst),
+            lambda: mdsp_to_cvp(inst),
+            lambda: shift_dist_sq(inst, (0, 0)),
+            lambda: shift_ranges(inst),
+        ):
+            with pytest.raises(SingularMatrix):
+                exact_call()
