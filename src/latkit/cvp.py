@@ -12,22 +12,20 @@ The API stays in that rational form; the computation is integer. The
 enumeration runs on the primal side of the isomorphism: the objective is
 an affine function of z^T P^-1 z, with P the integer Gram matrix of
 (v, b_{n-1}, ..., b_0) and z = (1, -x_{n-1}, ..., -x_0), which forward
-substitution with the fraction-free LDL^T of P gives level by level. The
-forward map takes P with its elimination from the MDSP instance's stored
-integer form (MDSPInstance._primal, which the heuristic and the
-certificate verifier read too) and keeps them on the instance it returns;
-enumeration, the objective and distance recovery all read them.
-The rational fields gram and offset are read off the adjugate of P
-reversed, the Gram matrix of (B, v), only when a caller first reads
-them. A hand-built form is scaled to integers once and bordered into such
-a P, from step adj(M).
+substitution on P's elimination record (d, lambda) gives level by level,
+and one bordered row step of the elimination kernel at one point
+(lattice._value). The forward map keeps that record, from the MDSP
+instance's stored form (MDSPInstance._primal), on the instance it
+returns. gram and offset are built from it, off adj(P), only when a
+caller first reads them. A hand-built form is scaled to integers once and
+bordered into such a P, from step adj(M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -49,6 +47,7 @@ from .lattice import (
 from .qlinalg import (
     QMatrix,
     QVector,
+    _adjugate,
     adjugate_spd,
     integer_rows,
     inverse,
@@ -65,8 +64,8 @@ _Primal = tuple[_Eliminated, int, int]
 class CVPGramInstance:
     """Closest-vector instance as a rational positive definite form.
 
-    An instance returned by mdsp_to_cvp carries its eliminated primal Gram
-    matrix, which is not a field, and builds gram and offset on first
+    An instance returned by mdsp_to_cvp carries its primal elimination
+    record, which is not a field, and builds gram and offset on first
     access; equality, hashing, repr, copies and pickles see the same
     fields as on an instance built from them. A hand-built form raises
     NonSquare unless gram is square and LengthMismatch unless offset has
@@ -90,7 +89,7 @@ class CVPGramInstance:
         primal = self.__dict__.get("_primal")
         if primal is None or name not in ("gram", "offset"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        gram, offset = _public_fields(primal[0][0], primal[1])
+        gram, offset = _public_fields(primal[0], primal[1])
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "offset", offset)
         return self.__dict__[name]
@@ -98,7 +97,7 @@ class CVPGramInstance:
     @property
     def n(self) -> int:
         primal = self.__dict__.get("_primal")
-        return len(primal[0][0]) - 1 if primal is not None else self.gram.rows
+        return len(primal[0][0]) - 2 if primal is not None else self.gram.rows
 
     def objective(self, j: Sequence[int]) -> Fraction:
         """(j + offset)^T gram (j + offset), exact.
@@ -158,37 +157,38 @@ class EmbeddedCVPInstance:
 def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
     """Forward reduction: decompose against v and invert the residual Gram.
 
-    The Gram matrix P of (v, b_{n-1}, ..., b_0), on the rows (B, v) scaled
-    to integers by s, and its elimination come from inst's stored integer
-    form (MDSPInstance._primal). The CVP instance keeps them, and
-    enumerate_cvp, objective and recover_mdsp_distance_sq read them;
-    scale_sq is P[0][0] / s^2 = |v|^2.
-    gram and offset are built on first access (_public_fields). A zero v
-    raises DependentInput and a dependent [B; v] SingularMatrix.
+    The elimination (d, lam) of the Gram matrix P of (v, b_{n-1}, ..., b_0),
+    on the rows (B, v) scaled to integers by s, comes from inst's stored
+    integer form (MDSPInstance._primal). The CVP instance keeps it for
+    enumerate_cvp, objective and recover_mdsp_distance_sq; scale_sq is
+    d[1] / s^2 = |v|^2, and gram and offset are built on first access
+    (_public_fields). A zero v raises DependentInput and a dependent
+    [B; v] SingularMatrix.
     """
     if inst.fixed.is_zero():
         raise DependentInput("fixed vector is zero")
     _, scale, eliminated = inst._primal()
     scale_sq = scale * scale
     c = object.__new__(CVPGramInstance)
-    object.__setattr__(c, "scale_sq", Fraction(eliminated[0][0][0], scale_sq))
+    object.__setattr__(c, "scale_sq", Fraction(eliminated[0][1], scale_sq))
     object.__setattr__(c, "_primal", (eliminated, scale_sq, 1))
     return c
 
 
-def _public_fields(p: list[list[int]], scale_sq: int) -> tuple[QMatrix, QVector]:
-    """gram and offset of the instance mdsp_to_cvp built from the Gram
-    matrix P of the scaled rows (v, b_{n-1}, ..., b_0), with s^2 = scale_sq.
+def _public_fields(e: _Eliminated, scale_sq: int) -> tuple[QMatrix, QVector]:
+    """gram and offset of the instance mdsp_to_cvp built from the
+    elimination (d, lam) of the Gram matrix P of the scaled rows
+    (v, b_{n-1}, ..., b_0), with s^2 = scale_sq.
 
     With G = P reversed, the Gram matrix of (B, v), Gram(b') is the Schur
     complement of |v|^2 in G / s^2, so its inverse is
-    (s^2 / det G) adj(G)[:n, :n]; gamma_i = G[i][n] / G[n][n].
+    (s^2 / det G) adj(G)[:n, :n], adj(G) being adj(P) reversed;
+    gamma_i = G[i][n] / G[n][n] = lam[n-i][0] / d[1].
     """
-    n = len(p) - 1
-    g = [row[::-1] for row in reversed(p)]
-    adj, det = adjugate_spd(g)
-    gram = QMatrix([[Fraction(a * scale_sq, det) for a in row[:n]] for row in adj[:n]])
-    return gram, QVector([Fraction(row[n], g[n][n]) for row in g[:n]])
+    d, lam = e
+    adj = _adjugate(d, lam)
+    gram = QMatrix([[Fraction(a * scale_sq, d[-1]) for a in row[:0:-1]] for row in adj[:0:-1]])
+    return gram, QVector([Fraction(lq[0], d[1]) for lq in lam[:0:-1]])
 
 
 def cvp_to_mdsp(basis_rows: QMatrix, target: QVector) -> MDSPInstance:
@@ -232,26 +232,26 @@ def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
     symmetric positive definite.
     """
     primal = _primal_of(c)
-    j, t, big_w = _search(primal[0])
-    return CVPSolution(j, _objective(primal, t, big_w))
+    j, t, det = _search(primal[0])
+    return CVPSolution(j, _objective(primal, t, det))
 
 
 solve_cvp_bruteforce = enumerate_cvp  # the name the CLI and latbench call
 
 
-def _objective(primal: _Primal, t: int, big_w: int) -> Fraction:
-    """The form's value where z^T P^-1 z = T / W: f (step T - W) / (W step),
-    with step = P[0][0] = |v|^2 on P's scale and f the primal's factor."""
-    (p, *_), f_num, f_den = primal
-    step = p[0][0]
-    return Fraction(f_num * (step * t - big_w), f_den * big_w * step)
+def _objective(primal: _Primal, t: int, det: int) -> Fraction:
+    """The form's value where z^T P^-1 z = T / D: f (step T - D) / (D step),
+    with step = d[1] = |v|^2 on P's scale and f the primal's factor."""
+    (d, _), f_num, f_den = primal
+    step = d[1]
+    return Fraction(f_num * (step * t - det), f_den * det * step)
 
 
 def _primal_of(c: CVPGramInstance) -> _Primal:
-    """(P, f_num, f_den): the primal Gram matrix P of c, in the order
+    """(e, f_num, f_den): the primal Gram matrix P of c, in the order
     (v, b_{n-1}, ..., b_0), as _eliminate returns it, and the factor
     f = f_num / f_den that scales its objective to c's. mdsp_to_cvp stored
-    P, with f = s^2; any other form is bordered (_bordered), reversed and
+    e, with f = s^2; any other form is bordered (_bordered), reversed and
     eliminated here."""
     primal = c.__dict__.get("_primal")
     if primal is not None:
@@ -296,13 +296,13 @@ def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
 
 
 def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:
-    """(x, T, W): the lexicographically smallest integer x minimizing
-    z^T P^-1 z = T / W, z = (1, -x_{n-1}, ..., -x_0), for P the positive
+    """(x, T, D): the lexicographically smallest integer x minimizing
+    z^T P^-1 z = T / D, z = (1, -x_{n-1}, ..., -x_0), for P the positive
     definite Gram matrix of (v, b_{n-1}, ..., b_0), as _eliminate returns
-    it.
+    it; (T, D) is _value at x.
 
     det Gram(B(x)) = det P z^T P^-1 z with B(x) = (b_i + x_i v), so x
-    maximizes the distance of v from span(B(x)), d^2 = W / T on P's scale.
+    maximizes the distance of v from span(B(x)), d^2 = D / T on P's scale.
     The fraction-free elimination of P gives its leading minors D_0..D_n
     (D_-1 = 1) and Bareiss rows R, and forward substitution gives
 
@@ -314,20 +314,26 @@ def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:
 
         c_q <- (D_p c_q - R[p][q] H_p) / D_{p-1}.
 
-    Level p is weighted by W / (D_{p-1} D_p), so every partial sum and
-    comparison is an integer. The search is depth-first from x_{n-1} down
-    to x_0 (Fincke-Pohst), each level in zig-zag order from its centre
+    The weights are the search's own: level p is weighted by
+    W / (D_{p-1} D_p), W the lcm of those products, so every partial sum
+    and comparison is an integer. The search is depth-first from x_{n-1}
+    down to x_0 (Fincke-Pohst), each level in zig-zag order from its centre
     (Schnorr-Euchner), starting from the componentwise rounding of
-    -P[0][q] / P[0][0], whose value _value gives. Zig-zag order visits
-    |H_p| in non-decreasing order, so the first value over the remaining
-    budget ends the level; only a strictly larger value is pruned, so all
-    ties reach a leaf.
+    -P[0][q] / P[0][0] = -lam[q][0] / d[1], whose value _value gives.
+    Zig-zag order visits |H_p| in non-decreasing order, so the first value
+    over the remaining budget ends the level; only a strictly larger value
+    is pruned, so all ties reach a leaf.
     """
-    p, d, lam, weight, big_w = e
-    n = len(p) - 1
-    step, w = p[0][0], p[0]
-    best_x = tuple((step - 2 * w[n - i]) // (2 * step) for i in range(n))
-    best_t, _ = _value(e, best_x)
+    d, lam = e
+    n = len(d) - 2
+    prods = [a * b for a, b in zip(d, d[1:])]
+    big_w = lcm(*prods)
+    weight = [big_w // q for q in prods]
+    step, w = d[1], [lq[0] for lq in lam[1:]]  # P[0][1..n]
+    best_x = tuple((step - 2 * w[n - 1 - i]) // (2 * step) for i in range(n))
+    t, det = _value(e, best_x)
+    unit = big_w // det  # T W / D = T unit; D divides W
+    best_t = t * unit
     tails = [[lq[k] for lq in lam[k + 1:]] for k in range(n)]  # R[k][q], q > k
 
     def descend(k: int, partial: int, chosen: tuple[int, ...], c: list[int]) -> None:
@@ -356,8 +362,8 @@ def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:
             elif t < best_t or cand < best_x:
                 best_t, best_x = t, cand
 
-    descend(1, weight[0], (), [-e for e in w[1:]])
-    return best_x, best_t, big_w
+    descend(1, weight[0], (), [-a for a in w])
+    return best_x, best_t // unit, det
 
 
 def embed_cvp(c: CVPGramInstance, precision_bits: int) -> EmbeddedCVPInstance:

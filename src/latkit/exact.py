@@ -2,13 +2,14 @@
 
 Every function here reads the instance's stored integer form
 (MDSPInstance._primal): the rows (B, v) scaled to integers once and the
-fraction-free LDL^T of the Gram matrix P of (v, b_{n-1}, ..., b_0).
-solve_exact finds the closest vector of the instance's Gram-form CVP side
-by the integer Schnorr-Euchner enumeration of enumerate_cvp on P, with no
-adjugate and no CVP form built; dist^2 and B(x) come from integers, once.
-Ties go to the lexicographically smallest shift, and there is no
-dimension cap. shift_dist_sq, and through it projection_length_sq, is one
-forward substitution on P (lattice._value).
+elimination record (d, lambda) of the Gram matrix P of
+(v, b_{n-1}, ..., b_0). solve_exact finds the closest vector of the
+instance's Gram-form CVP side by the integer Schnorr-Euchner enumeration
+of enumerate_cvp on P, with no adjugate and no CVP form built; dist^2 and
+B(x) come from integers, once. Ties go to the lexicographically smallest
+shift, and there is no dimension cap. shift_dist_sq, and through it
+projection_length_sq, is one bordered row step of the elimination kernel
+on that record (lattice._value).
 
 The certified shift ranges remain a certificate, not the search: any basis
 B(x) whose span is at least as far from v as span(B) must keep every
@@ -92,15 +93,15 @@ def shift_ranges(inst: MDSPInstance) -> ShiftRanges:
 
 
 def shift_dist_sq(inst: MDSPInstance, x: Sequence[int]) -> Fraction:
-    """dist^2 from v to span(B(x)): W / (s^2 T) for (T, W) = _value at x
+    """dist^2 from v to span(B(x)): D / (s^2 T) for (T, D) = _value at x
     on the instance's stored form, in O(n^2).
 
     Raises LengthMismatch unless x has n coordinates, ValueError unless
     they are integers, and SingularMatrix on a dependent [B; v].
     """
     _, scale, e = inst._primal()
-    t, big_w = _value(e, _integral_shift(inst.n, x))
-    return Fraction(big_w, scale * scale * t)
+    t, det = _value(e, _integral_shift(inst.n, x))
+    return Fraction(det, scale * scale * t)
 
 
 def solve_exact(inst: MDSPInstance) -> MDSPSolution:
@@ -111,8 +112,8 @@ def solve_exact(inst: MDSPInstance) -> MDSPSolution:
     integers by s and the eliminated integer Gram matrix P of
     (v, b_{n-1}, ..., b_0). The search of enumerate_cvp (no dimension
     cap) runs on P and returns the maximizer x, ties going to the
-    lexicographically smallest, with z^T P^-1 z = T / W at
-    z = (1, -x_{n-1}, ..., -x_0); so d^2 = W / (s^2 T). B(x) is
+    lexicographically smallest, with z^T adj(P) z = T and det P = D at
+    z = (1, -x_{n-1}, ..., -x_0); so d^2 = D / (s^2 T). B(x) is
     rows_i + x_i v on the scaled rows, divided by s once. If v is
     orthogonal to span(B), the unique maximizer is x = 0. A zero v raises
     DegenerateFixedVector and a dependent [B; v] SingularMatrix.
@@ -120,8 +121,8 @@ def solve_exact(inst: MDSPInstance) -> MDSPSolution:
     if inst.fixed.is_zero():
         raise DegenerateFixedVector("fixed vector is zero")
     rows, scale, eliminated = inst._primal()  # raises SingularMatrix
-    x, t, big_w = _search(eliminated)
+    x, t, det = _search(eliminated)
     *rest, v = rows
     shifted = [[b + xi * e for b, e in zip(row, v)] for row, xi in zip(rest, x)]
     basis = LatticeBasis(rational_vectors(shifted, scale), validate=False)
-    return MDSPSolution(x, Fraction(big_w, scale * scale * t), basis)
+    return MDSPSolution(x, Fraction(det, scale * scale * t), basis)

@@ -150,11 +150,10 @@ class _GramState:
             self._rows[i] = row
         return row
 
-    def moments(self, i: int) -> tuple[int, int, int]:
-        """Numerators of (|v''|^2, v''.b_i'', |b_i''|^2) over one positive
-        common denominator, for coordinate i."""
-        row_v = self._v
-        return self._diag[i], -row_v[i], row_v[self.n]
+    def moments(self, i: int) -> tuple[int, int]:
+        """Numerators of (|v''|^2, v''.b_i'') over one positive common
+        denominator, for coordinate i."""
+        return self._diag[i], -self._v[i]
 
     def apply_shift(self, i: int, a: int) -> None:
         """Commit b_i := b_i - a v.
@@ -211,31 +210,26 @@ def _state(inst: MDSPInstance) -> tuple[_GramState, int]:
     the scale of its integer rows. A dependent [B; v] raises
     DegenerateResidual."""
     try:
-        _, scale, (_, d, lam, _, _) = inst._primal()
+        _, scale, (d, lam) = inst._primal()
     except SingularMatrix:
         raise DegenerateResidual("fixed vector lies in the span of the others") from None
     return _GramState.of_primal(d, lam), scale
 
 
-def _choose_shift(s: int, w: int, t: int) -> int:
-    """Integer a in {floor, ceil} of w/s minimizing the residual projection.
+def _choose_shift(s: int, w: int) -> int:
+    """The integer a nearest w/s, a tie keeping the floor: the shift that
+    minimizes the residual projection.
 
-    The squared projection of v'' on the line of b_i'' - a v'' is
-    (w - a s)^2 / (t - 2 a w + a^2 s) up to a positive common factor;
-    magnitudes are compared in exact squared form and a floor/ceil tie
-    keeps the floor.
+    With t = |b_i''|^2 on the same scale, the squared projection of v'' on
+    the line of b_i'' - a v'' is (w - a s)^2 / (t - 2 a w + a^2 s) up to a
+    positive factor: s X / (X + C) for X = (w - a s)^2 and C = t s - w^2 =
+    det G det G_{-i,-v}. C is positive on every path (_state raises on
+    det P = 0, and LLL's rows are independent), so minimizing the ratio is
+    minimizing X.
     """
     if s <= 0:
         raise DegenerateResidual("fixed vector lies in the span of the others")
-    a1 = w // s  # floor; s is positive
-    a2 = -((-w) // s)
-    if a1 == a2:
-        return a1
-    n1 = (w - a1 * s) ** 2
-    d1 = t - 2 * a1 * w + a1 * a1 * s
-    n2 = (w - a2 * s) ** 2
-    d2 = t - 2 * a2 * w + a2 * a2 * s
-    return a1 if n1 * d2 <= n2 * d1 else a2
+    return -((s - 2 * w) // (2 * s))
 
 
 def improve_coordinate(inst: MDSPInstance, i: int) -> tuple[int, QVector]:

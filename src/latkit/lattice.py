@@ -5,22 +5,22 @@ a distinguished fixed vector v and the n remaining vectors B. Candidate
 sub-lattice bases have the shift form B(x) = {b_i + x_i v} for integer x,
 and a decision certificate is exactly such an integer tuple.
 
-An instance carries its integer form, built on first use and kept for its
-lifetime: the rows (B, v) scaled to integers once, and one fraction-free
-elimination of their Gram matrix P in the order (v, b_{n-1}, ..., b_0)
-(_eliminate). Every MDSP computation reads it: the distance of v from
-span B(x) at any x is one forward substitution on it (_value), which the
-certificate verifier and exact.shift_dist_sq evaluate; the exact solver
-and the CVP map search it; and the heuristic reads its adjugate entries
-off the same elimination. Its vectors cannot be rebound, so the form
-cannot go stale.
+An instance carries its integer form, built on first use (or by
+validation) and kept for its lifetime: the rows (B, v) scaled to integers
+once, and the record (d, lambda) of one fraction-free elimination of their
+Gram matrix P in the order (v, b_{n-1}, ..., b_0) (_eliminate). Every MDSP
+computation reads it: the distance of v from span B(x) at any x is one
+more row step of the elimination kernel, on P bordered by z = (1, -x)
+(_value), which the certificate verifier and exact.shift_dist_sq
+evaluate; the exact solver and the CVP map search it; and the heuristic
+reads its adjugate entries off the same record. Nothing it was built from
+can be rebound (vectors, entries, dim), so the form cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -34,7 +34,9 @@ from .errors import (
 from .qlinalg import (  # noqa: F401
     QMatrix,
     QVector,
+    _Frozen,
     _eliminate_gram,
+    _gso_row,
     determinant,
     dist_sq_to_span,
     gram_schmidt,
@@ -50,22 +52,20 @@ from .qlinalg import (  # noqa: F401
 
 ShiftVector = tuple[int, ...]
 
-# A primal Gram matrix P with its elimination, as _eliminate returns it:
-# (P, d, lam, weight, W), with P unchanged, (d, lam) its fraction-free
-# elimination (qlinalg._eliminate_gram): d[k] = D_{k-1} the leading minors
-# of P (D_-1 = 1) and lam[q][k] = R[k][q] for q > k the Bareiss rows;
-# weight[p] = W / (D_{p-1} D_p) and W the lcm of those products.
-_Eliminated = tuple[list[list[int]], list[int], list[list[int]], list[int], int]
+# A primal Gram matrix P as _eliminate returns it: its fraction-free
+# elimination (d, lam) (qlinalg._eliminate_gram), d[k] = D_{k-1} the
+# leading minors of P (D_-1 = 1) and lam[q][k] = R[k][q] for q > k the
+# Bareiss rows. P itself is not kept: P[0][0] = d[1] and P[0][q] = lam[q][0].
+_Eliminated = tuple[list[int], list[list[int]]]
 # An instance's integer form, as MDSPInstance._primal returns it: the rows
 # (B, v) scaled to integers by s, s, and their eliminated P.
 _IntegerForm = tuple[list[list[int]], int, _Eliminated]
 
 
-class LatticeBasis:
-    """An ordered, linearly independent family of rational vectors; its
-    vectors cannot be rebound."""
+class LatticeBasis(_Frozen):
+    """An ordered, linearly independent family of rational vectors; immutable."""
 
-    __slots__ = ("_vectors", "dim")
+    __slots__ = ("vectors", "dim")
 
     def __init__(self, vectors: Sequence[QVector], *, validate: bool = True):
         vecs = tuple(vectors)
@@ -78,12 +78,8 @@ class LatticeBasis:
             raise DependentInput("more vectors than the ambient dimension")
         if validate:
             rel_volume_sq(vecs)  # raises DependentInput on dependence
-        self._vectors = vecs
-        self.dim = dim
-
-    @property
-    def vectors(self) -> tuple[QVector, ...]:
-        return self._vectors
+        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "dim", dim)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -109,7 +105,7 @@ class LatticeBasis:
         return f"LatticeBasis({list(self.vectors)!r})"
 
 
-class MDSPInstance:
+class MDSPInstance(_Frozen):
     """A fixed vector v together with the n remaining basis vectors.
 
     Together they form a basis of an (n+1)-dimensional lattice. Usually the
@@ -117,11 +113,10 @@ class MDSPInstance:
     space (the accelerated reduction builds such prefixes); operations that
     need a square matrix require is_full_dimensional.
 
-    fixed and rest cannot be rebound, since the integer form that _primal
-    builds on first use answers for them for the instance's lifetime.
+    Immutable, since the integer form of _primal answers for its fields.
     """
 
-    __slots__ = ("_fixed", "_rest", "_form")
+    __slots__ = ("fixed", "rest", "_form")
 
     def __init__(self, fixed: QVector, rest: LatticeBasis, *, validate: bool = True):
         if fixed.dim != rest.dim:
@@ -130,19 +125,14 @@ class MDSPInstance:
             raise LengthMismatch(
                 f"{len(rest) + 1} vectors cannot be independent in dimension {fixed.dim}"
             )
-        if validate:
-            rel_volume_sq((fixed,) + rest.vectors)  # raises DependentInput
-        self._fixed = fixed
-        self._rest = rest
-        self._form = None  # built by _primal on first use
-
-    @property
-    def fixed(self) -> QVector:
-        return self._fixed
-
-    @property
-    def rest(self) -> LatticeBasis:
-        return self._rest
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "rest", rest)
+        object.__setattr__(self, "_form", None)  # built by _primal on first use
+        if validate:  # by building the form, so a validated instance eliminates once
+            try:
+                self._primal()
+            except SingularMatrix:
+                raise DependentInput("the fixed vector and the basis are dependent") from None
 
     @classmethod
     def from_vectors(cls, fixed, rest_vectors, *, validate: bool = True) -> "MDSPInstance":
@@ -163,15 +153,16 @@ class MDSPInstance:
         return QMatrix.from_columns((self.fixed,) + self.rest.vectors)
 
     def _primal(self) -> _IntegerForm:
-        """(rows, s, P): the rows (B, v) scaled to integers by s, and the
-        Gram matrix P of (v, b_{n-1}, ..., b_0) as _eliminate returns it.
-        Built on the first call and kept, so an instance is scaled and
-        eliminated once. A dependent [B; v] raises SingularMatrix on every
-        call."""
+        """(rows, s, (d, lam)): the rows (B, v) scaled to integers by s, and
+        the elimination of the Gram matrix P of (v, b_{n-1}, ..., b_0) as
+        _eliminate returns it. Built on the first call and kept, so an
+        instance is scaled and eliminated once. A dependent [B; v] raises
+        SingularMatrix on every call."""
         form = self._form
         if form is None:
-            rows, scale = integer_rows([*self._rest.vectors, self._fixed])
-            form = self._form = (rows, scale, _eliminate(integer_gram(rows[::-1])))
+            rows, scale = integer_rows([*self.rest.vectors, self.fixed])
+            form = (rows, scale, _eliminate(integer_gram(rows[::-1])))
+            object.__setattr__(self, "_form", form)
         return form
 
     def __repr__(self) -> str:
@@ -179,39 +170,27 @@ class MDSPInstance:
 
 
 def _eliminate(p: list[list[int]]) -> _Eliminated:
-    """P with its fraction-free elimination (_eliminate_gram), P the
-    integer Gram matrix of (v, b_{n-1}, ..., b_0), and the weights that
-    cvp._search and _value read. P is only read. A dependent family raises
-    SingularMatrix."""
+    """The fraction-free elimination (_eliminate_gram) of P, the integer
+    Gram matrix of (v, b_{n-1}, ..., b_0), which is only read. A dependent
+    family raises SingularMatrix."""
     try:
         d, lam = _eliminate_gram(p)
     except DependentInput:
         d = [0]
     if d[-1] == 0:
         raise SingularMatrix("the fixed vector and the basis are dependent")
-    prods = [a * b for a, b in zip(d, d[1:])]
-    big_w = lcm(*prods)
-    return p, d, lam, [big_w // q for q in prods], big_w
+    return d, lam
 
 
 def _value(e: _Eliminated, x: Sequence[int]) -> tuple[int, int]:
-    """(T, W) with z^T P^-1 z = T / W at z = (1, -x_{n-1}, ..., -x_0), for P
-    as _eliminate returns it: cvp._search's forward substitution along one
-    path, O(n^2).
-
-    With B(x) = (b_i + x_i v), det Gram(B(x)) = det P z^T P^-1 z, so on
-    P's scale dist^2(v, span B(x)) = W / T and |v|^2 = P[0][0].
+    """(T, D) = (z^T adj(P) z, det P) at z = (1, -x_{n-1}, ..., -x_0), for P
+    as _eliminate returns it, in O(n^2): T = det Gram(B(x)) on P's scale for
+    B(x) = (b_i + x_i v), so dist^2(v, span B(x)) = D / T and |v|^2 = d[1].
+    T is minus the last pivot of P bordered by (z, 0), one more row step of
+    the kernel (_gso_row), on a copy of lam since the step appends its row.
     """
-    p, d, lam, weight, big_w = e
-    n = len(p) - 1
-    c = [-a for a in p[0]]
-    t = weight[0]
-    for k in range(1, n + 1):
-        h = c[k] - d[k] * x[n - k]
-        t += weight[k] * h * h
-        for q in range(k + 1, n + 1):
-            c[q] = (d[k + 1] * c[q] - lam[q][k] * h) // d[k]
-    return t, big_w
+    d, lam = e
+    return -_gso_row([1, *(-xi for xi in reversed(x)), 0], d, lam[:]), d[-1]
 
 
 @dataclass(frozen=True)
@@ -319,9 +298,9 @@ def verify_dmdsp_certificate(q: DMDSPQuery, x: Sequence[int]) -> bool:
     integral x.
 
     The distance test runs in integers on the instance's stored form, with
-    no elimination of its own: (T, W) = _value(P, x) gives
-    dist^2 = W / T and |v|^2 = P[0][0] on P's scale, so the test is
-    W * den(gamma_sq) >= num(gamma_sq) * P[0][0] * T, in O(n^2).
+    no elimination of its own: (T, D) = _value(P, x) gives
+    dist^2 = D / T and |v|^2 = d[1] on P's scale, so the test is
+    D * den(gamma_sq) >= num(gamma_sq) * d[1] * T, in O(n^2).
     """
     inst = q.instance
     try:
@@ -332,10 +311,10 @@ def verify_dmdsp_certificate(q: DMDSPQuery, x: Sequence[int]) -> bool:
         _, _, e = inst._primal()
     except SingularMatrix:
         raise DependentInput("the fixed vector and the basis are dependent") from None
-    t, big_w = _value(e, xs)
-    v_sq = e[0][0][0]  # P[0][0]
+    t, det = _value(e, xs)
+    v_sq = e[0][1]  # d[1] = P[0][0]
     gamma_sq = q.gamma_sq
-    return big_w * gamma_sq.denominator >= gamma_sq.numerator * v_sq * t
+    return det * gamma_sq.denominator >= gamma_sq.numerator * v_sq * t
 
 
 def _bit_size(f: Fraction) -> int:

@@ -7,18 +7,19 @@ Every symmetric elimination is one kernel, the row step of Cohen's
 integral Gram-Schmidt (_gso_row): row k of the integer data (d, lambda)
 from the inner products of row k with rows 0..k. _eliminate_gram runs it
 once per row of an integer Gram matrix, which it only reads. Its
-(d, lambda) give distances, volumes and LDL; with the same recurrence run
-on the scaled rows (_carried_rows), Gram-Schmidt and projections; and,
-back-substituted (_jordan_columns), the record from which adjugate_spd
-builds the adjugate, entry by entry if need be (_adjugate_row): it gives
-inverses and the MDSP-to-CVP map, and the heuristic builds only the
-entries it reads. lll._lll_rows calls the kernel itself, a row when it
-first reaches it, since eliminating up front makes every swap update the
-rows past kmax (22% slower on the reduce workload); its final
-(d, lambda) is _eliminate_gram's, so the heuristic sweep after it
-back-substitutes from that data without eliminating again. Only
-determinant eliminates apart: it pivots rows, since a Gram matrix loses
-the sign. No floating point enters any correctness-bearing path.
+(d, lambda) give distances, volumes and LDL; one more step, on the matrix
+bordered by a vector z, gives -z^T adj(G) z (lattice._value); the same
+recurrence run on the scaled rows (_carried_rows) gives Gram-Schmidt and
+projections; and, back-substituted (_jordan_columns), the record from
+which _adjugate builds the adjugate, entry by entry if need be
+(_adjugate_row), gives inverses and the MDSP-to-CVP map, while the
+heuristic builds only the entries it reads. lll._lll_rows calls the
+kernel itself, a row when it first reaches it, since eliminating up front
+makes every swap update the rows past kmax (22% slower on the reduce
+workload); its final (d, lambda) is _eliminate_gram's, so the heuristic
+sweep after it back-substitutes from that data without eliminating again.
+Only determinant eliminates apart: it pivots rows, since a Gram matrix
+loses the sign. No floating point enters any correctness-bearing path.
 """
 
 from __future__ import annotations
@@ -52,22 +53,37 @@ def rational(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-class QVector:
+class _Frozen:
+    """Slots set once, by the constructor through object.__setattr__;
+    copies and pickles, whose state is (None, slots), restore them so."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__!r} object is immutable")
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class QVector(_Frozen):
     """Immutable vector of rationals."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[RationalLike]):
-        self.entries: tuple[Fraction, ...] = tuple(rational(e) for e in entries)
-        if not self.entries:
+        entries = tuple(rational(e) for e in entries)
+        if not entries:
             raise LengthMismatch("vector must have positive dimension")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _of(cls, entries: tuple[Fraction, ...]) -> "QVector":
         """The vector of a nonempty tuple of canonical Fractions, taken as
         it is: no coercion and no check."""
         v = cls.__new__(cls)
-        v.entries = entries
+        object.__setattr__(v, "entries", entries)
         return v
 
     @classmethod
@@ -128,20 +144,19 @@ class QVector:
         return f"QVector({list(self.entries)!r})"
 
 
-class QMatrix:
+class QMatrix(_Frozen):
     """Immutable rectangular matrix of rationals, row-major."""
 
     __slots__ = ("data",)
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        self.data: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(rational(e) for e in row) for row in rows
-        )
-        if not self.data or not self.data[0]:
+        data = tuple(tuple(rational(e) for e in row) for row in rows)
+        if not data or not data[0]:
             raise LengthMismatch("matrix must have positive dimensions")
-        width = len(self.data[0])
-        if any(len(row) != width for row in self.data):
+        width = len(data[0])
+        if any(len(row) != width for row in data):
             raise LengthMismatch("ragged rows in matrix")
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -342,21 +357,25 @@ def adjugate_spd(a: list[list[int]]) -> tuple[list[list[int]], int]:
 
     Every division is exact, and at k = n, A = adj(G) and the last pivot
     is d_n = det G. A never feeds back into S or X, so the elimination is
-    recorded first (_eliminate_spd: the pivots, and _jordan_columns: the
-    columns c_k), and A is built from the record afterwards, its lower
-    triangle row by row (_adjugate_row): each entry is its own recurrence.
-    No pivoting is needed because all leading principal minors are
+    recorded first (_eliminate_spd), and A is built from the record
+    afterwards (_adjugate). No pivoting is needed because all leading principal minors are
     positive; a pivot <= 0 before the last step means the matrix came from
     a dependent family and raises DegenerateResidual. The last pivot is
     returned unchecked: det G <= 0, a degenerate instance the caller
     reports, still gives the adjugate.
     """
-    n = len(a)
     d, lam = _eliminate_spd(a)
+    return _adjugate(d, lam), d[-1]
+
+
+def _adjugate(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int]]:
+    """adj(G) from the elimination (d, lam) of G: the columns c_k
+    (_jordan_columns), then the lower triangle row by row (_adjugate_row),
+    each entry its own recurrence."""
     cols = _jordan_columns(d, lam)
+    n = len(cols)
     lower = [_adjugate_row(d, cols, i, lower=True) for i in range(n)]
-    adj = [[lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)]
-    return adj, d[n]
+    return [[lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)]
 
 
 def _eliminate_spd(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:

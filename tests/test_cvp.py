@@ -514,10 +514,11 @@ class TestLazyInstance:
         assert scaled >= 10
 
     def test_hot_path_adjugate_free(self, monkeypatch):
-        def refuse(_):
-            raise AssertionError("adjugate_spd on the stored route")
+        def refuse(*_):
+            raise AssertionError("an adjugate on the stored route")
 
-        monkeypatch.setattr(cvp, "adjugate_spd", refuse)
+        for name in ("adjugate_spd", "_adjugate"):
+            monkeypatch.setattr(cvp, name, refuse)
         for inst in mixed_instances(239):
             c = mdsp_to_cvp(inst)
             sol = solve_cvp_bruteforce(c)
@@ -526,7 +527,7 @@ class TestLazyInstance:
             assert d == dist_sq_to_span(inst.fixed, apply_shift(inst, sol.j).vectors)
             assert sol.j == solve_exact(inst).x
         with pytest.raises(AssertionError):
-            c.gram
+            c.gram  # built from the stored record by _adjugate
 
 
 class TestEmbedding:

@@ -8,6 +8,7 @@ from latkit import heuristic, qlinalg
 from latkit.heuristic import (
     HeuristicConfig,
     _GramState,
+    _choose_shift,
     _pass_over,
     _sweep_prefixes,
     improve_coordinate,
@@ -95,6 +96,41 @@ class TestImproveCoordinate:
                 h_a = residual_proj_sq(inst, i, a)
                 for j in range(a - 50, a + 51):
                     assert h_a <= residual_proj_sq(inst, i, j)
+
+
+def reference_shift(s, w, t):
+    """The three-argument shift rule: of the floor and the ceiling of w/s,
+    the one whose squared residual projection (w - a s)^2 / (t - 2 a w +
+    a^2 s) is smaller, compared in exact cross-multiplied form, a tie
+    keeping the floor."""
+    a1 = w // s
+    a2 = -((-w) // s)
+    if a1 == a2:
+        return a1
+    n1, d1 = (w - a1 * s) ** 2, t - 2 * a1 * w + a1 * a1 * s
+    n2, d2 = (w - a2 * s) ** 2, t - 2 * a2 * w + a2 * a2 * s
+    return a1 if n1 * d2 <= n2 * d1 else a2
+
+
+class TestChooseShift:
+    def test_matches_the_reference_rule(self):
+        # every (s, w, t) with t s - w^2 > 0, as on every heuristic path;
+        # a quarter are half-integer ties w / s = m + 1/2
+        rng = random.Random(401)
+        ties = 0
+        for k in range(100_000):
+            bits = rng.choice((4, 16, 64, 200))
+            s = rng.randint(1, 1 << bits)
+            if k % 4 == 0:
+                s += s % 2
+                w = s * rng.randint(-1 << bits, 1 << bits) + s // 2
+            else:
+                w = rng.randint(-1 << (bits + 4), 1 << (bits + 4))
+            t = w * w // s + rng.randint(1, 1 << bits)
+            assert t * s - w * w > 0
+            ties += 2 * w % s == 0 and w % s != 0
+            assert _choose_shift(s, w) == reference_shift(s, w, t), (s, w, t)
+        assert ties >= 25_000
 
 
 class TestImprovePass:
@@ -303,7 +339,7 @@ def check_state(state, rows):
     adj, det, n = _cofactor_adjugate(g), int_det(g), len(rows) - 1
     assert (state.n, state.det) == (n, det)
     for i in range(n):
-        assert state.moments(i) == (adj[i][i], -adj[n][i], adj[n][n])
+        assert state.moments(i) == (adj[i][i], -adj[n][i])
     assert state.dist_sq(3) == F(det, adj[n][n] * 9)
 
 

@@ -3,10 +3,11 @@ import pickle
 import random
 import sys
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from latkit.cvp import enumerate_cvp, mdsp_to_cvp
+from latkit.cvp import CVPGramInstance, _primal_of, _search, enumerate_cvp, mdsp_to_cvp
 from latkit.errors import (
     DegenerateResidual,
     DependentInput,
@@ -20,6 +21,7 @@ from latkit.lattice import (
     DMDSPQuery,
     LatticeBasis,
     MDSPInstance,
+    _value,
     apply_shift,
     certificate_bounds,
     minkowski_bound_sq,
@@ -34,7 +36,7 @@ from latkit.qlinalg import (
     is_unimodular,
     rel_volume_sq,
 )
-from oracles import naive_dist_sq, random_mdsp_vectors
+from oracles import int_gram_det, naive_dist_sq, random_mdsp_vectors
 
 
 def qv(*entries):
@@ -368,13 +370,13 @@ class TestStoredForm:
                 ["exact", "shift_ranges", "heuristic", "reject", "accept", "cvp", "shift_dist_sq"],
             )
             for order in orders:
-                inst = build()  # validation eliminates apart from the form
                 with monkeypatch.context() as m:
                     for name in counts:
                         counts[name] = 0
                         for mod in modules:
                             if hasattr(mod, name):
                                 m.setattr(mod, name, counting(name, getattr(mod, name)))
+                    inst = build()  # validated by building the form
                     assert {name: ops[name](inst) for name in order} == fresh
                 assert counts == {"_eliminate_gram": 1, "integer_gram": 1}
 
@@ -385,10 +387,35 @@ class TestStoredForm:
             (inst, "fixed", other.fixed),
             (inst, "rest", other.rest),
             (inst.rest, "vectors", other.rest.vectors),
+            (inst.rest, "dim", 4),
+            (inst.fixed, "entries", other.fixed.entries),
+            (inst.rest[0], "entries", other.rest[0].entries),
+            (inst.full_matrix(), "data", other.full_matrix().data),
         ):
             with pytest.raises(AttributeError):
                 setattr(obj, name, value)
         assert inst.fixed == qv(0, 0, 3) and inst.rest == LatticeBasis([qv(1, 0, 1), qv(0, 1, 2)])
+        assert inst.rest.dim == 3
+
+    def test_form_cannot_go_stale_through_entries(self):
+        # v = (1, 2, 3) over (e_1, e_2): rebinding v's entries once left the
+        # stored form answering 1 where a fresh instance answers 25
+        inst = make_instance([1, 2, 3], [[0, 1, 0], [0, 0, 1]])
+        assert shift_dist_sq(inst, (0, 0)) == 1
+        with pytest.raises(AttributeError):
+            inst.fixed.entries = (5, 0, 0)
+        assert shift_dist_sq(inst, (0, 0)) == 1 and inst.fixed == qv(1, 2, 3)
+        assert shift_dist_sq(make_instance([5, 0, 0], [[0, 1, 0], [0, 0, 1]]), (0, 0)) == 25
+
+    def test_frozen_values_copy_and_pickle(self):
+        rows = [[F(1, 2), 3, -4], [0, F(-7, 3), 5]]
+        for obj in (QVector(rows[0]), QMatrix(rows), LatticeBasis([QVector(r) for r in rows])):
+            for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert twin == obj and type(twin) is type(obj)
+                with pytest.raises(AttributeError):
+                    twin.dim = 5
+        basis = pickle.loads(pickle.dumps(LatticeBasis([QVector(r) for r in rows])))
+        assert basis.dim == 3 and hash(QVector(rows[0])) == hash(copy.deepcopy(QVector(rows[0])))
 
     def test_copy_and_pickle_round_trips(self):
         for build, x, gamma_sq in stored_form_instances():
@@ -404,6 +431,74 @@ class TestStoredForm:
                     assert {name: op(twin) for name, op in ops.items()} == fresh
                     with pytest.raises(AttributeError):
                         twin.fixed = twin.rest.vectors[0]
+
+
+def value_instances(rng):
+    """(kind, instance) for n = 1..6: integer, rational and
+    non-full-dimensional (n + 1 < dim, entries rational) instances."""
+    for n in range(1, 7):
+        for kind in ("integer", "rational", "embedded"):
+            dim = n + 1 + (rng.randint(1, 3) if kind == "embedded" else 0)
+            den = 1 if kind == "integer" else 6
+            while True:
+                rows = [[F(rng.randint(-30, 30), rng.randint(1, den)) for _ in range(dim)]
+                        for _ in range(n + 1)]
+                try:
+                    yield kind, MDSPInstance.from_vectors(rows[0], rows[1:])
+                    break
+                except DependentInput:
+                    continue
+
+
+class TestValue:
+    """_value(e, x) = (z^T adj(P) z, det P), one bordered row step on the
+    stored record (d, lam)."""
+
+    def test_against_oracle_determinants(self):
+        rng = random.Random(331)
+        seen = {"integer": 0, "rational": 0, "embedded": 0}
+        for kind, inst in value_instances(rng):
+            vectors = [inst.fixed, *inst.rest]
+            scale = lcm(*(e.denominator for u in vectors for e in u))
+            v, *rest = [[int(e * scale) for e in u] for u in vectors]
+            det_p = int_gram_det([v, *rest[::-1]])
+            e = inst._primal()[2]
+            for _ in range(6):
+                x = tuple(rng.randint(-6, 6) for _ in range(inst.n))
+                shifted = [[b + xi * c for b, c in zip(row, v)] for row, xi in zip(rest, x)]
+                assert _value(e, x) == (int_gram_det(shifted), det_p)
+            seen[kind] += kind != "rational" or scale > 1
+        assert seen == {"integer": 6, "rational": 6, "embedded": 6}
+
+    def test_reads_leave_the_record_intact(self):
+        rng = random.Random(337)
+        for _, inst in value_instances(rng):
+            e = inst._primal()[2]
+            snapshot = (list(e[0]), [list(row) for row in e[1]])
+            xs = [tuple(rng.randint(-6, 6) for _ in range(inst.n)) for _ in range(10)]
+            got = []
+            for x in xs * 3:
+                got.append((_value(e, x), shift_dist_sq(inst, x),
+                            verify_dmdsp_certificate(DMDSPQuery(inst, F(1, 2)), x)))
+            solve_exact(inst)
+            enumerate_cvp(mdsp_to_cvp(inst))
+            assert inst._primal()[2] is e and e == snapshot
+            assert got == got[:len(xs)] * 3
+            twin = MDSPInstance(inst.fixed, inst.rest)
+            assert [shift_dist_sq(twin, x) for x in xs] == [g[1] for g in got[:len(xs)]]
+
+    def test_search_returns_its_value(self):
+        rng = random.Random(347)
+        for _, inst in value_instances(rng):
+            e = inst._primal()[2]
+            x, t, det = _search(e)
+            assert (t, det) == _value(e, x)
+            assert F(det, inst._primal()[1] ** 2 * t) == solve_exact(inst).dist_sq
+            c = mdsp_to_cvp(inst)
+            hand_built = CVPGramInstance(c.gram, c.offset, c.scale_sq)  # bordered
+            e_hand = _primal_of(hand_built)[0]
+            j, t_hand, det_hand = _search(e_hand)
+            assert j == x and (t_hand, det_hand) == _value(e_hand, j)
 
 
 # Unvalidated instances whose [B; v] is dependent. The elimination of the
