@@ -24,7 +24,7 @@ from .basisio import (
     write_basis_file,
 )
 from .bench import bench_compare, generate_random_basis, report_to_json
-from .cvp import CVPGramInstance, mdsp_to_cvp, cvp_to_mdsp, solve_cvp_bruteforce, recover_mdsp_distance_sq
+from .cvp import CVPGramInstance, mdsp_to_cvp, cvp_to_mdsp, enumerate_cvp, recover_mdsp_distance_sq
 from .errors import LatkitError, RankError
 from .exact import solve_exact
 from .heuristic import HeuristicConfig, run_heuristic
@@ -171,7 +171,7 @@ def cmd_from_cvp(args) -> int:
 
 def cmd_cvp_brute(args) -> int:
     c = _load_cvp(args.infile)
-    sol = solve_cvp_bruteforce(c)
+    sol = enumerate_cvp(c)
     _emit(
         args,
         {

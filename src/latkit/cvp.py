@@ -236,7 +236,7 @@ def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
     return CVPSolution(j, _objective(primal, t, det))
 
 
-solve_cvp_bruteforce = enumerate_cvp  # the name the CLI and latbench call
+solve_cvp_bruteforce = enumerate_cvp  # the name the package exports and latbench calls
 
 
 def _objective(primal: _Primal, t: int, det: int) -> Fraction:

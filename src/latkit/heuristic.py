@@ -11,16 +11,18 @@ The residual quantities for every coordinate are ratios of minors of the
 integer-scaled Gram matrix of (b_1..b_n, v), and all of them share one
 positive denominator per coordinate. They are read off the adjugate of
 that Gram matrix, but only three parts of it are read: its diagonal, its
-row v, and the row of each coordinate that gets shifted. Those parts are
-built from the record of one fraction-free elimination, a row when first
-read. On an instance the elimination is the one its stored integer form
-already holds (MDSPInstance._primal), which the certificate verifier and
-the exact solver read too: that of the Gram matrix in the reversed order
-(v, b_n..b_1), whose adjugate holds the same integers reversed. In LLL's
-sweeps it is LLL's own d/lambda data. A committed shift is a unimodular
-change of basis: it changes only row v of the adjugate, in O(n)
-operations, and det G not at all. No Gram matrix or row is kept, and a pass hands back
-only the shift vector x, from which the caller forms B(x) = {b_i + x_i v}.
+row v, and the row of each coordinate that gets shifted. They come from
+one of two sources. On an instance, the source is the record of the
+elimination its stored integer form already holds (MDSPInstance._primal),
+which the certificate verifier and the exact solver read too: that of the
+Gram matrix in the reversed order (v, b_n..b_1), whose adjugate holds the
+same integers reversed; a row is built from it when first read. In LLL's
+sweeps, where each prefix's state is read off the whole B block of the
+last, the source is the adjugate's lower triangle, built once from LLL's
+own d/lambda data. A committed shift is a unimodular change of basis: it
+changes only row v of the adjugate, in O(n) operations, and det G not at
+all. No Gram matrix or row is kept, and a pass hands back only the shift
+vector x, from which the caller forms B(x) = {b_i + x_i v}.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ from .lattice import MDSPInstance, apply_shift
 from .qlinalg import (
     QVector,
     _adjugate_diagonal,
+    _adjugate_lower,
     _adjugate_row,
-    _eliminate_spd,
     _jordan_columns,
-    integer_gram,
 )
 
 
@@ -79,13 +80,14 @@ class _GramState:
     its B-block row i for a shifted coordinate i. det G is fixed, since a
     committed shift is a unimodular change of basis, and so is the B block,
     diagonal included, since a shift changes only row and column v. The
-    state holds the record of one elimination (its pivots d and the
-    columns of qlinalg._jordan_columns), the diagonal and row v; a B-block
-    row is built from the record when first read, and the whole B block
-    only by leading(). The record is of G itself, or, when flipped, of
-    P = J G J, the Gram matrix of (v, b_{n-1}, ..., b_0) for the reversal
-    J, whose adjugate J adj(G) J holds the same integers: coordinate i is
-    P's index n - i. Integer rows come from scaling by a positive
+    state holds the diagonal, row v and one source for the B-block rows,
+    set by its constructor. An instance's state (of_primal) holds the
+    record of the elimination of P = J G J, the Gram matrix of
+    (v, b_{n-1}, ..., b_0) for the reversal J, whose adjugate J adj(G) J
+    holds the same integers: coordinate i is P's index n - i, and its row
+    is built from the record when first read. A sweep's state (of_lll,
+    leading) holds the B block's lower triangle, built once, which
+    leading() reads whole. Integer rows come from scaling by a positive
     constant, under which every shift choice is invariant.
     """
 
@@ -96,33 +98,24 @@ class _GramState:
         row_v: list[int],
         record: Optional[tuple[list[int], list[list[int]]]] = None,
         lower: Optional[list[list[int]]] = None,
-        flipped: bool = False,
     ):
         self.det = det
         self.n = len(diag)
         self._diag = diag
         self._v = row_v  # adj[v][0..n], the one part a shift changes
-        self._record = record
-        self._flipped = flipped  # the record is of P = J G J
-        self._lower = lower  # B block's lower triangle, when leading() built it
+        self._record = record  # P's record, for an instance's state
+        self._lower = lower  # the B block's lower triangle, for a sweep's state
         self._rows: list[Optional[list[int]]] = [None] * self.n
 
     @classmethod
     def of_lll(cls, d: list[int], lam: list[list[int]]) -> "_GramState":
         """State of rows from the fraction-free elimination (d, lam) of their
         Gram matrix, which is also their integral LLL data (lll._lll_rows):
-        the back-substitution (_jordan_columns) gives the record, row v is
-        its last step's (-c_n, d_n) and det G its last pivot."""
-        cols = _jordan_columns(d, lam)
-        n = len(cols) - 1
-        row_v = [-c for c in cols[n]]
-        row_v.append(d[n])
-        return cls(d[-1], _adjugate_diagonal(d, cols)[:n], row_v, record=(d, cols))
-
-    @classmethod
-    def of_rows(cls, rows: list[list[int]]) -> "_GramState":
-        """State of the integer rows from one elimination of their Gram matrix."""
-        return cls.of_lll(*_eliminate_spd(integer_gram(rows)))
+        the lower triangle of adj(G) (_adjugate_lower), less its last row,
+        row v, and det G the last pivot."""
+        lower = _adjugate_lower(d, lam)
+        row_v = lower.pop()
+        return cls(d[-1], [row[-1] for row in lower], row_v, lower=lower)
 
     @classmethod
     def of_primal(cls, d: list[int], lam: list[list[int]]) -> "_GramState":
@@ -134,17 +127,15 @@ class _GramState:
         cols = _jordan_columns(d, lam)
         diag = _adjugate_diagonal(d, cols)[:0:-1]
         row_v = _adjugate_row(d, cols, 0)[::-1]
-        return cls(d[-1], diag, row_v, record=(d, cols), flipped=True)
+        return cls(d[-1], diag, row_v, record=(d, cols))
 
     def _row(self, i: int) -> list[int]:
         """adj[i][0..n-1], built once."""
         row = self._rows[i]
         if row is None:
             low = self._lower
-            if low is None and self._flipped:
+            if low is None:
                 row = _adjugate_row(*self._record, self.n - i)[:0:-1]
-            elif low is None:
-                row = _adjugate_row(*self._record, i)[: self.n]
             else:
                 row = low[i] + [low[k][i] for k in range(i + 1, self.n)]
             self._rows[i] = row
@@ -179,27 +170,19 @@ class _GramState:
         return Fraction(self.det, self._v[self.n] * scale * scale)
 
     def leading(self) -> "_GramState":
-        """State of (b_0..b_{n-2}, b_{n-1}): G_B is G without the row and
-        column of v, and det(G_B) = adj[v][v].
+        """State of (b_0..b_{n-2}, b_{n-1}), for a sweep's state: G_B is G
+        without the row and column of v, and det(G_B) = adj[v][v].
 
         By Jacobi's identity on the 2x2 minors of adj(G),
         adj(G_B)[j][k] = (adj[j][k] adj[v][v] - adj[j][v] adj[v][k]) / det(G),
-        an exact division: O(n^2) on the B block of adj(G), which a state
-        from a record builds here whole, at the cost of adjugate_spd's A
-        block, instead of a new elimination. Only the lower triangle is
-        formed, but a flipped record gives whole rows.
+        an exact division: O(n^2) on the lower triangle of the B block,
+        instead of a new elimination.
         """
-        n, det, row_v = self.n, self.det, self._v
-        low = self._lower
-        if low is None and self._flipped:
-            low = [self._row(j)[: j + 1] for j in range(n)]
-        elif low is None:
-            d, cols = self._record
-            low = [_adjugate_row(d, cols, j, lower=True) for j in range(n)]
-        aff = row_v[n]
+        det, row_v = self.det, self._v
+        aff = row_v[self.n]
         lead = [
             [(a * aff - vj * vk) // det for a, vk in zip(lj, row_v)]
-            for lj, vj in zip(low, row_v)
+            for lj, vj in zip(self._lower, row_v)
         ]
         row_v = lead.pop()
         return _GramState(aff, [lj[-1] for lj in lead], row_v, lower=lead)

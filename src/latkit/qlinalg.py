@@ -10,14 +10,16 @@ once per row of an integer Gram matrix, which it only reads. Its
 (d, lambda) give distances, volumes and LDL; one more step, on the matrix
 bordered by a vector z, gives -z^T adj(G) z (lattice._value); the same
 recurrence run on the scaled rows (_carried_rows) gives Gram-Schmidt and
-projections; and, back-substituted (_jordan_columns), the record from
-which _adjugate builds the adjugate, entry by entry if need be
-(_adjugate_row), gives inverses and the MDSP-to-CVP map, while the
-heuristic builds only the entries it reads. lll._lll_rows calls the
-kernel itself, a row when it first reaches it, since eliminating up front
-makes every swap update the rows past kmax (22% slower on the reduce
-workload); its final (d, lambda) is _eliminate_gram's, so the heuristic
-sweep after it back-substitutes from that data without eliminating again.
+projections; and, back-substituted (_jordan_columns), it gives the record
+from which each adjugate row is its own recurrence (_adjugate_row). The
+record's lower triangle (_adjugate_lower) is the heuristic sweep's state
+and, mirrored (_adjugate), gives inverses and the MDSP-to-CVP map; on an
+instance the heuristic builds only the rows it reads. lll._lll_rows calls
+the kernel itself, a row when it first reaches it, since eliminating up
+front makes every swap update the rows past kmax (22% slower on the
+reduce workload); its final (d, lambda) is _eliminate_gram's, so the
+heuristic sweep after it builds its lower triangle from that data
+without eliminating again.
 Only determinant eliminates apart: it pivots rows, since a Gram matrix
 loses the sign. No floating point enters any correctness-bearing path.
 """
@@ -55,12 +57,17 @@ def rational(x: RationalLike) -> Fraction:
 
 class _Frozen:
     """Slots set once, by the constructor through object.__setattr__;
-    copies and pickles, whose state is (None, slots), restore them so."""
+    copies and pickles, under every protocol, take the state (None, slots)
+    and restore the slots so."""
 
     __slots__ = ()
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__!r} object is immutable")
+
+    def __getstate__(self) -> tuple[None, dict]:
+        slots = (name for cls in type(self).__mro__ for name in getattr(cls, "__slots__", ()))
+        return None, {name: getattr(self, name) for name in slots}
 
     def __setstate__(self, state) -> None:
         for name, value in state[1].items():
@@ -357,34 +364,34 @@ def adjugate_spd(a: list[list[int]]) -> tuple[list[list[int]], int]:
 
     Every division is exact, and at k = n, A = adj(G) and the last pivot
     is d_n = det G. A never feeds back into S or X, so the elimination is
-    recorded first (_eliminate_spd), and A is built from the record
+    recorded first (_eliminate_gram), and A is built from the record
     afterwards (_adjugate). No pivoting is needed because all leading principal minors are
     positive; a pivot <= 0 before the last step means the matrix came from
     a dependent family and raises DegenerateResidual. The last pivot is
     returned unchecked: det G <= 0, a degenerate instance the caller
     reports, still gives the adjugate.
     """
-    d, lam = _eliminate_spd(a)
+    try:
+        d, lam = _eliminate_gram(a)
+    except DependentInput:
+        raise DegenerateResidual("Gram matrix is not positive definite") from None
     return _adjugate(d, lam), d[-1]
 
 
 def _adjugate(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int]]:
-    """adj(G) from the elimination (d, lam) of G: the columns c_k
-    (_jordan_columns), then the lower triangle row by row (_adjugate_row),
-    each entry its own recurrence."""
-    cols = _jordan_columns(d, lam)
-    n = len(cols)
-    lower = [_adjugate_row(d, cols, i, lower=True) for i in range(n)]
+    """adj(G) from the elimination (d, lam) of G: its lower triangle
+    (_adjugate_lower), mirrored."""
+    lower = _adjugate_lower(d, lam)
+    n = len(lower)
     return [[lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)]
 
 
-def _eliminate_spd(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """_eliminate_gram(a) for adjugate_spd and the heuristic's state, which
-    report a pivot <= 0 before the last as DegenerateResidual."""
-    try:
-        return _eliminate_gram(a)
-    except DependentInput:
-        raise DegenerateResidual("Gram matrix is not positive definite") from None
+def _adjugate_lower(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int]]:
+    """Rows i of adj(G)'s lower triangle, entries j <= i, from the
+    elimination (d, lam) of G: the columns c_k (_jordan_columns), then row
+    by row (_adjugate_row), each entry its own recurrence."""
+    cols = _jordan_columns(d, lam)
+    return [_adjugate_row(d, cols, i, lower=True) for i in range(len(cols))]
 
 
 def _jordan_columns(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int]]:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -359,7 +360,7 @@ class TestGramState:
         rng = random.Random(131)
         for rows in state_rows(137):
             rows = [r[:] for r in rows]
-            state = _GramState.of_rows(rows)
+            state = _GramState.of_lll(*qlinalg._eliminate_gram(_gram(rows)))
             check_state(state, rows)
             while True:
                 shift_and_check(rng, state, rows)
@@ -381,19 +382,13 @@ class TestGramState:
 
     def test_state_from_primal_elimination(self):
         # the record of P, the Gram matrix of the rows reversed, as an
-        # instance's stored form holds it; leading() then reads whole rows
+        # instance's stored form holds it
         rng = random.Random(163)
         for rows in state_rows(167):
             rows = [r[:] for r in rows]
             state = _GramState.of_primal(*qlinalg._eliminate_gram(_gram(rows[::-1])))
             check_state(state, rows)
-            while True:
-                shift_and_check(rng, state, rows)
-                if len(rows) == 2:
-                    break
-                state = state.leading()
-                rows.pop()
-                check_state(state, rows)
+            shift_and_check(rng, state, rows)
 
 
 class TestHotPath:
@@ -442,11 +437,11 @@ class TestHotPath:
             d, lam = _lll_rows(rows, 1, 4, ReductionTrace())
             expected = [r[:] for r in rows]
             with monkeypatch.context() as m:
-                m.setattr(heuristic, "integer_gram", refuse)
+                m.setattr(qlinalg, "integer_gram", refuse)
                 m.setattr(qlinalg, "_eliminate_gram", refuse)
                 _sweep_prefixes(rows, d, lam, 1)
             # the same sweep on a state from a fresh elimination
-            state = _GramState.of_rows(expected)
+            state = _GramState.of_lll(*qlinalg._eliminate_gram(_gram(expected)))
             for i in range(size - 1, 0, -1):
                 x = [0] * i
                 _pass_over(state, x)
@@ -454,3 +449,33 @@ class TestHotPath:
                     expected[j] = [b + xj * c for b, c in zip(expected[j], expected[i])]
                 state = state.leading()
             assert rows == expected
+
+    def test_sweep_builds_each_row_once(self, monkeypatch):
+        # the first prefix's state builds the lower triangle of adj(G) once;
+        # a shifted coordinate's row and the next prefix's state are read
+        # off it, so no row index is built twice, by either name
+        built, shifted = Counter(), []
+        row = qlinalg._adjugate_row
+        shift = heuristic._GramState.apply_shift
+
+        def counting_row(d, cols, i, **kwargs):
+            built[i] += 1
+            return row(d, cols, i, **kwargs)
+
+        def recording_shift(state, i, a):
+            shifted.append(state.n)
+            shift(state, i, a)
+
+        monkeypatch.setattr(qlinalg, "_adjugate_row", counting_row)
+        monkeypatch.setattr(heuristic, "_adjugate_row", counting_row)
+        monkeypatch.setattr(heuristic._GramState, "apply_shift", recording_shift)
+        rng = random.Random(179)
+        for size in (8, 12, 16):
+            rows = [[rng.randint(-100, 100) for _ in range(size)] for _ in range(size)]
+            d, lam = _lll_rows(rows, 1, 4, ReductionTrace())
+            built.clear()
+            shifted.clear()
+            _sweep_prefixes(rows, d, lam, 1)
+            assert size - 1 in shifted  # the first prefix shifts
+            assert [i for i, k in built.items() if k > 1] == []
+            assert sorted(built) == list(range(size))

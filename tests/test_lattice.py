@@ -417,6 +417,24 @@ class TestStoredForm:
         basis = pickle.loads(pickle.dumps(LatticeBasis([QVector(r) for r in rows])))
         assert basis.dim == 3 and hash(QVector(rows[0])) == hash(copy.deepcopy(QVector(rows[0])))
 
+    def test_pickle_under_every_protocol(self):
+        # protocols 0 and 1 pickle a slotted class only through __getstate__
+        rows = [[F(1, 2), 3, -4], [0, F(-7, 3), 5], [2, 1, F(1, 5)]]
+        built = MDSPInstance.from_vectors(rows[0], rows[1:])
+        lazy = MDSPInstance.from_vectors(rows[0], rows[1:], validate=False)
+        objs = (QVector(rows[0]), QMatrix(rows), LatticeBasis([QVector(r) for r in rows]))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            for obj in objs:
+                twin = pickle.loads(pickle.dumps(obj, protocol))
+                assert twin == obj and type(twin) is type(obj)
+            for inst in (built, lazy):
+                twin = pickle.loads(pickle.dumps(inst, protocol))
+                assert (twin.fixed, twin.rest, twin._form) == (inst.fixed, inst.rest, inst._form)
+                assert twin.n == 2 and shift_dist_sq(twin, (1, -1)) == shift_dist_sq(built, (1, -1))
+                with pytest.raises(AttributeError):
+                    twin.fixed = twin.rest.vectors[0]
+        assert lazy._form is None and built._form is not None
+
     def test_copy_and_pickle_round_trips(self):
         for build, x, gamma_sq in stored_form_instances():
             ops = stored_form_ops(x, gamma_sq)
