@@ -71,6 +71,7 @@ from .cvp import (
     EmbeddedCVPInstance,
     cvp_to_mdsp,
     embed_cvp,
+    enumerate_cvp,
     mdsp_to_cvp,
     recover_mdsp_distance_sq,
     solve_cvp_bruteforce,

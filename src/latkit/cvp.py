@@ -68,8 +68,8 @@ class CVPGramInstance:
     record, which is not a field, and builds gram and offset on first
     access; equality, hashing, repr, copies and pickles see the same
     fields as on an instance built from them. A hand-built form raises
-    NonSquare unless gram is square and LengthMismatch unless offset has
-    its order.
+    NonSquare unless gram is square, LengthMismatch unless offset has its
+    order, and ValueError unless scale_sq, which is |v|^2, is positive.
     """
 
     gram: QMatrix
@@ -83,6 +83,8 @@ class CVPGramInstance:
             raise LengthMismatch(
                 f"offset has length {self.offset.dim}, expected {self.gram.rows}"
             )
+        if not self.scale_sq > 0:
+            raise ValueError(f"scale_sq must be positive, got {self.scale_sq}")
 
     def __getattr__(self, name: str):
         # reached only for an attribute missing from the instance
@@ -236,7 +238,10 @@ def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
     return CVPSolution(j, _objective(primal, t, det))
 
 
-solve_cvp_bruteforce = enumerate_cvp  # the name the package exports and latbench calls
+# The old name of enumerate_cvp, kept and exported by the package only
+# because latbench/run.py calls it; it goes when the benchmark moves to
+# enumerate_cvp.
+solve_cvp_bruteforce = enumerate_cvp
 
 
 def _objective(primal: _Primal, t: int, det: int) -> Fraction:

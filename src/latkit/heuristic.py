@@ -1,28 +1,34 @@
 """Greedy single-coordinate improvement of the sub-lattice distance.
 
 One pass visits each basis vector in order, replaces b_i by b_i - a*v for
-the integer a that minimizes the residual projection of v in the plane
-orthogonal to the other basis vectors, and commits the change before
-moving on. Passes repeat until a full pass makes no change or a cap is
-hit; the distance never decreases along the way, but termination at the
-optimum is not guaranteed in general.
+the integer a that puts v farthest from the span of the basis, and
+commits the change before moving on. Passes repeat until a full pass
+makes no change or a cap is hit; the distance never decreases along the
+way, but termination at the optimum is not guaranteed in general.
 
-The residual quantities for every coordinate are ratios of minors of the
-integer-scaled Gram matrix of (b_1..b_n, v), and all of them share one
-positive denominator per coordinate. They are read off the adjugate of
-that Gram matrix, but only three parts of it are read: its diagonal, its
-row v, and the row of each coordinate that gets shifted. They come from
-one of two sources. On an instance, the source is the record of the
-elimination its stored integer form already holds (MDSPInstance._primal),
-which the certificate verifier and the exact solver read too: that of the
-Gram matrix in the reversed order (v, b_n..b_1), whose adjugate holds the
-same integers reversed; a row is built from it when first read. In LLL's
+Read on the dual basis (d_0, ..., d_{n-1}, d_v) of (b_0, ..., b_{n-1}, v),
+a pass is size reduction of the fixed vector's dual vector d_v by the
+d_i, and one identity gives every step: with G the Gram matrix of the
+rows, adj(G) = det G Gram(d_0, ..., d_{n-1}, d_v). A shift b_i -= a v only
+sets d_v += a d_i, dist^2(v, span B) = 1 / |d_v|^2, so the shift is the
+integer nearest -<d_v, d_i> / |d_i|^2, the floor on a tie (_choose_shift),
+and dropping v projects the other duals orthogonally to d_v (leading).
+Gram-Schmidt reads the same object: b*_k / |b*_k|^2 is the last dual
+vector of b_0..b_k (qlinalg.gram_schmidt).
+
+The passes read only three parts of adj(G): its diagonal, its row v, and
+the row of each coordinate that gets shifted. They come from one of two
+sources. On an instance, the source is the record of the elimination its
+stored integer form already holds (MDSPInstance._primal), which the
+certificate verifier and the exact solver read too: that of the Gram
+matrix in the reversed order (v, b_n..b_1), whose adjugate holds the same
+integers reversed; a row is built from it when first read. In LLL's
 sweeps, where each prefix's state is read off the whole B block of the
 last, the source is the adjugate's lower triangle, built once from LLL's
-own d/lambda data. A committed shift is a unimodular change of basis: it
-changes only row v of the adjugate, in O(n) operations, and det G not at
-all. No Gram matrix or row is kept, and a pass hands back only the shift
-vector x, from which the caller forms B(x) = {b_i + x_i v}.
+own d/lambda data. A committed shift changes only row v of the adjugate,
+in O(n) operations, and det G not at all. No Gram matrix or row is kept,
+and a pass hands back only the shift vector x, from which the caller
+forms B(x) = {b_i + x_i v}.
 """
 
 from __future__ import annotations
@@ -74,21 +80,22 @@ class HeuristicOutcome:
 
 class _GramState:
     """The entries of adj(G) that the passes read, and det G, for G the
-    Gram matrix of rows (b_0..b_{n-1}, v).
+    Gram matrix of rows (b_0..b_{n-1}, v): det G times the inner products
+    of their dual basis (d_0, ..., d_{n-1}, d_v).
 
     Every shift choice reads only adj(G): its diagonal on B, its row v and
     its B-block row i for a shifted coordinate i. det G is fixed, since a
     committed shift is a unimodular change of basis, and so is the B block,
-    diagonal included, since a shift changes only row and column v. The
-    state holds the diagonal, row v and one source for the B-block rows,
-    set by its constructor. An instance's state (of_primal) holds the
-    record of the elimination of P = J G J, the Gram matrix of
-    (v, b_{n-1}, ..., b_0) for the reversal J, whose adjugate J adj(G) J
-    holds the same integers: coordinate i is P's index n - i, and its row
-    is built from the record when first read. A sweep's state (of_lll,
-    leading) holds the B block's lower triangle, built once, which
-    leading() reads whole. Integer rows come from scaling by a positive
-    constant, under which every shift choice is invariant.
+    diagonal included, since a shift changes only d_v. The state holds the
+    diagonal, row v and one source for the B-block rows, set by its
+    constructor. An instance's state (of_primal) holds the record of the
+    elimination of P = J G J, the Gram matrix of (v, b_{n-1}, ..., b_0) for
+    the reversal J, whose adjugate J adj(G) J holds the same integers:
+    coordinate i is P's index n - i, and its row is built from the record
+    when first read. A sweep's state (of_lll, leading) holds the B block's
+    lower triangle, built once, which leading() reads whole. Integer rows
+    come from scaling by a positive constant, under which every shift
+    choice is invariant.
     """
 
     def __init__(
@@ -142,18 +149,12 @@ class _GramState:
         return row
 
     def moments(self, i: int) -> tuple[int, int]:
-        """Numerators of (|v''|^2, v''.b_i'') over one positive common
-        denominator, for coordinate i."""
+        """det G (|d_i|^2, -<d_v, d_i>), for coordinate i."""
         return self._diag[i], -self._v[i]
 
     def apply_shift(self, i: int, a: int) -> None:
-        """Commit b_i := b_i - a v.
-
-        With rows as the rows of B, the shift is B := E B for
-        E = I - a e_i e_v^T, so G := E G E^T, and det E = 1 gives
-        adj(G) := E^-T adj(G) E^-1: add a*(row i) to row v, then
-        a*(column i) to column v. Only row v changes (column v is its
-        transpose): adj[v][k] += a adj[i][k] off the corner, and
+        """Commit b_i := b_i - a v, which sets d_v := d_v + a d_i: only row
+        v of adj(G) changes, adj[v][k] += a adj[i][k] off the corner, and
         adj[v][v] += a (adj[v][i] before + adj[v][i] after).
         """
         row_v, n = self._v, self.n
@@ -162,19 +163,16 @@ class _GramState:
         row_v[n] += a * (old + row_v[i])
 
     def dist_sq(self, scale: int) -> Fraction:
-        """dist^2(v, span(b_0..b_{n-1})) for rows scaled by scale.
-
-        It is det(G) / det(G_B) / scale^2, and det(G_B) is the last diagonal
-        entry of adj(G).
-        """
+        """dist^2(v, span(b_0..b_{n-1})) = 1 / |d_v|^2 for rows scaled by
+        scale: det G / (adj[v][v] scale^2)."""
         return Fraction(self.det, self._v[self.n] * scale * scale)
 
     def leading(self) -> "_GramState":
-        """State of (b_0..b_{n-2}, b_{n-1}), for a sweep's state: G_B is G
-        without the row and column of v, and det(G_B) = adj[v][v].
+        """State of (b_0..b_{n-2}, b_{n-1}), for a sweep's state.
 
-        By Jacobi's identity on the 2x2 minors of adj(G),
-        adj(G_B)[j][k] = (adj[j][k] adj[v][v] - adj[j][v] adj[v][k]) / det(G),
+        The dual basis of B is the d_j projected orthogonally to d_v, and
+        det G_B = adj[v][v] = det G |d_v|^2, so
+        adj(G_B)[j][k] = (adj[j][k] adj[v][v] - adj[j][v] adj[v][k]) / det G,
         an exact division: O(n^2) on the lower triangle of the B block,
         instead of a new elimination.
         """
@@ -200,15 +198,11 @@ def _state(inst: MDSPInstance) -> tuple[_GramState, int]:
 
 
 def _choose_shift(s: int, w: int) -> int:
-    """The integer a nearest w/s, a tie keeping the floor: the shift that
-    minimizes the residual projection.
+    """The integer a nearest w/s, a tie keeping the floor.
 
-    With t = |b_i''|^2 on the same scale, the squared projection of v'' on
-    the line of b_i'' - a v'' is (w - a s)^2 / (t - 2 a w + a^2 s) up to a
-    positive factor: s X / (X + C) for X = (w - a s)^2 and C = t s - w^2 =
-    det G det G_{-i,-v}. C is positive on every path (_state raises on
-    det P = 0, and LLL's rows are independent), so minimizing the ratio is
-    minimizing X.
+    For (s, w) = det G (|d_i|^2, -<d_v, d_i>) (_GramState.moments), the
+    shift b_i -= a v leaves |d_v + a d_i|^2 = |d_v|^2 + (s a^2 - 2 w a) / det G,
+    so a maximizes dist^2 = 1 / |d_v + a d_i|^2.
     """
     if s <= 0:
         raise DegenerateResidual("fixed vector lies in the span of the others")

@@ -39,7 +39,6 @@ from .qlinalg import (  # noqa: F401
     _gso_row,
     determinant,
     dist_sq_to_span,
-    gram_schmidt,
     integer_gram,
     integer_rows,
     inverse,
@@ -322,13 +321,21 @@ def _bit_size(f: Fraction) -> int:
 
 
 def certificate_bounds(inst: MDSPInstance) -> CertificateBounds:
-    """Exact certificate size quantities for an instance."""
+    """Exact certificate size quantities for an instance.
+
+    dk[k] = d_{k+1} / s^(2k+2) for the pivots d of the elimination of the
+    Gram matrix of B scaled to integers by s; no Gram-Schmidt vector is
+    built. A dependent B raises DependentInput, as gram_schmidt does.
+    """
     v = inst.fixed
     k0 = 1
     for e in v.entries:
         k0 *= e.denominator
-    gs = gram_schmidt(inst.rest.vectors)
-    dk = list(gs.dk)
+    rows, scale = integer_rows(inst.rest.vectors)
+    pivots, _ = _eliminate_gram(integer_gram(rows))
+    if pivots[-1] == 0:
+        raise DependentInput(f"vector {len(rows) - 1} is in the span of its predecessors")
+    dk = [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(pivots[1:])]
     big_d = Fraction(1)
     for d in dk:
         big_d *= d

@@ -8,11 +8,14 @@ integral Gram-Schmidt (_gso_row): row k of the integer data (d, lambda)
 from the inner products of row k with rows 0..k. _eliminate_gram runs it
 once per row of an integer Gram matrix, which it only reads. Its
 (d, lambda) give distances, volumes and LDL; one more step, on the matrix
-bordered by a vector z, gives -z^T adj(G) z (lattice._value); the same
-recurrence run on the scaled rows (_carried_rows) gives Gram-Schmidt and
-projections; and, back-substituted (_jordan_columns), it gives the record
-from which each adjugate row is its own recurrence (_adjugate_row). The
-record's lower triangle (_adjugate_lower) is the heuristic sweep's state
+bordered by a vector z, gives -z^T adj(G) z (lattice._value); and,
+back-substituted (_jordan_columns), it gives the record from which each
+adjugate row is its own recurrence (_adjugate_row).
+The record describes one object, the dual basis of the rows (the rows of
+G^-1 R, R the matrix of the rows): adj(G) is det G times its Gram matrix,
+and column c_k of the record gives the last dual vector of rows 0..k,
+which is b*_k / |b*_k|^2, so Gram-Schmidt and projections read it too
+(gram_schmidt, project_onto_span). The record's lower triangle (_adjugate_lower) is the heuristic sweep's state
 and, mirrored (_adjugate), gives inverses and the MDSP-to-CVP map; on an
 instance the heuristic builds only the rows it reads. lll._lll_rows calls
 the kernel itself, a row when it first reaches it, since eliminating up
@@ -266,8 +269,10 @@ def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
 
     One elimination of the scaled integer Gram matrix gives all three
     (Cohen's integral Gram-Schmidt): lam[i][j] = d_{j+1} mu_ij (i > j) for
-    the leading minors d_{k+1} = dk[k] s^(2k+2), and the same recurrence
-    run on the scaled rows gives d_k s b*_k (_carried_rows, d_0 = 1).
+    the leading minors d_{k+1} = dk[k] s^(2k+2). Its back-substitution
+    (_jordan_columns) gives b*: on the scaled rows r = s b, the last dual
+    vector of r_0..r_k is r*_k / |r*_k|^2 = (d_k r_k - sum_{j<k} c_k[j] r_j)
+    / d_{k+1}, and |r*_k|^2 = d_{k+1} / d_k, so d_k s b*_k is the numerator.
     Raises DependentInput at the first dependent vector.
     """
     if not basis:
@@ -279,8 +284,9 @@ def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
         raise DependentInput(f"vector {n - 1} is in the span of its predecessors")
     mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else _ONE if i == j else _ZERO
            for j in range(n)] for i in range(n)]
-    carried = _carried_rows(rows, d, lam)
-    bstar = [QVector(Fraction(e, dk * scale) for e in c) for dk, c in zip(d, carried)]
+    bstar = [QVector(Fraction(dk * col[k] - sum(map(mul, ck, col)), dk * scale)
+                     for col in zip(*rows[:k + 1]))
+             for k, (dk, ck) in enumerate(zip(d, _jordan_columns(d, lam)))]
     dk = [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(d[1:])]
     return GramSchmidtResult(bstar, QMatrix(mu), dk)
 
@@ -288,16 +294,16 @@ def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
 def project_onto_span(v: QVector, basis: Sequence[QVector]) -> QVector:
     """Orthogonal projection of v onto span(basis); empty span maps to 0.
 
-    Eliminating (basis, v) as gram_schmidt does gives the carried row
-    d s (v - proj) for v, d the Gram determinant of the scaled basis.
+    Eliminating the scaled rows r of (basis, v) as gram_schmidt does,
+    v - proj is b*_n, so d_n s proj = sum_{j<n} c_n[j] r_j.
     """
     if not basis:
         return QVector.zero(v.dim)
     g, rows, scale = _scaled_gram([*basis, v])
     d, lam = _eliminate_gram(g)
     n = len(basis)
-    dn, last = d[n], _carried_rows(rows, d, lam)[n]
-    return QVector(Fraction(dn * x - e, dn * scale) for x, e in zip(rows[n], last))
+    cn = _jordan_columns(d, lam)[n]
+    return QVector(Fraction(sum(map(mul, cn, col)), d[n] * scale) for col in zip(*rows[:n]))
 
 
 def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
@@ -401,7 +407,10 @@ def _jordan_columns(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int
     layout, which is also Cohen's integral LLL data of a basis of Gram
     matrix G (lll._lll_rows), so that serves as it is. Column q of X starts
     at step i as lam[q][i] and each later step k < q makes it
-    (d_{k+1} x - c_k[i] lam[q][k]) / d_k.
+    (d_{k+1} x - c_k[i] lam[q][k]) / d_k. (-c_k, d_k) is the last row of
+    the adjugate of G's leading (k+1) x (k+1) block: in the rows r_0..r_k
+    of G, d_{k+1} times their last dual vector, d_k r*_k for r*_k the part
+    of r_k orthogonal to r_0..r_{k-1}.
     """
     cols: list[list[int]] = []
     for lq in lam:
@@ -491,22 +500,6 @@ def _eliminate_gram(g: Sequence[Sequence[int]]) -> tuple[list[int], list[list[in
             raise DependentInput(f"vector {k} is in the span of its predecessors")
         d.append(p)
     return d, lam
-
-
-def _carried_rows(
-    rows: Sequence[list[int]], d: Sequence[int], lam: Sequence[list[int]]
-) -> list[list[int]]:
-    """The rows d_k b*_k of integral Gram-Schmidt, b*_k the part of row k
-    orthogonal to rows 0..k-1, from (d, lam) of the rows' Gram matrix: the
-    kernel's recurrence run on the rows, c <- (d_{i+1} c - lam[k][i] c_i) / d_i
-    over i < k from c = row k, with c_i = d_i b*_i."""
-    out: list[list[int]] = []
-    for c, lk in zip(rows, lam):
-        for i, ci in enumerate(out):
-            p, a, q = d[i + 1], lk[i], d[i]
-            c = [(p * x - a * y) // q for x, y in zip(c, ci)]
-        out.append(c)
-    return out
 
 
 def _scaled_gram(vectors: Sequence[QVector]) -> tuple[list[list[int]], list[list[int]], int]:

@@ -46,7 +46,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "latbench")]
 
 import inputs  # noqa: E402  (latbench/inputs.py)
 import latkit as lk  # noqa: E402
-from latkit.cvp import enumerate_cvp  # noqa: E402
 from latkit.qlinalg import adjugate_spd, integer_gram  # noqa: E402
 
 # the digests of the outputs as they stand; any refactor must keep them
@@ -119,7 +118,7 @@ def mdsp_records(seed, rational=False):
         sol = lk.solve_exact(inst)
         yield sol.x, sol.dist_sq, rows_of(sol.basis)
         c = lk.mdsp_to_cvp(inst)
-        cvp = lk.solve_cvp_bruteforce(c)
+        cvp = lk.enumerate_cvp(c)
         yield ([list(r) for r in c.gram.data], list(c.offset.entries), c.scale_sq,
                cvp.j, cvp.objective, c.objective(cvp.j),
                lk.recover_mdsp_distance_sq(c, cvp.j))
@@ -134,8 +133,8 @@ def large_records(seed):
             sol = lk.solve_exact(inst)
             yield sol.x, sol.dist_sq, rows_of(sol.basis)
             c = lk.mdsp_to_cvp(inst)
-            cvp = enumerate_cvp(c)
-            rebuilt = enumerate_cvp(lk.CVPGramInstance(c.gram, c.offset, c.scale_sq))
+            cvp = lk.enumerate_cvp(c)
+            rebuilt = lk.enumerate_cvp(lk.CVPGramInstance(c.gram, c.offset, c.scale_sq))
             yield (cvp.j, cvp.objective, lk.recover_mdsp_distance_sq(c, cvp.j),
                    rebuilt.j, rebuilt.objective)
 
@@ -227,13 +226,13 @@ def ties_records(seed):
                  for j in range(n)] for i in range(n)]
         offset = [Fraction(2 * rng.randint(-4, 4) + 1, 2) for _ in range(n)]
         c = lk.CVPGramInstance(lk.QMatrix(diag), lk.QVector(offset), Fraction(1))
-        yield enumerate_cvp(c)
+        yield lk.enumerate_cvp(c)
         a = tuple(2 * rng.randint(-4, 4) + 1 for _ in range(n))
         for inst in (tie_instance(a, 1), tie_instance(a, 3)):
             sol = lk.solve_exact(inst)
             c = lk.mdsp_to_cvp(inst)
             rebuilt = lk.CVPGramInstance(c.gram, c.offset, c.scale_sq)
-            yield sol.x, sol.dist_sq, enumerate_cvp(c), enumerate_cvp(rebuilt)
+            yield sol.x, sol.dist_sq, lk.enumerate_cvp(c), lk.enumerate_cvp(rebuilt)
     for k in (1, 3):
         sol = lk.solve_exact(tie_instance(LARGER_N_TIE, k))
         yield sol.x, sol.dist_sq, rows_of(sol.basis)

@@ -2,13 +2,14 @@
 
 Everything here is written from scratch against the mathematical
 definitions (naive Gram-Schmidt, textbook reduction with full
-recomputation, exhaustive scans, Bareiss determinants) and deliberately
-shares no code with the package paths it checks.
+recomputation, exhaustive scans, Bareiss determinants, the dual basis
+from a naive inverse) and deliberately shares no code with the package
+paths it checks.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import ceil, lcm
 
 
 def vdot(a, b):
@@ -136,6 +137,50 @@ def naive_inverse(rows):
                 f = a[i][k]
                 a[i] = [e - f * g for e, g in zip(a[i], a[k])]
     return [row[n:] for row in a]
+
+
+def dual_basis(vectors):
+    """The dual basis of an independent family: the rows of G^-1 B, for B
+    the family and G its Gram matrix, so each d_i lies in the span and
+    <d_i, b_j> = [i == j]. Inverts G by naive_inverse."""
+    g = [[vdot(a, b) for b in vectors] for a in vectors]
+    return [
+        tuple(sum((c * b[k] for c, b in zip(row, vectors)), Fraction(0))
+              for k in range(len(vectors[0])))
+        for row in naive_inverse(g)
+    ]
+
+
+def dual_greedy(v, basis, max_passes):
+    """The greedy MDSP heuristic read on the dual basis, recomputed from
+    scratch at every coordinate.
+
+    With (d_0..d_{n-1}, d_v) the dual basis of (b_0..b_{n-1}, v), the
+    shift b_i -= a v at coordinate i takes the integer a nearest
+    -<d_v, d_i> / |d_i|^2, the floor on a tie, and the squared distance of
+    v from the span of the basis after it is 1 / |d_v|^2. Runs in-order
+    passes until one shifts nothing or max_passes have run. Returns
+    (x, shifts, passes, converged): B(x) = {b_i + x_i v} is the final
+    basis, and shifts lists (i, a, dist^2) for each nonzero shift in order.
+    """
+    v = tuple(Fraction(e) for e in v)
+    basis = [tuple(Fraction(e) for e in b) for b in basis]
+    x = [0] * len(basis)
+    shifts = []
+    for passes in range(1, max_passes + 1):
+        changed = False
+        for i in range(len(basis)):
+            *duals, dv = dual_basis(basis + [v])
+            a = ceil(-vdot(dv, duals[i]) / vdot(duals[i], duals[i]) - Fraction(1, 2))
+            if a:
+                basis[i] = vsub(basis[i], vscale(v, a))
+                x[i] -= a
+                dv = dual_basis(basis + [v])[-1]
+                shifts.append((i, a, 1 / vdot(dv, dv)))
+                changed = True
+        if not changed:
+            return tuple(x), shifts, passes, True
+    return tuple(x), shifts, max_passes, False
 
 
 def cvp_exhaustive(gram_rows, offset, point_budget=250_000):

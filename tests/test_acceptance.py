@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 from latkit.bench import _instance_seed, generate_random_basis
-from latkit.cvp import mdsp_to_cvp, cvp_to_mdsp, recover_mdsp_distance_sq, solve_cvp_bruteforce
+from latkit.cvp import mdsp_to_cvp, cvp_to_mdsp, recover_mdsp_distance_sq, enumerate_cvp
 from latkit.cvp import CVPGramInstance
 from latkit.exact import shift_ranges, solve_exact
 from latkit.heuristic import improve_coordinate, run_heuristic
@@ -120,7 +120,7 @@ def test_criterion_2_reduction_round_trip(solved_corpus):
     # forward: exact distances agree through the CVP reduction
     for inst, _, sol in solved_corpus:
         c = mdsp_to_cvp(inst)
-        cvp_sol = solve_cvp_bruteforce(c)
+        cvp_sol = enumerate_cvp(c)
         assert recover_mdsp_distance_sq(c, cvp_sol.j) == sol.dist_sq
     # reverse: CVP solved through the sub-lattice side matches brute force
     rng = random.Random(SEED + 1)
@@ -142,7 +142,7 @@ def test_criterion_2_reduction_round_trip(solved_corpus):
         c = CVPGramInstance(gram, offset, F(1))
         # mapping the optimal shift back gives the optimal CVP objective
         assert c.objective(mdsp_sol.x) == scan[0]
-        assert solve_cvp_bruteforce(c).objective == scan[0]
+        assert enumerate_cvp(c).objective == scan[0]
         reverse_checked += 1
     _report(
         2,

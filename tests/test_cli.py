@@ -246,9 +246,15 @@ class TestCLI:
             (["cvp-brute"], '{"gram": [["1/0"]], "offset": ["0"], "scale_sq": "1"}'),
             (["cvp-brute"],
              '{"gram": [[2, 1], [1, 1]], "offset": ["1/3", "1/3", "1/2"], "scale_sq": 1}'),
+            # scale_sq is |v|^2: -3 used to print a recovered distance of
+            # -12, -4 a ZeroDivisionError traceback and 0 a distance of 0
+            (["cvp-brute"], '{"gram": [[1]], "offset": ["1/2"], "scale_sq": "-3"}'),
+            (["cvp-brute"], '{"gram": [[1]], "offset": ["1/2"], "scale_sq": "-4"}'),
+            (["cvp-brute"], '{"gram": [[1]], "offset": ["1/2"], "scale_sq": "0"}'),
         ],
         ids=["gamma-sq", "delta", "max-passes", "max-rounds", "bench-dims",
-             "gen-dims", "cvp-json", "cvp-zero-denominator", "cvp-offset-length"],
+             "gen-dims", "cvp-json", "cvp-zero-denominator", "cvp-offset-length",
+             "cvp-scale-minus-3", "cvp-scale-minus-4", "cvp-scale-zero"],
     )
     def test_input_error_exits_2(self, tmp_path, capsys, argv, text):
         # out-of-range parameters and malformed files are input errors

@@ -7,6 +7,7 @@ from math import floor
 
 import pytest
 
+import latkit
 from latkit import cvp
 from latkit.errors import (
     DependentInput,
@@ -24,7 +25,6 @@ from latkit.cvp import (
     enumerate_cvp,
     mdsp_to_cvp,
     recover_mdsp_distance_sq,
-    solve_cvp_bruteforce,
 )
 from latkit.exact import solve_exact
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift
@@ -130,14 +130,18 @@ class TestReverse:
 
 
 class TestBruteforce:
+    def test_package_exports_the_name_and_the_alias(self):
+        assert latkit.enumerate_cvp is enumerate_cvp
+        assert latkit.solve_cvp_bruteforce is enumerate_cvp
+
     def test_half_offset_tie(self):
-        sol = solve_cvp_bruteforce(E1_CVP)
+        sol = enumerate_cvp(E1_CVP)
         assert sol.j == (-1,)
         assert sol.objective == F(1, 4)
 
     def test_identity_zero(self):
         c = CVPGramInstance(QMatrix.identity(3), QVector([0, 0, 0]), F(1))
-        sol = solve_cvp_bruteforce(c)
+        sol = enumerate_cvp(c)
         assert sol.j == (0, 0, 0)
         assert sol.objective == 0
 
@@ -146,15 +150,14 @@ class TestBruteforce:
         c = CVPGramInstance(
             QMatrix([[2, 1], [1, 1]]), QVector([F(1, 3), F(1, 3)]), F(1)
         )
-        sol = solve_cvp_bruteforce(c)
+        sol = enumerate_cvp(c)
         assert sol.j == (0, -1)
         assert sol.objective == F(2, 9)
 
     def test_no_dimension_cap(self):
-        # hand-built n = 7 and n = 8 forms are answered, as by enumerate_cvp
+        # hand-built n = 7 and n = 8 forms are answered
         c = CVPGramInstance(QMatrix.identity(7), QVector([0] * 7), F(1))
-        assert solve_cvp_bruteforce(c) == enumerate_cvp(c)
-        assert solve_cvp_bruteforce(c).j == (0,) * 7
+        assert enumerate_cvp(c).j == (0,) * 7
         rng = random.Random(617)
         for n in (7, 8):
             while True:
@@ -163,8 +166,7 @@ class TestBruteforce:
                     break
             offset = QVector([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
             c = CVPGramInstance(b @ b.transpose(), offset, F(3, 2))
-            sol = solve_cvp_bruteforce(c)
-            assert sol == enumerate_cvp(c)
+            sol = enumerate_cvp(c)
             assert len(sol.j) == n and sol.objective == c.objective(sol.j)
 
     def test_not_spd(self):
@@ -178,7 +180,7 @@ class TestBruteforce:
         for gram in grams:
             c = CVPGramInstance(QMatrix(gram), QVector([0] * len(gram)), F(1))
             with pytest.raises(NotSPD):
-                solve_cvp_bruteforce(c)
+                enumerate_cvp(c)
 
     def test_not_symmetric_definite_triangle(self):
         # the elimination reads the upper triangle only, which is positive
@@ -246,7 +248,7 @@ class TestBruteforce:
             )
             if scan is None:  # certified window too large for the oracle
                 continue
-            sol = solve_cvp_bruteforce(c)
+            sol = enumerate_cvp(c)
             assert sol.objective == scan[0]
             assert sol.j == scan[1]
             checked += 1
@@ -255,7 +257,7 @@ class TestBruteforce:
         # (-1, 0) and (0, -1) tie; the certified scan keeps the first
         gram, offset = QMatrix([[2, 1], [1, 2]]), QVector([F(1, 2), F(1, 2)])
         scan = cvp_exhaustive([list(r) for r in gram.data], list(offset.entries))
-        sol = solve_cvp_bruteforce(CVPGramInstance(gram, offset, F(1)))
+        sol = enumerate_cvp(CVPGramInstance(gram, offset, F(1)))
         assert (sol.j, sol.objective) == (scan[1], scan[0]) == ((-1, 0), F(1, 2))
         # a diagonal form separates: each j_i minimizes |j_i + c_i| on its own,
         # so a half-integer c_i ties two values and the smaller one,
@@ -269,7 +271,7 @@ class TestBruteforce:
                 )
                 c = [rng.choice([F(1, 2), F(-1, 2), F(3, 2), F(1, 3)]) for _ in range(n)]
                 want = tuple(-floor(ci + F(1, 2)) for ci in c)
-                sol = solve_cvp_bruteforce(CVPGramInstance(gram, QVector(c), F(1)))
+                sol = enumerate_cvp(CVPGramInstance(gram, QVector(c), F(1)))
                 assert sol.j == want
                 assert sol.objective == sum(
                     d * (j + ci) ** 2 for d, j, ci in zip(diag, want, c)
@@ -293,8 +295,8 @@ class TestBruteforce:
             c1 = CVPGramInstance(gram, offset, F(1))
             scaled = QMatrix([[kappa * e for e in row] for row in gram.data])
             c2 = CVPGramInstance(scaled, offset, F(1))
-            s1 = solve_cvp_bruteforce(c1)
-            s2 = solve_cvp_bruteforce(c2)
+            s1 = enumerate_cvp(c1)
+            s2 = enumerate_cvp(c2)
             assert s1.j == s2.j
             assert s2.objective == kappa * s1.objective
 
@@ -310,6 +312,15 @@ class TestValidation:
                 CVPGramInstance(gram, QVector(offset), F(1))
         with pytest.raises(NonSquare):
             CVPGramInstance(QMatrix([[2, 1, 0], [1, 1, 0]]), QVector([0, 0]), F(1))
+
+    def test_nonpositive_scale_sq_raises(self):
+        # scale_sq is |v|^2; unchecked, gram [[1]] with offset 1/2 recovered
+        # a distance of -12 at scale_sq = -3 and divided by zero at -4
+        for scale_sq in (F(-3), F(-4), F(0), -1, F(-1, 7)):
+            with pytest.raises(ValueError, match="^scale_sq must be positive"):
+                CVPGramInstance(QMatrix([[1]]), QVector([F(1, 2)]), scale_sq)
+        c = CVPGramInstance(QMatrix([[1]]), QVector([F(1, 2)]), F(1, 10**9))
+        assert recover_mdsp_distance_sq(c, (0,)) > 0
 
     def test_objective_checks_j(self):
         hand = CVPGramInstance(QMatrix([[2, 1], [1, 1]]), QVector([F(1, 3)] * 2), F(1))
@@ -374,7 +385,7 @@ class TestEquivalence:
             inst = make_instance(*random_mdsp_vectors(rng, rng.randint(2, 4)))
             sol = solve_exact(inst)
             c = mdsp_to_cvp(inst)
-            cvp_sol = solve_cvp_bruteforce(c)
+            cvp_sol = enumerate_cvp(c)
             assert recover_mdsp_distance_sq(c, cvp_sol.j) == sol.dist_sq
             assert cvp_sol.j == sol.x
 
@@ -396,7 +407,7 @@ class TestEquivalence:
                 mdsp_to_cvp(inst).offset,
                 F(1),
             )
-            cvp_sol = solve_cvp_bruteforce(c)
+            cvp_sol = enumerate_cvp(c)
             assert cvp_sol.j == mdsp_sol.x
             # same objective when mapping the shift back to the CVP side
             assert c.objective(mdsp_sol.x) == cvp_sol.objective
@@ -521,7 +532,7 @@ class TestLazyInstance:
             monkeypatch.setattr(cvp, name, refuse)
         for inst in mixed_instances(239):
             c = mdsp_to_cvp(inst)
-            sol = solve_cvp_bruteforce(c)
+            sol = enumerate_cvp(c)
             d = recover_mdsp_distance_sq(c, sol.j)
             assert "gram" not in vars(c) and "offset" not in vars(c)
             assert d == dist_sq_to_span(inst.fixed, apply_shift(inst, sol.j).vectors)

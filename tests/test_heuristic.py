@@ -33,7 +33,16 @@ from latkit.qlinalg import (
     rel_volume_sq,
 )
 from latkit.lattice import same_lattice
-from oracles import int_det, naive_dist_sq, random_mdsp_vectors, vscale, vsub
+from oracles import (
+    dual_basis,
+    dual_greedy,
+    int_det,
+    naive_dist_sq,
+    random_mdsp_vectors,
+    vdot,
+    vscale,
+    vsub,
+)
 from test_qlinalg import _cofactor_adjugate, _gram
 
 
@@ -301,6 +310,83 @@ class TestRunHeuristic:
                     break
 
 
+def record_shifts(monkeypatch):
+    """Patch _GramState.apply_shift to record (state.n, i, a, dist^2) for
+    every committed shift, dist^2 read off the state after it on the scale
+    of its integer rows; returns the list it appends to."""
+    shifts = []
+    apply = _GramState.apply_shift
+
+    def record(state, i, a):
+        apply(state, i, a)
+        shifts.append((state.n, i, a, state.dist_sq(1)))
+
+    monkeypatch.setattr(_GramState, "apply_shift", record)
+    return shifts
+
+
+def tie_instances(seed, count):
+    """Seeded instances with n = 1..5 and entries in [-2, 2], where a shift
+    w / s often sits halfway between two integers, with the worked ones."""
+    rng = random.Random(seed)
+    out = [E1, ORTHO, FAR]
+    while len(out) < count:
+        out.append(make_instance(*random_mdsp_vectors(rng, rng.randint(2, 6), bound=2)))
+    return out
+
+
+class TestDualBasisOracle:
+    """Every shift and distance of the heuristic against dual_greedy of
+    tests/oracles.py, which recomputes the dual basis (d_0..d_{n-1}, d_v)
+    of (B, v) at each coordinate and size-reduces d_v by d_i."""
+
+    def test_run_heuristic(self, monkeypatch):
+        shifts = record_shifts(monkeypatch)
+        for k, inst in enumerate(tie_instances(191, 60) + rational_instances(193, 20)):
+            cfg = HeuristicConfig(max_passes=1 + k % 4)
+            shifts.clear()
+            out = run_heuristic(inst, cfg)
+            v, basis = inst.fixed.entries, [b.entries for b in inst.rest.vectors]
+            x, expected, passes, converged = dual_greedy(v, basis, cfg.max_passes)
+            s2 = integer_rows([*inst.rest.vectors, inst.fixed])[1] ** 2
+            assert shifts == [(inst.n, i, a, dist * s2) for i, a, dist in expected]
+            assert (out.x_total, out.passes_used, out.converged) == (x, passes, converged)
+            dv = dual_basis([*(vsub(b, vscale(v, -xi)) for b, xi in zip(basis, x)), v])[-1]
+            assert out.dist_sq == 1 / vdot(dv, dv)
+
+    def test_improve_pass(self, monkeypatch):
+        shifts = record_shifts(monkeypatch)
+        for inst in tie_instances(197, 40) + rational_instances(199, 10):
+            shifts.clear()
+            updated, changed = improve_pass(inst)
+            v, basis = inst.fixed.entries, [b.entries for b in inst.rest.vectors]
+            x, expected, _, _ = dual_greedy(v, basis, 1)
+            s2 = integer_rows([*inst.rest.vectors, inst.fixed])[1] ** 2
+            assert shifts == [(inst.n, i, a, dist * s2) for i, a, dist in expected]
+            assert changed == bool(expected)
+            assert updated.rest == apply_shift(inst, x)
+
+    def test_sweep_prefixes(self, monkeypatch):
+        shifts = record_shifts(monkeypatch)
+        rng = random.Random(211)
+        for size in range(3, 10):
+            for passes in (1, 2, 3):
+                rows = [[rng.randint(-30, 30) for _ in range(size)] for _ in range(size)]
+                d, lam = _lll_rows(rows, 1, 4, ReductionTrace())
+                expected_rows = [r[:] for r in rows]
+                expected = []
+                for i in range(size - 1, 0, -1):
+                    v = expected_rows[i]
+                    x, prefix, _, _ = dual_greedy(v, expected_rows[:i], passes)
+                    expected += [(i, *s) for s in prefix]
+                    for j, xj in enumerate(x):
+                        expected_rows[j] = [b + xj * c for b, c in zip(expected_rows[j], v)]
+                shifts.clear()
+                _sweep_prefixes(rows, d, lam, passes)
+                assert shifts == expected
+                assert rows == expected_rows
+
+
 def state_rows(seed):
     """Seeded independent integer rows, N = 2..10 of them: uniform ones,
     knapsack ones and lcm-scaled rational ones, for each N."""
@@ -399,9 +485,8 @@ class TestHotPath:
         def refuse(*_):
             raise AssertionError("full adjugate on the heuristic's path")
 
-        built, shifted = [], set()
+        built = []
         row = heuristic._adjugate_row
-        shift = heuristic._GramState.apply_shift
 
         def counting_row(d, cols, i, **kwargs):
             # the state's record is of P, the Gram matrix of (v, b_{n-1},
@@ -410,17 +495,14 @@ class TestHotPath:
                 built.append(i)
             return row(d, cols, i, **kwargs)
 
-        def recording_shift(state, i, a):
-            shifted.add(i)
-            shift(state, i, a)
-
         monkeypatch.setattr(qlinalg, "adjugate_spd", refuse)
         monkeypatch.setattr(heuristic, "_adjugate_row", counting_row)
-        monkeypatch.setattr(heuristic._GramState, "apply_shift", recording_shift)
+        shifts = record_shifts(monkeypatch)
         rng = random.Random(151)
         rows = [[rng.randint(-100, 100) for _ in range(24)] for _ in range(24)]
         inst = MDSPInstance.from_vectors(rows[0], rows[1:])
         out = run_heuristic(inst)
+        shifted = {i for _, i, _, _ in shifts}
         assert shifted and len(built) <= len(shifted)
         gamma_sq = out.dist_sq / inst.fixed.norm_sq()
         assert verify_dmdsp_certificate(DMDSPQuery(inst, gamma_sq), out.x_total)
@@ -454,28 +536,23 @@ class TestHotPath:
         # the first prefix's state builds the lower triangle of adj(G) once;
         # a shifted coordinate's row and the next prefix's state are read
         # off it, so no row index is built twice, by either name
-        built, shifted = Counter(), []
+        built = Counter()
         row = qlinalg._adjugate_row
-        shift = heuristic._GramState.apply_shift
 
         def counting_row(d, cols, i, **kwargs):
             built[i] += 1
             return row(d, cols, i, **kwargs)
 
-        def recording_shift(state, i, a):
-            shifted.append(state.n)
-            shift(state, i, a)
-
         monkeypatch.setattr(qlinalg, "_adjugate_row", counting_row)
         monkeypatch.setattr(heuristic, "_adjugate_row", counting_row)
-        monkeypatch.setattr(heuristic._GramState, "apply_shift", recording_shift)
+        shifts = record_shifts(monkeypatch)
         rng = random.Random(179)
         for size in (8, 12, 16):
             rows = [[rng.randint(-100, 100) for _ in range(size)] for _ in range(size)]
             d, lam = _lll_rows(rows, 1, 4, ReductionTrace())
             built.clear()
-            shifted.clear()
+            shifts.clear()
             _sweep_prefixes(rows, d, lam, 1)
-            assert size - 1 in shifted  # the first prefix shifts
+            assert size - 1 in [n for n, _, _, _ in shifts]  # the first prefix shifts
             assert [i for i, k in built.items() if k > 1] == []
             assert sorted(built) == list(range(size))

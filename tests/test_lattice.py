@@ -3,7 +3,9 @@ import pickle
 import random
 import sys
 from fractions import Fraction as F
+from itertools import accumulate
 from math import lcm
+from operator import mul
 
 import pytest
 
@@ -33,10 +35,11 @@ from latkit.qlinalg import (
     QVector,
     determinant,
     dist_sq_to_span,
+    gram_schmidt,
     is_unimodular,
     rel_volume_sq,
 )
-from oracles import int_gram_det, naive_dist_sq, random_mdsp_vectors
+from oracles import int_gram_det, naive_dist_sq, naive_gs, random_mdsp_vectors, vdot
 
 
 def qv(*entries):
@@ -266,6 +269,29 @@ class TestCertificateBounds:
             assert cb.bigE <= F(2) ** (2 * (2 * n + 1) * l)
             assert cb.bigD > 0 and cb.bigE > 0
             assert all(b > 0 for b in cb.per_coordinate_bound)
+
+
+    def test_dk_are_running_products_of_naive_gs(self):
+        # dk[k] is |b*_0|^2 ... |b*_k|^2, on integer and rational bases
+        rng = random.Random(41)
+        for k in range(30):
+            v, basis = random_mdsp_vectors(rng, rng.randint(2, 6))
+            if k % 2:
+                basis = [tuple(e / rng.randint(1, 5) for e in b) for b in basis]
+            inst = make_instance(v, basis)
+            norms = [vdot(w, w) for w in naive_gs(basis)]
+            assert certificate_bounds(inst).dk == list(accumulate(norms, mul))
+
+    def test_dependent_basis_raises_as_gram_schmidt(self):
+        for rest, k in (([[1, 2, 0, 0], [2, 4, 0, 0], [0, 1, 1, 0]], 1),
+                        ([[1, 0, 0, 0], [0, 1, 0, 0], [3, F(1, 2), 0, 0]], 2)):
+            inst = MDSPInstance.from_vectors([0, 0, 0, 1], rest, validate=False)
+            with pytest.raises(DependentInput) as raised:
+                certificate_bounds(inst)
+            with pytest.raises(DependentInput) as expected:
+                gram_schmidt(inst.rest.vectors)
+            message = f"vector {k} is in the span of its predecessors"
+            assert str(raised.value) == str(expected.value) == message
 
 
 class TestMinkowski:

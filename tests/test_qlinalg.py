@@ -39,6 +39,7 @@ from latkit.qlinalg import (
     sqrt_dyadic,
 )
 from oracles import (
+    dual_basis,
     int_det,
     naive_det,
     naive_dist_sq,
@@ -204,6 +205,29 @@ class TestRationalFamilies:
                 x - r for x, r in zip(v, residual)
             )
         assert scaled >= 50
+
+    def test_bstar_are_scaled_last_prefix_duals(self):
+        # b*_k / |b*_k|^2 is the last vector of the dual basis of b_0..b_k,
+        # and v - proj that of (basis, v)
+        rng = random.Random(421)
+        for _ in range(40):
+            count = rng.randint(1, 7)
+            dim = rng.randint(count, count + 2)
+            if rng.random() < 0.3:
+                vecs = _random_independent(rng, count, dim)
+            else:
+                vecs = _random_rational_independent(rng, count, dim)
+            rows = [tuple(b) for b in vecs]
+            duals = [dual_basis(rows[:k + 1])[-1] for k in range(count)]
+            assert [tuple(w) for w in gram_schmidt(vecs).bstar] == [
+                tuple(e / vdot(u, u) for e in u) for u in duals
+            ]
+            if count < dim:
+                v = _random_rational(rng, dim)
+                u = dual_basis(rows + [tuple(v)])[-1]
+                assert tuple(project_onto_span(v, vecs)) == tuple(
+                    x - e / vdot(u, u) for x, e in zip(v, u)
+                )
 
     def test_zero_trailing_coordinates(self):
         # an independent family whose b* end in zeros is not dependent

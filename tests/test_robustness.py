@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from latkit.cli import main
-from latkit.cvp import embed_cvp, mdsp_to_cvp, recover_mdsp_distance_sq, solve_cvp_bruteforce
+from latkit.cvp import embed_cvp, mdsp_to_cvp, recover_mdsp_distance_sq, enumerate_cvp
 from latkit.errors import DegenerateResidual
 from latkit.exact import solve_exact, shift_ranges
 from latkit.heuristic import improve_coordinate, improve_pass, run_heuristic
@@ -72,7 +72,7 @@ class TestRationalEntries:
             inst = rational_instance(rng, 3)
             sol = solve_exact(inst)
             c = mdsp_to_cvp(inst)
-            j = solve_cvp_bruteforce(c).j
+            j = enumerate_cvp(c).j
             assert recover_mdsp_distance_sq(c, j) == sol.dist_sq
 
     def test_certificate_bounds_rational(self):
