@@ -52,6 +52,7 @@ from .qlinalg import (
     integer_rows,
     inverse,
     ldl_decompose,
+    rational,
     sqrt_dyadic,
 )
 
@@ -69,7 +70,8 @@ class CVPGramInstance:
     access; equality, hashing, repr, copies and pickles see the same
     fields as on an instance built from them. A hand-built form raises
     NonSquare unless gram is square, LengthMismatch unless offset has its
-    order, and ValueError unless scale_sq, which is |v|^2, is positive.
+    order, and ValueError unless scale_sq, which is |v|^2 and is coerced
+    with rational(), is positive.
     """
 
     gram: QMatrix
@@ -77,6 +79,7 @@ class CVPGramInstance:
     scale_sq: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "scale_sq", rational(self.scale_sq))
         if not self.gram.is_square:
             raise NonSquare("the form needs a square matrix")
         if self.offset.dim != self.gram.rows:

@@ -203,6 +203,16 @@ def _choose_shift(s: int, w: int) -> int:
     For (s, w) = det G (|d_i|^2, -<d_v, d_i>) (_GramState.moments), the
     shift b_i -= a v leaves |d_v + a d_i|^2 = |d_v|^2 + (s a^2 - 2 w a) / det G,
     so a maximizes dist^2 = 1 / |d_v + a d_i|^2.
+
+    A known waste: at a tie w/s = -1/2 both neighbours, -1 and 0, give the
+    same distance, yet the floor commits a = -1, a shift that gains
+    nothing and costs one more pass. For v = (0, 2) and B = ((1, -1)),
+    run_heuristic returns x = (1,) with the starting dist^2 2 after two
+    passes (converged=False at max_passes=1), and improve_pass reports a
+    change. Keeping a = 0 on that tie would end such a run after one
+    pass, but it changes the shift vectors some runs return, and so the
+    pinned bit-identity digests; the rule stays until a change makes that
+    move on its own and updates them.
     """
     if s <= 0:
         raise DegenerateResidual("fixed vector lies in the span of the others")

@@ -3,6 +3,10 @@
 Vectors and matrices hold ``fractions.Fraction`` entries, but every
 elimination runs on integer rows, scaled once by the lcm of their
 denominators (integer_rows); Fractions are built only from the results.
+An integer entry k with |k| <= 128 is one shared immutable Fraction,
+built at import (rational): the range holds almost every entry of the
+paper's experiment's bases, before and after LLL, so their vectors
+allocate no Fraction per entry.
 Every symmetric elimination is one kernel, the row step of Cohen's
 integral Gram-Schmidt (_gso_row): row k of the integer data (d, lambda)
 from the inner products of row k with rows 0..k. _eliminate_gram runs it
@@ -47,12 +51,25 @@ from .errors import (
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_SMALL_BOUND = 128
+_SMALL = tuple(Fraction(k) for k in range(-_SMALL_BOUND, _SMALL_BOUND + 1))
+_ZERO = _SMALL[_SMALL_BOUND]
+_ONE = _SMALL[_SMALL_BOUND + 1]
 
 
 def rational(x: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings, or Fractions to a canonical Fraction."""
+    """Coerce ints, 'p/q' strings, or Fractions to a canonical Fraction.
+
+    An int k with |k| <= 128 gives the one Fraction(k) built at import,
+    shared by every vector that holds k; Fractions are immutable, so the
+    sharing changes no value. The range covers the uniform bases of the
+    paper's experiment, whose entries bench bounds by 100, and almost
+    every entry of an LLL-reduced one, while a wider table only adds to
+    every process's memory. Other inputs, bools included, keep their own
+    Fraction.
+    """
+    if type(x) is int and -_SMALL_BOUND <= x <= _SMALL_BOUND:
+        return _SMALL[x + _SMALL_BOUND]
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
@@ -335,7 +352,7 @@ def integer_rows(vectors: Sequence[QVector]) -> tuple[list[list[int]], int]:
 def rational_vectors(rows: Sequence[Sequence[int]], scale: int) -> list[QVector]:
     """Inverse of integer_rows: each nonempty integer row divided by scale."""
     if scale == 1:
-        return [QVector._of(tuple(map(Fraction, row))) for row in rows]
+        return [QVector._of(tuple(map(rational, row))) for row in rows]
     return [QVector._of(tuple([Fraction(e, scale) for e in row])) for row in rows]
 
 

@@ -322,6 +322,18 @@ class TestValidation:
         c = CVPGramInstance(QMatrix([[1]]), QVector([F(1, 2)]), F(1, 10**9))
         assert recover_mdsp_distance_sq(c, (0,)) > 0
 
+    def test_scale_sq_is_coerced_to_a_fraction(self):
+        # a float scale_sq once passed the positivity check and made the
+        # recovered distance a float (0.0975...); it is now taken exactly
+        c = CVPGramInstance(QMatrix([[1]]), QVector([F(1, 2)]), 0.1)
+        assert type(c.scale_sq) is F and c.scale_sq == F(0.1)
+        got = recover_mdsp_distance_sq(c, (-1,))
+        assert type(got) is F
+        assert got == c.scale_sq / (1 + c.scale_sq / 4)
+        c = CVPGramInstance(QMatrix([[1]]), QVector([F(1, 2)]), 3)
+        assert type(c.scale_sq) is F and c.scale_sq == 3
+        assert type(recover_mdsp_distance_sq(c, (0,))) is F
+
     def test_objective_checks_j(self):
         hand = CVPGramInstance(QMatrix([[2, 1], [1, 1]]), QVector([F(1, 3)] * 2), F(1))
         stored = mdsp_to_cvp(make_instance([1, 2, 0], [[3, 1, 1], [0, 1, 4]]))

@@ -143,6 +143,24 @@ class TestChooseShift:
         assert ties >= 25_000
 
 
+    def test_tie_keeps_the_floor(self):
+        # pins the known waste named in the FOUND 48 line of CHANGES.md: at
+        # w/s = -1/2 the floor commits a = -1, which leaves dist^2 at its
+        # starting 2, costs a second pass and counts as a change; keeping
+        # a = 0 on that tie moves the bit-identity digests, so it is left
+        # to a change of its own
+        assert _choose_shift(2, -1) == -1
+        inst = make_instance([0, 2], [[1, -1]])
+        assert dist_sq_to_span(inst.fixed, inst.rest.vectors) == 2
+        out = run_heuristic(inst)
+        assert (out.x_total, out.dist_sq, out.converged, out.passes_used) == ((1,), 2, True, 2)
+        once = run_heuristic(inst, HeuristicConfig(max_passes=1))
+        assert (once.x_total, once.converged) == ((1,), False)
+        updated, changed = improve_pass(inst)
+        assert changed
+        assert updated.rest.vectors == (QVector([1, 1]),)
+
+
 class TestImprovePass:
     def test_orthogonal_fixpoint(self):
         _, any_update = improve_pass(ORTHO)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import accumulate
@@ -16,7 +18,8 @@ from latkit.errors import (
 )
 from latkit.cvp import mdsp_to_cvp
 from latkit.exact import solve_exact
-from latkit.lattice import MDSPInstance
+from latkit.lattice import LatticeBasis, MDSPInstance
+from latkit.lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce
 from latkit.qlinalg import (
     QMatrix,
     QVector,
@@ -34,6 +37,7 @@ from latkit.qlinalg import (
     is_unimodular,
     ldl_decompose,
     project_onto_span,
+    rational,
     rational_vectors,
     rel_volume_sq,
     sqrt_dyadic,
@@ -284,6 +288,59 @@ class TestIntegerRows:
                 if kind == "integral":
                     assert scale == 1
                     assert rows == [[e.numerator for e in v] for v in fam]
+
+
+class TestSharedSmallIntegers:
+    """An int k with |k| <= 128 is one shared Fraction wherever latkit
+    builds it, so vectors of small integers hold no Fraction of their own."""
+
+    def test_same_object_through_every_constructor(self):
+        for k in (-128, -100, -1, 0, 1, 12, 100, 128):
+            f = rational(k)
+            assert type(f) is F and f == k
+            assert rational(k) is f
+            assert QVector([k, 5])[0] is f
+            assert QMatrix([[3, k]])[0, 1] is f
+            assert rational_vectors([[k]], 1)[0][0] is f
+        assert QVector.zero(3)[2] is rational(0)
+        assert QMatrix.identity(2)[1, 1] is rational(1)
+
+    def test_reduced_bases_share_their_small_entries(self):
+        rng = random.Random(17)
+        basis = LatticeBasis(_random_independent(rng, 6, 6, bound=100))
+        outs = [lll_reduce(basis, LLLParams(F(99, 100)))[0],
+                accelerated_reduce(basis, AccelConfig(LLLParams(F(1, 3)), F(1)))[0]]
+        entries = [e for out in outs for v in out.vectors for e in v]
+        small = [e for e in entries if abs(e) <= 128]
+        assert len(small) > len(entries) // 2
+        assert all(e is rational(e.numerator) for e in small)
+
+    def test_other_inputs_keep_their_own_fraction(self):
+        for x in (True, False, 10**40, -(10**40), "3", "-7/2", -129, 129, F(5), F(1, 3)):
+            r = rational(x)
+            assert r == F(x) and type(r) is F
+        assert rational(True) is not rational(1)
+        f = F(5)
+        assert rational(f) is f
+
+    def test_copy_deepcopy_and_pickle_round_trip(self):
+        v = QVector([*range(-128, 129, 8), 129, -(10**30), F(2, 3)])
+        copies = [copy.copy(v), copy.deepcopy(v)]
+        copies += [pickle.loads(pickle.dumps(v, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for w in copies:
+            assert type(w) is QVector and w == v and hash(w) == hash(v)
+            assert all(type(e) is F for e in w)
+            assert repr(w) == repr(v)
+
+    def test_small_integer_rows_hold_at_most_257_fractions(self):
+        rng = random.Random(29)
+        rows = [[rng.randint(-100, 100) for _ in range(24)] for _ in range(40)]
+        vectors = [QVector(r) for r in rows] + rational_vectors(rows, 1)
+        matrix = QMatrix(rows)
+        entries = [e for v in vectors for e in v] + [e for row in matrix.data for e in row]
+        assert len(entries) == 3 * 40 * 24
+        assert len({id(e) for e in entries}) <= 257
 
 
 class TestDistance:
