@@ -3,7 +3,10 @@
 Layout: a header line "m n", then m*n whitespace-separated tokens in
 row-major order. Tokens are integers or fractions "p/q". Anything after
 '#' on a line is a comment; blank lines are skipped. Parsing preserves
-values exactly and round-trips with serialize_matrix.
+values exactly and round-trips with serialize_matrix. An integer token
+(an optional sign and ASCII digits) is read through rational(), so a
+small entry is the shared Fraction of its value; every other token is
+read by Fraction itself.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .qlinalg import QMatrix
+from .qlinalg import QMatrix, rational
 
 _TOKEN = re.compile(r"\S+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _tokens_with_positions(text: str):
@@ -49,7 +53,7 @@ def parse_basis_text(text: str) -> QMatrix:
     values: list[Fraction] = []
     for tok, line, col in body:
         try:
-            values.append(Fraction(tok))
+            values.append(rational(int(tok)) if _INTEGER.fullmatch(tok) else Fraction(tok))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational token {tok!r}", line, col) from None
     return QMatrix([values[i * n:(i + 1) * n] for i in range(m)])

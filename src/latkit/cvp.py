@@ -12,13 +12,14 @@ The API stays in that rational form; the computation is integer. The
 enumeration runs on the primal side of the isomorphism: the objective is
 an affine function of z^T P^-1 z, with P the integer Gram matrix of
 (v, b_{n-1}, ..., b_0) and z = (1, -x_{n-1}, ..., -x_0), which forward
-substitution on P's elimination record (d, lambda) gives level by level,
-and one bordered row step of the elimination kernel at one point
-(lattice._value). The forward map keeps that record, from the MDSP
+substitution on the columns of P's elimination record (d, lambda, u)
+gives level by level, and the record's recurrence over the u_k at one
+point (lattice._value). The forward map keeps that record, from the MDSP
 instance's stored form (MDSPInstance._primal), on the instance it
-returns. gram and offset are built from it, off adj(P), only when a
-caller first reads them. A hand-built form is scaled to integers once and
-bordered into such a P, from step adj(M).
+returns. gram and offset are built from it, off adj(P) by
+back-substitution, only when a caller first reads them. A hand-built
+form is scaled to integers once and bordered into such a P, from
+step adj(M).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .lattice import (
     LatticeBasis,
     MDSPInstance,
     _eliminate,
-    _Eliminated,
     _integral_shift,
     _value,
 )
@@ -48,6 +48,7 @@ from .qlinalg import (
     QMatrix,
     QVector,
     _adjugate,
+    _Record,
     adjugate_spd,
     integer_rows,
     inverse,
@@ -56,9 +57,9 @@ from .qlinalg import (
     sqrt_dyadic,
 )
 
-# An eliminated P (lattice._Eliminated) with the factor f = f_num / f_den
-# that scales its objective to the form's (_primal_of).
-_Primal = tuple[_Eliminated, int, int]
+# The record of an eliminated P (lattice._eliminate) with the factor
+# f = f_num / f_den that scales its objective to the form's (_primal_of).
+_Primal = tuple[_Record, int, int]
 
 
 @dataclass(frozen=True)
@@ -180,20 +181,21 @@ def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
     return c
 
 
-def _public_fields(e: _Eliminated, scale_sq: int) -> tuple[QMatrix, QVector]:
+def _public_fields(e: _Record, scale_sq: int) -> tuple[QMatrix, QVector]:
     """gram and offset of the instance mdsp_to_cvp built from the
-    elimination (d, lam) of the Gram matrix P of the scaled rows
-    (v, b_{n-1}, ..., b_0), with s^2 = scale_sq.
+    record (d, lam, u) of the elimination of the Gram matrix P of the
+    scaled rows (v, b_{n-1}, ..., b_0), with s^2 = scale_sq.
 
     With G = P reversed, the Gram matrix of (B, v), Gram(b') is the Schur
     complement of |v|^2 in G / s^2, so its inverse is
-    (s^2 / det G) adj(G)[:n, :n], adj(G) being adj(P) reversed;
-    gamma_i = G[i][n] / G[n][n] = lam[n-i][0] / d[1].
+    (s^2 / det G) adj(G)[:n, :n], adj(G) being adj(P) reversed, built by
+    back-substitution (_adjugate); gamma_i = G[i][n] / G[n][n] =
+    P[0][n-i] / d[1], P[0][1..n] being lam's first column.
     """
-    d, lam = e
+    d, lam, _ = e
     adj = _adjugate(d, lam)
     gram = QMatrix([[Fraction(a * scale_sq, d[-1]) for a in row[:0:-1]] for row in adj[:0:-1]])
-    return gram, QVector([Fraction(lq[0], d[1]) for lq in lam[:0:-1]])
+    return gram, QVector([Fraction(w, d[1]) for w in reversed(lam[0])])
 
 
 def cvp_to_mdsp(basis_rows: QMatrix, target: QVector) -> MDSPInstance:
@@ -250,7 +252,7 @@ solve_cvp_bruteforce = enumerate_cvp
 def _objective(primal: _Primal, t: int, det: int) -> Fraction:
     """The form's value where z^T P^-1 z = T / D: f (step T - D) / (D step),
     with step = d[1] = |v|^2 on P's scale and f the primal's factor."""
-    (d, _), f_num, f_den = primal
+    (d, _, _), f_num, f_den = primal
     step = d[1]
     return Fraction(f_num * (step * t - det), f_den * det * step)
 
@@ -303,7 +305,7 @@ def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
     return g, det * step, den * content
 
 
-def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:
+def _search(e: _Record) -> tuple[tuple[int, ...], int, int]:
     """(x, T, D): the lexicographically smallest integer x minimizing
     z^T P^-1 z = T / D, z = (1, -x_{n-1}, ..., -x_0), for P the positive
     definite Gram matrix of (v, b_{n-1}, ..., b_0), as _eliminate returns
@@ -311,8 +313,9 @@ def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:
 
     det Gram(B(x)) = det P z^T P^-1 z with B(x) = (b_i + x_i v), so x
     maximizes the distance of v from span(B(x)), d^2 = D / T on P's scale.
-    The fraction-free elimination of P gives its leading minors D_0..D_n
-    (D_-1 = 1) and Bareiss rows R, and forward substitution gives
+    The record of P's elimination gives its leading minors D_0..D_n
+    (D_-1 = 1) and Bareiss rows R, which are its lam columns as stored,
+    and forward substitution gives
 
         z^T P^-1 z = sum over p of H_p^2 / (D_{p-1} D_p),
 
@@ -327,22 +330,21 @@ def _search(e: _Eliminated) -> tuple[tuple[int, ...], int, int]:
     and comparison is an integer. The search is depth-first from x_{n-1}
     down to x_0 (Fincke-Pohst), each level in zig-zag order from its centre
     (Schnorr-Euchner), starting from the componentwise rounding of
-    -P[0][q] / P[0][0] = -lam[q][0] / d[1], whose value _value gives.
+    -P[0][q] / P[0][0] = -lam[0][q-1] / d[1], whose value _value gives.
     Zig-zag order visits |H_p| in non-decreasing order, so the first value
     over the remaining budget ends the level; only a strictly larger value
     is pruned, so all ties reach a leaf.
     """
-    d, lam = e
+    d, tails, _ = e  # tails[k] = R[k][k+1..n]
     n = len(d) - 2
     prods = [a * b for a, b in zip(d, d[1:])]
     big_w = lcm(*prods)
     weight = [big_w // q for q in prods]
-    step, w = d[1], [lq[0] for lq in lam[1:]]  # P[0][1..n]
+    step, w = d[1], tails[0]  # P[0][1..n]
     best_x = tuple((step - 2 * w[n - 1 - i]) // (2 * step) for i in range(n))
     t, det = _value(e, best_x)
     unit = big_w // det  # T W / D = T unit; D divides W
     best_t = t * unit
-    tails = [[lq[k] for lq in lam[k + 1:]] for k in range(n)]  # R[k][q], q > k
 
     def descend(k: int, partial: int, chosen: tuple[int, ...], c: list[int]) -> None:
         # c[i] is the centre of level k + i

@@ -18,17 +18,18 @@ vector of b_0..b_k (qlinalg.gram_schmidt).
 
 The passes read only three parts of adj(G): its diagonal, its row v, and
 the row of each coordinate that gets shifted. They come from one of two
-sources. On an instance, the source is the record of the elimination its
-stored integer form already holds (MDSPInstance._primal), which the
-certificate verifier and the exact solver read too: that of the Gram
-matrix in the reversed order (v, b_n..b_1), whose adjugate holds the same
-integers reversed; a row is built from it when first read. In LLL's
-sweeps, where each prefix's state is read off the whole B block of the
-last, the source is the adjugate's lower triangle, built once from LLL's
-own d/lambda data. A committed shift changes only row v of the adjugate,
-in O(n) operations, and det G not at all. No Gram matrix or row is kept,
-and a pass hands back only the shift vector x, from which the caller
-forms B(x) = {b_i + x_i v}.
+sources. On an instance, the source is the record (d, lambda, u) of the
+elimination its stored integer form already holds (MDSPInstance._primal),
+which the certificate verifier and the exact solver read too: that of
+the Gram matrix in the reversed order (v, b_n..b_1), whose adjugate holds
+the same integers reversed. The diagonal is one O(n^2) recurrence over
+the u_k, and a row one back-substitution, built when first read. In
+LLL's sweeps, where each prefix's state is read off the whole B block of
+the last, the source is the adjugate's lower triangle, built once from
+LLL's own d/lambda data by the same back-substitution. A committed shift
+changes only row v of the adjugate, in O(n) operations, and det G not at
+all. No Gram matrix or row is kept, and a pass hands back only the shift
+vector x, from which the caller forms B(x) = {b_i + x_i v}.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .qlinalg import (
     _adjugate_diagonal,
     _adjugate_lower,
     _adjugate_row,
-    _jordan_columns,
+    _Record,
 )
 
 
@@ -103,7 +104,7 @@ class _GramState:
         det: int,
         diag: list[int],
         row_v: list[int],
-        record: Optional[tuple[list[int], list[list[int]]]] = None,
+        record: Optional[_Record] = None,
         lower: Optional[list[list[int]]] = None,
     ):
         self.det = det
@@ -116,8 +117,8 @@ class _GramState:
 
     @classmethod
     def of_lll(cls, d: list[int], lam: list[list[int]]) -> "_GramState":
-        """State of rows from the fraction-free elimination (d, lam) of their
-        Gram matrix, which is also their integral LLL data (lll._lll_rows):
+        """State of rows from their integral LLL data (lll._lll_rows), which
+        is the (d, lam) of the record of their Gram matrix's elimination:
         the lower triangle of adj(G) (_adjugate_lower), less its last row,
         row v, and det G the last pivot."""
         lower = _adjugate_lower(d, lam)
@@ -125,16 +126,17 @@ class _GramState:
         return cls(d[-1], [row[-1] for row in lower], row_v, lower=lower)
 
     @classmethod
-    def of_primal(cls, d: list[int], lam: list[list[int]]) -> "_GramState":
-        """State of rows (b_0..b_{n-1}, v) from the fraction-free
-        elimination (d, lam) of P, the Gram matrix of (v, b_{n-1}, ..., b_0),
-        as MDSPInstance._primal holds it: adj(G)[i][j] = adj(P)[n-i][n-j], so
+    def of_primal(
+        cls, d: list[int], lam: list[list[int]], u: list[list[int]]
+    ) -> "_GramState":
+        """State of rows (b_0..b_{n-1}, v) from the record (d, lam, u) of
+        the elimination of P, the Gram matrix of (v, b_{n-1}, ..., b_0), as
+        MDSPInstance._primal holds it: adj(G)[i][j] = adj(P)[n-i][n-j], so
         the diagonal is P's reversed, less v's entry, and row v is row 0 of
         adj(P) reversed."""
-        cols = _jordan_columns(d, lam)
-        diag = _adjugate_diagonal(d, cols)[:0:-1]
-        row_v = _adjugate_row(d, cols, 0)[::-1]
-        return cls(d[-1], diag, row_v, record=(d, cols))
+        diag = _adjugate_diagonal(d, u)[:0:-1]
+        row_v = _adjugate_row(d, lam, u, 0)[::-1]
+        return cls(d[-1], diag, row_v, record=(d, lam, u))
 
     def _row(self, i: int) -> list[int]:
         """adj[i][0..n-1], built once."""
@@ -191,10 +193,10 @@ def _state(inst: MDSPInstance) -> tuple[_GramState, int]:
     the scale of its integer rows. A dependent [B; v] raises
     DegenerateResidual."""
     try:
-        _, scale, (d, lam) = inst._primal()
+        _, scale, e = inst._primal()
     except SingularMatrix:
         raise DegenerateResidual("fixed vector lies in the span of the others") from None
-    return _GramState.of_primal(d, lam), scale
+    return _GramState.of_primal(*e), scale
 
 
 def _choose_shift(s: int, w: int) -> int:
@@ -279,9 +281,9 @@ def _sweep_prefixes(
     up to `passes` passes. The prefix's shift vector x is then applied to
     rows[:i] once, b_j := b_j + x_j b_i, before the next prefix. The state
     for i = n-1 comes from the rows' integral LLL data d and lam
-    (lll._lll_rows), with no Gram matrix and no elimination, and each later
-    prefix takes its state from the one before, so the passes never read
-    the rows.
+    (lll._lll_rows, lam by columns), with no Gram matrix and no
+    elimination, and each later prefix takes its state from the one
+    before, so the passes never read the rows.
     """
     state = _GramState.of_lll(d, lam)
     for i in range(len(rows) - 1, 0, -1):

@@ -7,20 +7,22 @@ and a decision certificate is exactly such an integer tuple.
 
 An instance carries its integer form, built on first use (or by
 validation) and kept for its lifetime: the rows (B, v) scaled to integers
-once, and the record (d, lambda) of one fraction-free elimination of their
-Gram matrix P in the order (v, b_{n-1}, ..., b_0) (_eliminate). Every MDSP
-computation reads it: the distance of v from span B(x) at any x is one
-more row step of the elimination kernel, on P bordered by z = (1, -x)
-(_value), which the certificate verifier and exact.shift_dist_sq
-evaluate; the exact solver and the CVP map search it; and the heuristic
-reads its adjugate entries off the same record. Nothing it was built from
-can be rebound (vectors, entries, dim), so the form cannot go stale.
+once, and the record (d, lambda, u) of one fraction-free elimination of
+their Gram matrix P in the order (v, b_{n-1}, ..., b_0) (_eliminate).
+Every MDSP computation reads it: the distance of v from span B(x) at any
+x is det P / z^T adj(P) z for z = (1, -x), and z^T adj(P) z is one
+O(n^2) recurrence over the u_k (_value), which the certificate verifier
+and exact.shift_dist_sq evaluate; the exact solver and the CVP map search
+it; and the heuristic reads its adjugate entries off the same record by
+back-substitution. Nothing it was built from can be rebound (vectors,
+entries, dim), so the form cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -36,7 +38,7 @@ from .qlinalg import (  # noqa: F401
     QVector,
     _Frozen,
     _eliminate_gram,
-    _gso_row,
+    _Record,
     determinant,
     dist_sq_to_span,
     integer_gram,
@@ -51,14 +53,14 @@ from .qlinalg import (  # noqa: F401
 
 ShiftVector = tuple[int, ...]
 
-# A primal Gram matrix P as _eliminate returns it: its fraction-free
-# elimination (d, lam) (qlinalg._eliminate_gram), d[k] = D_{k-1} the
-# leading minors of P (D_-1 = 1) and lam[q][k] = R[k][q] for q > k the
-# Bareiss rows. P itself is not kept: P[0][0] = d[1] and P[0][q] = lam[q][0].
-_Eliminated = tuple[list[int], list[list[int]]]
 # An instance's integer form, as MDSPInstance._primal returns it: the rows
-# (B, v) scaled to integers by s, s, and their eliminated P.
-_IntegerForm = tuple[list[list[int]], int, _Eliminated]
+# (B, v) scaled to integers by s, s, and the record (d, lam, u) of the
+# elimination of their Gram matrix P (_eliminate): d[k] = D_{k-1} the
+# leading minors of P (D_-1 = 1), lam[k] = R[k][k+1..n] the Bareiss rows,
+# which are lambda's columns, and u[k] the last row of the adjugate of P's
+# leading (k+1) x (k+1) block. P itself is not kept: P[0][0] = d[1] and
+# P[0][1..n] = lam[0].
+_IntegerForm = tuple[list[list[int]], int, _Record]
 
 
 class LatticeBasis(_Frozen):
@@ -152,7 +154,7 @@ class MDSPInstance(_Frozen):
         return QMatrix.from_columns((self.fixed,) + self.rest.vectors)
 
     def _primal(self) -> _IntegerForm:
-        """(rows, s, (d, lam)): the rows (B, v) scaled to integers by s, and
+        """(rows, s, (d, lam, u)): the rows (B, v) scaled to integers by s, and
         the elimination of the Gram matrix P of (v, b_{n-1}, ..., b_0) as
         _eliminate returns it. Built on the first call and kept, so an
         instance is scaled and eliminated once. A dependent [B; v] raises
@@ -168,28 +170,38 @@ class MDSPInstance(_Frozen):
         return f"MDSPInstance(fixed={self.fixed!r}, rest={self.rest!r})"
 
 
-def _eliminate(p: list[list[int]]) -> _Eliminated:
+def _eliminate(p: list[list[int]]) -> _Record:
     """The fraction-free elimination (_eliminate_gram) of P, the integer
     Gram matrix of (v, b_{n-1}, ..., b_0), which is only read. A dependent
     family raises SingularMatrix."""
     try:
-        d, lam = _eliminate_gram(p)
+        e = _eliminate_gram(p)
     except DependentInput:
-        d = [0]
-    if d[-1] == 0:
+        raise SingularMatrix("the fixed vector and the basis are dependent") from None
+    if e[0][-1] == 0:
         raise SingularMatrix("the fixed vector and the basis are dependent")
-    return d, lam
+    return e
 
 
-def _value(e: _Eliminated, x: Sequence[int]) -> tuple[int, int]:
+def _value(e: _Record, x: Sequence[int]) -> tuple[int, int]:
     """(T, D) = (z^T adj(P) z, det P) at z = (1, -x_{n-1}, ..., -x_0), for P
     as _eliminate returns it, in O(n^2): T = det Gram(B(x)) on P's scale for
     B(x) = (b_i + x_i v), so dist^2(v, span B(x)) = D / T and |v|^2 = d[1].
-    T is minus the last pivot of P bordered by (z, 0), one more row step of
-    the kernel (_gso_row), on a copy of lam since the step appends its row.
+
+    T = D sum_k (u_k . z)^2 / (d_k d_{k+1}) is the last of the integers
+    Q_{k+1} = (d_{k+1} Q_k + (u_k . z)^2) / d_k from Q_0 = 0, where
+    Q_k = z_k^T adj(P_k) z_k for P_k the leading k x k block of P and z_k
+    the first k entries of z, so each division is exact: n + 1 dot
+    products and n + 1 divisions, with nothing written. Q_k is the A_k
+    with which ROADMAP item 4 would prune _search without its weights W.
     """
-    d, lam = e
-    return -_gso_row([1, *(-xi for xi in reversed(x)), 0], d, lam[:]), d[-1]
+    d, _, u = e
+    z = [1, *(-xi for xi in reversed(x))]
+    t = 0
+    for k, uk in enumerate(u):
+        s = sum(map(mul, uk, z))
+        t = (d[k + 1] * t + s * s) // d[k]
+    return t, d[-1]
 
 
 @dataclass(frozen=True)
@@ -332,7 +344,7 @@ def certificate_bounds(inst: MDSPInstance) -> CertificateBounds:
     for e in v.entries:
         k0 *= e.denominator
     rows, scale = integer_rows(inst.rest.vectors)
-    pivots, _ = _eliminate_gram(integer_gram(rows))
+    pivots = _eliminate_gram(integer_gram(rows))[0]
     if pivots[-1] == 0:
         raise DependentInput(f"vector {len(rows) - 1} is in the span of its predecessors")
     dk = [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(pivots[1:])]

@@ -23,7 +23,6 @@ from .heuristic import _check_count, _sweep_prefixes
 from .lattice import LatticeBasis, MDSPInstance
 from .qlinalg import (
     QVector,
-    _gso_row,
     determinant,
     dist_sq_to_span,
     integer_rows,
@@ -80,23 +79,52 @@ class AccelConfig:
         _check_count("heuristic_passes", self.heuristic_passes)
 
 
+def _gso_row(gk: list[int], d: list[int], lam: list[list[int]]) -> int:
+    """Row k = len(lam) of Cohen's integral Gram-Schmidt data from the
+    inner products gk[j] = G[k][j], j <= k; returns its pivot d_{k+1}.
+
+    With d_{i+1} the Gram determinant of rows 0..i (d_0 = 1) and
+    lam[k][j] = d_{j+1} mu_kj, entry j is the recurrence
+    u <- (d_{i+1} u - lam[k][i] lam[j][i]) / d_i over i < j from
+    u = G[k][j], every division exact (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7), and the pivot is the same
+    recurrence at j = k. d[0..k] and lam[0..k-1] are read; the row
+    lam[k][0..k-1] is appended to lam, and the pivot is returned unchecked.
+    This is LLL's own step, not qlinalg's left-looking pass
+    (_eliminate_gram), because LLL's rows move under swaps and size
+    reductions: that pass would also have to keep its adjugate rows u_k
+    current, O(n^2) more work per swap or size reduction, O(n^4) where a
+    round makes O(n^2) of them.
+    """
+    k = len(lam)
+    lk = [0] * (k + 1)  # the pivot passes through lk[k]
+    lam.append(lk)
+    for j in range(k + 1):
+        u, lj = gk[j], lam[j]
+        for i in range(j):
+            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+        lk[j] = u
+    return lk.pop()
+
+
 def _lll_rows(
     b: list[list[int]], p: int, q: int, trace: ReductionTrace
 ) -> tuple[list[int], list[list[int]]]:
     """Reduce integer rows in place with parameter delta = p/q, and return
-    their integral Gram-Schmidt data (d, lam).
+    their integral Gram-Schmidt data (d, lam), lam by columns.
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 2.6.7): d[i+1] is the Gram determinant of b_0..b_i (d[0] = 1) and
     lam[k][j] = d[j+1] * mu_kj; both stay integers and every division below
     is exact. Each test is the rational one times a positive factor, so
     swaps and size reductions are those of rational LLL. Gram-Schmidt data
-    of row k is computed when k is first reached, by qlinalg's elimination
-    kernel (_gso_row) on the row's inner products with rows 0..k, so kmax
-    is the last row whose data is current and lam holds rows 0..kmax. At
-    the end every row's data is current: (d, lam) is then exactly
-    qlinalg._eliminate_gram of the reduced rows' Gram matrix, which the
-    heuristic sweep starts from. Counts are added to trace.
+    of row k is computed when k is first reached, by _gso_row on the row's
+    inner products with rows 0..k, so kmax is the last row whose data is
+    current and lam holds rows 0..kmax. At the end every row's data is
+    current, and lam is returned transposed: (d, lam) is then exactly the
+    (d, lam) of qlinalg._eliminate_gram's record of the reduced rows' Gram
+    matrix, which the heuristic sweep starts from. Counts are added to
+    trace.
     """
     n = len(b)
     d = [1] * (n + 1)
@@ -157,7 +185,7 @@ def _lll_rows(
             k += 1
     trace.swap_count += swaps
     trace.size_reduction_count += reductions
-    return d, lam
+    return d, [[lam[l][j] for l in range(j + 1, n)] for j in range(n)]
 
 
 def _min_norm_sq(rows: list[list[int]]) -> int:

@@ -7,26 +7,33 @@ An integer entry k with |k| <= 128 is one shared immutable Fraction,
 built at import (rational): the range holds almost every entry of the
 paper's experiment's bases, before and after LLL, so their vectors
 allocate no Fraction per entry.
-Every symmetric elimination is one kernel, the row step of Cohen's
-integral Gram-Schmidt (_gso_row): row k of the integer data (d, lambda)
-from the inner products of row k with rows 0..k. _eliminate_gram runs it
-once per row of an integer Gram matrix, which it only reads. Its
-(d, lambda) give distances, volumes and LDL; one more step, on the matrix
-bordered by a vector z, gives -z^T adj(G) z (lattice._value); and,
-back-substituted (_jordan_columns), it gives the record from which each
-adjugate row is its own recurrence (_adjugate_row).
+Every symmetric elimination is one left-looking pass over an integer Gram
+matrix G, which it only reads (_eliminate_gram). It builds the record
+(d, lambda, u): the leading minors d, the Bareiss entries
+lambda_kj = d_{j+1} mu_kj stored by columns, and for each k the last row
+u_k of the adjugate of G's leading (k+1) x (k+1) block, u_k[k] = d_k.
+Row k costs dot products and one back-substitution, each inner loop a
+C-level sum and one exact division per entry. With Lambda the lower
+triangle of lambda and the d_{j+1}, G = Lambda diag(1 / (d_j d_{j+1}))
+Lambda^T, and every reader works off that record: each adjugate row is
+the same back-substitution (_back_substitute, _adjugate_row), and
+z^T adj(G) z = d_n sum_k (u_k . z)^2 / (d_k d_{k+1}) is one recurrence
+over the u_k (lattice._value, and on unit vectors the diagonal,
+_adjugate_diagonal). The record's d and lambda give distances, volumes
+and LDL.
 The record describes one object, the dual basis of the rows (the rows of
 G^-1 R, R the matrix of the rows): adj(G) is det G times its Gram matrix,
-and column c_k of the record gives the last dual vector of rows 0..k,
-which is b*_k / |b*_k|^2, so Gram-Schmidt and projections read it too
-(gram_schmidt, project_onto_span). The record's lower triangle (_adjugate_lower) is the heuristic sweep's state
-and, mirrored (_adjugate), gives inverses and the MDSP-to-CVP map; on an
-instance the heuristic builds only the rows it reads. lll._lll_rows calls
-the kernel itself, a row when it first reaches it, since eliminating up
-front makes every swap update the rows past kmax (22% slower on the
-reduce workload); its final (d, lambda) is _eliminate_gram's, so the
-heuristic sweep after it builds its lower triangle from that data
-without eliminating again.
+and u_k . R is d_{k+1} times the last dual vector of rows 0..k, which is
+b*_k / |b*_k|^2, so Gram-Schmidt and projections read it too
+(gram_schmidt, project_onto_span). The adjugate's lower triangle
+(_adjugate_lower) is the heuristic sweep's state and, mirrored
+(_adjugate), gives inverses and the MDSP-to-CVP map; on an instance the
+heuristic builds only the rows it reads. lll._lll_rows keeps its own
+incremental row step, a row when it first reaches it: its rows move
+under swaps and size reductions, and keeping u current there would cost
+O(n^2) per move, O(n^4) where a round makes O(n^2) of them. Its final
+(d, lambda) is the record's, so the heuristic sweep after it builds its
+lower triangle from that data without eliminating again.
 Only determinant eliminates apart: it pivots rows, since a Gram matrix
 loses the sign. No floating point enters any correctness-bearing path.
 """
@@ -284,26 +291,25 @@ class LDLDecomposition:
 def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
     """Orthogonalize a linearly independent basis, exactly.
 
-    One elimination of the scaled integer Gram matrix gives all three
-    (Cohen's integral Gram-Schmidt): lam[i][j] = d_{j+1} mu_ij (i > j) for
-    the leading minors d_{k+1} = dk[k] s^(2k+2). Its back-substitution
-    (_jordan_columns) gives b*: on the scaled rows r = s b, the last dual
-    vector of r_0..r_k is r*_k / |r*_k|^2 = (d_k r_k - sum_{j<k} c_k[j] r_j)
-    / d_{k+1}, and |r*_k|^2 = d_{k+1} / d_k, so d_k s b*_k is the numerator.
-    Raises DependentInput at the first dependent vector.
+    The record of one elimination of the scaled integer Gram matrix
+    (_eliminate_gram) gives all three: lam_ij = d_{j+1} mu_ij (i > j) for
+    the leading minors d_{k+1} = dk[k] s^(2k+2), and on the scaled rows
+    r = s b, sum_j u_k[j] r_j = d_k r*_k = d_k s b*_k, d_{k+1} times the
+    last dual vector of r_0..r_k, r*_k / |r*_k|^2 with |r*_k|^2 =
+    d_{k+1} / d_k. Raises DependentInput at the first dependent vector.
     """
     if not basis:
         raise LengthMismatch("gram_schmidt requires a nonempty basis")
     g, rows, scale = _scaled_gram(basis)
     n = len(g)
-    d, lam = _eliminate_gram(g)
+    d, lam, u = _eliminate_gram(g)
     if d[n] == 0:
         raise DependentInput(f"vector {n - 1} is in the span of its predecessors")
-    mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else _ONE if i == j else _ZERO
+    mu = [[Fraction(lam[j][i - j - 1], d[j + 1]) if j < i else _ONE if i == j else _ZERO
            for j in range(n)] for i in range(n)]
-    bstar = [QVector(Fraction(dk * col[k] - sum(map(mul, ck, col)), dk * scale)
+    bstar = [QVector(Fraction(sum(map(mul, uk, col)), dk * scale)
                      for col in zip(*rows[:k + 1]))
-             for k, (dk, ck) in enumerate(zip(d, _jordan_columns(d, lam)))]
+             for k, (dk, uk) in enumerate(zip(d, u))]
     dk = [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(d[1:])]
     return GramSchmidtResult(bstar, QMatrix(mu), dk)
 
@@ -312,15 +318,15 @@ def project_onto_span(v: QVector, basis: Sequence[QVector]) -> QVector:
     """Orthogonal projection of v onto span(basis); empty span maps to 0.
 
     Eliminating the scaled rows r of (basis, v) as gram_schmidt does,
-    v - proj is b*_n, so d_n s proj = sum_{j<n} c_n[j] r_j.
+    v - proj is b*_n, so with u_n[n] = d_n, d_n s proj = -sum_{j<n} u_n[j] r_j.
     """
     if not basis:
         return QVector.zero(v.dim)
     g, rows, scale = _scaled_gram([*basis, v])
-    d, lam = _eliminate_gram(g)
+    d, _, u = _eliminate_gram(g)
     n = len(basis)
-    cn = _jordan_columns(d, lam)[n]
-    return QVector(Fraction(sum(map(mul, cn, col)), d[n] * scale) for col in zip(*rows[:n]))
+    un = u[n]
+    return QVector(Fraction(-sum(map(mul, un, col)), d[n] * scale) for col in zip(*rows[:n]))
 
 
 def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
@@ -334,7 +340,7 @@ def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
     if not basis:
         return v.norm_sq()
     g, _, scale = _scaled_gram([*basis, v])
-    d, _ = _eliminate_gram(g)
+    d = _eliminate_gram(g)[0]
     return Fraction(d[-1], d[-2] * scale * scale)
 
 
@@ -368,155 +374,143 @@ def integer_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def adjugate_spd(a: list[list[int]]) -> tuple[list[list[int]], int]:
     """(adj(G), det G) for a symmetric positive definite integer matrix G.
 
-    One-step fraction-free Gauss-Jordan on [G | I], keeping only the
-    blocks that carry information. After k steps, with d_k the k-th leading
-    principal minor (d_0 = 1), the matrix is
-
-        [ d_k I   X  |  A     0    ]
-        [ 0       S  |  -X^T  d_k I]
-
-    with A (k x k, symmetric) the running adjugate, X (k x (n-k)) and S the
-    symmetric Bareiss Schur complement, whose first row past its pivot is
-    row k of lam in _eliminate_gram's layout, lam[q][k] for q > k. Step k,
-    with pivot p = S[0][0] = d_{k+1}, prev = d_k and c_k the first column
-    of X, is:
-
-        X_i <- (p X_i[1:] - c_k[i] S_0[1:]) / prev   for each old row i
-        A_ij <- (p A_ij + c_k[i] c_k[j]) / prev      for old i, j
-        A gains the row (-c_k, prev) and X the row S_0[1:]
-
-    Every division is exact, and at k = n, A = adj(G) and the last pivot
-    is d_n = det G. A never feeds back into S or X, so the elimination is
-    recorded first (_eliminate_gram), and A is built from the record
-    afterwards (_adjugate). No pivoting is needed because all leading principal minors are
-    positive; a pivot <= 0 before the last step means the matrix came from
-    a dependent family and raises DegenerateResidual. The last pivot is
-    returned unchecked: det G <= 0, a degenerate instance the caller
-    reports, still gives the adjugate.
+    Both are read off the record of G's elimination (_eliminate_gram):
+    det G is its last pivot d_n, and adj(G) its lower triangle, built row
+    by row by back-substitution (_adjugate_lower), mirrored. No pivoting is
+    needed because all leading principal minors are positive; a pivot <= 0
+    before the last step means the matrix came from a dependent family
+    and raises DegenerateResidual. The last pivot is returned unchecked:
+    det G <= 0, a degenerate instance the caller reports, still gives the
+    adjugate, since no step divides by it.
     """
     try:
-        d, lam = _eliminate_gram(a)
+        d, lam, _ = _eliminate_gram(a)
     except DependentInput:
         raise DegenerateResidual("Gram matrix is not positive definite") from None
     return _adjugate(d, lam), d[-1]
 
 
+# The record of the elimination of an integer Gram matrix G, as
+# _eliminate_gram returns it: (d, lam, u), lam stored by columns.
+_Record = tuple[list[int], list[list[int]], list[list[int]]]
+
+
+def _eliminate_gram(g: Sequence[Sequence[int]]) -> _Record:
+    """(d, lam, u): the record of the fraction-free elimination of an
+    integer Gram matrix G, by one left-looking pass; g is read on and below
+    its diagonal only, and never written.
+
+    d[k] is the k-th leading principal minor (d[0] = 1), the Gram
+    determinant of the first k rows. lam is stored by columns:
+    lam[j][l - j - 1] = d_{j+1} mu_lj for l > j, the minor of G on rows
+    0..j and columns 0..j-1, l, which is also entry (j, l) of the Bareiss
+    elimination of G. u[k] is the last row of the adjugate of G's leading
+    (k+1) x (k+1) block, u[k][k] = d_k: on the rows r of G,
+    sum_j u[k][j] r_j = d_k r*_k, d_{k+1} times the last dual vector of
+    r_0..r_k. Row k costs dot products and one back-substitution, each
+    inner loop a C-level sum: lam_kj = u_j . g_k[0..j] (Cramer's rule),
+    u_k by back-substitution (_last_row, one exact division per entry),
+    and d_{k+1} = u_k . g_k.
+
+    No pivoting: d[k+1] is positive unless the first k+1 rows are
+    dependent. A pivot <= 0 before the last row raises DependentInput; the
+    last, det g, is returned unchecked.
+    """
+    d, lam, u = [1], [], []
+    last = len(g) - 1
+    for k, gk in enumerate(g):
+        for lj, uj in zip(lam, u):
+            lj.append(sum(map(mul, uj, gk)))
+        lam.append([])
+        uk = _last_row(d, lam, k)
+        p = sum(map(mul, uk, gk))
+        if p <= 0 and k < last:
+            raise DependentInput(f"vector {k} is in the span of its predecessors")
+        d.append(p)
+        u.append(uk)
+    return d, lam, u
+
+
+def _last_row(d: Sequence[int], lam: Sequence[list[int]], k: int) -> list[int]:
+    """u_k, the last row of the adjugate of G's leading (k+1) x (k+1)
+    block, from d[0..k] and lam's entries in rows 0..k:
+    Lambda^T u_k = d_k d_{k+1} e_k, so u_k[k] = d_k and
+    u_k[k-1] = -lam_{k,k-1} need no division (_back_substitute)."""
+    if not k:
+        return [1]
+    return _back_substitute(d, lam, [0] * (k - 1) + [-lam[k - 1][0], d[k]], k - 2)
+
+
+def _back_substitute(
+    d: Sequence[int], lam: Sequence[list[int]], y: list[int], top: int
+) -> list[int]:
+    """Complete y, in place, to the solution of Lambda^T y = b with b zero
+    on entries 0..top, given y past top: y[j] = -sum_{l>j} lam_lj y[l] /
+    d_{j+1} for j = top down to 0, one exact division per entry.
+
+    Lambda is lower triangular, lam below its diagonal and d_{j+1} on it,
+    and G = Lambda diag(1 / (d_j d_{j+1})) Lambda^T. So the u_k are the
+    rows of U = diag(d_j d_{j+1}) Lambda^-1, each solving
+    Lambda^T u_k = d_k d_{k+1} e_k, and adj(G) = d_n Lambda^-T U, whose
+    row i solves Lambda^T y = d_n U e_i, b_j = d_n u_j[i], which is zero
+    below i (_adjugate_row, _adjugate_lower). A column of lam may run past
+    y; only its first entries are read.
+    """
+    for j in range(top, -1, -1):
+        y[j] = -sum(map(mul, lam[j], y[j + 1:])) // d[j + 1]
+    return y
+
+
+def _adjugate_row(
+    d: Sequence[int], lam: Sequence[list[int]], u: Sequence[list[int]], i: int
+) -> list[int]:
+    """Row i of adj(G) from the record (d, lam, u) of G's elimination, in
+    O(n^2): Lambda^T y = d_n (u_j[i])_j, whose right side is zero below i
+    (_back_substitute). Its last entry is u_{n-1}[i], adj(G)'s last row
+    being u_{n-1}, so det G divides nothing."""
+    n, dn = len(u), d[-1]
+    y = [0] * (n - 1) + [u[-1][i]]
+    for j in range(n - 2, i - 1, -1):
+        y[j] = (dn * u[j][i] - sum(map(mul, lam[j], y[j + 1:]))) // d[j + 1]
+    return _back_substitute(d, lam, y, i - 1)
+
+
+def _adjugate_lower(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int]]:
+    """Rows i of adj(G)'s lower triangle, entries j <= i, from d and lam
+    alone, the last row first: it is u_{n-1} (_last_row), and row i solves
+    Lambda^T y = d_n d_i e_i (_back_substitute) with its entries past i,
+    adj[l][i] for l > i, read off the rows already built, so each row
+    costs only its own triangle."""
+    n = len(lam)
+    dn = d[n]
+    rows = [_last_row(d, lam, n - 1)]
+    for i in range(n - 2, -1, -1):
+        tail = [row[i] for row in reversed(rows)]
+        y = [0] * i + [(dn * d[i] - sum(map(mul, lam[i], tail))) // d[i + 1]]
+        rows.append(_back_substitute(d, lam, y + tail, i - 1)[:i + 1])
+    rows.reverse()
+    return rows
+
+
 def _adjugate(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int]]:
-    """adj(G) from the elimination (d, lam) of G: its lower triangle
+    """adj(G) from the record (d, lam) of G: its lower triangle
     (_adjugate_lower), mirrored."""
     lower = _adjugate_lower(d, lam)
     n = len(lower)
     return [[lower[i][j] if j <= i else lower[j][i] for j in range(n)] for i in range(n)]
 
 
-def _adjugate_lower(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int]]:
-    """Rows i of adj(G)'s lower triangle, entries j <= i, from the
-    elimination (d, lam) of G: the columns c_k (_jordan_columns), then row
-    by row (_adjugate_row), each entry its own recurrence."""
-    cols = _jordan_columns(d, lam)
-    return [_adjugate_row(d, cols, i, lower=True) for i in range(len(cols))]
-
-
-def _jordan_columns(d: Sequence[int], lam: Sequence[list[int]]) -> list[list[int]]:
-    """The columns c_k of adjugate_spd's X block, by back-substitution.
-
-    (d, lam) is the fraction-free elimination of G in _eliminate_gram's
-    layout, which is also Cohen's integral LLL data of a basis of Gram
-    matrix G (lll._lll_rows), so that serves as it is. Column q of X starts
-    at step i as lam[q][i] and each later step k < q makes it
-    (d_{k+1} x - c_k[i] lam[q][k]) / d_k. (-c_k, d_k) is the last row of
-    the adjugate of G's leading (k+1) x (k+1) block: in the rows r_0..r_k
-    of G, d_{k+1} times their last dual vector, d_k r*_k for r*_k the part
-    of r_k orthogonal to r_0..r_{k-1}.
-    """
-    cols: list[list[int]] = []
-    for lq in lam:
-        x: list[int] = []
-        for k, (t, ck) in enumerate(zip(lq, cols)):
-            p, prev = d[k + 1], d[k]
-            x = [(p * e - ci * t) // prev for e, ci in zip(x, ck)]
-            x.append(t)
-        cols.append(x)
-    return cols
-
-
-def _adjugate_row(
-    d: Sequence[int], cols: Sequence[list[int]], i: int, lower: bool = False
-) -> list[int]:
-    """Row i of adj(G) from the record of its elimination; with lower, only
-    its entries j <= i.
-
-    Entry (i, j), j <= i, starts at step i as d_i (j = i) or -c_i[j], and
-    each later step k makes it (d_{k+1} a + c_k[i] c_k[j]) / d_k; entry
-    (i, k), k > i, starts at step k as -c_k[i].
-    """
-    row = [-c for c in cols[i]]
-    row.append(d[i])
-    for k in range(i + 1, len(cols)):
-        ck = cols[k]
-        p, prev, ci = d[k + 1], d[k], ck[i]
-        row = [(p * e + ci * cj) // prev for e, cj in zip(row, ck)]
-        if not lower:
-            row.append(-ci)
-    return row
-
-
-def _adjugate_diagonal(d: Sequence[int], cols: Sequence[list[int]]) -> list[int]:
-    """The diagonal of adj(G) from the record of its elimination, in
-    O(n^2): the recurrence of _adjugate_row for the entries (i, i)."""
+def _adjugate_diagonal(d: Sequence[int], u: Sequence[list[int]]) -> list[int]:
+    """The diagonal of adj(G) from the record (d, u) of its elimination, in
+    O(n^2): entry i is z^T adj(G) z at z = e_i, the recurrence of
+    lattice._value, Q <- (d_{k+1} Q + u_k[i]^2) / d_k, which is d_i after
+    step i."""
     diag: list[int] = []
-    for k, ck in enumerate(cols):
+    for k, uk in enumerate(u):
         p, prev = d[k + 1], d[k]
-        diag = [(p * e + c * c) // prev for e, c in zip(diag, ck)]
+        diag = [(p * e + c * c) // prev for e, c in zip(diag, uk)]
         diag.append(prev)
     return diag
-
-
-def _gso_row(gk: Sequence[int], d: Sequence[int], lam: list[list[int]]) -> int:
-    """Row k = len(lam) of Cohen's integral Gram-Schmidt data from the
-    inner products gk[j] = G[k][j], j <= k; returns its pivot d_{k+1}.
-
-    With d_{i+1} the Gram determinant of rows 0..i (d_0 = 1) and
-    lam[k][j] = d_{j+1} mu_kj, entry j is the recurrence
-    u <- (d_{i+1} u - lam[k][i] lam[j][i]) / d_i over i < j from
-    u = G[k][j], every division exact (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.6.7), and the pivot is the same
-    recurrence at j = k. d[0..k] and lam[0..k-1] are read, and gk only on
-    and below the diagonal; the row lam[k][0..k-1] is appended to lam, and
-    the pivot is returned unchecked. This is the only symmetric elimination
-    step in latkit: the row is row k of the fraction-free (Bareiss)
-    elimination of G, lam[k][j] = g[j][k].
-    """
-    k = len(lam)
-    lk = [0] * (k + 1)  # the pivot passes through lk[k]
-    lam.append(lk)
-    for j in range(k + 1):
-        u, lj = gk[j], lam[j]
-        for i in range(j):
-            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
-        lk[j] = u
-    return lk.pop()
-
-
-def _eliminate_gram(g: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """(d, lam): the fraction-free elimination of an integer Gram matrix,
-    one _gso_row per row; g is read on and below its diagonal only, and
-    never written.
-
-    No pivoting: d[k+1] is the (k+1)-th leading principal minor, the Gram
-    determinant of the first k+1 rows, which is positive unless those rows
-    are dependent, and lam[k][j] (j < k) is d_{j+1} mu_kj. A pivot <= 0
-    before the last row raises DependentInput; the last, det g, is returned
-    unchecked.
-    """
-    d, lam = [1], []
-    last = len(g) - 1
-    for k, gk in enumerate(g):
-        p = _gso_row(gk, d, lam)
-        if p <= 0 and k < last:
-            raise DependentInput(f"vector {k} is in the span of its predecessors")
-        d.append(p)
-    return d, lam
 
 
 def _scaled_gram(vectors: Sequence[QVector]) -> tuple[list[list[int]], list[list[int]], int]:
@@ -593,9 +587,10 @@ def is_unimodular(m: QMatrix) -> bool:
 def ldl_decompose(g: QMatrix) -> LDLDecomposition:
     """Exact L D L^T factorization of a symmetric positive definite matrix.
 
-    With a = den g integral and (d, lam) its elimination (_eliminate_gram),
-    d_k the leading minors (d_0 = 1): L[i][j] = lam[i][j] / d_{j+1} and
-    D_k = d_{k+1} / (d_k den). Raises NotSPD if a pivot is <= 0.
+    With a = den g integral and (d, lam, _) its elimination
+    (_eliminate_gram), d_k the leading minors (d_0 = 1):
+    L[i][j] = lam_ij / d_{j+1} and D_k = d_{k+1} / (d_k den). Raises NotSPD
+    if a pivot is <= 0.
     """
     if not g.is_square:
         raise NonSquare("LDL factorization needs a square matrix")
@@ -604,12 +599,12 @@ def ldl_decompose(g: QMatrix) -> LDLDecomposition:
         raise NotSPD("matrix is not symmetric")
     a, den = integer_rows(g.row_vectors())
     try:
-        d, lam = _eliminate_gram(a)
+        d, lam, _ = _eliminate_gram(a)
     except DependentInput:
         d = [0]
     if d[-1] <= 0:
         raise NotSPD("matrix is not positive definite")
-    lower = [[Fraction(lam[i][j], d[j + 1]) if j < i else _ONE if i == j else _ZERO
+    lower = [[Fraction(lam[j][i - j - 1], d[j + 1]) if j < i else _ONE if i == j else _ZERO
               for j in range(n)] for i in range(n)]
     return LDLDecomposition(QMatrix(lower), [Fraction(q, p * den) for p, q in zip(d, d[1:])])
 

@@ -8,7 +8,7 @@ from math import floor
 import pytest
 
 import latkit
-from latkit import cvp
+from latkit import cvp, qlinalg
 from latkit.errors import (
     DependentInput,
     LengthMismatch,
@@ -542,6 +542,8 @@ class TestLazyInstance:
 
         for name in ("adjugate_spd", "_adjugate"):
             monkeypatch.setattr(cvp, name, refuse)
+        for name in ("_adjugate_lower", "_adjugate_row", "_adjugate_diagonal"):
+            monkeypatch.setattr(qlinalg, name, refuse)  # no adjugate row either
         for inst in mixed_instances(239):
             c = mdsp_to_cvp(inst)
             sol = enumerate_cvp(c)

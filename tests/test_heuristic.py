@@ -464,7 +464,7 @@ class TestGramState:
         rng = random.Random(131)
         for rows in state_rows(137):
             rows = [r[:] for r in rows]
-            state = _GramState.of_lll(*qlinalg._eliminate_gram(_gram(rows)))
+            state = _GramState.of_lll(*qlinalg._eliminate_gram(_gram(rows))[:2])
             check_state(state, rows)
             while True:
                 shift_and_check(rng, state, rows)
@@ -485,8 +485,8 @@ class TestGramState:
             check_state(state.leading(), rows[:-1])
 
     def test_state_from_primal_elimination(self):
-        # the record of P, the Gram matrix of the rows reversed, as an
-        # instance's stored form holds it
+        # the record (d, lam, u) of P, the Gram matrix of the rows reversed,
+        # as an instance's stored form holds it
         rng = random.Random(163)
         for rows in state_rows(167):
             rows = [r[:] for r in rows]
@@ -506,14 +506,15 @@ class TestHotPath:
         built = []
         row = heuristic._adjugate_row
 
-        def counting_row(d, cols, i, **kwargs):
+        def counting_row(d, lam, u, i):
             # the state's record is of P, the Gram matrix of (v, b_{n-1},
             # ..., b_0): its row 0 is row v, every other row a B-block row
             if i != 0:
                 built.append(i)
-            return row(d, cols, i, **kwargs)
+            return row(d, lam, u, i)
 
         monkeypatch.setattr(qlinalg, "adjugate_spd", refuse)
+        monkeypatch.setattr(heuristic, "_adjugate_lower", refuse)
         monkeypatch.setattr(heuristic, "_adjugate_row", counting_row)
         shifts = record_shifts(monkeypatch)
         rng = random.Random(151)
@@ -541,7 +542,7 @@ class TestHotPath:
                 m.setattr(qlinalg, "_eliminate_gram", refuse)
                 _sweep_prefixes(rows, d, lam, 1)
             # the same sweep on a state from a fresh elimination
-            state = _GramState.of_lll(*qlinalg._eliminate_gram(_gram(expected)))
+            state = _GramState.of_lll(*qlinalg._eliminate_gram(_gram(expected))[:2])
             for i in range(size - 1, 0, -1):
                 x = [0] * i
                 _pass_over(state, x)
@@ -551,18 +552,23 @@ class TestHotPath:
             assert rows == expected
 
     def test_sweep_builds_each_row_once(self, monkeypatch):
-        # the first prefix's state builds the lower triangle of adj(G) once;
-        # a shifted coordinate's row and the next prefix's state are read
-        # off it, so no row index is built twice, by either name
+        # the first prefix's state builds the lower triangle of adj(G) once,
+        # one back-substitution per row; a shifted coordinate's row and the
+        # next prefix's state are read off it, so no row is built twice and
+        # no full row is built at all
         built = Counter()
-        row = qlinalg._adjugate_row
 
-        def counting_row(d, cols, i, **kwargs):
-            built[i] += 1
-            return row(d, cols, i, **kwargs)
+        def counting(name, fn):
+            def counted(*args):
+                built[name] += 1
+                return fn(*args)
+            return counted
 
-        monkeypatch.setattr(qlinalg, "_adjugate_row", counting_row)
-        monkeypatch.setattr(heuristic, "_adjugate_row", counting_row)
+        for name in ("_adjugate_lower", "_adjugate_row", "_back_substitute"):
+            counted = counting(name, getattr(qlinalg, name))
+            for mod in (qlinalg, heuristic):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted)
         shifts = record_shifts(monkeypatch)
         rng = random.Random(179)
         for size in (8, 12, 16):
@@ -572,5 +578,4 @@ class TestHotPath:
             shifts.clear()
             _sweep_prefixes(rows, d, lam, 1)
             assert size - 1 in [n for n, _, _, _ in shifts]  # the first prefix shifts
-            assert [i for i, k in built.items() if k > 1] == []
-            assert sorted(built) == list(range(size))
+            assert built == {"_adjugate_lower": 1, "_back_substitute": size}

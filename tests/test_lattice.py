@@ -495,8 +495,8 @@ def value_instances(rng):
 
 
 class TestValue:
-    """_value(e, x) = (z^T adj(P) z, det P), one bordered row step on the
-    stored record (d, lam)."""
+    """_value(e, x) = (z^T adj(P) z, det P), one recurrence over the rows u
+    of the stored record (d, lam, u)."""
 
     def test_against_oracle_determinants(self):
         rng = random.Random(331)
@@ -518,7 +518,8 @@ class TestValue:
         rng = random.Random(337)
         for _, inst in value_instances(rng):
             e = inst._primal()[2]
-            snapshot = (list(e[0]), [list(row) for row in e[1]])
+            snapshot = tuple(part[:] if i == 0 else [row[:] for row in part]
+                             for i, part in enumerate(e))
             xs = [tuple(rng.randint(-6, 6) for _ in range(inst.n)) for _ in range(10)]
             got = []
             for x in xs * 3:

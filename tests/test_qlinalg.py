@@ -18,18 +18,30 @@ from latkit.errors import (
 )
 from latkit.cvp import mdsp_to_cvp
 from latkit.exact import solve_exact
-from latkit.lattice import LatticeBasis, MDSPInstance
-from latkit.lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce
+from latkit.lattice import LatticeBasis, MDSPInstance, _value
+from latkit.lll import (
+    AccelConfig,
+    LLLParams,
+    ReductionTrace,
+    _lll_rows,
+    accelerated_reduce,
+    lll_reduce,
+)
 from latkit.qlinalg import (
     QMatrix,
     QVector,
+    _adjugate_diagonal,
+    _adjugate_lower,
+    _adjugate_row,
     _eliminate_gram,
+    _last_row,
     adjugate_spd,
     ceil_plus_sqrt,
     determinant,
     dist_sq_to_span,
     floor_minus_sqrt,
     gram_schmidt,
+    integer_gram,
     integer_rows,
     inverse,
     iroot_ceil,
@@ -637,7 +649,8 @@ def _leading_minors(g):
 
 class TestEliminationKernel:
     """_eliminate_gram, the one symmetric elimination, against leading
-    minors computed by tests/oracles.py's int_det."""
+    minors computed by tests/oracles.py's int_det and adjugates by
+    cofactors."""
 
     def test_against_oracle_minors(self):
         spd = raised = zero_last = 0
@@ -651,14 +664,19 @@ class TestEliminationKernel:
                     _eliminate_gram(g)
                 raised += 1
             else:
-                d, lam = _eliminate_gram(g)
+                n = len(g)
+                d, lam, u = _eliminate_gram(g)
                 assert d == [1] + minors  # the last pivot unchecked
-                # lam[k][j] is the minor on rows 0..j, columns 0..j-1 and k
+                # column j holds lam_kj, k > j, the minor on rows 0..j,
+                # columns 0..j-1 and k
                 assert lam == [
                     [int_det([[row[c] for c in [*range(j), k]] for row in g[:j + 1]])
-                     for j in range(k)]
-                    for k in range(len(g))
+                     for k in range(j + 1, n)]
+                    for j in range(n)
                 ]
+                # u_k is the last row of the adjugate of the leading block
+                assert u == [_cofactor_adjugate([r[:k + 1] for r in g[:k + 1]])[k]
+                             for k in range(n)]
                 spd += minors[-1] > 0
                 zero_last += minors[-1] == 0
             assert g == before  # only read
@@ -686,7 +704,7 @@ class TestEliminationKernel:
                 route(inst)
         # a zero last pivot, v in the span of the others, is returned as it is
         rows = [[1, 2, 0], [0, 0, 1], [3, 6, 0]]
-        d, _ = _eliminate_gram(_gram(rows))
+        d = _eliminate_gram(_gram(rows))[0]
         assert d[-1] == 0 and min(d[:-1]) > 0
         assert dist_sq_to_span(QVector(rows[2]), [QVector(r) for r in rows[:2]]) == 0
         with pytest.raises(NotSPD):
@@ -695,6 +713,95 @@ class TestEliminationKernel:
         for route in (mdsp_to_cvp, solve_exact):
             with pytest.raises(SingularMatrix):
                 route(inst)
+
+
+def _record_rows(seed):
+    """(kind, rows): independent integer rows for n = 1..25, with entries
+    uniform in [-100, 100], and rational rows with denominators up to 12
+    scaled to integers by the lcm of their denominators."""
+    rng = random.Random(seed)
+    for n in range(1, 26):
+        yield "integer", _independent_rows(
+            rng, n, lambda: [rng.randint(-100, 100) for _ in range(n)])
+        while True:
+            rows = [[F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)]
+                    for _ in range(n)]
+            scale = lcm(*(e.denominator for row in rows for e in row))
+            rows = [[int(e * scale) for e in row] for row in rows]
+            if int_det(_gram(rows)) != 0:
+                break
+        yield "rational", rows
+
+
+class TestRecordOracle:
+    """The record (d, lam, u) of _eliminate_gram and every reader of it,
+    against naive Gram-Schmidt and a naive inverse (tests/oracles.py)."""
+
+    def test_record_against_naive_gs(self):
+        seen = set()
+        for kind, rows in _record_rows(401):
+            n = len(rows)
+            d, lam, u = _eliminate_gram(_gram(rows))
+            bstar = naive_gs(rows)
+            norms = [vdot(b, b) for b in bstar]
+            assert d == list(accumulate(norms, mul, initial=1))  # Gram determinants
+            # lam_kj = d_{j+1} mu_kj = d_{j+1} <r_k, b*_j> / |b*_j|^2
+            assert lam == [[d[j + 1] * vdot(rows[k], bstar[j]) / norms[j]
+                            for k in range(j + 1, n)] for j in range(n)]
+            # sum_j u_k[j] r_j = d_k b*_k, with u_k[k] = d_k
+            for k, uk in enumerate(u):
+                assert len(uk) == k + 1 and uk[k] == d[k]
+                assert [sum(c * r[i] for c, r in zip(uk, rows)) for i in range(n)] == [
+                    d[k] * e for e in bstar[k]]
+            seen.add((kind, n))
+        assert len(seen) == 50
+
+    def test_readers_against_naive_inverse(self):
+        rng = random.Random(409)
+        for kind, rows in _record_rows(419):
+            n = len(rows)
+            g = _gram(rows)
+            record = d, lam, u = _eliminate_gram(g)
+            det = d[n]
+            adj = [[det * e for e in row] for row in naive_inverse(g)]
+            assert all(e.denominator == 1 for row in adj for e in row)
+            assert [_adjugate_row(d, lam, u, i) for i in range(n)] == adj
+            assert _adjugate_lower(d, lam) == [row[:i + 1] for i, row in enumerate(adj)]
+            assert adjugate_spd(g) == (adj, det)
+            assert _adjugate_diagonal(d, u) == [adj[i][i] for i in range(n)]
+            # T = z^T adj z at z = (1, -x_{n-2}, ..., -x_0)
+            for _ in range(4):
+                x = [rng.randint(-50, 50) for _ in range(n - 1)]
+                z = [1, *(-xi for xi in reversed(x))]
+                t = sum(zi * a * zj for zi, row in zip(z, adj) for a, zj in zip(row, z))
+                assert _value(record, x) == (t, det)
+
+    def test_zero_last_pivot_record(self):
+        # independent leading rows, the last in their span: det G = 0, and
+        # every reader still gives adj(G), by cofactors
+        rng = random.Random(421)
+        for n in range(2, 9):
+            rows = _independent_rows(rng, n - 1, lambda: [rng.randint(-9, 9) for _ in range(n)])
+            coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
+            rows.append([sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n)])
+            g = _gram(rows)
+            d, lam, u = _eliminate_gram(g)
+            adj = _cofactor_adjugate(g)
+            assert d[n] == 0 and u[n - 1] == adj[n - 1]
+            assert [_adjugate_row(d, lam, u, i) for i in range(n)] == adj
+            assert _adjugate_lower(d, lam) == [row[:i + 1] for i, row in enumerate(adj)]
+            assert _adjugate_diagonal(d, u) == [adj[i][i] for i in range(n)]
+
+    def test_lll_data_gives_the_record(self):
+        # LLL's final (d, lam), by columns, is the record's, and its
+        # back-substitution gives the record's u
+        rng = random.Random(431)
+        for n in (2, 5, 10, 14, 20):
+            rows = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(n)]
+            d, lam = _lll_rows(rows, 99, 100, ReductionTrace())
+            record = _eliminate_gram(integer_gram(rows))
+            assert (d, lam) == record[:2]
+            assert [_last_row(d, lam, k) for k in range(n)] == record[2]
 
 
 class TestLDL:
