@@ -10,12 +10,13 @@ original instance.
 
 The API stays in that rational form; the computation is integer. The
 enumeration runs on the primal side of the isomorphism: the objective is
-an affine function of z^T P^-1 z, with P the integer Gram matrix of
-(v, b_{n-1}, ..., b_0) and z = (1, -x_{n-1}, ..., -x_0), which forward
-substitution on the columns of P's elimination record (d, lambda, u)
-gives level by level, and the record's recurrence over the u_k at one
-point (lattice._value). The forward map keeps that record, from the MDSP
-instance's stored form (MDSPInstance._primal), on the instance it
+an affine function of z^T P^-1 z = T / D, with P the integer Gram matrix
+of (v, b_{n-1}, ..., b_0), z = (1, -x_{n-1}, ..., -x_0) and D = det P.
+T is the last of the integers Q_k of one recurrence over the rows u_k of
+P's elimination record (d, lambda, u) (lattice._value), which gives an
+objective at one point and which the search walks level by level,
+pruning on Q_k (_search). The forward map keeps that record, from the
+MDSP instance's stored form (MDSPInstance._primal), on the instance it
 returns. gram and offset are built from it, off adj(P) by
 back-substitution, only when a caller first reads them. A hand-built
 form is scaled to integers once and bordered into such a P, from
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -108,18 +109,24 @@ class CVPGramInstance:
     def objective(self, j: Sequence[int]) -> Fraction:
         """(j + offset)^T gram (j + offset), exact.
 
-        Evaluated in integers: on mdsp_to_cvp's instance by _value on the
-        stored P, otherwise on the form of _scaled_form as
-        u^T M u / (den step^2) with u = step j + w. Raises LengthMismatch
-        unless j has n coordinates and ValueError unless they are integers.
+        Evaluated in integers (_objective_terms): on mdsp_to_cvp's
+        instance by _value on the stored P, otherwise on the form of
+        _scaled_form as u^T M u / (den step^2) with u = step j + w. Raises
+        LengthMismatch unless j has n coordinates and ValueError unless
+        they are integers.
         """
-        x = _integral_shift(self.n, j)
-        primal = self.__dict__.get("_primal")
-        if primal is not None:
-            return _objective(primal, *_value(primal[0], x))
-        m, w, step, den = _scaled_form(self)
-        u = [step * ji + wk for ji, wk in zip(x, w)]
-        return Fraction(_quad(m, u), den * step * step)
+        return Fraction(*_objective_terms(self, j))
+
+
+def _objective_terms(c: CVPGramInstance, j: Sequence[int]) -> tuple[int, int]:
+    """(num, den), integers with c.objective(j) = num / den and den > 0."""
+    x = _integral_shift(c.n, j)
+    primal = c.__dict__.get("_primal")
+    if primal is not None:
+        return _terms(primal, *_value(primal[0], x))
+    m, w, step, den = _scaled_form(c)
+    u = [step * ji + wk for ji, wk in zip(x, w)]
+    return _quad(m, u), den * step * step
 
 
 # A hand-built CVP form in integers, (M, w, step, den): gram = M / den and
@@ -223,9 +230,13 @@ def recover_mdsp_distance_sq(c: CVPGramInstance, j: Sequence[int]) -> Fraction:
 
     On an instance produced by mdsp_to_cvp this equals the squared distance
     of v from span(B(j)) exactly. The scale correction accounts for the
-    fixed vector not being unit length.
+    fixed vector not being unit length. With scale_sq = a / b and
+    objective(j) = num / den (_objective_terms), it is built as the one
+    Fraction a den / (b den + a num).
     """
-    return c.scale_sq / (1 + c.scale_sq * c.objective(j))
+    num, den = _objective_terms(c, j)
+    a, b = c.scale_sq.numerator, c.scale_sq.denominator
+    return Fraction(a * den, b * den + a * num)
 
 
 def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
@@ -235,12 +246,12 @@ def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
     Runs _search on the eliminated primal Gram matrix P of _primal_of.
     The form is the CVP side of the MDSP instance with Gram matrix P,
     whose squared distance is 1 / (z^T P^-1 z) on P's own scale, so the
-    objective is that of _objective. Raises NotSPD unless the form is
+    objective is that of _terms. Raises NotSPD unless the form is
     symmetric positive definite.
     """
     primal = _primal_of(c)
     j, t, det = _search(primal[0])
-    return CVPSolution(j, _objective(primal, t, det))
+    return CVPSolution(j, Fraction(*_terms(primal, t, det)))
 
 
 # The old name of enumerate_cvp, kept and exported by the package only
@@ -249,12 +260,13 @@ def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
 solve_cvp_bruteforce = enumerate_cvp
 
 
-def _objective(primal: _Primal, t: int, det: int) -> Fraction:
-    """The form's value where z^T P^-1 z = T / D: f (step T - D) / (D step),
-    with step = d[1] = |v|^2 on P's scale and f the primal's factor."""
+def _terms(primal: _Primal, t: int, det: int) -> tuple[int, int]:
+    """(num, den): the form's value where z^T P^-1 z = T / D is
+    f (step T - D) / (D step), with step = d[1] = |v|^2 on P's scale and f
+    the primal's factor."""
     (d, _, _), f_num, f_den = primal
     step = d[1]
-    return Fraction(f_num * (step * t - det), f_den * det * step)
+    return f_num * (step * t - det), f_den * det * step
 
 
 def _primal_of(c: CVPGramInstance) -> _Primal:
@@ -313,67 +325,58 @@ def _search(e: _Record) -> tuple[tuple[int, ...], int, int]:
 
     det Gram(B(x)) = det P z^T P^-1 z with B(x) = (b_i + x_i v), so x
     maximizes the distance of v from span(B(x)), d^2 = D / T on P's scale.
-    The record of P's elimination gives its leading minors D_0..D_n
-    (D_-1 = 1) and Bareiss rows R, which are its lam columns as stored,
-    and forward substitution gives
+    The search walks _value's recurrence over the record's rows u_k and
+    pivots d_k. From Q_1 = 1, level k chooses j = x_{n-k} and sets
 
-        z^T P^-1 z = sum over p of H_p^2 / (D_{p-1} D_p),
+        H = p - d_k j,  p = u_k[0..k-1] . z[0..k-1],
+        Q_{k+1} = (d_{k+1} Q_k + H^2) / d_k,
 
-    with H_0 = 1 and H_p = c_p - D_{p-1} x_{n-p} at level p. The centre
-    c_q starts as -P[0][q], and choosing level p updates every deeper one
-    exactly (a Bareiss step on the column z):
-
-        c_q <- (D_p c_q - R[p][q] H_p) / D_{p-1}.
-
-    The weights are the search's own: level p is weighted by
-    W / (D_{p-1} D_p), W the lcm of those products, so every partial sum
-    and comparison is an integer. The search is depth-first from x_{n-1}
-    down to x_0 (Fincke-Pohst), each level in zig-zag order from its centre
-    (Schnorr-Euchner), starting from the componentwise rounding of
-    -P[0][q] / P[0][0] = -lam[0][q-1] / d[1], whose value _value gives.
-    Zig-zag order visits |H_p| in non-decreasing order, so the first value
-    over the remaining budget ends the level; only a strictly larger value
-    is pruned, so all ties reach a leaf.
+    each division exact, with T = Q_{n+1} and D = d_{n+1}. Q_{k+1} / d_{k+1}
+    is the partial sum of the terms H^2 / (d_k d_{k+1}) of T / D, so a
+    candidate is pruned when Q_{k+1} D > best_T d_{k+1}, that is when the
+    integer Q_{k+1} exceeds floor(best_T d_{k+1} / D). Those limits are
+    recomputed whenever best_T falls and read at every candidate, never
+    kept from a level's entry, since a deeper level may lower best_T
+    meanwhile. The search is depth-first from x_{n-1} down to x_0
+    (Fincke-Pohst), each level in zig-zag order of |H| from floor(p / d_k)
+    (Schnorr-Euchner), so the first candidate over the limit ends its
+    level. best_T starts infinite, and the first dive, Babai's nearest
+    plane, takes it. Only a strictly larger value is pruned, so all ties
+    reach a leaf, where the lexicographically smaller x wins.
     """
-    d, tails, _ = e  # tails[k] = R[k][k+1..n]
-    n = len(d) - 2
-    prods = [a * b for a, b in zip(d, d[1:])]
-    big_w = lcm(*prods)
-    weight = [big_w // q for q in prods]
-    step, w = d[1], tails[0]  # P[0][1..n]
-    best_x = tuple((step - 2 * w[n - 1 - i]) // (2 * step) for i in range(n))
-    t, det = _value(e, best_x)
-    unit = big_w // det  # T W / D = T unit; D divides W
-    best_t = t * unit
+    d, _, u = e
+    n, big_d = len(d) - 2, d[-1]
+    heads = [uk[:-1] for uk in u]  # u_k[0..k-1]
+    y = [-1] * (n + 1)  # -z: y[k] = x_{n-k}, written as level k chooses
+    limits = [float("inf")] * (n + 2)  # limits[k] = floor(best_T d_k / D)
+    best_t, best_x = limits[0], ()
 
-    def descend(k: int, partial: int, chosen: tuple[int, ...], c: list[int]) -> None:
-        # c[i] is the centre of level k + i
+    def descend(k: int, q: int) -> None:
         nonlocal best_t, best_x
-        a, wt, c0 = d[k], weight[k], c[0]
-        j_lo = c0 // a  # z(j) = a j - c0 = -H_k; z(j_lo) <= 0 < z(j_lo + 1)
-        z_lo = a * j_lo - c0
-        j_hi, z_hi = j_lo + 1, z_lo + a
-        if k < n:
-            nxt, row, rest = d[k + 1], tails[k], c[1:]
+        a, base = d[k], d[k + 1] * q
+        j_lo, h_lo = divmod(-sum(map(mul, heads[k], y)), a)  # H at j_lo, in [0, a)
+        j_hi, h_hi = j_lo + 1, h_lo - a
         while True:
-            if -z_lo <= z_hi:
-                j, z = j_lo, z_lo
-                j_lo, z_lo = j_lo - 1, z_lo - a
+            if h_lo <= -h_hi:
+                j, h = j_lo, h_lo
+                j_lo, h_lo = j_lo - 1, h_lo + a
             else:
-                j, z = j_hi, z_hi
-                j_hi, z_hi = j_hi + 1, z_hi + a
-            t = partial + wt * z * z
-            if t > best_t:
+                j, h = j_hi, h_hi
+                j_hi, h_hi = j_hi + 1, h_hi - a
+            q_next = (base + h * h) // a
+            if q_next > limits[k + 1]:
                 return
-            cand = (j,) + chosen
+            y[k] = j
             if k < n:
-                deeper = [(nxt * cq + r * z) // a for cq, r in zip(rest, row)]
-                descend(k + 1, t, cand, deeper)
-            elif t < best_t or cand < best_x:
-                best_t, best_x = t, cand
+                descend(k + 1, q_next)
+            else:
+                x = tuple(y[:0:-1])
+                if q_next < best_t or x < best_x:
+                    best_t, best_x = q_next, x
+                    limits[:] = [best_t * dk // big_d for dk in d]
 
-    descend(1, weight[0], (), [-a for a in w])
-    return best_x, best_t // unit, det
+    descend(1, 1)
+    return best_x, best_t, big_d
 
 
 def embed_cvp(c: CVPGramInstance, precision_bits: int) -> EmbeddedCVPInstance:

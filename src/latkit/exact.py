@@ -3,13 +3,15 @@
 Every function here reads the instance's stored integer form
 (MDSPInstance._primal): the rows (B, v) scaled to integers once and the
 elimination record (d, lambda, u) of the Gram matrix P of
-(v, b_{n-1}, ..., b_0). solve_exact finds the closest vector of the
+(v, b_{n-1}, ..., b_0). Every MDSP value there is det P / T, T the last
+of the integers Q_k of one O(n^2) recurrence over the record's rows u_k
+(lattice._value). shift_dist_sq, and through it projection_length_sq,
+evaluates it at one shift. solve_exact finds the closest vector of the
 instance's Gram-form CVP side by the integer Schnorr-Euchner enumeration
-of enumerate_cvp on P, with no adjugate and no CVP form built; dist^2 and
+of enumerate_cvp, which walks that recurrence level by level and prunes
+on Q_k (cvp._search), with no adjugate and no CVP form built; dist^2 and
 B(x) come from integers, once. Ties go to the lexicographically smallest
-shift, and there is no dimension cap. shift_dist_sq, and through it
-projection_length_sq, is one O(n^2) recurrence over that record's u_k
-(lattice._value).
+shift, and there is no dimension cap.
 
 The certified shift ranges remain a certificate, not the search: any basis
 B(x) whose span is at least as far from v as span(B) must keep every

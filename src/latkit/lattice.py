@@ -192,8 +192,8 @@ def _value(e: _Record, x: Sequence[int]) -> tuple[int, int]:
     Q_{k+1} = (d_{k+1} Q_k + (u_k . z)^2) / d_k from Q_0 = 0, where
     Q_k = z_k^T adj(P_k) z_k for P_k the leading k x k block of P and z_k
     the first k entries of z, so each division is exact: n + 1 dot
-    products and n + 1 divisions, with nothing written. Q_k is the A_k
-    with which ROADMAP item 4 would prune _search without its weights W.
+    products and n + 1 divisions, with nothing written. cvp._search walks
+    the same recurrence and prunes on Q_k.
     """
     d, _, u = e
     z = [1, *(-xi for xi in reversed(x))]

@@ -389,6 +389,32 @@ class TestRecovery:
             assert d * (1 + c.scale_sq * c.objective(x)) == c.scale_sq
             assert recover_mdsp_distance_sq(c, x) == d
 
+    def test_recovery_equals_the_formula_in_fractions(self):
+        # recover_mdsp_distance_sq builds one Fraction from the objective's
+        # integer terms; it must equal scale_sq / (1 + scale_sq objective(j))
+        # taken in Fractions, at the minimizer and away from it
+        rng = random.Random(331)
+        forms = [mdsp_to_cvp(inst) for inst in mixed_instances(331, count=5)]
+        forms += [CVPGramInstance(c.gram, c.offset, c.scale_sq) for c in forms[:4]]
+        while len(forms) < 20:
+            n = rng.randint(1, 4)
+            a = QMatrix([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                         for _ in range(n)])
+            if determinant(a) == 0:
+                continue
+            offset = QVector([F(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)])
+            scale_sq = F(rng.randint(1, 50), rng.randint(1, 9))
+            forms.append(CVPGramInstance(a.transpose() @ a, offset, scale_sq))
+        for c in forms:
+            best = enumerate_cvp(c)
+            js = [best.j, tuple(j + 1 for j in best.j),
+                  tuple(rng.randint(-5, 5) for _ in range(c.n))]
+            assert c.objective(js[1]) > best.objective  # a non-optimal j
+            for j in js:
+                got = recover_mdsp_distance_sq(c, j)
+                assert type(got) is F
+                assert got == c.scale_sq / (1 + c.scale_sq * c.objective(j))
+
 
 class TestEquivalence:
     def test_forward_argmin(self):

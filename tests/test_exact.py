@@ -5,7 +5,12 @@ from math import prod
 
 import pytest
 
-from latkit.cvp import enumerate_cvp, mdsp_to_cvp, recover_mdsp_distance_sq
+from latkit.cvp import (
+    CVPGramInstance,
+    enumerate_cvp,
+    mdsp_to_cvp,
+    recover_mdsp_distance_sq,
+)
 from latkit.errors import DegenerateFixedVector, DependentInput, SingularMatrix
 from latkit.exact import (
     projection_length_sq,
@@ -14,8 +19,13 @@ from latkit.exact import (
     solve_exact,
 )
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift
-from latkit.qlinalg import QVector, dist_sq_to_span, project_onto_span
-from oracles import brute_force_mdsp, naive_dist_sq, random_mdsp_vectors
+from latkit.qlinalg import QMatrix, QVector, determinant, dist_sq_to_span, project_onto_span
+from oracles import (
+    brute_force_mdsp,
+    cvp_exhaustive,
+    naive_dist_sq,
+    random_mdsp_vectors,
+)
 
 
 def make_instance(v, basis):
@@ -340,3 +350,98 @@ class TestSolveExact:
         assert naive_dist_sq(v, shifted) == sol.dist_sq
         # no shift within +-1 of x does better
         assert brute_force_mdsp(v, shifted, 1)[0] == sol.dist_sq
+
+
+class TestTiesThroughThePublicRoutes:
+    """solve_exact and enumerate_cvp against the scans of oracles.py, on
+    instances with entries in +-3, where many maximizers tie.
+
+    The mirror (v, -B) has the negated maximizers of (v, B), since
+    -b_i + y_i v = -(b_i - y_i v); so its lexicographically smallest is
+    minus the largest of (v, B), and the two differ exactly on a tie. The
+    same holds for a form with its offset negated.
+    """
+
+    def test_smallest_maximizer_on_small_entries(self):
+        rng = random.Random(311)
+        checked = ties = scanned = 0
+        while checked < 40:
+            n = 1 + checked % 4
+            v, basis = random_mdsp_vectors(rng, n + 1, bound=3)
+            r = shift_ranges(make_instance(v, basis))
+            window = max(max(map(abs, r.s)), max(map(abs, r.t)))
+            if (2 * window + 1) ** n > 700:
+                continue
+            smallest = []
+            for sign in (1, -1):
+                mirrored = [[sign * e for e in b] for b in basis]
+                inst = make_instance(v, mirrored)
+                best_d, best_x = brute_force_mdsp(v, mirrored, window)
+                sol = solve_exact(inst)
+                assert (sol.x, sol.dist_sq) == (best_x, best_d)
+                c = mdsp_to_cvp(inst)
+                scan = cvp_exhaustive(
+                    [list(row) for row in c.gram.data], list(c.offset.entries), 5000
+                )
+                cvp_sol = enumerate_cvp(c)
+                assert cvp_sol.j == best_x
+                if scan is not None:  # None: certified window over budget
+                    assert (cvp_sol.j, cvp_sol.objective) == (scan[1], scan[0])
+                    scanned += 1
+                smallest.append(best_x)
+            ties += smallest[0] != tuple(-xi for xi in smallest[1])
+            checked += 1
+        assert ties >= 5 and scanned >= 60
+
+    def test_smallest_minimizer_of_hand_built_forms(self):
+        # Gram matrices A^T A with A in +-3 and offsets in halves
+        rng = random.Random(313)
+        checked = ties = 0
+        while checked < 24:
+            n = 1 + checked % 4
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            gram = [[sum(r[i] * r[k] for r in a) for k in range(n)] for i in range(n)]
+            if determinant(QMatrix(gram)) == 0:
+                continue
+            halves = [F(rng.randint(-3, 3), 2) for _ in range(n)]
+            offsets = [halves, [-h for h in halves]]
+            scans = [cvp_exhaustive(gram, offset, 5000) for offset in offsets]
+            if None in scans:  # certified window over budget
+                continue
+            smallest = []
+            for offset, scan in zip(offsets, scans):
+                sol = enumerate_cvp(CVPGramInstance(QMatrix(gram), QVector(offset), F(1)))
+                assert (sol.j, sol.objective) == (scan[1], scan[0])
+                smallest.append(sol.j)
+            ties += smallest[0] != tuple(-ji for ji in smallest[1])
+            checked += 1
+        assert ties >= 12
+
+    @pytest.mark.parametrize("v, basis, want, later", [
+        # the first dive ends at (0, 1, 1), T = 697; below x_2 = 0, x_1 = 0
+        # the leaf (0, 0, 0) lowers the best to T = 450, and its later
+        # sibling (-1, 0, 0), at T = 487, is still under the limit that
+        # level was entered with
+        ((-1, -3, -2, 0), [(0, 1, -3, 0), (1, 1, 0, -3), (3, 2, 0, -3)],
+         (0, 0, 0), [(-1, 0, 0)]),
+        # the first dive ends at (2, 0), T = 9; its later siblings (1, 0) at
+        # T = 11 and (0, 0) at T = 17 are lexicographically smaller
+        ((-1, 3, -3), [(2, 0, 3), (0, 1, -1)], (2, 0), [(1, 0), (0, 0)]),
+        # (-1, 1) and (-1, 2) tie at T = 9; after (-1, 1) takes the best,
+        # (-2, 1) and, below x_1 = 2, (-2, 2) at T = 10 must lose
+        ((0, 1, -1), [(3, 1, -1), (0, -1, 2)], (-1, 1), [(-2, 1), (-2, 2)]),
+    ])
+    def test_prune_reads_the_best_at_every_candidate(self, v, basis, want, later):
+        # A search that reads best_T d_{k+1} once per level prunes these
+        # later leaves against the best at the level's entry, which a leaf
+        # below it has since lowered; they pass and then win the
+        # lexicographic test on a larger T.
+        inst = make_instance(v, basis)
+        sol = solve_exact(inst)
+        assert sol.x == want
+        assert brute_force_mdsp(v, basis, 4) == (sol.dist_sq, want)
+        assert all(x < want and shift_dist_sq(inst, x) < sol.dist_sq for x in later)
+        c = mdsp_to_cvp(inst)
+        assert enumerate_cvp(c).j == want
+        hand_built = CVPGramInstance(c.gram, c.offset, c.scale_sq)
+        assert enumerate_cvp(hand_built).j == want
