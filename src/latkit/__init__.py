@@ -23,7 +23,6 @@ from .errors import (
 )
 from .qlinalg import (
     GramSchmidtResult,
-    LDLDecomposition,
     QMatrix,
     QVector,
     Rational,
@@ -32,7 +31,6 @@ from .qlinalg import (
     gram_schmidt,
     inverse,
     is_unimodular,
-    ldl_decompose,
     project_onto_span,
     rational,
     rel_volume_sq,
@@ -68,9 +66,7 @@ from .heuristic import (
 from .cvp import (
     CVPGramInstance,
     CVPSolution,
-    EmbeddedCVPInstance,
     cvp_to_mdsp,
-    embed_cvp,
     enumerate_cvp,
     mdsp_to_cvp,
     recover_mdsp_distance_sq,
@@ -81,7 +77,6 @@ from .lll import (
     LLLParams,
     ReductionTrace,
     accelerated_reduce,
-    det_identity_check,
     lll_reduce,
     shortest_basis_vector,
 )

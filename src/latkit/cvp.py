@@ -53,9 +53,7 @@ from .qlinalg import (
     adjugate_spd,
     integer_rows,
     inverse,
-    ldl_decompose,
     rational,
-    sqrt_dyadic,
 )
 
 # The record of an eliminated P (lattice._eliminate) with the factor
@@ -151,20 +149,6 @@ def _quad(m: list[list[int]], u: list[int]) -> int:
 class CVPSolution:
     j: tuple[int, ...]
     objective: Fraction
-
-
-@dataclass(frozen=True)
-class EmbeddedCVPInstance:
-    """Fixed-precision embedding with explicit row vectors.
-
-    Rows are dyadic rational approximations of a triangular square root of
-    the Gram form; their pairwise products reproduce the exact Gram matrix
-    within the stated precision.
-    """
-
-    basis_rows: list[QVector]
-    target: QVector
-    precision_bits: int
 
 
 def mdsp_to_cvp(inst: MDSPInstance) -> CVPGramInstance:
@@ -378,25 +362,3 @@ def _search(e: _Record) -> tuple[tuple[int, ...], int, int]:
     descend(1, 1)
     return best_x, best_t, big_d
 
-
-def embed_cvp(c: CVPGramInstance, precision_bits: int) -> EmbeddedCVPInstance:
-    """Fixed-precision row embedding of the Gram form.
-
-    Rows are L * diag(sqrt(d_k)) with dyadic square roots; the row Gram
-    matrix matches the exact one within 2**(8 - precision_bits) relative
-    error. Perfect-square pivots embed exactly.
-    """
-    if precision_bits < 32:
-        raise ValueError("precision_bits must be at least 32")
-    ldl = ldl_decompose(c.gram)  # raises NotSPD
-    n = c.n
-    roots = [sqrt_dyadic(d, precision_bits + 8) for d in ldl.diag]
-    rows = [
-        QVector([ldl.lower.data[i][k] * roots[k] for k in range(n)])
-        for i in range(n)
-    ]
-    target_coords = [
-        -sum((rows[i][k] * c.offset[i] for i in range(n)), Fraction(0))
-        for k in range(n)
-    ]
-    return EmbeddedCVPInstance(rows, QVector(target_coords), precision_bits)

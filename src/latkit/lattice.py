@@ -259,11 +259,14 @@ def _integral_shift(n: int, x: Sequence[int]) -> list[int]:
     """The coordinates of a shift vector as ints.
 
     Raises LengthMismatch unless x has n coordinates, and ValueError if
-    some coordinate is not an integer.
+    some coordinate is not an integer, an infinite float or None included.
     """
     if len(x) != n:
         raise LengthMismatch(f"shift vector has length {len(x)}, expected {n}")
-    xs = [xi if isinstance(xi, int) else rational(xi) for xi in x]
+    try:
+        xs = [xi if isinstance(xi, int) else rational(xi) for xi in x]
+    except (OverflowError, TypeError):
+        raise ValueError(f"shift vector {tuple(x)!r} is not integral") from None
     if any(xi.denominator != 1 for xi in xs):
         raise ValueError(f"shift vector {tuple(map(str, xs))} is not integral")
     return [int(xi) for xi in xs]

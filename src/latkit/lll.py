@@ -20,16 +20,8 @@ from typing import Optional
 
 from .errors import DependentInput
 from .heuristic import _check_count, _sweep_prefixes
-from .lattice import LatticeBasis, MDSPInstance
-from .qlinalg import (
-    QVector,
-    determinant,
-    dist_sq_to_span,
-    integer_rows,
-    rational,
-    rational_vectors,
-    rel_volume_sq,
-)
+from .lattice import LatticeBasis
+from .qlinalg import QVector, integer_rows, rational, rational_vectors
 
 _QUARTER = Fraction(1, 4)
 
@@ -268,11 +260,3 @@ def accelerated_reduce(
     trace.wall_time = time.perf_counter() - t_start
     return current, trace
 
-
-def det_identity_check(inst: MDSPInstance) -> bool:
-    """det([v|B])^2 = relvol^2(B) * dist^2(v, span(B)), checked exactly."""
-    lhs = determinant(inst.full_matrix()) ** 2
-    rhs = rel_volume_sq(inst.rest.vectors) * dist_sq_to_span(
-        inst.fixed, inst.rest.vectors
-    )
-    return lhs == rhs

@@ -19,8 +19,8 @@ Lambda^T, and every reader works off that record: each adjugate row is
 the same back-substitution (_back_substitute, _adjugate_row), and
 z^T adj(G) z = d_n sum_k (u_k . z)^2 / (d_k d_{k+1}) is one recurrence
 over the u_k (lattice._value, and on unit vectors the diagonal,
-_adjugate_diagonal). The record's d and lambda give distances, volumes
-and LDL.
+_adjugate_diagonal). The record's d and lambda give distances and
+volumes.
 The record describes one object, the dual basis of the rows (the rows of
 G^-1 R, R the matrix of the rows): adj(G) is det G times its Gram matrix,
 and u_k . R is d_{k+1} times the last dual vector of rows 0..k, which is
@@ -51,7 +51,6 @@ from .errors import (
     DependentInput,
     LengthMismatch,
     NonSquare,
-    NotSPD,
     SingularMatrix,
 )
 
@@ -278,14 +277,6 @@ class GramSchmidtResult:
     bstar: list[QVector]
     mu: QMatrix
     dk: list[Fraction]
-
-
-@dataclass(frozen=True)
-class LDLDecomposition:
-    """Exact factorization g = lower * diag * lower^T of an SPD matrix."""
-
-    lower: QMatrix
-    diag: list[Fraction]
 
 
 def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
@@ -584,31 +575,6 @@ def is_unimodular(m: QMatrix) -> bool:
     return abs(determinant(m)) == 1
 
 
-def ldl_decompose(g: QMatrix) -> LDLDecomposition:
-    """Exact L D L^T factorization of a symmetric positive definite matrix.
-
-    With a = den g integral and (d, lam, _) its elimination
-    (_eliminate_gram), d_k the leading minors (d_0 = 1):
-    L[i][j] = lam_ij / d_{j+1} and D_k = d_{k+1} / (d_k den). Raises NotSPD
-    if a pivot is <= 0.
-    """
-    if not g.is_square:
-        raise NonSquare("LDL factorization needs a square matrix")
-    n = g.rows
-    if any(g.data[i][j] != g.data[j][i] for i in range(n) for j in range(i)):
-        raise NotSPD("matrix is not symmetric")
-    a, den = integer_rows(g.row_vectors())
-    try:
-        d, lam, _ = _eliminate_gram(a)
-    except DependentInput:
-        d = [0]
-    if d[-1] <= 0:
-        raise NotSPD("matrix is not positive definite")
-    lower = [[Fraction(lam[j][i - j - 1], d[j + 1]) if j < i else _ONE if i == j else _ZERO
-              for j in range(n)] for i in range(n)]
-    return LDLDecomposition(QMatrix(lower), [Fraction(q, p * den) for p, q in zip(d, d[1:])])
-
-
 # -- integer and rational root helpers ------------------------------------
 #
 # These keep irrational quantities (square roots of rationals) out of the
@@ -667,17 +633,3 @@ def ceil_plus_sqrt(r: Fraction, q: Fraction) -> int:
     """Exact ceiling of r + sqrt(q)."""
     return -floor_minus_sqrt(-r, q)
 
-
-def sqrt_dyadic(x: Fraction, rel_bits: int) -> Fraction:
-    """Dyadic lower approximation of sqrt(x), relative error below 2**-rel_bits."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return _ZERO
-    k = rel_bits + 4
-    while True:
-        m = (x.numerator << (2 * k)) // x.denominator
-        s = isqrt(m)
-        if s >> (rel_bits + 2):
-            return Fraction(s, 1 << k)
-        k += rel_bits + 4

@@ -15,12 +15,13 @@ the benchmark's n <= 6, drawn with inputs.uniform_rows from this
 script's own SplitMix64 streams, with their rational copies, through
 solve_exact, the CVP route and enumerate_cvp on an instance rebuilt from
 the public fields. The "core" line adds the exact linear algebra that the
-workloads do not reach (determinant, inverse, gram_schmidt, ldl_decompose,
-project_onto_span, same_lattice, is_unimodular) and the instance
-utilities built on it (cvp_to_mdsp, embed_cvp, certificate_bounds,
-minkowski_bound_sq, det_identity_check), on seeded rational matrices of
-order 1 to 8, a tenth of them singular; a call that raises contributes its
-exception's name. The "ties" line adds inputs with many tied optima,
+workloads do not reach (determinant, inverse, gram_schmidt,
+project_onto_span, same_lattice, is_unimodular), the instance utilities
+built on it (cvp_to_mdsp, certificate_bounds, minkowski_bound_sq), the
+identity det([v|B])^2 = relvol^2(B) dist^2(v, span B) and the public fields
+of mdsp_to_cvp's instance, on seeded rational matrices of order 1 to 8, a
+tenth of them singular; a call that raises contributes its exception's
+name. The "ties" line adds inputs with many tied optima,
 where only the lexicographic tie rule fixes the answer: diagonal CVP forms
 with half-integer offsets, and MDSP instances b_i = a_i e_0 + e_{i+1},
 v = 2 e_0 with every a_i odd (2^n maximizers), among them the n = 7 case
@@ -53,8 +54,8 @@ EXPECTED = {
     "identity": "c0b52095a1f45d9782657c26323638dedb49d0c04e806c745a6bf19f225abbe4",
     "extended": "2751c4740fd23bab30d8966ca1c95ce39be475a39f432a384ad47b39d43f7076",
     "large": "d953ea7722d0ab742f5589b061b0774b85e92d223d8cd5d6713e6ad37e1e4908",
-    "core": "578030b14383b8b925a33123c21ef7f5c329baf693d86b232ae3e619ad7feaed",
-    "ties": "7139b47582cabad008a41474fe81e6d6b1650cd9069f9f9080f570832c1db6d9",
+    "core": "0d63913b845e62c5160f898b1bc6ecc988ff14fa2a855d3bec9e713b6712840f",
+    "ties": "f0595e9fadc858189c54806ec978f7a4c41260067432ea0bdb395b248227c2cf",
 }
 SEEDS = (101, 102)
 # rounds a --seconds 30 latbench run draws per workload
@@ -180,6 +181,13 @@ def unimodular(rng, n):
     return lk.QMatrix(u)
 
 
+def det_identity(inst):
+    """det([v|B])^2 == relvol^2(B) dist^2(v, span B), exact."""
+    lhs = lk.determinant(inst.full_matrix()) ** 2
+    return lhs == lk.rel_volume_sq(inst.rest.vectors) * lk.dist_sq_to_span(
+        inst.fixed, inst.rest.vectors)
+
+
 def core_records(seed):
     rng = inputs.stream(seed, "identity-core")
     for n in CORE_NS:
@@ -189,14 +197,10 @@ def core_records(seed):
             vecs = [lk.QVector(r) for r in rows]
             t = lk.QVector([core_entry(rng) for _ in range(n)])
             gs = call(lk.gram_schmidt, vecs)
-            # the row Gram matrix (SPD iff m is invertible) and m + m^T (indefinite)
-            sym = lk.QMatrix([[x + y for x, y in zip(r, c)] for r, c in zip(m.data, zip(*m.data))])
-            ldls = [call(lk.ldl_decompose, f) for f in (m @ m.transpose(), sym)]
             u = unimodular(rng, n)
             two = lk.QMatrix([[2 * (i == j) for j in range(n)] for i in range(n)])
             yield (lk.determinant(m), call(lk.inverse, m),
                    gs if isinstance(gs, str) else (gs.bstar, gs.mu, gs.dk),
-                   [x if isinstance(x, str) else (x.lower, x.diag) for x in ldls],
                    call(lk.project_onto_span, t, vecs[:-1]),
                    lk.is_unimodular(m), lk.is_unimodular(u),
                    call(lk.same_lattice, m, m @ u), call(lk.same_lattice, m, m @ two))
@@ -205,9 +209,9 @@ def core_records(seed):
                 continue
             inst = instance(rows)
             cvp = call(lk.mdsp_to_cvp, inst)
-            yield (call(lk.certificate_bounds, inst), call(lk.det_identity_check, inst),
+            yield (call(lk.certificate_bounds, inst), call(det_identity, inst),
                    call(lk.minkowski_bound_sq, lk.LatticeBasis(vecs, validate=False)),
-                   cvp if isinstance(cvp, str) else call(lk.embed_cvp, cvp, 64))
+                   cvp if isinstance(cvp, str) else (cvp.gram, cvp.offset, cvp.scale_sq))
 
 
 def tie_instance(a, k):

@@ -21,7 +21,6 @@ from latkit.cvp import (
     _quad,
     _scaled_form,
     cvp_to_mdsp,
-    embed_cvp,
     enumerate_cvp,
     mdsp_to_cvp,
     recover_mdsp_distance_sq,
@@ -580,49 +579,3 @@ class TestLazyInstance:
         with pytest.raises(AssertionError):
             c.gram  # built from the stored record by _adjugate
 
-
-class TestEmbedding:
-    def test_identity_exact(self):
-        c = CVPGramInstance(QMatrix.identity(2), QVector([0, 0]), F(1))
-        emb = embed_cvp(c, 64)
-        assert emb.basis_rows[0] == QVector([1, 0])
-        assert emb.basis_rows[1] == QVector([0, 1])
-
-    def test_perfect_square_exact(self):
-        c = CVPGramInstance(QMatrix([[4]]), QVector([0]), F(1))
-        emb = embed_cvp(c, 64)
-        assert emb.basis_rows[0] == QVector([2])
-
-    def test_sqrt_two_within_tolerance(self):
-        c = CVPGramInstance(QMatrix([[2]]), QVector([0]), F(1))
-        emb = embed_cvp(c, 64)
-        r = emb.basis_rows[0][0]
-        assert abs(r * r - 2) / 2 <= F(1, 2) ** (64 - 8)
-
-    def test_row_gram_reproduces(self):
-        rng = random.Random(137)
-        for bits in (32, 80):
-            for _ in range(8):
-                n = rng.randint(1, 3)
-                while True:
-                    a = QMatrix(
-                        [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-                    )
-                    if determinant(a) != 0:
-                        break
-                gram = a.transpose() @ a
-                c = CVPGramInstance(gram, QVector([0] * n), F(1))
-                emb = embed_cvp(c, bits)
-                tol = F(1, 2) ** (bits - 8)
-                for i in range(n):
-                    for j in range(n):
-                        got = emb.basis_rows[i].dot(emb.basis_rows[j])
-                        want = gram[i, j]
-                        if want == 0:
-                            assert abs(got) <= tol
-                        else:
-                            assert abs(got - want) / abs(want) <= tol
-
-    def test_precision_floor(self):
-        with pytest.raises(ValueError):
-            embed_cvp(E1_CVP, 16)

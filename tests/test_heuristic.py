@@ -23,11 +23,12 @@ from latkit.lattice import (
     apply_shift,
     verify_dmdsp_certificate,
 )
-from latkit.lll import ReductionTrace, _lll_rows, det_identity_check
+from latkit.lll import ReductionTrace, _lll_rows
 from latkit.exact import solve_exact
 from latkit.qlinalg import (
     QMatrix,
     QVector,
+    determinant,
     dist_sq_to_span,
     integer_rows,
     rel_volume_sq,
@@ -302,7 +303,10 @@ class TestRunHeuristic:
         rng = random.Random(101)
         for _ in range(15):
             inst = make_instance(*random_mdsp_vectors(rng, rng.randint(2, 4)))
-            assert det_identity_check(inst)
+            # det([v|B])^2 = relvol^2(B) dist^2(v, span B)
+            assert determinant(inst.full_matrix()) ** 2 == rel_volume_sq(
+                inst.rest.vectors
+            ) * dist_sq_to_span(inst.fixed, inst.rest.vectors)
             current = inst
             for _ in range(3):  # a few manual passes
                 vol_before = rel_volume_sq(current.rest.vectors)

@@ -144,6 +144,18 @@ class TestCertificates:
         assert not verify_dmdsp_certificate(q, (F(-3, 2),))
         assert verify_dmdsp_certificate(q, (-1,))
 
+    def test_infinite_or_missing_coordinate_is_not_integral(self):
+        # rational() raises OverflowError on +-inf and TypeError on None;
+        # all three callers see the ValueError of any non-integral x
+        q = DMDSPQuery(E1, F(1, 2))
+        c = mdsp_to_cvp(E1)
+        for bad in (float("inf"), float("-inf"), None):
+            assert not verify_dmdsp_certificate(q, (bad,))
+            with pytest.raises(ValueError):
+                shift_dist_sq(E1, (bad,))
+            with pytest.raises(ValueError):
+                c.objective((bad,))
+
     def test_wrong_length_certificate_raises(self):
         q = DMDSPQuery(E1, F(1, 2))
         with pytest.raises(LengthMismatch):
@@ -322,9 +334,9 @@ class TestMinkowski:
 class TestDetIdentity:
     def test_random_instances(self):
         rng = random.Random(41)
-        for _ in range(40):
-            ambient = rng.randint(2, 5)
-            inst = random_instance(rng, ambient)
+        worked = [MDSPInstance.from_vectors([0, 2], [[1, 1]]),
+                  MDSPInstance.from_vectors([0, 1], [[1, 0]])]
+        for inst in worked + [random_instance(rng, rng.randint(2, 5)) for _ in range(40)]:
             lhs = determinant(inst.full_matrix()) ** 2
             rhs = rel_volume_sq(inst.rest.vectors) * dist_sq_to_span(
                 inst.fixed, inst.rest.vectors

@@ -13,7 +13,6 @@ from latkit.lll import (
     ReductionTrace,
     _lll_rows,
     accelerated_reduce,
-    det_identity_check,
     lll_reduce,
     shortest_basis_vector,
 )
@@ -410,21 +409,3 @@ class TestAcceleratedEquivalence:
         for _ in range(3):
             self.check(random_basis(rng, rng.randint(5, 9), bound=30), max_rounds=1)
 
-
-class TestDetIdentity:
-    def test_worked(self):
-        inst = MDSPInstance.from_vectors([0, 2], [[1, 1]])
-        assert det_identity_check(inst)
-
-    def test_orthogonal(self):
-        inst = MDSPInstance.from_vectors([0, 1], [[1, 0]])
-        assert det_identity_check(inst)
-
-    def test_random(self):
-        from oracles import random_mdsp_vectors
-
-        rng = random.Random(167)
-        for _ in range(20):
-            v, basis = random_mdsp_vectors(rng, rng.randint(2, 5))
-            inst = MDSPInstance.from_vectors(v, basis)
-            assert det_identity_check(inst)

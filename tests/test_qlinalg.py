@@ -13,7 +13,6 @@ from latkit.errors import (
     DependentInput,
     LengthMismatch,
     NonSquare,
-    NotSPD,
     SingularMatrix,
 )
 from latkit.cvp import mdsp_to_cvp
@@ -47,12 +46,10 @@ from latkit.qlinalg import (
     iroot_ceil,
     iroot_floor,
     is_unimodular,
-    ldl_decompose,
     project_onto_span,
     rational,
     rational_vectors,
     rel_volume_sq,
-    sqrt_dyadic,
 )
 from oracles import (
     dual_basis,
@@ -694,8 +691,6 @@ class TestEliminationKernel:
             rel_volume_sq([QVector(r) for r in rows])
         with pytest.raises(DegenerateResidual):
             adjugate_spd(g)
-        with pytest.raises(NotSPD):
-            ldl_decompose(QMatrix(g))
         with pytest.raises(SingularMatrix):
             inverse(QMatrix(rows))
         inst = MDSPInstance.from_vectors(rows[2], rows[:2], validate=False)
@@ -707,8 +702,6 @@ class TestEliminationKernel:
         d = _eliminate_gram(_gram(rows))[0]
         assert d[-1] == 0 and min(d[:-1]) > 0
         assert dist_sq_to_span(QVector(rows[2]), [QVector(r) for r in rows[:2]]) == 0
-        with pytest.raises(NotSPD):
-            ldl_decompose(QMatrix(_gram(rows)))
         inst = MDSPInstance.from_vectors(rows[2], rows[:2], validate=False)
         for route in (mdsp_to_cvp, solve_exact):
             with pytest.raises(SingularMatrix):
@@ -804,46 +797,6 @@ class TestRecordOracle:
             assert [_last_row(d, lam, k) for k in range(n)] == record[2]
 
 
-class TestLDL:
-    def test_identity(self):
-        res = ldl_decompose(QMatrix.identity(3))
-        assert res.lower == QMatrix.identity(3)
-        assert res.diag == [F(1)] * 3
-
-    def test_worked_example(self):
-        res = ldl_decompose(QMatrix([[2, 1], [1, 1]]))
-        assert res.lower == QMatrix([[1, 0], [F(1, 2), 1]])
-        assert res.diag == [F(2), F(1, 2)]
-
-    def test_not_spd(self):
-        with pytest.raises(NotSPD):
-            ldl_decompose(QMatrix([[1, 2], [2, 1]]))
-        with pytest.raises(NotSPD):
-            ldl_decompose(QMatrix([[1, 2], [3, 4]]))  # not symmetric
-        # zero first pivot, negative 1 x 1 form, zero last pivot
-        for rows in ([[0, 1], [1, 0]], [[-1]], [[1, 1], [1, 1]]):
-            with pytest.raises(NotSPD):
-                ldl_decompose(QMatrix(rows))
-
-    def test_reconstruction_exact(self):
-        rng = random.Random(19)
-        for _ in range(20):
-            n = rng.randint(1, 5)
-            while True:
-                a = QMatrix(
-                    [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-                )
-                if determinant(a) != 0:
-                    break
-            g = a.transpose() @ a
-            res = ldl_decompose(g)
-            d = QMatrix(
-                [[res.diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            )
-            assert res.lower @ d @ res.lower.transpose() == g
-            assert all(x > 0 for x in res.diag)
-
-
 class TestRootHelpers:
     def test_iroot(self):
         assert iroot_floor(0, 3) == 0
@@ -869,12 +822,6 @@ class TestRootHelpers:
             assert not ((r - m - 1) >= 0 and q <= (r - m - 1) ** 2)
             assert ceil_plus_sqrt(r, q) == -floor_minus_sqrt(-r, q)
 
-    def test_sqrt_dyadic(self):
-        assert sqrt_dyadic(F(4), 64) == 2
-        assert sqrt_dyadic(F(9, 4), 64) == F(3, 2)
-        s = sqrt_dyadic(F(2), 64)
-        assert abs(s * s - 2) / 2 < F(1, 2**60)
-
 
 def test_results_stay_canonical():
     # every produced rational is reduced with a positive denominator
@@ -888,9 +835,6 @@ def test_results_stay_canonical():
         produced += [res.mu[i, j] for i in range(3) for j in range(3)]
         produced += res.dk
         produced.append(rel_volume_sq(vecs))
-        g = QMatrix([[a.dot(b) for b in vecs] for a in vecs])
-        ldl = ldl_decompose(g)
-        produced += [e for row in ldl.lower.data for e in row] + ldl.diag
         for f in produced:
             assert f.denominator > 0
             assert gcd(abs(f.numerator), f.denominator) == 1

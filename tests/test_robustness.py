@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from latkit.cli import main
-from latkit.cvp import embed_cvp, mdsp_to_cvp, recover_mdsp_distance_sq, enumerate_cvp
+from latkit.cvp import mdsp_to_cvp, recover_mdsp_distance_sq, enumerate_cvp
 from latkit.errors import DegenerateResidual
 from latkit.exact import solve_exact, shift_ranges
 from latkit.heuristic import improve_coordinate, improve_pass, run_heuristic
@@ -137,16 +137,6 @@ class TestAccelFixedPoint:
         assert not trace.reached_target
         # the basis is a fixed point; the loop notices after two rounds
         assert trace.rounds_used == 2
-
-
-class TestEmbeddedTarget:
-    def test_worked_target(self):
-        from latkit.cvp import CVPGramInstance
-
-        c = CVPGramInstance(QMatrix([[1]]), QVector([F(1, 2)]), F(4))
-        emb = embed_cvp(c, 64)
-        assert emb.basis_rows[0] == QVector([1])
-        assert emb.target == QVector([F(-1, 2)])
 
 
 class TestCLIGaps:
