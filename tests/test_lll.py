@@ -21,9 +21,11 @@ from latkit.qlinalg import (
     QVector,
     _eliminate_gram,
     determinant,
+    dist_sq_to_span,
     gram_schmidt,
     integer_gram,
     integer_rows,
+    rel_volume_sq,
 )
 from oracles import textbook_lll
 
@@ -409,3 +411,30 @@ class TestAcceleratedEquivalence:
         for _ in range(3):
             self.check(random_basis(rng, rng.randint(5, 9), bound=30), max_rounds=1)
 
+
+def det_identity_holds(inst):
+    """det([v|B])^2 = relvol^2(B) * dist^2(v, span(B)), checked exactly."""
+    lhs = determinant(inst.full_matrix()) ** 2
+    rhs = rel_volume_sq(inst.rest.vectors) * dist_sq_to_span(
+        inst.fixed, inst.rest.vectors
+    )
+    return lhs == rhs
+
+
+class TestDetIdentity:
+    def test_worked(self):
+        inst = MDSPInstance.from_vectors([0, 2], [[1, 1]])
+        assert det_identity_holds(inst)
+
+    def test_orthogonal(self):
+        inst = MDSPInstance.from_vectors([0, 1], [[1, 0]])
+        assert det_identity_holds(inst)
+
+    def test_random(self):
+        from oracles import random_mdsp_vectors
+
+        rng = random.Random(167)
+        for _ in range(20):
+            v, basis = random_mdsp_vectors(rng, rng.randint(2, 5))
+            inst = MDSPInstance.from_vectors(v, basis)
+            assert det_identity_holds(inst)
