@@ -31,7 +31,6 @@ from .qlinalg import (
     gram_schmidt,
     inverse,
     is_unimodular,
-    project_onto_span,
     rational,
     rel_volume_sq,
 )

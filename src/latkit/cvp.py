@@ -19,8 +19,9 @@ pruning on Q_k (_search). The forward map keeps that record, from the
 MDSP instance's stored form (MDSPInstance._primal), on the instance it
 returns. gram and offset are built from it, off adj(P) by
 back-substitution, only when a caller first reads them. A hand-built
-form is scaled to integers once and bordered into such a P, from
-step adj(M).
+form is scaled to integers and bordered into such a P, from step adj(M),
+on its first enumeration or recovery, and keeps that record the same way
+(_primal_of), so every enumeration and recovery reads one stored record.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import (
 from .lattice import (
     LatticeBasis,
     MDSPInstance,
-    _eliminate,
     _integral_shift,
     _value,
 )
@@ -49,6 +49,7 @@ from .qlinalg import (
     QMatrix,
     QVector,
     _adjugate,
+    _eliminate_gram,
     _Record,
     adjugate_spd,
     integer_rows,
@@ -56,7 +57,7 @@ from .qlinalg import (
     rational,
 )
 
-# The record of an eliminated P (lattice._eliminate) with the factor
+# The record of an eliminated P (_eliminate_gram) with the factor
 # f = f_num / f_den that scales its objective to the form's (_primal_of).
 _Primal = tuple[_Record, int, int]
 
@@ -67,8 +68,9 @@ class CVPGramInstance:
 
     An instance returned by mdsp_to_cvp carries its primal elimination
     record, which is not a field, and builds gram and offset on first
-    access; equality, hashing, repr, copies and pickles see the same
-    fields as on an instance built from them. A hand-built form raises
+    access; a hand-built form stores its bordered record on its first
+    enumeration or recovery (_primal_of). Equality, hashing, repr, copies
+    and pickles see only the fields, with or without a record. It raises
     NonSquare unless gram is square, LengthMismatch unless offset has its
     order, and ValueError unless scale_sq, which is |v|^2 and is coerced
     with rational(), is positive.
@@ -107,24 +109,19 @@ class CVPGramInstance:
     def objective(self, j: Sequence[int]) -> Fraction:
         """(j + offset)^T gram (j + offset), exact.
 
-        Evaluated in integers (_objective_terms): on mdsp_to_cvp's
-        instance by _value on the stored P, otherwise on the form of
-        _scaled_form as u^T M u / (den step^2) with u = step j + w. Raises
-        LengthMismatch unless j has n coordinates and ValueError unless
-        they are integers.
+        Evaluated in integers: by _value on the stored record when the
+        instance holds one (_primal_of), otherwise on the form of
+        _scaled_form as u^T M u / (den step^2) with u = step j + w, which
+        takes any square form, definite or not. Raises LengthMismatch
+        unless j has n coordinates and ValueError unless they are
+        integers.
         """
-        return Fraction(*_objective_terms(self, j))
-
-
-def _objective_terms(c: CVPGramInstance, j: Sequence[int]) -> tuple[int, int]:
-    """(num, den), integers with c.objective(j) = num / den and den > 0."""
-    x = _integral_shift(c.n, j)
-    primal = c.__dict__.get("_primal")
-    if primal is not None:
-        return _terms(primal, *_value(primal[0], x))
-    m, w, step, den = _scaled_form(c)
-    u = [step * ji + wk for ji, wk in zip(x, w)]
-    return _quad(m, u), den * step * step
+        x = _integral_shift(self.n, j)
+        primal = self.__dict__.get("_primal")
+        if primal is not None:
+            return Fraction(*_terms(primal, *_value(primal[0], x)))
+        m, w, step, den = _scaled_form(self)
+        return Fraction(_quad(m, [step * ji + wk for ji, wk in zip(x, w)]), den * step * step)
 
 
 # A hand-built CVP form in integers, (M, w, step, den): gram = M / den and
@@ -215,10 +212,12 @@ def recover_mdsp_distance_sq(c: CVPGramInstance, j: Sequence[int]) -> Fraction:
     On an instance produced by mdsp_to_cvp this equals the squared distance
     of v from span(B(j)) exactly. The scale correction accounts for the
     fixed vector not being unit length. With scale_sq = a / b and
-    objective(j) = num / den (_objective_terms), it is built as the one
-    Fraction a den / (b den + a num).
+    objective(j) = num / den, read off the record of _primal_of by _value
+    and _terms, it is built as the one Fraction a den / (b den + a num).
+    Raises NotSPD unless the form is symmetric positive definite.
     """
-    num, den = _objective_terms(c, j)
+    primal = _primal_of(c)
+    num, den = _terms(primal, *_value(primal[0], _integral_shift(c.n, j)))
     a, b = c.scale_sq.numerator, c.scale_sq.denominator
     return Fraction(a * den, b * den + a * num)
 
@@ -254,22 +253,24 @@ def _terms(primal: _Primal, t: int, det: int) -> tuple[int, int]:
 
 
 def _primal_of(c: CVPGramInstance) -> _Primal:
-    """(e, f_num, f_den): the primal Gram matrix P of c, in the order
-    (v, b_{n-1}, ..., b_0), as _eliminate returns it, and the factor
-    f = f_num / f_den that scales its objective to c's. mdsp_to_cvp stored
-    e, with f = s^2; any other form is bordered (_bordered), reversed and
-    eliminated here."""
+    """(e, f_num, f_den): the record e of the elimination (_eliminate_gram)
+    of the primal Gram matrix P of c, in the order (v, b_{n-1}, ..., b_0),
+    and the factor f = f_num / f_den that scales its objective to c's.
+    mdsp_to_cvp stored it, with f = s^2; any other form is bordered on the
+    first call (_bordered) and the result stored the same way, so a form
+    is bordered once."""
     primal = c.__dict__.get("_primal")
-    if primal is not None:
-        return primal
-    g, f_num, f_den = _bordered(c)
-    return _eliminate([row[::-1] for row in reversed(g)]), f_num, f_den
+    if primal is None:
+        primal = _bordered(c)
+        object.__setattr__(c, "_primal", primal)
+    return primal
 
 
-def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
-    """(G, f_num, f_den): an integer Gram matrix G of some (B, v) whose CVP
-    side is a positive multiple of the hand-built form c, and the factor
-    f = f_num / f_den that scales its objective to c's.
+def _bordered(c: CVPGramInstance) -> _Primal:
+    """(e, f_num, f_den): the record e of the elimination of P, an integer
+    Gram matrix of some (v, b_{n-1}, ..., b_0) whose CVP side is a positive
+    multiple of the hand-built form c, and the factor f = f_num / f_den
+    that scales its objective to c's.
 
     The form (M, w, step, den) of _scaled_form, with M positive definite,
     borders step adj(M) as
@@ -279,10 +280,11 @@ def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
     with adj(M) divided by the gcd k of its entries, which strips the
     powers of det(G) that a form read off an adjugate carries. Its Schur
     complement of step^2 is step adj(M) / k = (step det(M) / k) M^-1 and
-    its offset is w / step, so f = det(M) step / (den k). This bordering
-    is the price of one enumerator for both kinds of instance. Raises
-    NotSPD unless M is symmetric positive definite: adjugate_spd checks
-    every leading minor but the last, det(M), which it returns.
+    its offset is w / step, so f = det(M) step / (den k), and P is G
+    reversed. This bordering is the price of one enumerator for both kinds
+    of instance. Raises NotSPD unless M is symmetric positive definite:
+    adjugate_spd checks every leading minor but the last, det(M), which it
+    returns. Then G is positive definite, so P's elimination cannot fail.
     """
     m, w, step, den = _scaled_form(c)
     n = c.n
@@ -298,14 +300,14 @@ def _bordered(c: CVPGramInstance) -> tuple[list[list[int]], int, int]:
     g = [[step * (a // content) + wi * wj for a, wj in zip(row, w)] + [step * wi]
          for row, wi in zip(adj, w)]
     g.append([step * wj for wj in w] + [step * step])
-    return g, det * step, den * content
+    return _eliminate_gram([row[::-1] for row in reversed(g)]), det * step, den * content
 
 
 def _search(e: _Record) -> tuple[tuple[int, ...], int, int]:
     """(x, T, D): the lexicographically smallest integer x minimizing
     z^T P^-1 z = T / D, z = (1, -x_{n-1}, ..., -x_0), for P the positive
-    definite Gram matrix of (v, b_{n-1}, ..., b_0), as _eliminate returns
-    it; (T, D) is _value at x.
+    definite Gram matrix of (v, b_{n-1}, ..., b_0) and e the record of its
+    elimination (_primal_of); (T, D) is _value at x.
 
     det Gram(B(x)) = det P z^T P^-1 z with B(x) = (b_i + x_i v), so x
     maximizes the distance of v from span(B(x)), d^2 = D / T on P's scale.

@@ -8,7 +8,7 @@ and a decision certificate is exactly such an integer tuple.
 An instance carries its integer form, built on first use (or by
 validation) and kept for its lifetime: the rows (B, v) scaled to integers
 once, and the record (d, lambda, u) of one fraction-free elimination of
-their Gram matrix P in the order (v, b_{n-1}, ..., b_0) (_eliminate).
+their Gram matrix P in the order (v, b_{n-1}, ..., b_0) (_primal).
 Every MDSP computation reads it: the distance of v from span B(x) at any
 x is det P / z^T adj(P) z for z = (1, -x), and z^T adj(P) z is one
 O(n^2) recurrence over the u_k (_value), which the certificate verifier
@@ -41,6 +41,7 @@ from .qlinalg import (  # noqa: F401
     _Record,
     determinant,
     dist_sq_to_span,
+    gram_schmidt,
     integer_gram,
     integer_rows,
     inverse,
@@ -55,7 +56,7 @@ ShiftVector = tuple[int, ...]
 
 # An instance's integer form, as MDSPInstance._primal returns it: the rows
 # (B, v) scaled to integers by s, s, and the record (d, lam, u) of the
-# elimination of their Gram matrix P (_eliminate): d[k] = D_{k-1} the
+# elimination of their Gram matrix P (_eliminate_gram): d[k] = D_{k-1} the
 # leading minors of P (D_-1 = 1), lam[k] = R[k][k+1..n] the Bareiss rows,
 # which are lambda's columns, and u[k] the last row of the adjugate of P's
 # leading (k+1) x (k+1) block. P itself is not kept: P[0][0] = d[1] and
@@ -155,14 +156,20 @@ class MDSPInstance(_Frozen):
 
     def _primal(self) -> _IntegerForm:
         """(rows, s, (d, lam, u)): the rows (B, v) scaled to integers by s, and
-        the elimination of the Gram matrix P of (v, b_{n-1}, ..., b_0) as
-        _eliminate returns it. Built on the first call and kept, so an
-        instance is scaled and eliminated once. A dependent [B; v] raises
-        SingularMatrix on every call."""
+        the record of the fraction-free elimination (_eliminate_gram) of the
+        Gram matrix P of (v, b_{n-1}, ..., b_0), which is only read. Built
+        on the first call and kept, so an instance is scaled and eliminated
+        once. A dependent [B; v] raises SingularMatrix on every call."""
         form = self._form
         if form is None:
             rows, scale = integer_rows([*self.rest.vectors, self.fixed])
-            form = (rows, scale, _eliminate(integer_gram(rows[::-1])))
+            try:
+                e = _eliminate_gram(integer_gram(rows[::-1]))
+                if e[0][-1] == 0:  # det P, which _eliminate_gram leaves unchecked
+                    raise DependentInput
+            except DependentInput:
+                raise SingularMatrix("the fixed vector and the basis are dependent") from None
+            form = (rows, scale, e)
             object.__setattr__(self, "_form", form)
         return form
 
@@ -170,23 +177,11 @@ class MDSPInstance(_Frozen):
         return f"MDSPInstance(fixed={self.fixed!r}, rest={self.rest!r})"
 
 
-def _eliminate(p: list[list[int]]) -> _Record:
-    """The fraction-free elimination (_eliminate_gram) of P, the integer
-    Gram matrix of (v, b_{n-1}, ..., b_0), which is only read. A dependent
-    family raises SingularMatrix."""
-    try:
-        e = _eliminate_gram(p)
-    except DependentInput:
-        raise SingularMatrix("the fixed vector and the basis are dependent") from None
-    if e[0][-1] == 0:
-        raise SingularMatrix("the fixed vector and the basis are dependent")
-    return e
-
-
 def _value(e: _Record, x: Sequence[int]) -> tuple[int, int]:
-    """(T, D) = (z^T adj(P) z, det P) at z = (1, -x_{n-1}, ..., -x_0), for P
-    as _eliminate returns it, in O(n^2): T = det Gram(B(x)) on P's scale for
-    B(x) = (b_i + x_i v), so dist^2(v, span B(x)) = D / T and |v|^2 = d[1].
+    """(T, D) = (z^T adj(P) z, det P) at z = (1, -x_{n-1}, ..., -x_0), for e
+    the record of P as MDSPInstance._primal returns it, in O(n^2):
+    T = det Gram(B(x)) on P's scale for B(x) = (b_i + x_i v), so
+    dist^2(v, span B(x)) = D / T and |v|^2 = d[1].
 
     T = D sum_k (u_k . z)^2 / (d_k d_{k+1}) is the last of the integers
     Q_{k+1} = (d_{k+1} Q_k + (u_k . z)^2) / d_k from Q_0 = 0, where
@@ -338,19 +333,14 @@ def _bit_size(f: Fraction) -> int:
 def certificate_bounds(inst: MDSPInstance) -> CertificateBounds:
     """Exact certificate size quantities for an instance.
 
-    dk[k] = d_{k+1} / s^(2k+2) for the pivots d of the elimination of the
-    Gram matrix of B scaled to integers by s; no Gram-Schmidt vector is
-    built. A dependent B raises DependentInput, as gram_schmidt does.
+    dk is gram_schmidt's, the squared relative volumes of B's prefixes. A
+    dependent B raises gram_schmidt's DependentInput.
     """
     v = inst.fixed
     k0 = 1
     for e in v.entries:
         k0 *= e.denominator
-    rows, scale = integer_rows(inst.rest.vectors)
-    pivots = _eliminate_gram(integer_gram(rows))[0]
-    if pivots[-1] == 0:
-        raise DependentInput(f"vector {len(rows) - 1} is in the span of its predecessors")
-    dk = [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(pivots[1:])]
+    dk = gram_schmidt(inst.rest.vectors).dk
     big_d = Fraction(1)
     for d in dk:
         big_d *= d

@@ -24,16 +24,16 @@ volumes.
 The record describes one object, the dual basis of the rows (the rows of
 G^-1 R, R the matrix of the rows): adj(G) is det G times its Gram matrix,
 and u_k . R is d_{k+1} times the last dual vector of rows 0..k, which is
-b*_k / |b*_k|^2, so Gram-Schmidt and projections read it too
-(gram_schmidt, project_onto_span). The adjugate's lower triangle
-(_adjugate_lower) is the heuristic sweep's state and, mirrored
-(_adjugate), gives inverses and the MDSP-to-CVP map; on an instance the
-heuristic builds only the rows it reads. lll._lll_rows keeps its own
-incremental row step, a row when it first reaches it: its rows move
-under swaps and size reductions, and keeping u current there would cost
-O(n^2) per move, O(n^4) where a round makes O(n^2) of them. Its final
-(d, lambda) is the record's, so the heuristic sweep after it builds its
-lower triangle from that data without eliminating again.
+b*_k / |b*_k|^2, so Gram-Schmidt reads it too (gram_schmidt). The
+adjugate's lower triangle (_adjugate_lower) is the heuristic sweep's
+state and, mirrored (_adjugate), gives inverses and the MDSP-to-CVP map;
+on an instance the heuristic builds only the rows it reads.
+lll._lll_rows keeps its own incremental row step, a row when it first
+reaches it: its rows move under swaps and size reductions, and keeping u
+current there would cost O(n^2) per move, O(n^4) where a round makes
+O(n^2) of them. Its final (d, lambda) is the record's, so the heuristic
+sweep after it builds its lower triangle from that data without
+eliminating again.
 Only determinant eliminates apart: it pivots rows, since a Gram matrix
 loses the sign. No floating point enters any correctness-bearing path.
 """
@@ -303,21 +303,6 @@ def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
              for k, (dk, uk) in enumerate(zip(d, u))]
     dk = [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(d[1:])]
     return GramSchmidtResult(bstar, QMatrix(mu), dk)
-
-
-def project_onto_span(v: QVector, basis: Sequence[QVector]) -> QVector:
-    """Orthogonal projection of v onto span(basis); empty span maps to 0.
-
-    Eliminating the scaled rows r of (basis, v) as gram_schmidt does,
-    v - proj is b*_n, so with u_n[n] = d_n, d_n s proj = -sum_{j<n} u_n[j] r_j.
-    """
-    if not basis:
-        return QVector.zero(v.dim)
-    g, rows, scale = _scaled_gram([*basis, v])
-    d, _, u = _eliminate_gram(g)
-    n = len(basis)
-    un = u[n]
-    return QVector(Fraction(-sum(map(mul, un, col)), d[n] * scale) for col in zip(*rows[:n]))
 
 
 def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:

@@ -348,7 +348,7 @@ def test_criterion_7_acceleration_methodology():
 
 
 def test_criterion_8_certificate_verifier(solved_corpus):
-    tested_larger = 0
+    tested_larger = coordinates = 0
     for inst, _, sol in solved_corpus:
         v_sq = inst.fixed.norm_sq()
         gamma_sq = sol.dist_sq / v_sq
@@ -368,9 +368,15 @@ def test_criterion_8_certificate_verifier(solved_corpus):
         n, l = inst.n, cb.input_bit_size_l
         assert cb.bigD <= F(2) ** (2 * n * l)
         assert cb.bigE <= F(2) ** (2 * (2 * n + 1) * l)
+        # the paper's bound on each coordinate of a certificate, x_i^2 <= bound_i,
+        # for the exact optimum and for the heuristic's certificate
+        for x in (sol.x, run_heuristic(inst).x_total):
+            assert all(xi * xi <= b for xi, b in zip(x, cb.per_coordinate_bound, strict=True))
+            coordinates += len(x)
     _report(
         8,
         f"verifier accepted all {len(solved_corpus)} optimal certificates at "
         f"their exact thresholds and rejected {tested_larger} strictly "
-        f"larger ones; size bounds log2 D <= 2nl and log2 E <= 2(2n+1)l hold",
+        f"larger ones; size bounds log2 D <= 2nl and log2 E <= 2(2n+1)l hold, "
+        f"and x_i^2 <= per_coordinate_bound[i] on all {coordinates} coordinates",
     )

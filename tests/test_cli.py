@@ -267,10 +267,12 @@ class TestCLI:
             (["cvp-brute"], '{"gram": [[1]], "offset": ["1/2"], "scale_sq": "-3"}'),
             (["cvp-brute"], '{"gram": [[1]], "offset": ["1/2"], "scale_sq": "-4"}'),
             (["cvp-brute"], '{"gram": [[1]], "offset": ["1/2"], "scale_sq": "0"}'),
+            (["cvp-brute"], '{"gram": [[1, 2], [2, 1]], "offset": [0, 0], "scale_sq": 1}'),
         ],
         ids=["gamma-sq", "delta", "max-passes", "max-rounds", "bench-dims",
              "gen-dims", "cvp-json", "cvp-zero-denominator", "cvp-offset-length",
-             "cvp-scale-minus-3", "cvp-scale-minus-4", "cvp-scale-zero"],
+             "cvp-scale-minus-3", "cvp-scale-minus-4", "cvp-scale-zero",
+             "cvp-not-definite"],
     )
     def test_input_error_exits_2(self, tmp_path, capsys, argv, text):
         # out-of-range parameters and malformed files are input errors

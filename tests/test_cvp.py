@@ -579,3 +579,77 @@ class TestLazyInstance:
         with pytest.raises(AssertionError):
             c.gram  # built from the stored record by _adjugate
 
+
+
+def hand_built_forms(seed, count=8):
+    """Positive definite rational forms A^T A with rational offsets and
+    scale_sq, of order 1 to 4, built from their fields."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        n = rng.randint(1, 4)
+        a = QMatrix([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                     for _ in range(n)])
+        if determinant(a) == 0:
+            continue
+        offset = QVector([F(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)])
+        forms.append(CVPGramInstance(a.transpose() @ a, offset,
+                                     F(rng.randint(1, 50), rng.randint(1, 9))))
+    return forms
+
+
+class TestHandBuiltRecord:
+    """A hand-built form stores its bordered record on its first
+    enumeration or recovery; every later enumeration and recovery reads
+    it, and nothing a caller sees of the instance changes."""
+
+    def test_recovery_rejects_forms_that_are_not_definite(self):
+        # unchecked, the first recovered a "distance^2" of -1 and the
+        # second divided by zero; enumerate_cvp rejects both as well
+        for gram, j in (([[1, 2], [2, 1]], (1, -1)), ([[-1]], (1,))):
+            c = CVPGramInstance(QMatrix(gram), QVector([0] * len(j)), F(1))
+            for _ in range(2):
+                with pytest.raises(NotSPD):
+                    recover_mdsp_distance_sq(c, j)
+                with pytest.raises(NotSPD):
+                    enumerate_cvp(c)
+            assert "_primal" not in vars(c)
+            assert c.objective(j) == sum(
+                j[a] * gram[a][b] * j[b] for a in range(len(j)) for b in range(len(j)))
+
+    def test_value_semantics_unchanged_by_the_record(self):
+        rng = random.Random(241)
+        for c in hand_built_forms(241):
+            js = [tuple(rng.randint(-4, 4) for _ in range(c.n)) for _ in range(4)]
+
+            def seen():
+                twin = pickle.loads(pickle.dumps(c))
+                return (c == CVPGramInstance(c.gram, c.offset, c.scale_sq), hash(c), repr(c),
+                        copy.copy(c), twin, repr(twin), dataclasses.replace(c),
+                        [c.objective(j) for j in js], c.n)
+
+            before = seen()
+            assert "_primal" not in vars(c)
+            sol = enumerate_cvp(c)
+            assert "_primal" in vars(c)
+            after = seen()
+            assert after == before and before[0]
+            assert [type(v) for v in after[7]] == [F] * len(js)
+            assert sol.objective == c.objective(sol.j)
+
+    def test_enumeration_then_recovery_borders_once(self, monkeypatch):
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return bordered(c)
+
+        bordered = cvp._bordered
+        monkeypatch.setattr(cvp, "_bordered", counting)
+        for c in hand_built_forms(251):
+            calls.clear()
+            sol = enumerate_cvp(c)
+            got = recover_mdsp_distance_sq(c, sol.j)
+            assert got == c.scale_sq / (1 + c.scale_sq * sol.objective)
+            assert enumerate_cvp(c) == sol
+            assert len(calls) == 1

@@ -19,12 +19,13 @@ from latkit.exact import (
     solve_exact,
 )
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift
-from latkit.qlinalg import QMatrix, QVector, determinant, dist_sq_to_span, project_onto_span
+from latkit.qlinalg import QMatrix, QVector, determinant, dist_sq_to_span
 from oracles import (
     brute_force_mdsp,
     cvp_exhaustive,
     naive_dist_sq,
     random_mdsp_vectors,
+    vdot,
 )
 
 
@@ -63,7 +64,7 @@ class TestProjectionLength:
                 v = [a * b for a, b in zip(v, d)]
                 basis = [[a * b for a, b in zip(w, d)] for w in basis]
             inst = make_instance(v, basis)
-            want = project_onto_span(inst.fixed, inst.rest.vectors).norm_sq()
+            want = vdot(v, v) - naive_dist_sq(v, basis)
             assert projection_length_sq(inst) == want
 
 

@@ -46,7 +46,6 @@ from latkit.qlinalg import (
     iroot_ceil,
     iroot_floor,
     is_unimodular,
-    project_onto_span,
     rational,
     rational_vectors,
     rel_volume_sq,
@@ -123,58 +122,6 @@ class TestGramSchmidt:
                 assert res.dk[k - 1] == rel_volume_sq(vecs[:k])
 
 
-class TestProjection:
-    def test_basic(self):
-        assert project_onto_span(qv(0, 2), [qv(1, 1)]) == qv(1, 1)
-
-    def test_in_span(self):
-        assert project_onto_span(qv(3, 4), [qv(1, 0), qv(0, 1)]) == qv(3, 4)
-
-    def test_empty_span(self):
-        assert project_onto_span(qv(5, 7), []) == qv(0, 0)
-
-    def test_residual_orthogonal(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            dim = rng.randint(2, 5)
-            count = rng.randint(1, dim - 1)
-            basis = _random_independent(rng, count, dim)
-            v = QVector([rng.randint(-9, 9) for _ in range(dim)])
-            r = v - project_onto_span(v, basis)
-            for b in basis:
-                assert r.dot(b) == 0
-
-    def test_nested_projection_law(self):
-        # projecting onto a subspace of the span factors through the span
-        rng = random.Random(4)
-        for _ in range(30):
-            dim = rng.randint(3, 6)
-            count = rng.randint(2, dim - 1)
-            outer = _random_independent(rng, count, dim)
-            inner_size = rng.randint(1, count - 1) if count > 1 else 1
-            # inner basis: integer recombinations of the outer one
-            while True:
-                coeffs = [
-                    [rng.randint(-2, 2) for _ in range(count)]
-                    for _ in range(inner_size)
-                ]
-                inner = []
-                for row in coeffs:
-                    w = QVector.zero(dim)
-                    for c, b in zip(row, outer):
-                        w = w + b.scaled(c)
-                    inner.append(w)
-                try:
-                    gram_schmidt(inner)
-                    break
-                except DependentInput:
-                    continue
-            v = QVector([rng.randint(-9, 9) for _ in range(dim)])
-            direct = project_onto_span(v, inner)
-            via_outer = project_onto_span(project_onto_span(v, outer), inner)
-            assert direct == via_outer
-
-
 def _random_rational(rng, dim, bound=9):
     return QVector(
         [F(rng.randint(-bound, bound), rng.randint(1, 6)) for _ in range(dim)]
@@ -192,8 +139,8 @@ def _random_rational_independent(rng, count, dim):
 
 
 class TestRationalFamilies:
-    """gram_schmidt and project_onto_span on rational, non-square families
-    (scale > 1, dim > count) against naive_gs of tests/oracles.py."""
+    """gram_schmidt on rational, non-square families (scale > 1,
+    dim > count) against naive_gs of tests/oracles.py."""
 
     def test_matches_naive_gs(self):
         rng = random.Random(409)
@@ -202,7 +149,7 @@ class TestRationalFamilies:
             count = rng.randint(1, 6)
             dim = rng.randint(count + 1, count + 3)
             vecs = [_random_rational(rng, dim) for _ in range(count)]
-            v = _random_rational(rng, dim)
+            _random_rational(rng, dim)  # discarded; keeps the seeded families fixed
             rows = [tuple(b) for b in vecs]
             scaled += integer_rows(vecs)[1] > 1
             bstar = naive_gs(rows)
@@ -213,15 +160,10 @@ class TestRationalFamilies:
             for i, b in enumerate(rows):
                 for j in range(i):
                     assert res.mu[i, j] == vdot(b, bstar[j]) / norms[j]
-            residual = naive_gs(rows + [tuple(v)])[-1]
-            assert tuple(project_onto_span(v, vecs)) == tuple(
-                x - r for x, r in zip(v, residual)
-            )
         assert scaled >= 50
 
     def test_bstar_are_scaled_last_prefix_duals(self):
-        # b*_k / |b*_k|^2 is the last vector of the dual basis of b_0..b_k,
-        # and v - proj that of (basis, v)
+        # b*_k / |b*_k|^2 is the last vector of the dual basis of b_0..b_k
         rng = random.Random(421)
         for _ in range(40):
             count = rng.randint(1, 7)
@@ -236,18 +178,13 @@ class TestRationalFamilies:
                 tuple(e / vdot(u, u) for e in u) for u in duals
             ]
             if count < dim:
-                v = _random_rational(rng, dim)
-                u = dual_basis(rows + [tuple(v)])[-1]
-                assert tuple(project_onto_span(v, vecs)) == tuple(
-                    x - e / vdot(u, u) for x, e in zip(v, u)
-                )
+                _random_rational(rng, dim)  # discarded; keeps the seeded families fixed
 
     def test_zero_trailing_coordinates(self):
         # an independent family whose b* end in zeros is not dependent
         assert gram_schmidt([qv(2, 0)]).bstar == [qv(2, 0)]
         res = gram_schmidt([qv(1, 0, 0), qv(1, F(1, 2), 0)])
         assert res.bstar == [qv(1, 0, 0), qv(0, F(1, 2), 0)]
-        assert project_onto_span(qv(3, 4, 5), [qv(1, 0, 0), qv(1, 1, 0)]) == qv(3, 4, 0)
 
     def test_dependent_rejected(self):
         rng = random.Random(419)
@@ -260,19 +197,13 @@ class TestRationalFamilies:
             for b in vecs[:k]:
                 combo = combo + b.scaled(F(rng.randint(-3, 3), rng.randint(1, 4)))
             vecs[k] = combo
-            v = _random_rational(rng, dim)
+            _random_rational(rng, dim)  # discarded; keeps the seeded families fixed
             with pytest.raises(DependentInput, match=f"^vector {k} "):
                 gram_schmidt(vecs)
-            with pytest.raises(DependentInput, match=f"^vector {k} "):
-                project_onto_span(v, vecs)
 
     def test_ragged_rejected(self):
         with pytest.raises(LengthMismatch):
             gram_schmidt([qv(1, 2), qv(F(1, 2), 0, 1)])
-        with pytest.raises(LengthMismatch):
-            project_onto_span(qv(1, 2, 3), [qv(1, 2), qv(F(1, 2), 0, 1)])
-        with pytest.raises(LengthMismatch):
-            project_onto_span(qv(1, 2), [qv(F(1, 2), 0, 1)])
 
 
 class TestIntegerRows:
