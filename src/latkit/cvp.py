@@ -19,9 +19,10 @@ pruning on Q_k (_search). The forward map keeps that record, from the
 MDSP instance's stored form (MDSPInstance._primal), on the instance it
 returns. gram and offset are built from it, off adj(P) by
 back-substitution, only when a caller first reads them. A hand-built
-form is scaled to integers and bordered into such a P, from step adj(M),
-on its first enumeration or recovery, and keeps that record the same way
-(_primal_of), so every enumeration and recovery reads one stored record.
+form is scaled to integers, checked symmetric positive definite and
+bordered into such a P, from step adj(M), when it is built, and keeps
+that record the same way (_bordered), so every instance holds one record
+and every objective, enumeration and recovery reads it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ from .qlinalg import (
 )
 
 # The record of an eliminated P (_eliminate_gram) with the factor
-# f = f_num / f_den that scales its objective to the form's (_primal_of).
+# f = f_num / f_den that scales its objective to the form's, which every
+# instance holds as _primal: mdsp_to_cvp stores it, and a hand-built form
+# stores _bordered's when it is built.
 _Primal = tuple[_Record, int, int]
 
 
@@ -66,14 +69,15 @@ _Primal = tuple[_Record, int, int]
 class CVPGramInstance:
     """Closest-vector instance as a rational positive definite form.
 
-    An instance returned by mdsp_to_cvp carries its primal elimination
-    record, which is not a field, and builds gram and offset on first
-    access; a hand-built form stores its bordered record on its first
-    enumeration or recovery (_primal_of). Equality, hashing, repr, copies
-    and pickles see only the fields, with or without a record. It raises
+    Every instance carries its primal elimination record, which is not a
+    field: an instance returned by mdsp_to_cvp holds the one it was built
+    from and builds gram and offset on first access, and a hand-built form
+    stores its bordered record (_bordered) when it is built. Equality,
+    hashing, repr, copies and pickles see only the fields. It raises
     NonSquare unless gram is square, LengthMismatch unless offset has its
-    order, and ValueError unless scale_sq, which is |v|^2 and is coerced
-    with rational(), is positive.
+    order, ValueError unless scale_sq, which is |v|^2 and is coerced with
+    rational(), is positive, and NotSPD unless gram is symmetric positive
+    definite.
     """
 
     gram: QMatrix
@@ -90,6 +94,7 @@ class CVPGramInstance:
             )
         if not self.scale_sq > 0:
             raise ValueError(f"scale_sq must be positive, got {self.scale_sq}")
+        object.__setattr__(self, "_primal", _bordered(self))
 
     def __getattr__(self, name: str):
         # reached only for an attribute missing from the instance
@@ -103,43 +108,17 @@ class CVPGramInstance:
 
     @property
     def n(self) -> int:
-        primal = self.__dict__.get("_primal")
-        return len(primal[0][0]) - 2 if primal is not None else self.gram.rows
+        return len(self._primal[0][0]) - 2
 
     def objective(self, j: Sequence[int]) -> Fraction:
         """(j + offset)^T gram (j + offset), exact.
 
-        Evaluated in integers: by _value on the stored record when the
-        instance holds one (_primal_of), otherwise on the form of
-        _scaled_form as u^T M u / (den step^2) with u = step j + w, which
-        takes any square form, definite or not. Raises LengthMismatch
-        unless j has n coordinates and ValueError unless they are
-        integers.
+        Evaluated in integers, by _value on the stored record. Raises
+        LengthMismatch unless j has n coordinates and ValueError unless
+        they are integers.
         """
-        x = _integral_shift(self.n, j)
-        primal = self.__dict__.get("_primal")
-        if primal is not None:
-            return Fraction(*_terms(primal, *_value(primal[0], x)))
-        m, w, step, den = _scaled_form(self)
-        return Fraction(_quad(m, [step * ji + wk for ji, wk in zip(x, w)]), den * step * step)
-
-
-# A hand-built CVP form in integers, (M, w, step, den): gram = M / den and
-# offset = w / step, with den and step positive.
-_Form = tuple[list[list[int]], list[int], int, int]
-
-
-def _scaled_form(c: CVPGramInstance) -> _Form:
-    """The form of c scaled once, M = den G' with den = lcm(den G'), and
-    w = step c with step = lcm(den c)."""
-    m, den = integer_rows(c.gram.row_vectors())
-    (w,), step = integer_rows([c.offset])
-    return m, w, step, den
-
-
-def _quad(m: list[list[int]], u: list[int]) -> int:
-    """u^T m u."""
-    return sum(a * sum(map(mul, row, u)) for a, row in zip(u, m))
+        primal = self._primal
+        return Fraction(*_terms(primal, *_value(primal[0], _integral_shift(self.n, j))))
 
 
 @dataclass(frozen=True)
@@ -212,11 +191,12 @@ def recover_mdsp_distance_sq(c: CVPGramInstance, j: Sequence[int]) -> Fraction:
     On an instance produced by mdsp_to_cvp this equals the squared distance
     of v from span(B(j)) exactly. The scale correction accounts for the
     fixed vector not being unit length. With scale_sq = a / b and
-    objective(j) = num / den, read off the record of _primal_of by _value
-    and _terms, it is built as the one Fraction a den / (b den + a num).
-    Raises NotSPD unless the form is symmetric positive definite.
+    objective(j) = num / den, read off the instance's stored record by
+    _value and _terms, it is built as the one Fraction a den / (b den + a
+    num). The record exists only for a symmetric positive definite form,
+    which the constructor checks.
     """
-    primal = _primal_of(c)
+    primal = c._primal
     num, den = _terms(primal, *_value(primal[0], _integral_shift(c.n, j)))
     a, b = c.scale_sq.numerator, c.scale_sq.denominator
     return Fraction(a * den, b * den + a * num)
@@ -226,13 +206,12 @@ def enumerate_cvp(c: CVPGramInstance) -> CVPSolution:
     """Lexicographically smallest minimizer of the form over all integer
     vectors, in integers and in any dimension.
 
-    Runs _search on the eliminated primal Gram matrix P of _primal_of.
-    The form is the CVP side of the MDSP instance with Gram matrix P,
-    whose squared distance is 1 / (z^T P^-1 z) on P's own scale, so the
-    objective is that of _terms. Raises NotSPD unless the form is
-    symmetric positive definite.
+    Runs _search on the instance's stored record of the eliminated
+    primal Gram matrix P. The form is the CVP side of the MDSP instance
+    with Gram matrix P, whose squared distance is 1 / (z^T P^-1 z) on P's
+    own scale, so the objective is that of _terms.
     """
-    primal = _primal_of(c)
+    primal = c._primal
     j, t, det = _search(primal[0])
     return CVPSolution(j, Fraction(*_terms(primal, t, det)))
 
@@ -252,28 +231,15 @@ def _terms(primal: _Primal, t: int, det: int) -> tuple[int, int]:
     return f_num * (step * t - det), f_den * det * step
 
 
-def _primal_of(c: CVPGramInstance) -> _Primal:
-    """(e, f_num, f_den): the record e of the elimination (_eliminate_gram)
-    of the primal Gram matrix P of c, in the order (v, b_{n-1}, ..., b_0),
-    and the factor f = f_num / f_den that scales its objective to c's.
-    mdsp_to_cvp stored it, with f = s^2; any other form is bordered on the
-    first call (_bordered) and the result stored the same way, so a form
-    is bordered once."""
-    primal = c.__dict__.get("_primal")
-    if primal is None:
-        primal = _bordered(c)
-        object.__setattr__(c, "_primal", primal)
-    return primal
-
-
 def _bordered(c: CVPGramInstance) -> _Primal:
     """(e, f_num, f_den): the record e of the elimination of P, an integer
     Gram matrix of some (v, b_{n-1}, ..., b_0) whose CVP side is a positive
     multiple of the hand-built form c, and the factor f = f_num / f_den
     that scales its objective to c's.
 
-    The form (M, w, step, den) of _scaled_form, with M positive definite,
-    borders step adj(M) as
+    The form is scaled once to M = den G' with den = lcm(den G') and
+    w = step offset with step = lcm(den offset). With M positive definite,
+    it borders step adj(M) as
 
         G = [[step adj(M) / k + w w^T, step w], [step w^T, step^2]],
 
@@ -286,8 +252,9 @@ def _bordered(c: CVPGramInstance) -> _Primal:
     adjugate_spd checks every leading minor but the last, det(M), which it
     returns. Then G is positive definite, so P's elimination cannot fail.
     """
-    m, w, step, den = _scaled_form(c)
-    n = c.n
+    m, den = integer_rows(c.gram.row_vectors())
+    (w,), step = integer_rows([c.offset])
+    n = len(m)
     if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise NotSPD("matrix is not symmetric")
     try:
@@ -307,7 +274,7 @@ def _search(e: _Record) -> tuple[tuple[int, ...], int, int]:
     """(x, T, D): the lexicographically smallest integer x minimizing
     z^T P^-1 z = T / D, z = (1, -x_{n-1}, ..., -x_0), for P the positive
     definite Gram matrix of (v, b_{n-1}, ..., b_0) and e the record of its
-    elimination (_primal_of); (T, D) is _value at x.
+    elimination (CVPGramInstance._primal); (T, D) is _value at x.
 
     det Gram(B(x)) = det P z^T P^-1 z with B(x) = (b_i + x_i v), so x
     maximizes the distance of v from span(B(x)), d^2 = D / T on P's scale.

@@ -38,10 +38,10 @@ from .qlinalg import (  # noqa: F401
     QVector,
     _Frozen,
     _eliminate_gram,
+    _prefix_record,
     _Record,
     determinant,
     dist_sq_to_span,
-    gram_schmidt,
     integer_gram,
     integer_rows,
     inverse,
@@ -333,14 +333,15 @@ def _bit_size(f: Fraction) -> int:
 def certificate_bounds(inst: MDSPInstance) -> CertificateBounds:
     """Exact certificate size quantities for an instance.
 
-    dk is gram_schmidt's, the squared relative volumes of B's prefixes. A
+    dk is gram_schmidt's, the squared relative volumes of B's prefixes,
+    read off one elimination (qlinalg._prefix_record) with no b* or mu. A
     dependent B raises gram_schmidt's DependentInput.
     """
     v = inst.fixed
     k0 = 1
     for e in v.entries:
         k0 *= e.denominator
-    dk = gram_schmidt(inst.rest.vectors).dk
+    dk = _prefix_record(inst.rest.vectors)[3]
     big_d = Fraction(1)
     for d in dk:
         big_d *= d

@@ -279,29 +279,42 @@ class GramSchmidtResult:
     dk: list[Fraction]
 
 
+def _prefix_record(
+    basis: Sequence[QVector],
+) -> tuple[list[list[int]], int, _Record, list[Fraction]]:
+    """(rows, s, e, dk) of a linearly independent basis: its rows scaled to
+    integers by s (_scaled_gram), the record e = (d, lam, u) of one
+    elimination of their Gram matrix (_eliminate_gram), and gram_schmidt's
+    dk, the squared relative volumes d_{k+1} / s^(2k+2) of its prefixes.
+    Raises LengthMismatch on an empty basis and DependentInput at the
+    first dependent vector.
+    """
+    if not basis:
+        raise LengthMismatch("gram_schmidt requires a nonempty basis")
+    g, rows, scale = _scaled_gram(basis)
+    e = _eliminate_gram(g)
+    if e[0][-1] == 0:
+        raise DependentInput(f"vector {len(g) - 1} is in the span of its predecessors")
+    return rows, scale, e, [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(e[0][1:])]
+
+
 def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
     """Orthogonalize a linearly independent basis, exactly.
 
     The record of one elimination of the scaled integer Gram matrix
-    (_eliminate_gram) gives all three: lam_ij = d_{j+1} mu_ij (i > j) for
+    (_prefix_record) gives all three: lam_ij = d_{j+1} mu_ij (i > j) for
     the leading minors d_{k+1} = dk[k] s^(2k+2), and on the scaled rows
     r = s b, sum_j u_k[j] r_j = d_k r*_k = d_k s b*_k, d_{k+1} times the
     last dual vector of r_0..r_k, r*_k / |r*_k|^2 with |r*_k|^2 =
     d_{k+1} / d_k. Raises DependentInput at the first dependent vector.
     """
-    if not basis:
-        raise LengthMismatch("gram_schmidt requires a nonempty basis")
-    g, rows, scale = _scaled_gram(basis)
-    n = len(g)
-    d, lam, u = _eliminate_gram(g)
-    if d[n] == 0:
-        raise DependentInput(f"vector {n - 1} is in the span of its predecessors")
+    rows, scale, (d, lam, u), dk = _prefix_record(basis)
+    n = len(rows)
     mu = [[Fraction(lam[j][i - j - 1], d[j + 1]) if j < i else _ONE if i == j else _ZERO
            for j in range(n)] for i in range(n)]
-    bstar = [QVector(Fraction(sum(map(mul, uk, col)), dk * scale)
+    bstar = [QVector(Fraction(sum(map(mul, uk, col)), pk * scale)
                      for col in zip(*rows[:k + 1]))
-             for k, (dk, uk) in enumerate(zip(d, u))]
-    dk = [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(d[1:])]
+             for k, (pk, uk) in enumerate(zip(d, u))]
     return GramSchmidtResult(bstar, QMatrix(mu), dk)
 
 

@@ -18,8 +18,6 @@ from latkit.errors import (
 )
 from latkit.cvp import (
     CVPGramInstance,
-    _quad,
-    _scaled_form,
     cvp_to_mdsp,
     enumerate_cvp,
     mdsp_to_cvp,
@@ -28,11 +26,26 @@ from latkit.cvp import (
 from latkit.exact import solve_exact
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift
 from latkit.qlinalg import QMatrix, QVector, determinant, dist_sq_to_span
-from oracles import cvp_exhaustive, random_mdsp_vectors
+from oracles import cvp_exhaustive, naive_det, random_mdsp_vectors
 
 
 def make_instance(v, basis):
     return MDSPInstance(QVector(v), LatticeBasis([QVector(b) for b in basis]))
+
+
+def naive_form(gram, offset, j):
+    """(j + offset)^T gram (j + offset), summed over every gram[a][b] term
+    in Fractions; gram and offset are lists."""
+    u = [ji + ci for ji, ci in zip(j, offset)]
+    return sum(u[a] * gram[a][b] * u[b] for a in range(len(u)) for b in range(len(u)))
+
+
+def is_spd(gram):
+    """Symmetric with every leading principal minor positive (Sylvester),
+    each minor by oracles.naive_det."""
+    n = len(gram)
+    return (all(gram[a][b] == gram[b][a] for a in range(n) for b in range(a))
+            and all(naive_det([row[:k] for row in gram[:k]]) > 0 for k in range(1, n + 1)))
 
 
 E1 = make_instance([0, 2], [[1, 1]])
@@ -177,25 +190,22 @@ class TestBruteforce:
             [[-1]],
         ]
         for gram in grams:
-            c = CVPGramInstance(QMatrix(gram), QVector([0] * len(gram)), F(1))
             with pytest.raises(NotSPD):
-                enumerate_cvp(c)
+                CVPGramInstance(QMatrix(gram), QVector([0] * len(gram)), F(1))
 
     def test_not_symmetric_definite_triangle(self):
         # the elimination reads the upper triangle only, which is positive
         # definite here; the symmetry check alone rejects these forms
         for gram in ([[2, 1], [0, 2]], [[2, F(1, 2)], [F(1, 3), 2]]):
-            c = CVPGramInstance(QMatrix(gram), QVector([0, 0]), F(1))
             with pytest.raises(NotSPD):
-                enumerate_cvp(c)
+                CVPGramInstance(QMatrix(gram), QVector([0, 0]), F(1))
 
     def test_negative_definite_odd_order(self):
         # adj(-I) = I for odd n, so the bordered matrix built from the
         # adjugate would be positive definite; M itself is checked
-        c = CVPGramInstance(QMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]),
-                            QVector([F(1, 2)] * 3), F(1))
         with pytest.raises(NotSPD):
-            enumerate_cvp(c)
+            CVPGramInstance(QMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+                            QVector([F(1, 2)] * 3), F(1))
 
     def test_larger_forms_frozen(self):
         # hand-built forms A^T A at n = 7 (integral A) and n = 8 (rational
@@ -351,9 +361,13 @@ class TestValidation:
 
 class TestRecovery:
     def test_objective_matches_naive_form(self):
-        # rational forms and offsets with mixed denominators, and one form
-        # that is not symmetric: the objective sums every g[a][b] term
+        # rational forms and offsets with mixed denominators: a draw that is
+        # symmetric positive definite, and the Gram matrix A^T A of every
+        # nonsingular draw A, gives the naive sum of every g[a][b] term;
+        # every other draw, not symmetric or not definite, is refused by
+        # the constructor
         rng = random.Random(127)
+        checked = refused = 0
         for _ in range(30):
             n = rng.randint(1, 5)
             gram = QMatrix(
@@ -361,14 +375,21 @@ class TestRecovery:
                  for _ in range(n)]
             )
             offset = QVector([F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n)])
-            c = CVPGramInstance(gram, offset, F(1))
             j = tuple(rng.randint(-4, 4) for _ in range(n))
-            u = [ji + ci for ji, ci in zip(j, offset)]
-            want = sum(
-                u[a] * gram[a, b] * u[b] for a in range(n) for b in range(n)
-            )
-            got = c.objective(j)
-            assert got == want and type(got) is F
+            forms = [gram]
+            if determinant(gram) != 0:
+                forms.append(gram.transpose() @ gram)
+            for g in forms:
+                rows = g.data
+                if not is_spd(rows):
+                    with pytest.raises(NotSPD):
+                        CVPGramInstance(g, offset, F(1))
+                    refused += 1
+                    continue
+                got = CVPGramInstance(g, offset, F(1)).objective(j)
+                assert got == naive_form(rows, list(offset), j) and type(got) is F
+                checked += 1
+        assert checked >= 25 and refused >= 20
 
     def test_worked_values(self):
         assert recover_mdsp_distance_sq(E1_CVP, (0,)) == 2
@@ -552,11 +573,11 @@ class TestLazyInstance:
         scaled = 0
         for inst in mixed_instances(233):
             c = mdsp_to_cvp(inst)
-            m, w, step, den = _scaled_form(mdsp_to_cvp(inst))  # the public fields
+            fields = mdsp_to_cvp(inst)  # the public fields, read on a twin
+            gram = fields.gram.data
             for _ in range(5):
                 j = [rng.randint(-4, 4) for _ in range(inst.n)]
-                u = [step * ji + wk for ji, wk in zip(j, w)]
-                assert c.objective(j) == F(_quad(m, u), den * step * step)
+                assert c.objective(j) == naive_form(gram, list(fields.offset), j)
             assert "gram" not in vars(c)
             scaled += any(e.denominator > 1 for u in (inst.fixed, *inst.rest) for e in u)
         assert scaled >= 10
@@ -599,43 +620,35 @@ def hand_built_forms(seed, count=8):
 
 
 class TestHandBuiltRecord:
-    """A hand-built form stores its bordered record on its first
-    enumeration or recovery; every later enumeration and recovery reads
-    it, and nothing a caller sees of the instance changes."""
+    """A hand-built form is checked and bordered when it is built and
+    stores that record; every objective, enumeration and recovery reads
+    it, and nothing a caller sees of the instance depends on it."""
 
     def test_recovery_rejects_forms_that_are_not_definite(self):
-        # unchecked, the first recovered a "distance^2" of -1 and the
-        # second divided by zero; enumerate_cvp rejects both as well
-        for gram, j in (([[1, 2], [2, 1]], (1, -1)), ([[-1]], (1,))):
-            c = CVPGramInstance(QMatrix(gram), QVector([0] * len(j)), F(1))
-            for _ in range(2):
-                with pytest.raises(NotSPD):
-                    recover_mdsp_distance_sq(c, j)
-                with pytest.raises(NotSPD):
-                    enumerate_cvp(c)
-            assert "_primal" not in vars(c)
-            assert c.objective(j) == sum(
-                j[a] * gram[a][b] * j[b] for a in range(len(j)) for b in range(len(j)))
+        # unchecked, the first two recovered a "distance^2" of -1 and
+        # divided by zero; the third is not symmetric. The constructor
+        # refuses all three, so no instance exists to recover from
+        for gram in ([[1, 2], [2, 1]], [[-1]], [[2, 1], [0, 2]]):
+            with pytest.raises(NotSPD):
+                CVPGramInstance(QMatrix(gram), QVector([0] * len(gram)), F(1))
 
     def test_value_semantics_unchanged_by_the_record(self):
         rng = random.Random(241)
         for c in hand_built_forms(241):
-            js = [tuple(rng.randint(-4, 4) for _ in range(c.n)) for _ in range(4)]
-
-            def seen():
-                twin = pickle.loads(pickle.dumps(c))
-                return (c == CVPGramInstance(c.gram, c.offset, c.scale_sq), hash(c), repr(c),
-                        copy.copy(c), twin, repr(twin), dataclasses.replace(c),
-                        [c.objective(j) for j in js], c.n)
-
-            before = seen()
-            assert "_primal" not in vars(c)
-            sol = enumerate_cvp(c)
             assert "_primal" in vars(c)
-            after = seen()
-            assert after == before and before[0]
-            assert [type(v) for v in after[7]] == [F] * len(js)
+            js = [tuple(rng.randint(-4, 4) for _ in range(c.n)) for _ in range(4)]
+            twin = CVPGramInstance(c.gram, c.offset, c.scale_sq)
+            for other in (twin, copy.copy(c), pickle.loads(pickle.dumps(c)),
+                          dataclasses.replace(c)):
+                assert other == c and c == other and hash(other) == hash(c)
+                assert repr(other) == repr(c)
+                assert "_primal" in vars(other) and other.n == c.n
+                assert [other.objective(j) for j in js] == [c.objective(j) for j in js]
+                assert enumerate_cvp(other) == enumerate_cvp(c)
+            assert [type(c.objective(j)) for j in js] == [F] * len(js)
+            sol = enumerate_cvp(c)
             assert sol.objective == c.objective(sol.j)
+            assert sol.objective == naive_form(c.gram.data, list(c.offset), sol.j)
 
     def test_enumeration_then_recovery_borders_once(self, monkeypatch):
         calls = []
@@ -646,10 +659,13 @@ class TestHandBuiltRecord:
 
         bordered = cvp._bordered
         monkeypatch.setattr(cvp, "_bordered", counting)
-        for c in hand_built_forms(251):
-            calls.clear()
+        forms = hand_built_forms(251)
+        assert len(calls) == len(forms)  # one per constructor call
+        assert all(a is b for a, b in zip(calls, forms))
+        calls.clear()
+        for c in forms:
             sol = enumerate_cvp(c)
             got = recover_mdsp_distance_sq(c, sol.j)
             assert got == c.scale_sq / (1 + c.scale_sq * sol.objective)
             assert enumerate_cvp(c) == sol
-            assert len(calls) == 1
+        assert calls == []

@@ -9,7 +9,9 @@ from operator import mul
 
 import pytest
 
-from latkit.cvp import CVPGramInstance, _primal_of, _search, enumerate_cvp, mdsp_to_cvp
+import latkit.lattice
+import latkit.qlinalg
+from latkit.cvp import CVPGramInstance, _search, enumerate_cvp, mdsp_to_cvp
 from latkit.errors import (
     DegenerateResidual,
     DependentInput,
@@ -305,6 +307,21 @@ class TestCertificateBounds:
             message = f"vector {k} is in the span of its predecessors"
             assert str(raised.value) == str(expected.value) == message
 
+    def test_bounds_build_no_gram_schmidt(self, monkeypatch):
+        # dk comes off one elimination; a call that built every b* and mu
+        # as Fractions only to discard them ran 1.5-2.4x slower
+        rng = random.Random(43)
+        insts = [E1, make_instance([0, F(2, 3)], [[1, 1]])]
+        insts += [random_instance(rng, rng.randint(2, 6)) for _ in range(10)]
+        want = [certificate_bounds(inst) for inst in insts]
+
+        def refuse(*_):
+            raise AssertionError("gram_schmidt on the bounds' path")
+
+        monkeypatch.setattr(latkit.lattice, "gram_schmidt", refuse, raising=False)
+        monkeypatch.setattr(latkit.qlinalg, "gram_schmidt", refuse)
+        assert [certificate_bounds(inst) for inst in insts] == want
+
 
 class TestMinkowski:
     def test_identity_dim2(self):
@@ -553,7 +570,7 @@ class TestValue:
             assert F(det, inst._primal()[1] ** 2 * t) == solve_exact(inst).dist_sq
             c = mdsp_to_cvp(inst)
             hand_built = CVPGramInstance(c.gram, c.offset, c.scale_sq)  # bordered
-            e_hand = _primal_of(hand_built)[0]
+            e_hand = hand_built._primal[0]
             j, t_hand, det_hand = _search(e_hand)
             assert j == x and (t_hand, det_hand) == _value(e_hand, j)
 
