@@ -380,14 +380,13 @@ class TestRecovery:
             if determinant(gram) != 0:
                 forms.append(gram.transpose() @ gram)
             for g in forms:
-                rows = g.data
-                if not is_spd(rows):
+                if not is_spd(g.data):
                     with pytest.raises(NotSPD):
                         CVPGramInstance(g, offset, F(1))
                     refused += 1
                     continue
                 got = CVPGramInstance(g, offset, F(1)).objective(j)
-                assert got == naive_form(rows, list(offset), j) and type(got) is F
+                assert got == naive_form(g.data, list(offset), j) and type(got) is F
                 checked += 1
         assert checked >= 25 and refused >= 20
 
