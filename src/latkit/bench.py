@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lattice import LatticeBasis
-from .lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce, shortest_basis_vector
+from .lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce
 from .basisio import frac_str
 from .qlinalg import QMatrix, determinant
 
@@ -94,9 +94,8 @@ def _bench_one(
 ) -> BenchInstance:
     m = generate_random_basis(dim, entry_bound, _instance_seed(seed, dim, index))
     basis = LatticeBasis(m.row_vectors(), validate=False)
-    high = LLLParams(delta_high)
-    reduced_high, trace_high = lll_reduce(basis, high)
-    _, target = shortest_basis_vector(reduced_high)
+    _, trace_high = lll_reduce(basis, LLLParams(delta_high))
+    target = trace_high.final_shortest_norm_sq
     cfg = AccelConfig(LLLParams(delta_low), target, max_rounds=max_rounds)
     _, trace_low = accelerated_reduce(basis, cfg)
     t_high = trace_high.wall_time * 1000.0

@@ -35,7 +35,7 @@ from .lattice import (
     apply_shift,
     verify_dmdsp_certificate,
 )
-from .lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce, shortest_basis_vector
+from .lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce
 from .qlinalg import QMatrix, QVector, determinant
 
 
@@ -80,6 +80,12 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def _write_vectors(path: str, vectors) -> None:
     write_basis_file(path, QMatrix.from_rows(list(vectors)))
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _cvp_to_dict(c: CVPGramInstance) -> dict:
@@ -140,9 +146,7 @@ def cmd_to_cvp(args) -> int:
     c = mdsp_to_cvp(inst)
     payload = _cvp_to_dict(c)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, payload)
     _emit(args, payload, json.dumps(payload, indent=2))
     return 0
 
@@ -220,8 +224,8 @@ def cmd_accel(args) -> int:
     if args.target_norm_sq is not None:
         target = args.target_norm_sq
     else:
-        reduced, _ = lll_reduce(basis, LLLParams(args.delta_high))
-        _, target = shortest_basis_vector(reduced)
+        _, high = lll_reduce(basis, LLLParams(args.delta_high))
+        target = high.final_shortest_norm_sq
     with _paper_delta_low():
         low = LLLParams(args.delta)
     cfg = AccelConfig(low, target, max_rounds=args.max_rounds)
@@ -275,9 +279,7 @@ def cmd_bench(args) -> int:
         )
     payload = report_to_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, payload)
     lines = [
         f"{'dim':>5} {'avg LLL(hi) ms':>16} {'avg accel ms':>14} {'speedup':>9}"
     ]
@@ -298,8 +300,7 @@ def cmd_gen(args) -> int:
     m = generate_random_basis(args.dims[0], args.entry_bound, args.seed)
     text = serialize_matrix(m)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_basis_file(args.out, m)
     _emit(
         args,
         {"rows": [[frac_str(e) for e in row] for row in m.data], "seed": args.seed},
@@ -317,46 +318,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"latkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, infile=True):
+    def command(name, func, help, *, infile=True, out=True, fixed=False):
+        # the flags the subcommands share; fixed adds --fixed-index, the row
+        # of the input that plays the fixed vector
+        p = sub.add_parser(name, help=help)
         if infile:
             p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-        p.add_argument("--out", dest="out", metavar="FILE")
+        if out:
+            p.add_argument("--out", dest="out", metavar="FILE")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        if fixed:
+            p.add_argument("--fixed-index", type=int, default=0, metavar="K")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("mdsp-exact", help="exact maximum-distance solver")
-    common(p)
-    p.add_argument("--fixed-index", type=int, default=0, metavar="K")
-    p.set_defaults(func=cmd_mdsp_exact)
+    command("mdsp-exact", cmd_mdsp_exact, "exact maximum-distance solver", fixed=True)
 
-    p = sub.add_parser("mdsp-heur", help="greedy improvement heuristic")
-    common(p)
-    p.add_argument("--fixed-index", type=int, default=0, metavar="K")
+    p = command("mdsp-heur", cmd_mdsp_heur, "greedy improvement heuristic", fixed=True)
     p.add_argument("--max-passes", type=int, default=64, metavar="N")
-    p.set_defaults(func=cmd_mdsp_heur)
 
-    p = sub.add_parser("to-cvp", help="transform an instance to Gram-form CVP")
-    common(p)
-    p.add_argument("--fixed-index", type=int, default=0, metavar="K")
-    p.set_defaults(func=cmd_to_cvp)
-
-    p = sub.add_parser(
-        "from-cvp",
-        help="transform a CVP instance (n basis rows plus target row) back",
+    command("to-cvp", cmd_to_cvp, "transform an instance to Gram-form CVP", fixed=True)
+    command(
+        "from-cvp", cmd_from_cvp,
+        "transform a CVP instance (n basis rows plus target row) back",
     )
-    common(p)
-    p.set_defaults(func=cmd_from_cvp)
+    command(
+        "cvp-brute", cmd_cvp_brute, "exact CVP oracle on a Gram-form instance", out=False
+    )
 
-    p = sub.add_parser("cvp-brute", help="exact CVP oracle on a Gram-form instance")
-    common(p)
-    p.set_defaults(func=cmd_cvp_brute)
-
-    p = sub.add_parser("lll", help="exact integer (fraction-free) LLL reduction")
-    common(p)
+    p = command("lll", cmd_lll, "exact integer (fraction-free) LLL reduction")
     p.add_argument("--delta", type=_fraction, default=Fraction(3, 4), metavar="P/Q")
-    p.set_defaults(func=cmd_lll)
 
-    p = sub.add_parser("accel", help="LLL accelerated by the distance heuristic")
-    common(p)
+    p = command("accel", cmd_accel, "LLL accelerated by the distance heuristic")
     p.add_argument("--delta", type=_fraction, default=Fraction(1, 4), metavar="P/Q")
     p.add_argument(
         "--delta-high",
@@ -367,21 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--target-norm-sq", type=_fraction, default=None, metavar="P/Q")
     p.add_argument("--max-rounds", type=int, default=1000, metavar="N")
-    p.set_defaults(func=cmd_accel)
 
-    p = sub.add_parser("verify-cert", help="check a shift-vector certificate")
-    common(p)
-    p.add_argument("--fixed-index", type=int, default=0, metavar="K")
+    p = command(
+        "verify-cert", cmd_verify_cert, "check a shift-vector certificate",
+        out=False, fixed=True,
+    )
     p.add_argument("--gamma", type=_fraction, default=None, metavar="P/Q")
     p.add_argument("--gamma-sq", type=_fraction, default=None, metavar="P/Q")
     p.add_argument(
         "--cert", type=_int_list, required=True, metavar="LIST",
         help="comma-separated shift coordinates",
     )
-    p.set_defaults(func=cmd_verify_cert)
 
-    p = sub.add_parser("bench", help="two-arm reduction benchmark")
-    common(p, infile=False)
+    p = command("bench", cmd_bench, "two-arm reduction benchmark", infile=False)
     p.add_argument("--dims", type=_int_list, required=True, metavar="LIST")
     p.add_argument("--count", type=int, default=5, metavar="N")
     p.add_argument("--seed", type=int, default=1, metavar="N")
@@ -391,14 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--entry-bound", type=int, default=100, metavar="N")
     p.add_argument("--max-rounds", type=int, default=1000, metavar="N")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gen", help="seeded random full-rank integer basis")
-    common(p, infile=False)
+    p = command("gen", cmd_gen, "seeded random full-rank integer basis", infile=False)
     p.add_argument("--dims", type=_int_list, required=True, metavar="LIST")
     p.add_argument("--entry-bound", type=int, default=1000, metavar="N")
     p.add_argument("--seed", type=int, default=1, metavar="N")
-    p.set_defaults(func=cmd_gen)
 
     return parser
 

@@ -112,8 +112,8 @@ class MDSPInstance(_Frozen):
 
     Together they form a basis of an (n+1)-dimensional lattice. Usually the
     ambient dimension is also n+1, but the family may sit inside a larger
-    space (the accelerated reduction builds such prefixes); operations that
-    need a square matrix require is_full_dimensional.
+    space (a prefix b_0..b_i of a longer basis, with b_i as v, is one);
+    operations that need a square matrix require is_full_dimensional.
 
     Immutable, since the integer form of _primal answers for its fields.
     """

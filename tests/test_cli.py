@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import pytest
 
 from latkit.basisio import parse_basis_text, serialize_matrix
 from latkit.bench import bench_compare, generate_random_basis, report_to_json
-from latkit.cli import main
+from latkit.cli import build_parser, main
 from latkit.errors import ParseError
 from latkit.qlinalg import QMatrix, determinant, rational
 
@@ -293,3 +294,125 @@ class TestCLI:
         path.write_text("2 2\n1 0\n1\n")
         assert main(["mdsp-exact", "--in", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cvp-brute", "verify-cert"])
+    def test_out_is_refused_where_nothing_is_written(
+        self, instance_file, tmp_path, capsys, command
+    ):
+        # these two commands write no file, so --out is argparse's usage
+        # error (exit 2) on inputs they otherwise accept
+        form = tmp_path / "form.json"
+        form.write_text('{"gram": [["1"]], "offset": ["1/2"], "scale_sq": "4"}')
+        argv = {
+            "cvp-brute": ["cvp-brute", "--in", str(form)],
+            "verify-cert": [
+                "verify-cert", "--in", instance_file, "--gamma", "1/2", "--cert", "0"
+            ],
+        }[command]
+        assert main(argv) == 0
+        out_path = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--out", str(out_path)])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out_path.exists()
+
+
+# Every subcommand's flags: per command its func, its help and each option
+# as (option strings, dest, default, type name, metavar, required, help).
+IN = (("--in",), "infile", None, None, "FILE", True, None)
+OUT = (("--out",), "out", None, None, "FILE", False, None)
+JSON = (("--json",), "json", False, None, None, False, "machine-readable output")
+FIXED_INDEX = (("--fixed-index",), "fixed_index", 0, "int", "K", False, None)
+PARSER_TABLE = {
+    "mdsp-exact": (
+        "cmd_mdsp_exact", "exact maximum-distance solver", [IN, OUT, JSON, FIXED_INDEX]
+    ),
+    "mdsp-heur": (
+        "cmd_mdsp_heur",
+        "greedy improvement heuristic",
+        [
+            IN, OUT, JSON, FIXED_INDEX,
+            (("--max-passes",), "max_passes", 64, "int", "N", False, None),
+        ],
+    ),
+    "to-cvp": (
+        "cmd_to_cvp", "transform an instance to Gram-form CVP", [IN, OUT, JSON, FIXED_INDEX]
+    ),
+    "from-cvp": (
+        "cmd_from_cvp",
+        "transform a CVP instance (n basis rows plus target row) back",
+        [IN, OUT, JSON],
+    ),
+    "cvp-brute": ("cmd_cvp_brute", "exact CVP oracle on a Gram-form instance", [IN, JSON]),
+    "lll": (
+        "cmd_lll",
+        "exact integer (fraction-free) LLL reduction",
+        [IN, OUT, JSON, (("--delta",), "delta", F(3, 4), "_fraction", "P/Q", False, None)],
+    ),
+    "accel": (
+        "cmd_accel",
+        "LLL accelerated by the distance heuristic",
+        [
+            IN, OUT, JSON,
+            (("--delta",), "delta", F(1, 4), "_fraction", "P/Q", False, None),
+            (("--delta-high",), "delta_high", F(99, 100), "_fraction", "P/Q", False,
+             "sets the target via plain LLL when --target-norm-sq is absent"),
+            (("--target-norm-sq",), "target_norm_sq", None, "_fraction", "P/Q", False, None),
+            (("--max-rounds",), "max_rounds", 1000, "int", "N", False, None),
+        ],
+    ),
+    "verify-cert": (
+        "cmd_verify_cert",
+        "check a shift-vector certificate",
+        [
+            IN, JSON, FIXED_INDEX,
+            (("--gamma",), "gamma", None, "_fraction", "P/Q", False, None),
+            (("--gamma-sq",), "gamma_sq", None, "_fraction", "P/Q", False, None),
+            (("--cert",), "cert", None, "_int_list", "LIST", True,
+             "comma-separated shift coordinates"),
+        ],
+    ),
+    "bench": (
+        "cmd_bench",
+        "two-arm reduction benchmark",
+        [
+            OUT, JSON,
+            (("--dims",), "dims", None, "_int_list", "LIST", True, None),
+            (("--count",), "count", 5, "int", "N", False, None),
+            (("--seed",), "seed", 1, "int", "N", False, None),
+            (("--delta",), "delta", F(1, 4), "_fraction", "P/Q", False, None),
+            (("--delta-high",), "delta_high", F(99, 100), "_fraction", "P/Q", False, None),
+            (("--entry-bound",), "entry_bound", 100, "int", "N", False, None),
+            (("--max-rounds",), "max_rounds", 1000, "int", "N", False, None),
+        ],
+    ),
+    "gen": (
+        "cmd_gen",
+        "seeded random full-rank integer basis",
+        [
+            OUT, JSON,
+            (("--dims",), "dims", None, "_int_list", "LIST", True, None),
+            (("--entry-bound",), "entry_bound", 1000, "int", "N", False, None),
+            (("--seed",), "seed", 1, "int", "N", False, None),
+        ],
+    ),
+}
+
+
+def test_parser_matches_its_table():
+    # a change to any subcommand or flag has to edit PARSER_TABLE
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert list(sub.choices) == list(PARSER_TABLE)
+    for name, (func, help_text, options) in PARSER_TABLE.items():
+        p = sub.choices[name]
+        assert (p.get_default("func").__name__, helps[name]) == (func, help_text), name
+        got = [
+            (tuple(a.option_strings), a.dest, a.default,
+             getattr(a.type, "__name__", None), a.metavar, a.required, a.help)
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert got == options, name
