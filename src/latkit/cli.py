@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
@@ -208,17 +206,6 @@ def cmd_lll(args) -> int:
     return 0
 
 
-@contextmanager
-def _paper_delta_low():
-    """Silences LLLParams' warning on delta = 1/4, which accel and bench
-    take as their default: for the accelerated arm it is the paper's
-    delta_low, chosen on purpose, and the heuristic sweeps and the target
-    norm, not delta, decide when the arm stops."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "delta = 1/4", UserWarning)
-        yield
-
-
 def cmd_accel(args) -> int:
     basis = _load_square_basis(args.infile)
     if args.target_norm_sq is not None:
@@ -226,9 +213,7 @@ def cmd_accel(args) -> int:
     else:
         _, high = lll_reduce(basis, LLLParams(args.delta_high))
         target = high.final_shortest_norm_sq
-    with _paper_delta_low():
-        low = LLLParams(args.delta)
-    cfg = AccelConfig(low, target, max_rounds=args.max_rounds)
+    cfg = AccelConfig(LLLParams(args.delta), target, max_rounds=args.max_rounds)
     out, trace = accelerated_reduce(basis, cfg)
     if args.out:
         _write_vectors(args.out, out.vectors)
@@ -267,16 +252,15 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    with _paper_delta_low():
-        report = bench_compare(
-            args.dims,
-            args.count,
-            args.delta,
-            args.delta_high,
-            args.seed,
-            entry_bound=args.entry_bound,
-            max_rounds=args.max_rounds,
-        )
+    report = bench_compare(
+        args.dims,
+        args.count,
+        args.delta,
+        args.delta_high,
+        args.seed,
+        entry_bound=args.entry_bound,
+        max_rounds=args.max_rounds,
+    )
     payload = report_to_json(report)
     if args.out:
         _write_json(args.out, payload)

@@ -364,12 +364,16 @@ def certificate_bounds(inst: MDSPInstance) -> CertificateBounds:
     )
 
 
-def minkowski_bound_sq(basis: LatticeBasis, frac_bits: int = 64) -> Fraction:
+_MINKOWSKI_FRAC_BITS = 64
+
+
+def minkowski_bound_sq(basis: LatticeBasis) -> Fraction:
     """Certified upper bound on the squared length of a shortest vector.
 
     Returns n * |det|^(2/n) exactly when that power is rational, otherwise
-    a rational upper enclosure tight to about 2**-frac_bits, obtained from
-    integer root ceilings of the scaled numerator and denominator.
+    a rational upper enclosure tight to about 2**-64 (_MINKOWSKI_FRAC_BITS),
+    obtained from integer root ceilings of the scaled numerator and
+    denominator.
     """
     if not basis.is_full_rank:
         raise NonSquare("Minkowski bound needs a full-rank square basis")
@@ -380,7 +384,7 @@ def minkowski_bound_sq(basis: LatticeBasis, frac_bits: int = 64) -> Fraction:
     rq = iroot_floor(q, n)
     if rp ** n == p and rq ** n == q:
         return n * Fraction(rp, rq)
-    shift = 1 << (n * frac_bits)
+    shift = 1 << (n * _MINKOWSKI_FRAC_BITS)
     num_up = iroot_ceil(p * shift, n)
     den_down = iroot_floor(q * shift, n)
     return n * Fraction(num_up, den_down)

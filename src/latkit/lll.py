@@ -28,18 +28,19 @@ _QUARTER = Fraction(1, 4)
 
 @dataclass(frozen=True)
 class LLLParams:
+    """The Lovasz parameter delta, a rational in [1/4, 1).
+
+    delta = 1/4 is admissible but carries no approximation guarantee for a
+    plain reduction, so lll_reduce warns on it. As the low delta of an
+    accelerated run it is the paper's delta_low and gives no warning: there
+    the heuristic sweeps and the target norm decide the result.
+    """
+
     delta: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "delta", rational(self.delta))
-        if self.delta == _QUARTER:
-            # no approximation guarantee at 1/4; stacklevel 3 skips the
-            # dataclass-generated __init__ to name the caller's line
-            warnings.warn(
-                "delta = 1/4 gives the weakest admissible reduction",
-                stacklevel=3,
-            )
-        elif not (_QUARTER < self.delta < 1):
+        if not (_QUARTER <= self.delta < 1):
             raise ValueError("delta must lie in [1/4, 1)")
 
 
@@ -58,6 +59,11 @@ class ReductionTrace:
 
 @dataclass(frozen=True)
 class AccelConfig:
+    """An accelerated run: its low delta, the target squared norm, and the
+    round and pass limits. delta may be 1/4, the paper's delta_low; the
+    sweeps and the target, not delta, decide where the run stops.
+    """
+
     delta: LLLParams
     target_norm_sq: Fraction
     max_rounds: int = 1000
@@ -190,8 +196,12 @@ def lll_reduce(basis: LatticeBasis, p: LLLParams) -> tuple[LatticeBasis, Reducti
     The output basis spans the same lattice, satisfies |mu_ij| <= 1/2 for
     i > j, and meets the Lovasz condition with parameter delta for every
     consecutive pair, all as exact rational statements. A rational basis is
-    reduced as integer rows scaled by the lcm of its denominators.
+    reduced as integer rows scaled by the lcm of its denominators. The
+    output is the answer here, so delta = 1/4, which guarantees no
+    approximation factor, gives a UserWarning naming the caller's line.
     """
+    if p.delta == _QUARTER:
+        warnings.warn("delta = 1/4 gives the weakest admissible reduction", stacklevel=2)
     t0 = time.perf_counter()
     trace = ReductionTrace()
     rows, scale = integer_rows(basis.vectors)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,9 +86,7 @@ def counts(trace):
 
 def reduce_records(seed):
     high_p = lk.LLLParams(Fraction(99, 100))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # delta = 1/4 is the paper's setting
-        low_p = lk.LLLParams(Fraction(1, 4))
+    low_p = lk.LLLParams(Fraction(1, 4))
     for x in inputs.reduce_inputs(seed, ROUNDS["reduce"]):
         basis = lk.LatticeBasis([lk.QVector(r) for r in x.rows], validate=False)
         yield adjugate_spd(integer_gram(x.rows))[0]

@@ -87,8 +87,25 @@ def int_det(rows):
     return det_sign * prev
 
 
+def _gram(rows):
+    return [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+
+
 def int_gram_det(rows):
-    return int_det([[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows])
+    return int_det(_gram(rows))
+
+
+def _cofactor_adjugate(g):
+    """adj(g)[i][j] = (-1)^(i+j) det(g without row j and column i)."""
+    n = len(g)
+    return [
+        [
+            (-1) ** (i + j)
+            * int_det([r[:i] + r[i + 1:] for k, r in enumerate(g) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def brute_force_mdsp(v, basis, window):

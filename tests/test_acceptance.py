@@ -8,7 +8,6 @@ times and the (reported, not asserted) benchmark speedup are floats.
 import random
 import statistics
 import time
-import warnings
 from fractions import Fraction as F
 from itertools import product
 
@@ -314,9 +313,7 @@ def test_criterion_6_lll_contract():
 
 def test_criterion_7_acceleration_methodology():
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        low = LLLParams(F(1, 4))
+    low = LLLParams(F(1, 4))
     high = LLLParams(F(99, 100))
     speedups = []
     reached = 0

@@ -61,6 +61,23 @@ class TestParse:
                 parse_basis_text(text)
             assert (e.value.line, e.value.col) == (2, col)
 
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        [
+            ("", 1, 1, "missing 'm n' header"),
+            ("# only a comment\n3\n", 1, 1, "missing 'm n' header"),
+            ("2 two\n1 0\n0 1\n", 1, 3, "bad header token 'two'"),
+            ("\n2/1 2\n1 0\n0 1\n", 2, 1, "bad header token '2/1'"),
+            ("0 2\n", 1, 1, "header dimensions must be positive"),
+            ("# dims\n  2 -1\n", 2, 3, "header dimensions must be positive"),
+        ],
+        ids=["empty", "one-token", "word", "fraction", "zero-rows", "negative-cols"],
+    )
+    def test_header_errors(self, text, line, col, message):
+        with pytest.raises(ParseError, match=message) as e:
+            parse_basis_text(text)
+        assert (e.value.line, e.value.col) == (line, col)
+
     def test_round_trip_random(self):
         rng = random.Random(173)
         for _ in range(20):
@@ -101,9 +118,8 @@ class TestGenerate:
 class TestBench:
     def test_small_run_reproducible(self):
         kwargs = dict(entry_bound=5, max_rounds=50)
-        with pytest.warns(UserWarning, match="delta = 1/4"):
-            r1 = bench_compare([3, 4], 2, F(1, 4), F(99, 100), seed=9, **kwargs)
-            r2 = bench_compare([3, 4], 2, F(1, 4), F(99, 100), seed=9, **kwargs)
+        r1 = bench_compare([3, 4], 2, F(1, 4), F(99, 100), seed=9, **kwargs)
+        r2 = bench_compare([3, 4], 2, F(1, 4), F(99, 100), seed=9, **kwargs)
         assert len(r1.instances) + len(r1.exhausted) == 4
         for a, b in zip(r1.instances, r2.instances):
             assert a.dim == b.dim and a.index == b.index
@@ -112,9 +128,12 @@ class TestBench:
         for inst in r1.instances:
             assert inst.achieved_norm_sq <= inst.target_norm_sq
 
+    def test_needs_an_instance_per_dimension(self):
+        with pytest.raises(ValueError, match="instances_per_dim must be at least 1"):
+            bench_compare([3], 0, F(1, 4), F(99, 100), seed=1)
+
     def test_json_schema(self):
-        with pytest.warns(UserWarning, match="delta = 1/4"):
-            r = bench_compare([3], 2, F(1, 4), F(99, 100), seed=5, entry_bound=5)
+        r = bench_compare([3], 2, F(1, 4), F(99, 100), seed=5, entry_bound=5)
         payload = report_to_json(r)
         assert set(payload) >= {"rows", "seed", "count"}
         for row in payload["rows"]:
@@ -284,6 +303,97 @@ class TestCLI:
             argv = argv[:1] + ["--in", str(path)] + argv[1:]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lll", "--in", "b.txt", "--delta", "3/x"], "not a rational: '3/x'"),
+            (["accel", "--in", "b.txt", "--target-norm-sq", "1/0"], "not a rational"),
+            (["verify-cert", "--in", "b.txt", "--cert", "0,a"], "not a comma-separated"),
+            (["bench", "--dims", "3;4"], "not a comma-separated int list: '3;4'"),
+        ],
+        ids=["delta", "target-zero-denominator", "cert", "dims"],
+    )
+    def test_bad_argument_is_usage_error(self, capsys, argv, message):
+        # a P/Q or LIST value that does not parse is argparse's usage error
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["mdsp-exact"], "2 3\n1 0 0\n0 1 0\n", "need a square matrix, got 2x3"),
+            (["mdsp-exact", "--fixed-index", "2"], "2 2\n0 2\n1 1\n", "outside 0..1"),
+            (["mdsp-heur", "--fixed-index", "-1"], "2 2\n0 2\n1 1\n", "outside 0..1"),
+            (["verify-cert", "--cert", "0"], "2 2\n0 2\n1 1\n", "--gamma or --gamma-sq"),
+            (["gen", "--dims", "3,4"], None, "exactly one dimension"),
+        ],
+        ids=["non-square", "fixed-index-high", "fixed-index-negative", "no-gamma",
+             "gen-two-dims"],
+    )
+    def test_rank_and_argument_errors_exit_2(self, tmp_path, capsys, argv, text, message):
+        if text is not None:
+            path = tmp_path / "input"
+            path.write_text(text)
+            argv = argv[:1] + ["--in", str(path)] + argv[1:]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_accel_target_norm_and_out(self, tmp_path, capsys):
+        # --target-norm-sq replaces the delta-high run that sets the default
+        # target (38 on this basis); --out holds the printed rows
+        path = tmp_path / "basis.txt"
+        path.write_text("3 3\n9 2 7\n4 8 1\n3 3 6\n")
+        out_path = tmp_path / "accel.txt"
+        argv = ["accel", "--in", str(path), "--target-norm-sq", "54", "--json"]
+        assert main(argv + ["--out", str(out_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["target_norm_sq"] == "54/1"
+        assert out["reached_target"] is True and out["rounds_used"] == 1
+        assert F(out["achieved_norm_sq"]) <= 54
+        assert parse_basis_text(out_path.read_text()) == QMatrix(out["rows"])
+
+    def test_from_cvp_out_file(self, tmp_path, capsys):
+        path = tmp_path / "cvp_basis.txt"
+        path.write_text("2 1\n1\n-1/2\n")
+        out_path = tmp_path / "inst.txt"
+        assert main(["from-cvp", "--in", str(path), "--out", str(out_path)]) == 0
+        printed = capsys.readouterr().out
+        assert parse_basis_text(out_path.read_text()) == QMatrix([[1, 0], [F(1, 2), 1]])
+        assert parse_basis_text(printed) == parse_basis_text(out_path.read_text())
+
+    def test_bench_out_file_and_exhausted_line(self, tmp_path, capsys):
+        # one round is too few for this instance: the arm exhausts its
+        # rounds, so no summary row is left and the last line says so
+        out_path = tmp_path / "bench.json"
+        argv = [
+            "bench", "--dims", "6", "--count", "1", "--seed", "3",
+            "--entry-bound", "20", "--max-rounds", "1", "--out", str(out_path),
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].split()[0] == "dim"
+        assert lines[1] == "rounds exhausted on 1 instance(s)"
+        saved = json.loads(out_path.read_text())
+        assert saved["exhausted"] == [{"dim": 6, "index": 0}]
+        assert saved["rows"] == [] and saved["summary"] == []
+
+    @pytest.mark.parametrize("command", ["lll", "bench"])
+    def test_plain_lll_at_quarter_warns(self, instance_file, capsys, command):
+        # both run plain LLL at delta = 1/4 and hand out its basis or timing
+        argv = {
+            "lll": ["lll", "--in", instance_file, "--delta", "1/4"],
+            "bench": [
+                "bench", "--dims", "3", "--count", "1", "--entry-bound", "5",
+                "--delta-high", "1/4",
+            ],
+        }[command]
+        with pytest.warns(UserWarning, match="delta = 1/4"):
+            assert main(argv) == 0
+        capsys.readouterr()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["mdsp-exact", "--in", str(tmp_path / "absent.txt")]) == 2

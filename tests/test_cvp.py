@@ -113,6 +113,11 @@ class TestReverse:
         assert inst.fixed == QVector([1, 0])
         assert inst.rest.vectors == (QVector([F(1, 2), 1]),)
 
+    def test_target_length_checked(self):
+        for target in (QVector([1]), QVector([1, 2, 3])):
+            with pytest.raises(ValueError, match="target dimension"):
+                cvp_to_mdsp(QMatrix.identity(2), target)
+
     def test_zero_target_orthogonal(self):
         inst = cvp_to_mdsp(QMatrix.identity(2), QVector([0, 0]))
         assert all(inst.fixed.dot(b) == 0 for b in inst.rest.vectors)

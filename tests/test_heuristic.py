@@ -35,6 +35,8 @@ from latkit.qlinalg import (
 )
 from latkit.lattice import same_lattice
 from oracles import (
+    _cofactor_adjugate,
+    _gram,
     dual_basis,
     dual_greedy,
     int_det,
@@ -44,7 +46,6 @@ from oracles import (
     vscale,
     vsub,
 )
-from test_qlinalg import _cofactor_adjugate, _gram
 
 
 def make_instance(v, basis):

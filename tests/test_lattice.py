@@ -79,6 +79,20 @@ class TestInstanceTypes:
     def test_full_matrix_columns(self):
         assert E1.full_matrix() == QMatrix([[0, 1], [2, 1]])
 
+    def test_shape_errors(self):
+        with pytest.raises(LengthMismatch, match="at least one vector"):
+            LatticeBasis([])
+        with pytest.raises(LengthMismatch, match="differing dimensions"):
+            LatticeBasis([qv(1, 0, 0), qv(0, 1)], validate=False)
+        with pytest.raises(LengthMismatch, match="different spaces"):
+            MDSPInstance(qv(1, 0, 0), LatticeBasis([qv(0, 1)]))
+
+    def test_repr(self):
+        assert repr(E1) == (
+            "MDSPInstance(fixed=QVector([Fraction(0, 1), Fraction(2, 1)]), "
+            "rest=LatticeBasis([QVector([Fraction(1, 1), Fraction(1, 1)])]))"
+        )
+
 
 class TestApplyShift:
     def test_zero_shift(self):
@@ -113,6 +127,15 @@ class TestSameLattice:
     def test_scaled_rejected(self):
         ok, w = same_lattice(QMatrix.identity(2), QMatrix([[2, 0], [0, 1]]))
         assert not ok and w is None
+
+    def test_shape_errors(self):
+        wide = QMatrix([[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(NonSquare):
+            same_lattice(wide, QMatrix.identity(2))
+        with pytest.raises(NonSquare):
+            same_lattice(QMatrix.identity(2), wide)
+        with pytest.raises(LengthMismatch, match="different dimensions"):
+            same_lattice(QMatrix.identity(2), QMatrix.identity(3))
 
     def test_shift_always_equivalent(self):
         rng = random.Random(31)
@@ -244,6 +267,13 @@ class TestCertificates:
         for bad in (F(3, 2), "3/2", "x"):
             with pytest.raises(ValueError):
                 DMDSPQuery(E1, bad)
+
+    def test_from_gamma_validation(self):
+        # gamma is checked before it is squared: -1/2 would square into range
+        for bad in (F(0), F(-1, 2), F(-1), F(3, 2), "x"):
+            with pytest.raises(ValueError):
+                DMDSPQuery.from_gamma(E1, bad)
+        assert DMDSPQuery.from_gamma(E1, "1/2").gamma_sq == F(1, 4)
 
     def test_gamma_sq_spellings(self):
         # "1/2", 0.5 and 1 are coerced to the equal Fraction

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from latkit.bench import bench_compare
 from latkit.errors import DependentInput
 from latkit.heuristic import improve_pass
 from latkit.lattice import LatticeBasis, MDSPInstance, minkowski_bound_sq, same_lattice
@@ -130,10 +131,27 @@ def assert_reduced(basis: LatticeBasis, delta: F):
 
 class TestParams:
     def test_quarter_warns(self):
-        # the warning names the caller's line, not dataclass-generated code
+        # a plain reduction at 1/4 warns, naming the caller's line
+        basis = LatticeBasis([qv(1, 1), qv(1, 0)])
         with pytest.warns(UserWarning, match="delta = 1/4") as record:
-            LLLParams(F(1, 4))
+            lll_reduce(basis, LLLParams(F(1, 4)))
         assert [w.filename for w in record] == [__file__]
+
+    def test_quarter_warns_only_where_plain_lll_answers(self):
+        # delta_low = 1/4 is the accelerated arm's setting: constructing it,
+        # running the arm and benchmarking it are silent; only lll_reduce,
+        # whose output is the 1/4-reduced basis, warns
+        basis = LatticeBasis([qv(9, 2, 7), qv(4, 8, 1), qv(3, 3, 6)])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            low = LLLParams(F(1, 4))
+            cfg = AccelConfig(low, F(1))
+            accelerated_reduce(basis, cfg)
+            bench_compare([3], 1, F(1, 4), F(99, 100), seed=3, entry_bound=5)
+            assert not [w for w in record if issubclass(w.category, UserWarning)]
+            lll_reduce(basis, low)
+        assert [(w.category, w.filename) for w in record] == [(UserWarning, __file__)]
+        assert "delta = 1/4" in str(record[0].message)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -193,9 +211,7 @@ class TestLLL:
         for basis in bases:
             for p, q in ((1, 4), (99, 100)):
                 rows, _ = integer_rows(basis.vectors)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    d, lam = _lll_rows(rows, p, q, ReductionTrace())
+                d, lam = _lll_rows(rows, p, q, ReductionTrace())
                 assert (d, lam) == _eliminate_gram(integer_gram(rows))[:2]
 
     def test_dependent_input_raises(self):
@@ -268,9 +284,7 @@ class TestAccelerated:
 
     def test_reaches_high_delta_quality(self):
         rng = random.Random(163)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            low = LLLParams(F(1, 4))
+        low = LLLParams(F(1, 4))
         for _ in range(6):
             dim = rng.randint(4, 8)
             basis = random_basis(rng, dim, bound=30)
@@ -345,9 +359,7 @@ def reference_accelerated(basis, cfg):
 
 class TestAcceleratedEquivalence:
     def check(self, basis, passes=1, max_rounds=1000):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            low = LLLParams(F(1, 4))
+        low = LLLParams(F(1, 4))
         _, high = lll_reduce(basis, LLLParams(F(99, 100)))
         cfg = AccelConfig(
             low, high.final_shortest_norm_sq, max_rounds, heuristic_passes=passes
@@ -361,7 +373,11 @@ class TestAcceleratedEquivalence:
             trace.reached_target,
             trace.final_shortest_norm_sq,
         )
-        assert got == reference_accelerated(basis, cfg)
+        with warnings.catch_warnings():
+            # the reference runs plain lll_reduce at 1/4, which warns
+            warnings.simplefilter("ignore")
+            want = reference_accelerated(basis, cfg)
+        assert got == want
         return trace
 
     def test_uniform(self):

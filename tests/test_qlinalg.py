@@ -51,6 +51,8 @@ from latkit.qlinalg import (
     rel_volume_sq,
 )
 from oracles import (
+    _cofactor_adjugate,
+    _gram,
     dual_basis,
     int_det,
     naive_det,
@@ -204,6 +206,45 @@ class TestRationalFamilies:
     def test_ragged_rejected(self):
         with pytest.raises(LengthMismatch):
             gram_schmidt([qv(1, 2), qv(F(1, 2), 0, 1)])
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: QVector([]), "positive dimension"),
+            (lambda: qv(1, 2) + qv(1, 2, 3), "dimension mismatch: 2 vs 3"),
+            (lambda: qv(1, 2).dot(qv(1)), "dimension mismatch: 2 vs 1"),
+            (lambda: QMatrix([]), "positive dimensions"),
+            (lambda: QMatrix([[]]), "positive dimensions"),
+            (lambda: QMatrix([[1, 2], [3]]), "ragged rows"),
+            (lambda: QMatrix.from_columns([]), "at least one column"),
+            (lambda: QMatrix.from_columns([qv(1, 2), qv(3)]), "column dimensions differ"),
+            (lambda: QMatrix.identity(2) @ QMatrix.identity(3), "inner dimensions"),
+            (lambda: QMatrix.identity(2).mul_vec(qv(1, 2, 3)), "matrix-vector"),
+            (lambda: gram_schmidt([]), "nonempty basis"),
+        ],
+        ids=["empty-vector", "add", "dot", "empty-matrix", "empty-row", "ragged",
+             "no-columns", "column-lengths", "matmul", "mul-vec", "empty-basis"],
+    )
+    def test_length_mismatch(self, build, message):
+        with pytest.raises(LengthMismatch, match=message):
+            build()
+
+    def test_empty_family_has_volume_one(self):
+        assert rel_volume_sq([]) == 1
+
+    def test_non_square_inverse_and_unimodular(self):
+        wide = QMatrix([[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(NonSquare):
+            inverse(wide)
+        with pytest.raises(NonSquare):
+            is_unimodular(wide)
+
+    def test_non_integral_is_not_unimodular(self):
+        # determinant 1, but an entry 1/2: not an integer matrix
+        m = QMatrix([[1, F(1, 2)], [0, 1]])
+        assert determinant(m) == 1 and not is_unimodular(m)
 
 
 class TestIntegerRows:
@@ -452,23 +493,6 @@ class TestDeterminantInverse:
             u = QMatrix(random_unimodular(rng, n))
             assert is_unimodular(u)
             assert is_unimodular(inverse(u))
-
-
-def _cofactor_adjugate(g):
-    """adj(g)[i][j] = (-1)^(i+j) det(g without row j and column i)."""
-    n = len(g)
-    return [
-        [
-            (-1) ** (i + j)
-            * int_det([r[:i] + r[i + 1:] for k, r in enumerate(g) if k != j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def _gram(rows):
-    return [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
 
 
 def _independent_rows(rng, n, draw):
@@ -752,6 +776,16 @@ class TestRootHelpers:
             assert (r - m) >= 0 and q <= (r - m) ** 2
             assert not ((r - m - 1) >= 0 and q <= (r - m - 1) ** 2)
             assert ceil_plus_sqrt(r, q) == -floor_minus_sqrt(-r, q)
+
+    def test_root_input_checks(self):
+        with pytest.raises(ValueError, match="negative radicand"):
+            iroot_floor(-1, 2)
+        with pytest.raises(ValueError, match="root order must be positive"):
+            iroot_floor(8, 0)
+        with pytest.raises(ValueError, match="negative radicand"):
+            floor_minus_sqrt(F(1), F(-1, 4))
+        with pytest.raises(ValueError, match="negative radicand"):
+            ceil_plus_sqrt(F(1), F(-1, 4))
 
 
 def test_results_stay_canonical():
