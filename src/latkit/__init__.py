@@ -26,7 +26,6 @@ from .qlinalg import (
     QMatrix,
     QVector,
     Rational,
-    determinant,
     dist_sq_to_span,
     gram_schmidt,
     inverse,

@@ -17,7 +17,8 @@ from typing import Sequence
 from .lattice import LatticeBasis
 from .lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce
 from .basisio import frac_str
-from .qlinalg import QMatrix, determinant
+from .errors import DependentInput
+from .qlinalg import QMatrix, rel_volume_sq
 
 
 def generate_random_basis(dim: int, entry_bound: int, seed: int) -> QMatrix:
@@ -37,8 +38,11 @@ def generate_random_basis(dim: int, entry_bound: int, seed: int) -> QMatrix:
             for _ in range(dim)
         ]
         m = QMatrix(rows)
-        if determinant(m) != 0:
-            return m
+        try:
+            rel_volume_sq(m.row_vectors())
+        except DependentInput:
+            continue
+        return m
 
 
 def _instance_seed(seed: int, dim: int, index: int) -> int:

@@ -34,7 +34,7 @@ from .lattice import (
     verify_dmdsp_certificate,
 )
 from .lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce
-from .qlinalg import QMatrix, QVector, determinant
+from .qlinalg import QMatrix, QVector
 
 
 def _fraction(text: str) -> Fraction:
@@ -55,9 +55,7 @@ def _load_square_basis(path: str) -> LatticeBasis:
     m = parse_basis_file(path)
     if m.rows != m.cols:
         raise RankError(f"need a square matrix, got {m.rows}x{m.cols}")
-    if determinant(m) == 0:
-        raise RankError("input rows are not linearly independent")
-    return LatticeBasis(m.row_vectors(), validate=False)
+    return LatticeBasis(m.row_vectors())
 
 
 def _load_instance(path: str, fixed_index: int) -> MDSPInstance:

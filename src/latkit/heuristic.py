@@ -204,7 +204,9 @@ def _choose_shift(s: int, w: int) -> int:
 
     For (s, w) = det G (|d_i|^2, -<d_v, d_i>) (_GramState.moments), the
     shift b_i -= a v leaves |d_v + a d_i|^2 = |d_v|^2 + (s a^2 - 2 w a) / det G,
-    so a maximizes dist^2 = 1 / |d_v + a d_i|^2.
+    so a maximizes dist^2 = 1 / |d_v + a d_i|^2. s > 0, since it is a
+    diagonal entry of adj(G) and G is positive definite, as _state and
+    LLL's DependentInput guarantee.
 
     A known waste: at a tie w/s = -1/2 both neighbours, -1 and 0, give the
     same distance, yet the floor commits a = -1, a shift that gains
@@ -216,8 +218,6 @@ def _choose_shift(s: int, w: int) -> int:
     pinned bit-identity digests; the rule stays until a change makes that
     move on its own and updates them.
     """
-    if s <= 0:
-        raise DegenerateResidual("fixed vector lies in the span of the others")
     return -((s - 2 * w) // (2 * s))
 
 

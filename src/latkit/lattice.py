@@ -40,7 +40,6 @@ from .qlinalg import (  # noqa: F401
     _eliminate_gram,
     _prefix_record,
     _Record,
-    determinant,
     dist_sq_to_span,
     integer_gram,
     integer_rows,
@@ -95,10 +94,6 @@ class LatticeBasis(_Frozen):
     @property
     def is_full_rank(self) -> bool:
         return len(self.vectors) == self.dim
-
-    def matrix(self) -> QMatrix:
-        """Matrix whose columns are the basis vectors."""
-        return QMatrix.from_columns(self.vectors)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeBasis) and self.vectors == other.vectors
@@ -373,12 +368,13 @@ def minkowski_bound_sq(basis: LatticeBasis) -> Fraction:
     Returns n * |det|^(2/n) exactly when that power is rational, otherwise
     a rational upper enclosure tight to about 2**-64 (_MINKOWSKI_FRAC_BITS),
     obtained from integer root ceilings of the scaled numerator and
-    denominator.
+    denominator. det^2 is the Gram determinant (rel_volume_sq), so a
+    dependent family raises DependentInput.
     """
     if not basis.is_full_rank:
         raise NonSquare("Minkowski bound needs a full-rank square basis")
     n = basis.dim
-    det_sq = determinant(basis.matrix()) ** 2
+    det_sq = rel_volume_sq(basis.vectors)
     p, q = det_sq.numerator, det_sq.denominator
     rp = iroot_floor(p, n)
     rq = iroot_floor(q, n)

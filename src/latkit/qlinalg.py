@@ -34,8 +34,7 @@ current there would cost O(n^2) per move, O(n^4) where a round makes
 O(n^2) of them. Its final (d, lambda) is the record's, so the heuristic
 sweep after it builds its lower triangle from that data without
 eliminating again.
-Only determinant eliminates apart: it pivots rows, since a Gram matrix
-loses the sign. No floating point enters any correctness-bearing path.
+No floating point enters any correctness-bearing path.
 """
 
 from __future__ import annotations
@@ -527,27 +526,6 @@ def rel_volume_sq(basis: Sequence[QVector]) -> Fraction:
     return Fraction(vol, scale ** (2 * len(basis)))
 
 
-def determinant(m: QMatrix) -> Fraction:
-    """det(s m) / s^n by integer Bareiss elimination with row pivoting."""
-    if not m.is_square:
-        raise NonSquare(f"determinant of a {m.rows}x{m.cols} matrix")
-    a, scale = integer_rows(m.row_vectors())
-    n = len(a)
-    sign = prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return _ZERO
-        sign = sign if piv == k else -sign
-        a[k], a[piv] = a[piv], a[k]
-        p, tail = a[k][k], a[k][k + 1:]
-        for ai in a[k + 1:]:
-            f = ai[k]
-            ai[k + 1:] = [(x * p - f * y) // prev for x, y in zip(ai[k + 1:], tail)]
-        prev = p
-    return Fraction(sign * a[-1][-1], scale ** n)
-
-
 def inverse(m: QMatrix) -> QMatrix:
     """Exact inverse s adj(A^T A) A^T / det(A^T A) of m = A / s, A integral;
     A^T A is the Gram matrix of A's columns."""
@@ -565,12 +543,16 @@ def inverse(m: QMatrix) -> QMatrix:
 
 
 def is_unimodular(m: QMatrix) -> bool:
-    """True iff m is integral with determinant +1 or -1."""
+    """True iff m is integral with determinant +1 or -1: for integral m,
+    det(m m^T) = det(m)^2 (rel_volume_sq) is 1 exactly then."""
     if not m.is_square:
         raise NonSquare("unimodularity is defined for square matrices")
     if not m.is_integral():
         return False
-    return abs(determinant(m)) == 1
+    try:
+        return rel_volume_sq(m.row_vectors()) == 1
+    except DependentInput:
+        return False
 
 
 # -- integer and rational root helpers ------------------------------------

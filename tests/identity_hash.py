@@ -15,23 +15,24 @@ the benchmark's n <= 6, drawn with inputs.uniform_rows from this
 script's own SplitMix64 streams, with their rational copies, through
 solve_exact, the CVP route and enumerate_cvp on an instance rebuilt from
 the public fields. The "core" line adds the exact linear algebra that the
-workloads do not reach (determinant, inverse, gram_schmidt, same_lattice,
+workloads do not reach (inverse, gram_schmidt, same_lattice,
 is_unimodular), the instance utilities built on it (cvp_to_mdsp,
 certificate_bounds, minkowski_bound_sq), the
 identity det([v|B])^2 = relvol^2(B) dist^2(v, span B) and the public fields
 of mdsp_to_cvp's instance, on seeded rational matrices of order 1 to 8, a
 tenth of them singular; a call that raises contributes its exception's
-name. The "ties" line adds inputs with many tied optima,
-where only the lexicographic tie rule fixes the answer: diagonal CVP forms
-with half-integer offsets, and MDSP instances b_i = a_i e_0 + e_{i+1},
-v = 2 e_0 with every a_i odd (2^n maximizers), among them the n = 7 case
-of the exact solver's tests. latkit is imported from the src/ of the
-checkout that holds this file. The five digests are pinned in EXPECTED:
-the script exits 0 when all five match and 1 when any moved, naming each
-one that did, so one run in one checkout shows whether a refactor kept
-the outputs bit-identical. A change that means to alter outputs updates
-EXPECTED and says why. The name does not start with test_, so pytest
-does not collect it.
+name. Each matrix's determinant and det([v|B]) in those records come from
+naive_det of tests/oracles.py. The "ties" line adds inputs with many tied
+optima, where only the lexicographic tie rule fixes the answer: diagonal
+CVP forms with half-integer offsets, and MDSP instances
+b_i = a_i e_0 + e_{i+1}, v = 2 e_0 with every a_i odd (2^n maximizers),
+among them the n = 7 case of the exact solver's tests. latkit is imported
+from the src/ of the checkout that holds this file. The five digests are
+pinned in EXPECTED: the script exits 0 when all five match and 1 when any
+moved, naming each one that did, so one run in one checkout shows whether
+a refactor kept the outputs bit-identical. A change that means to alter
+outputs updates EXPECTED and says why. The name does not start with
+test_, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "latbench")]
 
 import inputs  # noqa: E402  (latbench/inputs.py)
 import latkit as lk  # noqa: E402
+from oracles import naive_det  # noqa: E402  (tests/oracles.py)
 from latkit.qlinalg import adjugate_spd, integer_gram  # noqa: E402
 
 # the digests of the outputs as they stand; any refactor must keep them
@@ -53,8 +55,8 @@ EXPECTED = {
     "identity": "c0b52095a1f45d9782657c26323638dedb49d0c04e806c745a6bf19f225abbe4",
     "extended": "2751c4740fd23bab30d8966ca1c95ce39be475a39f432a384ad47b39d43f7076",
     "large": "d953ea7722d0ab742f5589b061b0774b85e92d223d8cd5d6713e6ad37e1e4908",
-    "core": "6ed615b806a714a5cc30049670084a1f13f7d50c3550d2e28c423f777c37fb50",
-    "ties": "1c820395f12962f620484fc2335a6249b056925b9b66a1c79a029917a8a18632",
+    "core": "ee3cf14115d9334b673dbc447c0e253e03b6bd561da641564aa32317de70155c",
+    "ties": "2936f14c4cc554270be60853cfa30677aefb1bf0c9888e4307ff596ba7bd7d5a",
 }
 SEEDS = (101, 102)
 # rounds a --seconds 30 latbench run draws per workload
@@ -180,7 +182,7 @@ def unimodular(rng, n):
 
 def det_identity(inst):
     """det([v|B])^2 == relvol^2(B) dist^2(v, span B), exact."""
-    lhs = lk.determinant(inst.full_matrix()) ** 2
+    lhs = naive_det(inst.full_matrix().data) ** 2
     return lhs == lk.rel_volume_sq(inst.rest.vectors) * lk.dist_sq_to_span(
         inst.fixed, inst.rest.vectors)
 
@@ -196,7 +198,7 @@ def core_records(seed):
             gs = call(lk.gram_schmidt, vecs)
             u = unimodular(rng, n)
             two = lk.QMatrix([[2 * (i == j) for j in range(n)] for i in range(n)])
-            yield (lk.determinant(m), call(lk.inverse, m),
+            yield (naive_det(rows), call(lk.inverse, m),
                    gs if isinstance(gs, str) else (gs.bstar, gs.mu, gs.dk),
                    lk.is_unimodular(m), lk.is_unimodular(u),
                    call(lk.same_lattice, m, m @ u), call(lk.same_lattice, m, m @ two))

@@ -10,7 +10,8 @@ from latkit.basisio import parse_basis_text, serialize_matrix
 from latkit.bench import bench_compare, generate_random_basis, report_to_json
 from latkit.cli import build_parser, main
 from latkit.errors import ParseError
-from latkit.qlinalg import QMatrix, determinant, rational
+from latkit.qlinalg import QMatrix, rational
+from oracles import naive_det
 
 DATA = Path(__file__).parent / "data"
 
@@ -101,7 +102,24 @@ class TestGenerate:
     def test_nonsingular(self):
         for seed in range(10):
             m = generate_random_basis(4, 2, seed)
-            assert determinant(m) != 0
+            assert naive_det(m.data) != 0
+
+    def test_redraws_singular_draws(self):
+        # at order 2 with entries in -1..1 most seeds draw a singular matrix
+        # first (14 of these 20); each must redraw exactly where the
+        # textbook determinant is 0
+        redrawn = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            draws = 0
+            while True:
+                rows = [[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)]
+                draws += 1
+                if naive_det(rows) != 0:
+                    break
+            assert generate_random_basis(2, 1, seed) == QMatrix(rows)
+            redrawn += draws > 1
+        assert redrawn
 
     def test_frozen_fixture(self):
         m = generate_random_basis(20, 1000, 1)

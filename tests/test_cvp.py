@@ -25,7 +25,7 @@ from latkit.cvp import (
 )
 from latkit.exact import solve_exact
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift
-from latkit.qlinalg import QMatrix, QVector, determinant, dist_sq_to_span
+from latkit.qlinalg import QMatrix, QVector, dist_sq_to_span
 from oracles import cvp_exhaustive, naive_det, random_mdsp_vectors
 
 
@@ -133,7 +133,7 @@ class TestReverse:
                         for _ in range(n)
                     ]
                 )
-                if determinant(l) != 0:
+                if naive_det(l.data) != 0:
                     break
             t = QVector([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
             inst = cvp_to_mdsp(l, t)
@@ -179,7 +179,7 @@ class TestBruteforce:
         for n in (7, 8):
             while True:
                 b = QMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-                if determinant(b) != 0:
+                if naive_det(b.data) != 0:
                     break
             offset = QVector([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
             c = CVPGramInstance(b @ b.transpose(), offset, F(3, 2))
@@ -225,7 +225,7 @@ class TestBruteforce:
             while True:
                 a = QMatrix([[F(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(n)]
                              for _ in range(n)])
-                if determinant(a) != 0:
+                if naive_det(a.data) != 0:
                     break
             gram = a.transpose() @ a
             offset = QVector([F(rng.randint(-9, 9), rng.randint(2, 7)) for _ in range(n)])
@@ -250,7 +250,7 @@ class TestBruteforce:
                         for _ in range(n)
                     ]
                 )
-                if determinant(a) != 0:
+                if naive_det(a.data) != 0:
                     break
             gram = a.transpose() @ a
             offset = QVector(
@@ -299,7 +299,7 @@ class TestBruteforce:
                 a = QMatrix(
                     [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
                 )
-                if determinant(a) != 0:
+                if naive_det(a.data) != 0:
                     break
             gram = a.transpose() @ a
             offset = QVector(
@@ -382,7 +382,7 @@ class TestRecovery:
             offset = QVector([F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n)])
             j = tuple(rng.randint(-4, 4) for _ in range(n))
             forms = [gram]
-            if determinant(gram) != 0:
+            if naive_det(gram.data) != 0:
                 forms.append(gram.transpose() @ gram)
             for g in forms:
                 if not is_spd(g.data):
@@ -424,7 +424,7 @@ class TestRecovery:
             n = rng.randint(1, 4)
             a = QMatrix([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
                          for _ in range(n)])
-            if determinant(a) == 0:
+            if naive_det(a.data) == 0:
                 continue
             offset = QVector([F(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)])
             scale_sq = F(rng.randint(1, 50), rng.randint(1, 9))
@@ -459,7 +459,7 @@ class TestEquivalence:
                 l = QMatrix(
                     [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
                 )
-                if determinant(l) != 0:
+                if naive_det(l.data) != 0:
                     break
             t = QVector([F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
             inst = cvp_to_mdsp(l, t)
@@ -615,7 +615,7 @@ def hand_built_forms(seed, count=8):
         n = rng.randint(1, 4)
         a = QMatrix([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
                      for _ in range(n)])
-        if determinant(a) == 0:
+        if naive_det(a.data) == 0:
             continue
         offset = QVector([F(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)])
         forms.append(CVPGramInstance(a.transpose() @ a, offset,

@@ -28,7 +28,6 @@ from latkit.exact import solve_exact
 from latkit.qlinalg import (
     QMatrix,
     QVector,
-    determinant,
     dist_sq_to_span,
     integer_rows,
     rel_volume_sq,
@@ -40,6 +39,7 @@ from oracles import (
     dual_basis,
     dual_greedy,
     int_det,
+    naive_det,
     naive_dist_sq,
     random_mdsp_vectors,
     vdot,
@@ -305,7 +305,7 @@ class TestRunHeuristic:
         for _ in range(15):
             inst = make_instance(*random_mdsp_vectors(rng, rng.randint(2, 4)))
             # det([v|B])^2 = relvol^2(B) dist^2(v, span B)
-            assert determinant(inst.full_matrix()) ** 2 == rel_volume_sq(
+            assert naive_det(inst.full_matrix().data) ** 2 == rel_volume_sq(
                 inst.rest.vectors
             ) * dist_sq_to_span(inst.fixed, inst.rest.vectors)
             current = inst

@@ -35,13 +35,12 @@ from latkit.lattice import (
 from latkit.qlinalg import (
     QMatrix,
     QVector,
-    determinant,
     dist_sq_to_span,
     gram_schmidt,
     is_unimodular,
     rel_volume_sq,
 )
-from oracles import int_gram_det, naive_dist_sq, naive_gs, random_mdsp_vectors, vdot
+from oracles import int_gram_det, naive_det, naive_dist_sq, naive_gs, random_mdsp_vectors, vdot
 
 
 def qv(*entries):
@@ -377,6 +376,12 @@ class TestMinkowski:
         with pytest.raises(NonSquare):
             minkowski_bound_sq(LatticeBasis([qv(1, 0, 0), qv(0, 1, 0)]))
 
+    def test_dependent_family(self):
+        # the rows generate Z (1, 2), whose shortest vector has norm^2 5, so
+        # det^2 = 0 would give the false bound 0
+        with pytest.raises(DependentInput):
+            minkowski_bound_sq(LatticeBasis([qv(1, 2), qv(2, 4)], validate=False))
+
 
 class TestDetIdentity:
     def test_random_instances(self):
@@ -384,7 +389,7 @@ class TestDetIdentity:
         worked = [MDSPInstance.from_vectors([0, 2], [[1, 1]]),
                   MDSPInstance.from_vectors([0, 1], [[1, 0]])]
         for inst in worked + [random_instance(rng, rng.randint(2, 5)) for _ in range(40)]:
-            lhs = determinant(inst.full_matrix()) ** 2
+            lhs = naive_det(inst.full_matrix().data) ** 2
             rhs = rel_volume_sq(inst.rest.vectors) * dist_sq_to_span(
                 inst.fixed, inst.rest.vectors
             )

@@ -171,4 +171,4 @@ class TestCLIGaps:
         src = tmp_path / "sing.txt"
         src.write_text("2 2\n1 2\n2 4\n")
         assert main(["mdsp-exact", "--in", str(src)]) == 2
-        capsys.readouterr()
+        assert "error: vectors are linearly dependent" in capsys.readouterr().err
