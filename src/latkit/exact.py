@@ -9,8 +9,9 @@ of the integers Q_k of one O(n^2) recurrence over the record's rows u_k
 evaluates it at one shift. solve_exact finds the closest vector of the
 instance's Gram-form CVP side by the integer Schnorr-Euchner enumeration
 of enumerate_cvp, which walks that recurrence level by level and prunes
-on Q_k (cvp._search), with no adjugate and no CVP form built; dist^2 and
-B(x) come from integers, once. Ties go to the lexicographically smallest
+on Q_k (cvp._search), with no adjugate and no CVP form built; dist^2
+comes from integers, once, and B(x) from the scaled rows, on the first
+read of the solution's basis. Ties go to the lexicographically smallest
 shift, and there is no dimension cap.
 
 The certified shift ranges remain a certificate, not the search: any basis
@@ -50,9 +51,27 @@ class ShiftRanges:
 
 @dataclass(frozen=True)
 class MDSPSolution:
+    """The maximizing shift x, dist^2 from v to span(B(x)), and B(x).
+
+    solve_exact stores the instance's scaled integer rows and scale s, not
+    B(x), and builds basis from them on first read. Equality, hashing,
+    repr, copies and pickles see only the three fields.
+    """
+
     x: tuple[int, ...]
     dist_sq: Fraction
     basis: LatticeBasis
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute missing from the solution
+        scaled = self.__dict__.get("_scaled")
+        if scaled is None or name != "basis":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        (*rest, v), scale = scaled
+        shifted = [[b + xi * e for b, e in zip(row, v)] for row, xi in zip(rest, self.x)]
+        basis = LatticeBasis(rational_vectors(shifted, scale), validate=False)
+        object.__setattr__(self, "basis", basis)
+        return basis
 
 
 def projection_length_sq(inst: MDSPInstance) -> Fraction:
@@ -115,8 +134,9 @@ def solve_exact(inst: MDSPInstance) -> MDSPSolution:
     (v, b_{n-1}, ..., b_0). The search of enumerate_cvp (no dimension
     cap) runs on P and returns the maximizer x, ties going to the
     lexicographically smallest, with z^T adj(P) z = T and det P = D at
-    z = (1, -x_{n-1}, ..., -x_0); so d^2 = D / (s^2 T). B(x) is
-    rows_i + x_i v on the scaled rows, divided by s once. If v is
+    z = (1, -x_{n-1}, ..., -x_0); so d^2 = D / (s^2 T). The solution
+    keeps the scaled rows and s, and builds B(x), rows_i + x_i v divided
+    by s once, on the first read of its basis. If v is
     orthogonal to span(B), the unique maximizer is x = 0. A zero v raises
     DegenerateFixedVector and a dependent [B; v] SingularMatrix.
     """
@@ -124,7 +144,8 @@ def solve_exact(inst: MDSPInstance) -> MDSPSolution:
         raise DegenerateFixedVector("fixed vector is zero")
     rows, scale, eliminated = inst._primal()  # raises SingularMatrix
     x, t, det = _search(eliminated)
-    *rest, v = rows
-    shifted = [[b + xi * e for b, e in zip(row, v)] for row, xi in zip(rest, x)]
-    basis = LatticeBasis(rational_vectors(shifted, scale), validate=False)
-    return MDSPSolution(x, Fraction(det, scale * scale * t), basis)
+    sol = object.__new__(MDSPSolution)
+    object.__setattr__(sol, "x", x)
+    object.__setattr__(sol, "dist_sq", Fraction(det, scale * scale * t))
+    object.__setattr__(sol, "_scaled", (rows, scale))
+    return sol

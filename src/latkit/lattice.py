@@ -98,6 +98,9 @@ class LatticeBasis(_Frozen):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeBasis) and self.vectors == other.vectors
 
+    def __hash__(self) -> int:
+        return hash(self.vectors)
+
     def __repr__(self) -> str:
         return f"LatticeBasis({list(self.vectors)!r})"
 

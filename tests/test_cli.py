@@ -184,6 +184,26 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out == {"x": [-1], "dist_sq": "2/1"}
 
+    def test_mdsp_exact_out(self, tmp_path, capsys):
+        # a rational instance, so the stored rows are scaled by s > 1: the
+        # written rows are b_i + x_i v at the printed x, and --out leaves
+        # the JSON as it is
+        path, out_path = tmp_path / "inst.txt", tmp_path / "shifted.txt"
+        path.write_text("3 3\n5/2 1 2/3\n3 1/5 -1\n4 7/4 1/3\n")
+        argv = ["mdsp-exact", "--in", str(path), "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == plain
+        out = json.loads(plain)
+        assert out == {"x": [-2, -2], "dist_sq": "90601/47252"}
+        x = out["x"]
+        v, *basis = [[F(e) for e in line.split()] for line in path.read_text().splitlines()[1:]]
+        want = [[b + xi * e for b, e in zip(row, v)] for row, xi in zip(basis, x)]
+        header, *lines = out_path.read_text().splitlines()
+        assert header == "2 3"
+        assert [[F(e) for e in line.split()] for line in lines] == want
+
     def test_fixed_index(self, instance_file, capsys):
         # row 1 as fixed vector: v=(1,1), B={(0,2)}
         assert main(

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -5,6 +8,7 @@ from math import prod
 
 import pytest
 
+from latkit import exact
 from latkit.cvp import (
     CVPGramInstance,
     enumerate_cvp,
@@ -13,6 +17,7 @@ from latkit.cvp import (
 )
 from latkit.errors import DegenerateFixedVector, DependentInput, SingularMatrix
 from latkit.exact import (
+    MDSPSolution,
     projection_length_sq,
     shift_dist_sq,
     shift_ranges,
@@ -37,6 +42,19 @@ def make_instance(v, basis):
 E1 = make_instance([0, 2], [[1, 1]])
 ORTHO = make_instance([0, 1], [[1, 0]])
 DIM3 = make_instance([0, 0, 3], [[1, 0, 1], [0, 1, 2]])
+
+
+def scaled_instances(seed, count):
+    """Random instances of dimension 2 to 5; every other one has each vector
+    over its own denominator, so that its stored rows are scaled by s > 1."""
+    rng = random.Random(seed)
+    for k in range(count):
+        v, basis = random_mdsp_vectors(rng, rng.randint(2, 5))
+        if k % 2:
+            dens = [rng.randint(2, 6)] + [rng.randint(1, 6) for _ in basis]
+            v = [e / dens[0] for e in v]
+            basis = [[e / den for e in b] for b, den in zip(basis, dens[1:])]
+        yield make_instance(v, basis)
 
 
 def line_proj_sq(v, b):
@@ -320,22 +338,22 @@ class TestSolveExact:
             assert (sol.x, sol.dist_sq) == (best_x, best_d)
 
     def test_integer_outputs_match_public_route(self):
-        # B(x) and d^2 come from integer rows scaled once; integer and
-        # rational instances (each vector over its own denominator, scale > 1)
-        rng = random.Random(229)
-        for k in range(24):
-            v, basis = random_mdsp_vectors(rng, rng.randint(2, 5))
-            if k % 2:
-                dens = [rng.randint(2, 6)] + [rng.randint(1, 6) for _ in basis]
-                v = [e / dens[0] for e in v]
-                basis = [[e / den for e in b] for b, den in zip(basis, dens[1:])]
-            inst = make_instance(v, basis)
+        # B(x), on its first read, and d^2 come from integer rows scaled
+        # once; it equals b_i + x_i v summed in Fractions, repr included
+        scaled = 0
+        for inst in scaled_instances(229, 24):
             sol = solve_exact(inst)
+            v = inst.fixed.entries
             shifted = apply_shift(inst, sol.x)
-            assert sol.basis == shifted
-            assert repr(sol.basis) == repr(shifted)
+            eager = LatticeBasis([QVector([e + xi * f for e, f in zip(b.entries, v)])
+                                  for b, xi in zip(inst.rest.vectors, sol.x)])
+            assert sol.basis == shifted == eager
+            assert repr(sol.basis) == repr(shifted) == repr(eager)
+            assert sol.basis is sol.basis  # built once
             assert sol.dist_sq == naive_dist_sq(v, [b.entries for b in shifted.vectors])
             assert type(sol.dist_sq) is F
+            scaled += inst._primal()[1] > 1
+        assert scaled == 12
 
     def test_large_box_regression(self):
         v = (7, 5, -16, -3)
@@ -352,6 +370,68 @@ class TestSolveExact:
         assert naive_dist_sq(v, shifted) == sol.dist_sq
         # no shift within +-1 of x does better
         assert brute_force_mdsp(v, shifted, 1)[0] == sol.dist_sq
+
+
+class TestLazyBasis:
+    """solve_exact stores the scaled rows, not B(x), and builds basis on
+    its first read; nothing a caller sees of the solution depends on when
+    that read comes."""
+
+    def test_no_basis_until_read(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("B(x) built before basis was read")
+
+        monkeypatch.setattr(exact, "rational_vectors", refuse)
+        for inst in scaled_instances(251, 12):
+            sol = solve_exact(inst)
+            assert "basis" not in vars(sol)
+            assert sol.dist_sq == shift_dist_sq(inst, sol.x)
+            with pytest.raises(AssertionError):
+                sol.basis
+
+    def test_unread_and_read_agree(self):
+        for inst in scaled_instances(263, 8):
+            read = solve_exact(inst)
+            read.basis
+            assert solve_exact(inst) == read and read == solve_exact(inst)
+            assert hash(solve_exact(inst)) == hash(read)
+            assert repr(solve_exact(inst)) == repr(read)
+            assert dataclasses.replace(solve_exact(inst)) == read
+            twins = [copy.copy(solve_exact(inst)), copy.deepcopy(solve_exact(inst))]
+            twins += [pickle.loads(pickle.dumps(solve_exact(inst), protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in twins:
+                assert "basis" not in vars(twin)
+                assert twin == read and hash(twin) == hash(read) and repr(twin) == repr(read)
+            for twin in (copy.copy(read), copy.deepcopy(read), pickle.loads(pickle.dumps(read))):
+                assert twin == read and hash(twin) == hash(read)
+
+    def test_missing_attribute(self):
+        sol = solve_exact(E1)
+        direct = MDSPSolution(sol.x, sol.dist_sq, apply_shift(E1, sol.x))
+        for obj in (solve_exact(E1), direct):
+            assert not hasattr(obj, "nope")
+            with pytest.raises(AttributeError) as e:
+                obj.nope
+            assert str(e.value) == "'MDSPSolution' object has no attribute 'nope'"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                obj.x = (0,)
+        unread = solve_exact(E1)
+        assert not hasattr(unread, "nope") and "basis" not in vars(unread)
+
+    def test_public_constructor(self):
+        basis = LatticeBasis([QVector([1, -1])])  # (1, 1) - (0, 2)
+        sol = MDSPSolution((-1,), F(2), basis)
+        assert sol.basis is basis and set(vars(sol)) == {"x", "dist_sq", "basis"}
+        assert sol == solve_exact(E1) and hash(sol) == hash(solve_exact(E1))
+        assert repr(sol) == (
+            "MDSPSolution(x=(-1,), dist_sq=Fraction(2, 1), "
+            "basis=LatticeBasis([QVector([Fraction(1, 1), Fraction(-1, 1)])]))"
+        )
+        assert repr(sol) == repr(solve_exact(E1))
+        assert pickle.loads(pickle.dumps(sol)) == sol == copy.deepcopy(sol)
+        assert dataclasses.replace(sol, dist_sq=F(3)).basis is basis
+        assert {sol: 1}[solve_exact(E1)] == 1
 
 
 class TestTiesThroughThePublicRoutes:

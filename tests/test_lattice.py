@@ -501,11 +501,15 @@ class TestStoredForm:
         rows = [[F(1, 2), 3, -4], [0, F(-7, 3), 5]]
         for obj in (QVector(rows[0]), QMatrix(rows), LatticeBasis([QVector(r) for r in rows])):
             for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-                assert twin == obj and type(twin) is type(obj)
+                assert twin == obj and type(twin) is type(obj) and hash(twin) == hash(obj)
                 with pytest.raises(AttributeError):
                     twin.dim = 5
         basis = pickle.loads(pickle.dumps(LatticeBasis([QVector(r) for r in rows])))
         assert basis.dim == 3 and hash(QVector(rows[0])) == hash(copy.deepcopy(QVector(rows[0])))
+        # equal bases hash equal, however their entries were spelled
+        spelled = LatticeBasis([QVector([F(2, 4), F(6, 2), F(-8, 2)]),
+                                QVector([0, F(14, -6), F(5)])])
+        assert spelled == basis and hash(spelled) == hash(basis) and {basis: 1}[spelled] == 1
 
     def test_pickle_under_every_protocol(self):
         # protocols 0 and 1 pickle a slotted class only through __getstate__
