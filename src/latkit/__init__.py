@@ -22,12 +22,9 @@ from .errors import (
     SingularMatrix,
 )
 from .qlinalg import (
-    GramSchmidtResult,
     QMatrix,
     QVector,
-    Rational,
     dist_sq_to_span,
-    gram_schmidt,
     inverse,
     is_unimodular,
     rational,
@@ -39,17 +36,14 @@ from .lattice import (
     EquivalenceWitness,
     LatticeBasis,
     MDSPInstance,
-    ShiftVector,
     apply_shift,
     certificate_bounds,
-    minkowski_bound_sq,
     same_lattice,
     verify_dmdsp_certificate,
 )
 from .exact import (
     MDSPSolution,
     ShiftRanges,
-    projection_length_sq,
     shift_dist_sq,
     shift_ranges,
     solve_exact,
@@ -78,11 +72,3 @@ from .lll import (
     lll_reduce,
     shortest_basis_vector,
 )
-from .basisio import (
-    frac_str,
-    parse_basis_file,
-    parse_basis_text,
-    serialize_matrix,
-    write_basis_file,
-)
-from .bench import BenchReport, bench_compare, generate_random_basis, report_to_json

@@ -5,14 +5,15 @@ Every function here reads the instance's stored integer form
 elimination record (d, lambda, u) of the Gram matrix P of
 (v, b_{n-1}, ..., b_0). Every MDSP value there is det P / T, T the last
 of the integers Q_k of one O(n^2) recurrence over the record's rows u_k
-(lattice._value). shift_dist_sq, and through it projection_length_sq,
-evaluates it at one shift. solve_exact finds the closest vector of the
-instance's Gram-form CVP side by the integer Schnorr-Euchner enumeration
-of enumerate_cvp, which walks that recurrence level by level and prunes
-on Q_k (cvp._search), with no adjugate and no CVP form built; dist^2
-comes from integers, once, and B(x) from the scaled rows, on the first
-read of the solution's basis. Ties go to the lexicographically smallest
-shift, and there is no dimension cap.
+(lattice._value). shift_dist_sq evaluates it at one shift, and
+shift_ranges reads p^2 off it at x = 0. solve_exact finds the closest
+vector of the instance's Gram-form CVP side by the integer
+Schnorr-Euchner enumeration of enumerate_cvp, which walks that
+recurrence level by level and prunes on Q_k (cvp._search), with no
+adjugate and no CVP form built; dist^2 comes from integers, once, and
+B(x) from the scaled rows, on the first read of the solution's basis.
+Ties go to the lexicographically smallest shift, and there is no
+dimension cap.
 
 The certified shift ranges remain a certificate, not the search: any basis
 B(x) whose span is at least as far from v as span(B) must keep every
@@ -74,13 +75,6 @@ class MDSPSolution:
         return basis
 
 
-def projection_length_sq(inst: MDSPInstance) -> Fraction:
-    """Squared length of the projection of v onto span(B): by Pythagoras,
-    |v|^2 minus the squared distance from v to span(B), shift_dist_sq at
-    x = 0."""
-    return inst.fixed.norm_sq() - shift_dist_sq(inst, [0] * inst.n)
-
-
 def shift_ranges(inst: MDSPInstance) -> ShiftRanges:
     """Certified enumeration ranges for every shift coordinate.
 
@@ -89,13 +83,14 @@ def shift_ranges(inst: MDSPInstance) -> ShiftRanges:
     condition is a rational quadratic in x with positive leading
     coefficient, so its root interval is [-alpha_i - w, -alpha_i + w] with
     w^2 rational; the integer range takes the exact floor and ceiling of
-    the endpoints.
+    the endpoints. p^2 = |v|^2 - dist^2(v, span B) by Pythagoras, the
+    distance being shift_dist_sq at x = 0.
     """
     v = inst.fixed
     v_sq = v.norm_sq()
     if v_sq == 0:
         raise DegenerateFixedVector("fixed vector is zero")
-    p_sq = projection_length_sq(inst)
+    p_sq = v_sq - shift_dist_sq(inst, [0] * inst.n)
     lead = v_sq * (v_sq - p_sq)  # positive: v is outside span(B)
     s: list[int] = []
     t: list[int] = []

@@ -13,8 +13,6 @@ rows, adj(G) = det G Gram(d_0, ..., d_{n-1}, d_v). A shift b_i -= a v only
 sets d_v += a d_i, dist^2(v, span B) = 1 / |d_v|^2, so the shift is the
 integer nearest -<d_v, d_i> / |d_i|^2, the floor on a tie (_choose_shift),
 and dropping v projects the other duals orthogonally to d_v (leading).
-Gram-Schmidt reads the same object: b*_k / |b*_k|^2 is the last dual
-vector of b_0..b_k (qlinalg.gram_schmidt).
 
 The passes read only three parts of adj(G): its diagonal, its row v, and
 the row of each coordinate that gets shifted. They come from one of two

@@ -32,26 +32,25 @@ from .errors import (
     SingularMatrix,
 )
 # dist_sq_to_span is not called in this module; it stays importable as
-# lattice.dist_sq_to_span because latbench's traced runs rebind that name.
+# lattice.dist_sq_to_span because latbench's traced runs (KernelTimer in
+# latbench/run.py) rebind that name. For the same reason same_lattice stays,
+# with the inverse it calls (cvp.inverse is rebound too), and so do
+# EquivalenceWitness and is_unimodular, which same_lattice uses; no route
+# calls them. They can go once latbench stops rebinding latkit's names.
 from .qlinalg import (  # noqa: F401
     QMatrix,
     QVector,
     _Frozen,
     _eliminate_gram,
-    _prefix_record,
     _Record,
     dist_sq_to_span,
     integer_gram,
     integer_rows,
     inverse,
-    iroot_ceil,
-    iroot_floor,
     is_unimodular,
     rational,
     rel_volume_sq,
 )
-
-ShiftVector = tuple[int, ...]
 
 # An instance's integer form, as MDSPInstance._primal returns it: the rows
 # (B, v) scaled to integers by s, s, and the record (d, lam, u) of the
@@ -90,10 +89,6 @@ class LatticeBasis(_Frozen):
 
     def __getitem__(self, i: int) -> QVector:
         return self.vectors[i]
-
-    @property
-    def is_full_rank(self) -> bool:
-        return len(self.vectors) == self.dim
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeBasis) and self.vectors == other.vectors
@@ -331,15 +326,20 @@ def _bit_size(f: Fraction) -> int:
 def certificate_bounds(inst: MDSPInstance) -> CertificateBounds:
     """Exact certificate size quantities for an instance.
 
-    dk is gram_schmidt's, the squared relative volumes of B's prefixes,
-    read off one elimination (qlinalg._prefix_record) with no b* or mu. A
-    dependent B raises gram_schmidt's DependentInput.
+    dk, the squared relative volumes of B's prefixes, are the leading
+    minors d_{k+1} / s^(2k+2) of one elimination (_eliminate_gram) of the
+    Gram matrix of B's rows scaled to integers by s. A dependent B raises
+    DependentInput at its first vector in the span of its predecessors.
     """
     v = inst.fixed
     k0 = 1
     for e in v.entries:
         k0 *= e.denominator
-    dk = _prefix_record(inst.rest.vectors)[3]
+    rows, scale = integer_rows(inst.rest.vectors)
+    minors = _eliminate_gram(integer_gram(rows))[0]
+    if minors[-1] == 0:  # det, which _eliminate_gram leaves unchecked
+        raise DependentInput(f"vector {len(rows) - 1} is in the span of its predecessors")
+    dk = [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(minors[1:])]
     big_d = Fraction(1)
     for d in dk:
         big_d *= d
@@ -361,29 +361,3 @@ def certificate_bounds(inst: MDSPInstance) -> CertificateBounds:
         input_bit_size_l=l_bits,
     )
 
-
-_MINKOWSKI_FRAC_BITS = 64
-
-
-def minkowski_bound_sq(basis: LatticeBasis) -> Fraction:
-    """Certified upper bound on the squared length of a shortest vector.
-
-    Returns n * |det|^(2/n) exactly when that power is rational, otherwise
-    a rational upper enclosure tight to about 2**-64 (_MINKOWSKI_FRAC_BITS),
-    obtained from integer root ceilings of the scaled numerator and
-    denominator. det^2 is the Gram determinant (rel_volume_sq), so a
-    dependent family raises DependentInput.
-    """
-    if not basis.is_full_rank:
-        raise NonSquare("Minkowski bound needs a full-rank square basis")
-    n = basis.dim
-    det_sq = rel_volume_sq(basis.vectors)
-    p, q = det_sq.numerator, det_sq.denominator
-    rp = iroot_floor(p, n)
-    rq = iroot_floor(q, n)
-    if rp ** n == p and rq ** n == q:
-        return n * Fraction(rp, rq)
-    shift = 1 << (n * _MINKOWSKI_FRAC_BITS)
-    num_up = iroot_ceil(p * shift, n)
-    den_down = iroot_floor(q * shift, n)
-    return n * Fraction(num_up, den_down)

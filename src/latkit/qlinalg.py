@@ -24,7 +24,7 @@ volumes.
 The record describes one object, the dual basis of the rows (the rows of
 G^-1 R, R the matrix of the rows): adj(G) is det G times its Gram matrix,
 and u_k . R is d_{k+1} times the last dual vector of rows 0..k, which is
-b*_k / |b*_k|^2, so Gram-Schmidt reads it too (gram_schmidt). The
+b*_k / |b*_k|^2: the record holds Gram-Schmidt's data too. The
 adjugate's lower triangle (_adjugate_lower) is the heuristic sweep's
 state and, mirrored (_adjugate), gives inverses and the MDSP-to-CVP map;
 on an instance the heuristic builds only the rows it reads.
@@ -39,7 +39,6 @@ No floating point enters any correctness-bearing path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -53,7 +52,6 @@ from .errors import (
     SingularMatrix,
 )
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 _SMALL_BOUND = 128
@@ -261,60 +259,6 @@ class QMatrix(_Frozen):
 
     def __repr__(self) -> str:
         return f"QMatrix({[list(r) for r in self.data]!r})"
-
-
-@dataclass(frozen=True)
-class GramSchmidtResult:
-    """Orthogonalization of a basis.
-
-    ``bstar`` are pairwise orthogonal, ``mu`` is unit lower triangular with
-    the projection coefficients below the diagonal, and ``dk[k]`` is the
-    squared relative volume of the first k+1 input vectors, i.e. the running
-    product of the squared lengths of the orthogonal vectors.
-    """
-
-    bstar: list[QVector]
-    mu: QMatrix
-    dk: list[Fraction]
-
-
-def _prefix_record(
-    basis: Sequence[QVector],
-) -> tuple[list[list[int]], int, _Record, list[Fraction]]:
-    """(rows, s, e, dk) of a linearly independent basis: its rows scaled to
-    integers by s (_scaled_gram), the record e = (d, lam, u) of one
-    elimination of their Gram matrix (_eliminate_gram), and gram_schmidt's
-    dk, the squared relative volumes d_{k+1} / s^(2k+2) of its prefixes.
-    Raises LengthMismatch on an empty basis and DependentInput at the
-    first dependent vector.
-    """
-    if not basis:
-        raise LengthMismatch("gram_schmidt requires a nonempty basis")
-    g, rows, scale = _scaled_gram(basis)
-    e = _eliminate_gram(g)
-    if e[0][-1] == 0:
-        raise DependentInput(f"vector {len(g) - 1} is in the span of its predecessors")
-    return rows, scale, e, [Fraction(p, scale ** (2 * k + 2)) for k, p in enumerate(e[0][1:])]
-
-
-def gram_schmidt(basis: Sequence[QVector]) -> GramSchmidtResult:
-    """Orthogonalize a linearly independent basis, exactly.
-
-    The record of one elimination of the scaled integer Gram matrix
-    (_prefix_record) gives all three: lam_ij = d_{j+1} mu_ij (i > j) for
-    the leading minors d_{k+1} = dk[k] s^(2k+2), and on the scaled rows
-    r = s b, sum_j u_k[j] r_j = d_k r*_k = d_k s b*_k, d_{k+1} times the
-    last dual vector of r_0..r_k, r*_k / |r*_k|^2 with |r*_k|^2 =
-    d_{k+1} / d_k. Raises DependentInput at the first dependent vector.
-    """
-    rows, scale, (d, lam, u), dk = _prefix_record(basis)
-    n = len(rows)
-    mu = [[Fraction(lam[j][i - j - 1], d[j + 1]) if j < i else _ONE if i == j else _ZERO
-           for j in range(n)] for i in range(n)]
-    bstar = [QVector(Fraction(sum(map(mul, uk, col)), pk * scale)
-                     for col in zip(*rows[:k + 1]))
-             for k, (pk, uk) in enumerate(zip(d, u))]
-    return GramSchmidtResult(bstar, QMatrix(mu), dk)
 
 
 def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
@@ -555,41 +499,10 @@ def is_unimodular(m: QMatrix) -> bool:
         return False
 
 
-# -- integer and rational root helpers ------------------------------------
+# -- rational square-root helpers -------------------------------------------
 #
 # These keep irrational quantities (square roots of rationals) out of the
-# decision paths: callers compare against exact predicates or use certified
-# one-sided enclosures.
-
-
-def iroot_floor(x: int, n: int) -> int:
-    """Largest r with r**n <= x, for x >= 0, n >= 1."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if n < 1:
-        raise ValueError("root order must be positive")
-    if x == 0:
-        return 0
-    if n == 1:
-        return x
-    if n == 2:
-        return isqrt(x)
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        nr = ((n - 1) * r + x // r ** (n - 1)) // n
-        if nr >= r:
-            break
-        r = nr
-    while r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
-
-
-def iroot_ceil(x: int, n: int) -> int:
-    r = iroot_floor(x, n)
-    return r if r ** n == x else r + 1
+# decision paths: each rounds r -/+ sqrt(q) by exact integer predicates.
 
 
 def floor_minus_sqrt(r: Fraction, q: Fraction) -> int:

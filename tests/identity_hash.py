@@ -15,9 +15,8 @@ the benchmark's n <= 6, drawn with inputs.uniform_rows from this
 script's own SplitMix64 streams, with their rational copies, through
 solve_exact, the CVP route and enumerate_cvp on an instance rebuilt from
 the public fields. The "core" line adds the exact linear algebra that the
-workloads do not reach (inverse, gram_schmidt, same_lattice,
-is_unimodular), the instance utilities built on it (cvp_to_mdsp,
-certificate_bounds, minkowski_bound_sq), the
+workloads do not reach (inverse, same_lattice, is_unimodular), the
+instance utilities built on it (cvp_to_mdsp, certificate_bounds), the
 identity det([v|B])^2 = relvol^2(B) dist^2(v, span B) and the public fields
 of mdsp_to_cvp's instance, on seeded rational matrices of order 1 to 8, a
 tenth of them singular; a call that raises contributes its exception's
@@ -55,8 +54,8 @@ EXPECTED = {
     "identity": "c0b52095a1f45d9782657c26323638dedb49d0c04e806c745a6bf19f225abbe4",
     "extended": "2751c4740fd23bab30d8966ca1c95ce39be475a39f432a384ad47b39d43f7076",
     "large": "d953ea7722d0ab742f5589b061b0774b85e92d223d8cd5d6713e6ad37e1e4908",
-    "core": "ee3cf14115d9334b673dbc447c0e253e03b6bd561da641564aa32317de70155c",
-    "ties": "2936f14c4cc554270be60853cfa30677aefb1bf0c9888e4307ff596ba7bd7d5a",
+    "core": "79bf965488bde07413126c05685b187316fea5c37160843416d56922bb852205",
+    "ties": "4db16c8d148750e6dfc29021813f0beb65b012e8c23e03d213bd3395e79e9eba",
 }
 SEEDS = (101, 102)
 # rounds a --seconds 30 latbench run draws per workload
@@ -193,13 +192,10 @@ def core_records(seed):
         for _ in range(CORE_PER_N):
             rows = core_matrix(rng, n)
             m = lk.QMatrix(rows)
-            vecs = [lk.QVector(r) for r in rows]
             t = lk.QVector([core_entry(rng) for _ in range(n)])
-            gs = call(lk.gram_schmidt, vecs)
             u = unimodular(rng, n)
             two = lk.QMatrix([[2 * (i == j) for j in range(n)] for i in range(n)])
             yield (naive_det(rows), call(lk.inverse, m),
-                   gs if isinstance(gs, str) else (gs.bstar, gs.mu, gs.dk),
                    lk.is_unimodular(m), lk.is_unimodular(u),
                    call(lk.same_lattice, m, m @ u), call(lk.same_lattice, m, m @ two))
             yield call(lk.cvp_to_mdsp, m, t)
@@ -208,7 +204,6 @@ def core_records(seed):
             inst = instance(rows)
             cvp = call(lk.mdsp_to_cvp, inst)
             yield (call(lk.certificate_bounds, inst), call(det_identity, inst),
-                   call(lk.minkowski_bound_sq, lk.LatticeBasis(vecs, validate=False)),
                    cvp if isinstance(cvp, str) else (cvp.gram, cvp.offset, cvp.scale_sq))
 
 

@@ -156,6 +156,23 @@ def naive_inverse(rows):
     return [row[n:] for row in a]
 
 
+def naive_same_lattice(a, b):
+    """Whether the rows of the square matrices a and b generate the same
+    lattice: u = b a^-1, the coordinates of b's rows in a's, by
+    naive_inverse, is integral with naive_det +-1."""
+    inv_cols = list(zip(*naive_inverse(a)))
+    u = [[vdot(row, col) for col in inv_cols] for row in b]
+    return all(e.denominator == 1 for row in u for e in row) and abs(naive_det(u)) == 1
+
+
+def minkowski_holds(rows, norm_sq):
+    """Minkowski's bound lambda_1^2 <= n det^(2/n) for a vector of squared
+    norm norm_sq in the lattice of the n x n basis rows, compared exactly
+    as (norm_sq / n)^n <= det^2, with det from naive_det."""
+    n = len(rows)
+    return (Fraction(norm_sq) / n) ** n <= naive_det(rows) ** 2
+
+
 def dual_basis(vectors):
     """The dual basis of an independent family: the rows of G^-1 B, for B
     the family and G its Gram matrix, so each d_i lies in the span and

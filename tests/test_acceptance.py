@@ -24,24 +24,22 @@ from latkit.lattice import (
     MDSPInstance,
     apply_shift,
     certificate_bounds,
-    minkowski_bound_sq,
-    same_lattice,
     verify_dmdsp_certificate,
 )
 from latkit.lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce
 from latkit.qlinalg import (
     QMatrix,
     QVector,
-    dist_sq_to_span,
-    gram_schmidt,
-    is_unimodular,
     rel_volume_sq,
 )
 from oracles import (
     brute_force_mdsp,
     cvp_exhaustive,
+    minkowski_holds,
     naive_det,
+    naive_dist_sq,
     naive_gs,
+    naive_same_lattice,
     random_mdsp_vectors,
     vdot,
     vscale,
@@ -56,6 +54,10 @@ _clock = {}
 
 def _report(criterion: int, detail: str) -> None:
     print(f"\n[criterion {criterion}] PASS - {detail}")
+
+
+def _rows(basis):
+    return [v.entries for v in basis.vectors]
 
 
 def _make_instance(v, basis):
@@ -104,7 +106,7 @@ def test_criterion_1_exact_solver_oracle_equivalence(solved_corpus, corpus):
         )
         assert sol.dist_sq == best_d
         assert sol.x == best_x  # both take the lexicographically smallest maximizer
-        assert sol.dist_sq == dist_sq_to_span(inst.fixed, sol.basis.vectors)
+        assert sol.dist_sq == naive_dist_sq(inst.fixed.entries, _rows(sol.basis))
     # runtime envelope covers generation, solving, and the oracle sweep
     elapsed = time.perf_counter() - _clock["corpus_start"]
     assert elapsed < 120.0
@@ -160,14 +162,14 @@ def test_criterion_3_unit_orthonormal_distance_law():
         ]
         inst = MDSPInstance(v, LatticeBasis(basis))
         for x in product(range(-3, 4), repeat=n):
-            d = dist_sq_to_span(v, apply_shift(inst, x).vectors)
+            d = naive_dist_sq(v.entries, _rows(apply_shift(inst, x)))
             assert d == F(1, 1 + sum(xi * xi for xi in x))
             cases += 1
     # a non-axis-aligned rational orthonormal frame exercises the same law
     v = QVector([F(3, 5), F(4, 5)])
     inst = MDSPInstance(v, LatticeBasis([QVector([F(-4, 5), F(3, 5)])]))
     for x in range(-3, 4):
-        d = dist_sq_to_span(v, apply_shift(inst, (x,)).vectors)
+        d = naive_dist_sq(v.entries, _rows(apply_shift(inst, (x,))))
         assert d == F(1, 1 + x * x)
         cases += 1
     _report(3, f"{cases} orthonormal configurations, all exactly 1/(1+sum x^2)")
@@ -195,7 +197,7 @@ def test_criterion_4_heuristic_properties():
         for _ in range(8):
             changed = False
             for i in range(current.n):
-                before = dist_sq_to_span(current.fixed, current.rest.vectors)
+                before = naive_dist_sq(current.fixed.entries, _rows(current.rest))
                 a, new_b = improve_coordinate(current, i)
                 if a != 0:
                     vecs = list(current.rest.vectors)
@@ -205,7 +207,7 @@ def test_criterion_4_heuristic_properties():
                         LatticeBasis(vecs, validate=False),
                         validate=False,
                     )
-                    after = dist_sq_to_span(nxt.fixed, nxt.rest.vectors)
+                    after = naive_dist_sq(nxt.fixed.entries, _rows(nxt.rest))
                     assert after >= before
                     monotone_steps += 1
                     current = nxt
@@ -246,8 +248,8 @@ def test_criterion_5_det_identity_and_volume_monotonicity(solved_corpus):
     vol_steps = 0
     for inst, _, _ in solved_corpus:
         lhs = naive_det(inst.full_matrix().data) ** 2
-        rhs = rel_volume_sq(inst.rest.vectors) * dist_sq_to_span(
-            inst.fixed, inst.rest.vectors
+        rhs = rel_volume_sq(inst.rest.vectors) * naive_dist_sq(
+            inst.fixed.entries, _rows(inst.rest)
         )
         assert lhs == rhs
     for _ in range(80):
@@ -292,23 +294,23 @@ def test_criterion_6_lll_contract():
         basis = LatticeBasis(m.row_vectors(), validate=False)
         delta = rng.choice([F(1, 2), F(3, 4), F(99, 100)])
         out, trace = lll_reduce(basis, LLLParams(delta))
-        gs = gram_schmidt(out.vectors)
-        norms = [b.norm_sq() for b in gs.bstar]
+        reduced = _rows(out)
+        bstar = naive_gs(reduced)
+        norms = [vdot(b, b) for b in bstar]
+        mu = [[vdot(reduced[i], bstar[j]) / norms[j] for j in range(i)] for i in range(dim)]
         for i in range(dim):
             for j in range(i):
-                assert abs(gs.mu[i, j]) <= half
+                assert abs(mu[i][j]) <= half
         for k in range(1, dim):
-            mu = gs.mu[k, k - 1]
-            assert norms[k] >= (delta - mu * mu) * norms[k - 1]
-        ok, witness = same_lattice(QMatrix.from_columns(basis.vectors),
-                                   QMatrix.from_columns(out.vectors))
-        assert ok and is_unimodular(witness.u)
-        assert trace.final_shortest_norm_sq <= minkowski_bound_sq(out)
+            mk = mu[k][k - 1]
+            assert norms[k] >= (delta - mk * mk) * norms[k - 1]
+        assert naive_same_lattice(rows, reduced)
+        assert minkowski_holds(reduced, trace.final_shortest_norm_sq)
         checked += 1
     _report(
         6,
         f"{checked} random bases up to dim 10: size-reduction, Lovasz, "
-        f"unimodular witness, and Minkowski bound all hold exactly",
+        f"same lattice, and Minkowski bound all hold exactly",
     )
 
 

@@ -25,12 +25,17 @@ from latkit.cvp import (
 )
 from latkit.exact import solve_exact
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift
-from latkit.qlinalg import QMatrix, QVector, dist_sq_to_span
-from oracles import cvp_exhaustive, naive_det, random_mdsp_vectors
+from latkit.qlinalg import QMatrix, QVector
+from oracles import cvp_exhaustive, naive_det, naive_dist_sq, random_mdsp_vectors
 
 
 def make_instance(v, basis):
     return MDSPInstance(QVector(v), LatticeBasis([QVector(b) for b in basis]))
+
+
+def shifted_dist_sq(inst, x):
+    """naive_dist_sq of v from span B(x), B(x) formed by apply_shift."""
+    return naive_dist_sq(inst.fixed.entries, [b.entries for b in apply_shift(inst, x).vectors])
 
 
 def naive_form(gram, offset, j):
@@ -409,7 +414,7 @@ class TestRecovery:
             inst = make_instance(*random_mdsp_vectors(rng, rng.randint(2, 4)))
             c = mdsp_to_cvp(inst)
             x = tuple(rng.randint(-3, 3) for _ in range(inst.n))
-            d = dist_sq_to_span(inst.fixed, apply_shift(inst, x).vectors)
+            d = shifted_dist_sq(inst, x)
             assert d * (1 + c.scale_sq * c.objective(x)) == c.scale_sq
             assert recover_mdsp_distance_sq(c, x) == d
 
@@ -486,14 +491,14 @@ class TestEquivalence:
             ]
             inst = MDSPInstance(v, LatticeBasis(basis))
             for x in iproduct(range(-3, 4), repeat=n):
-                d = dist_sq_to_span(v, apply_shift(inst, x).vectors)
+                d = shifted_dist_sq(inst, x)
                 assert d == F(1, 1 + sum(xi * xi for xi in x))
         # rational orthonormal pair from a 3-4-5 rotation
         v = QVector([F(3, 5), F(4, 5)])
         b = QVector([F(-4, 5), F(3, 5)])
         inst = MDSPInstance(v, LatticeBasis([b]))
         for x in range(-3, 4):
-            d = dist_sq_to_span(v, apply_shift(inst, (x,)).vectors)
+            d = shifted_dist_sq(inst, (x,))
             assert d == F(1, 1 + x * x)
 
 
@@ -539,7 +544,7 @@ class TestStoredForm:
             assert values[0] == sol.objective
             assert recover_mdsp_distance_sq(c, sol.j) == recover_mdsp_distance_sq(
                 rebuilt, want.j
-            ) == dist_sq_to_span(inst.fixed, apply_shift(inst, sol.j).vectors)
+            ) == shifted_dist_sq(inst, sol.j)
             saw_scale |= any(
                 e.denominator > 1 for u in (inst.fixed, *inst.rest) for e in u
             )
@@ -599,7 +604,7 @@ class TestLazyInstance:
             sol = enumerate_cvp(c)
             d = recover_mdsp_distance_sq(c, sol.j)
             assert "gram" not in vars(c) and "offset" not in vars(c)
-            assert d == dist_sq_to_span(inst.fixed, apply_shift(inst, sol.j).vectors)
+            assert d == shifted_dist_sq(inst, sol.j)
             assert sol.j == solve_exact(inst).x
         with pytest.raises(AssertionError):
             c.gram  # built from the stored record by _adjugate

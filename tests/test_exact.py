@@ -18,13 +18,12 @@ from latkit.cvp import (
 from latkit.errors import DegenerateFixedVector, DependentInput, SingularMatrix
 from latkit.exact import (
     MDSPSolution,
-    projection_length_sq,
     shift_dist_sq,
     shift_ranges,
     solve_exact,
 )
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift
-from latkit.qlinalg import QMatrix, QVector, dist_sq_to_span
+from latkit.qlinalg import QMatrix, QVector
 from oracles import (
     brute_force_mdsp,
     cvp_exhaustive,
@@ -61,16 +60,22 @@ def line_proj_sq(v, b):
     return v.dot(b) ** 2 / b.norm_sq()
 
 
+def projection_sq(inst):
+    """p^2 = |proj(v, span B)|^2 as shift_ranges reads it: |v|^2 minus
+    shift_dist_sq at x = 0."""
+    return inst.fixed.norm_sq() - shift_dist_sq(inst, [0] * inst.n)
+
+
 class TestProjectionLength:
     def test_worked(self):
-        assert projection_length_sq(E1) == 2
+        assert projection_sq(E1) == 2
 
     def test_orthogonal(self):
-        assert projection_length_sq(ORTHO) == 0
+        assert projection_sq(ORTHO) == 0
 
     def test_orthogonal_dim2(self):
         inst = make_instance([0, 2], [[1, 0]])
-        assert projection_length_sq(inst) == 0
+        assert projection_sq(inst) == 0
 
     def test_matches_projection(self):
         # the instance stream of the criterion-1 corpus, then rational
@@ -84,12 +89,12 @@ class TestProjectionLength:
                 basis = [[a * b for a, b in zip(w, d)] for w in basis]
             inst = make_instance(v, basis)
             want = vdot(v, v) - naive_dist_sq(v, basis)
-            assert projection_length_sq(inst) == want
+            assert projection_sq(inst) == want
 
 
 class TestStoredFormDistances:
     def test_against_gram_schmidt_oracle(self):
-        # shift_dist_sq and projection_length_sq read the stored form; the
+        # shift_dist_sq, at x = 0 too, reads the stored form; the
         # oracle projects B(x) by plain Gram-Schmidt, on integer, rational
         # (scale > 1) and non-full-dimensional (n + 1 < dim) instances
         rng = random.Random(179)
@@ -115,7 +120,7 @@ class TestStoredFormDistances:
                     shifted = [b.entries for b in apply_shift(inst, x).vectors]
                     assert shift_dist_sq(inst, x) == naive_dist_sq(v, shifted)
                 rest = [b.entries for b in inst.rest.vectors]
-                assert projection_length_sq(inst) == inst.fixed.norm_sq() - naive_dist_sq(v, rest)
+                assert shift_dist_sq(inst, [0] * n) == naive_dist_sq(v, rest)
                 checked += 1
 
 
@@ -137,7 +142,7 @@ class TestShiftRanges:
         b = apply_shift(E1, (1,)).vectors[0]
         assert b == QVector([1, 3])
         assert line_proj_sq(v, b) == F(18, 5)
-        assert F(18, 5) > projection_length_sq(E1)
+        assert F(18, 5) > projection_sq(E1)
 
     def test_zero_fixed_vector(self):
         inst = MDSPInstance(
@@ -155,7 +160,7 @@ class TestShiftRanges:
             ambient = rng.randint(2, 4)
             v, basis = random_mdsp_vectors(rng, ambient)
             inst = make_instance(v, basis)
-            p_sq = projection_length_sq(inst)
+            p_sq = projection_sq(inst)
             if p_sq == 0:
                 continue
             r = shift_ranges(inst)
@@ -287,8 +292,9 @@ class TestSolveExact:
         for _ in range(25):
             inst = make_instance(*random_mdsp_vectors(rng, rng.randint(2, 4)))
             sol = solve_exact(inst)
-            assert sol.dist_sq == dist_sq_to_span(inst.fixed, sol.basis.vectors)
-            assert sol.dist_sq >= dist_sq_to_span(inst.fixed, inst.rest.vectors)
+            v = inst.fixed.entries
+            assert sol.dist_sq == naive_dist_sq(v, [b.entries for b in sol.basis.vectors])
+            assert sol.dist_sq >= naive_dist_sq(v, [b.entries for b in inst.rest.vectors])
 
     def test_oracle_equivalence_small(self):
         rng = random.Random(61)
@@ -321,13 +327,11 @@ class TestSolveExact:
         for _ in range(15):
             inst = make_instance(*random_mdsp_vectors(rng, rng.randint(2, 4)))
             x = tuple(rng.randint(-4, 4) for _ in range(inst.n))
-            fast = shift_dist_sq(inst, x)
-            slow = dist_sq_to_span(inst.fixed, apply_shift(inst, x).vectors)
             naive = naive_dist_sq(
                 inst.fixed.entries,
                 [b.entries for b in apply_shift(inst, x).vectors],
             )
-            assert fast == slow == naive
+            assert shift_dist_sq(inst, x) == naive
             # the certified box lies inside the window, so the scan is global
             r = shift_ranges(inst)
             window = max(max(map(abs, r.s)), max(map(abs, r.t)))

@@ -26,13 +26,10 @@ from latkit.lattice import (
 from latkit.lll import ReductionTrace, _lll_rows
 from latkit.exact import solve_exact
 from latkit.qlinalg import (
-    QMatrix,
     QVector,
-    dist_sq_to_span,
     integer_rows,
     rel_volume_sq,
 )
-from latkit.lattice import same_lattice
 from oracles import (
     _cofactor_adjugate,
     _gram,
@@ -41,6 +38,7 @@ from oracles import (
     int_det,
     naive_det,
     naive_dist_sq,
+    naive_same_lattice,
     random_mdsp_vectors,
     vdot,
     vscale,
@@ -50,6 +48,11 @@ from oracles import (
 
 def make_instance(v, basis):
     return MDSPInstance(QVector(v), LatticeBasis([QVector(b) for b in basis]))
+
+
+def dist_sq(v, basis):
+    """naive_dist_sq of a QVector from the span of a family of QVectors."""
+    return naive_dist_sq(v.entries, [b.entries for b in basis])
 
 
 E1 = make_instance([0, 2], [[1, 1]])
@@ -153,7 +156,7 @@ class TestChooseShift:
         # to a change of its own
         assert _choose_shift(2, -1) == -1
         inst = make_instance([0, 2], [[1, -1]])
-        assert dist_sq_to_span(inst.fixed, inst.rest.vectors) == 2
+        assert dist_sq(inst.fixed, inst.rest.vectors) == 2
         out = run_heuristic(inst)
         assert (out.x_total, out.dist_sq, out.converged, out.passes_used) == ((1,), 2, True, 2)
         once = run_heuristic(inst, HeuristicConfig(max_passes=1))
@@ -181,9 +184,9 @@ class TestImprovePass:
         rng = random.Random(79)
         for _ in range(25):
             inst = make_instance(*random_mdsp_vectors(rng, rng.randint(2, 5)))
-            before = dist_sq_to_span(inst.fixed, inst.rest.vectors)
+            before = dist_sq(inst.fixed, inst.rest.vectors)
             updated, _ = improve_pass(inst)
-            after = dist_sq_to_span(updated.fixed, updated.rest.vectors)
+            after = dist_sq(updated.fixed, updated.rest.vectors)
             assert after >= before
 
 
@@ -285,7 +288,7 @@ class TestRunHeuristic:
             inst = make_instance(*random_mdsp_vectors(rng, rng.randint(2, 4)))
             out = run_heuristic(inst)
             final = apply_shift(inst, out.x_total)
-            assert dist_sq_to_span(inst.fixed, final.vectors) == out.dist_sq
+            assert dist_sq(inst.fixed, final.vectors) == out.dist_sq
 
     def test_lattice_preserved(self):
         rng = random.Random(97)
@@ -293,11 +296,8 @@ class TestRunHeuristic:
             inst = make_instance(*random_mdsp_vectors(rng, rng.randint(2, 4)))
             out = run_heuristic(inst)
             shifted = apply_shift(inst, out.x_total)
-            ok, w = same_lattice(
-                inst.full_matrix(),
-                QMatrix.from_columns((inst.fixed,) + shifted.vectors),
-            )
-            assert ok and w is not None
+            rows = [v.entries for v in (inst.fixed, *inst.rest.vectors)]
+            assert naive_same_lattice(rows, [v.entries for v in (inst.fixed, *shifted.vectors)])
 
     def test_volume_never_increases_per_step(self):
         # distance up means volume down, step by step
@@ -307,7 +307,7 @@ class TestRunHeuristic:
             # det([v|B])^2 = relvol^2(B) dist^2(v, span B)
             assert naive_det(inst.full_matrix().data) ** 2 == rel_volume_sq(
                 inst.rest.vectors
-            ) * dist_sq_to_span(inst.fixed, inst.rest.vectors)
+            ) * dist_sq(inst.fixed, inst.rest.vectors)
             current = inst
             for _ in range(3):  # a few manual passes
                 vol_before = rel_volume_sq(current.rest.vectors)

@@ -10,7 +10,6 @@ from operator import mul
 import pytest
 
 import latkit.lattice
-import latkit.qlinalg
 from latkit.cvp import CVPGramInstance, _search, enumerate_cvp, mdsp_to_cvp
 from latkit.errors import (
     DegenerateResidual,
@@ -28,19 +27,24 @@ from latkit.lattice import (
     _value,
     apply_shift,
     certificate_bounds,
-    minkowski_bound_sq,
     same_lattice,
     verify_dmdsp_certificate,
 )
 from latkit.qlinalg import (
     QMatrix,
     QVector,
-    dist_sq_to_span,
-    gram_schmidt,
     is_unimodular,
     rel_volume_sq,
 )
-from oracles import int_gram_det, naive_det, naive_dist_sq, naive_gs, random_mdsp_vectors, vdot
+from oracles import (
+    int_gram_det,
+    naive_det,
+    naive_dist_sq,
+    naive_gs,
+    naive_same_lattice,
+    random_mdsp_vectors,
+    vdot,
+)
 
 
 def qv(*entries):
@@ -147,6 +151,8 @@ class TestSameLattice:
             ok, w = same_lattice(inst.full_matrix(), full_shifted)
             assert ok
             assert is_unimodular(w.u)
+            assert naive_same_lattice([inst.fixed.entries, *(b.entries for b in inst.rest)],
+                                      [inst.fixed.entries, *(b.entries for b in shifted)])
 
 
 class TestCertificates:
@@ -326,61 +332,32 @@ class TestCertificateBounds:
             assert certificate_bounds(inst).dk == list(accumulate(norms, mul))
 
     def test_dependent_basis_raises_as_gram_schmidt(self):
+        # an earlier dependent vector, then only the last one
         for rest, k in (([[1, 2, 0, 0], [2, 4, 0, 0], [0, 1, 1, 0]], 1),
                         ([[1, 0, 0, 0], [0, 1, 0, 0], [3, F(1, 2), 0, 0]], 2)):
             inst = MDSPInstance.from_vectors([0, 0, 0, 1], rest, validate=False)
             with pytest.raises(DependentInput) as raised:
                 certificate_bounds(inst)
-            with pytest.raises(DependentInput) as expected:
-                gram_schmidt(inst.rest.vectors)
-            message = f"vector {k} is in the span of its predecessors"
-            assert str(raised.value) == str(expected.value) == message
+            assert str(raised.value) == f"vector {k} is in the span of its predecessors"
 
     def test_bounds_build_no_gram_schmidt(self, monkeypatch):
-        # dk comes off one elimination; a call that built every b* and mu
-        # as Fractions only to discard them ran 1.5-2.4x slower
+        # dk comes off one elimination of B's Gram matrix, with no b* or mu;
+        # a call that built every b* and mu as Fractions only to discard
+        # them ran 1.5-2.4x slower
         rng = random.Random(43)
         insts = [E1, make_instance([0, F(2, 3)], [[1, 1]])]
         insts += [random_instance(rng, rng.randint(2, 6)) for _ in range(10)]
         want = [certificate_bounds(inst) for inst in insts]
+        calls = []
+        eliminate = latkit.lattice._eliminate_gram
 
-        def refuse(*_):
-            raise AssertionError("gram_schmidt on the bounds' path")
+        def counted(g):
+            calls.append(len(g))
+            return eliminate(g)
 
-        monkeypatch.setattr(latkit.lattice, "gram_schmidt", refuse, raising=False)
-        monkeypatch.setattr(latkit.qlinalg, "gram_schmidt", refuse)
+        monkeypatch.setattr(latkit.lattice, "_eliminate_gram", counted)
         assert [certificate_bounds(inst) for inst in insts] == want
-
-
-class TestMinkowski:
-    def test_identity_dim2(self):
-        basis = LatticeBasis([qv(1, 0), qv(0, 1)])
-        assert minkowski_bound_sq(basis) == 2
-
-    def test_scaled(self):
-        basis = LatticeBasis([qv(2, 0), qv(0, 2)])
-        assert minkowski_bound_sq(basis) == 8
-
-    def test_shear(self):
-        basis = LatticeBasis([qv(1, 1), qv(0, 1)])
-        assert minkowski_bound_sq(basis) == 2
-
-    def test_irrational_enclosure_is_upper(self):
-        # det^2 = 16 in dim 3: bound is 3 * 16^(1/3), irrational
-        basis = LatticeBasis([qv(2, 0, 0), qv(0, 2, 0), qv(0, 0, 1)])
-        b = minkowski_bound_sq(basis)
-        assert b**3 >= 27 * 16  # (bound_sq/3)^3 >= det_sq
-        assert b < F(3 * 26, 10)  # still close to 3 * 2.5198
-
-    def test_non_square(self):
-        with pytest.raises(NonSquare):
-            minkowski_bound_sq(LatticeBasis([qv(1, 0, 0), qv(0, 1, 0)]))
-
-    def test_dependent_family(self):
-        # the rows generate Z (1, 2), whose shortest vector has norm^2 5, so
-        # det^2 = 0 would give the false bound 0
-        with pytest.raises(DependentInput):
-            minkowski_bound_sq(LatticeBasis([qv(1, 2), qv(2, 4)], validate=False))
+        assert calls == [inst.n for inst in insts]
 
 
 class TestDetIdentity:
@@ -390,8 +367,8 @@ class TestDetIdentity:
                   MDSPInstance.from_vectors([0, 1], [[1, 0]])]
         for inst in worked + [random_instance(rng, rng.randint(2, 5)) for _ in range(40)]:
             lhs = naive_det(inst.full_matrix().data) ** 2
-            rhs = rel_volume_sq(inst.rest.vectors) * dist_sq_to_span(
-                inst.fixed, inst.rest.vectors
+            rhs = rel_volume_sq(inst.rest.vectors) * naive_dist_sq(
+                inst.fixed.entries, [b.entries for b in inst.rest.vectors]
             )
             assert lhs == rhs
 
@@ -401,7 +378,7 @@ class TestDetIdentity:
             inst = random_instance(rng, rng.randint(2, 4))
             x = tuple(rng.randint(-3, 3) for _ in range(inst.n))
             shifted = apply_shift(inst, x)
-            d = dist_sq_to_span(inst.fixed, shifted.vectors)
+            d = shift_dist_sq(inst, x)
             v_sq = inst.fixed.norm_sq()
             assert d <= v_sq
             orthogonal = all(inst.fixed.dot(b) == 0 for b in shifted.vectors)

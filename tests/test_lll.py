@@ -7,7 +7,7 @@ import pytest
 from latkit.bench import bench_compare
 from latkit.errors import DependentInput
 from latkit.heuristic import improve_pass
-from latkit.lattice import LatticeBasis, MDSPInstance, minkowski_bound_sq, same_lattice
+from latkit.lattice import LatticeBasis, MDSPInstance
 from latkit.lll import (
     AccelConfig,
     LLLParams,
@@ -21,13 +21,19 @@ from latkit.qlinalg import (
     QMatrix,
     QVector,
     _eliminate_gram,
-    dist_sq_to_span,
-    gram_schmidt,
     integer_gram,
     integer_rows,
     rel_volume_sq,
 )
-from oracles import naive_det, textbook_lll
+from oracles import (
+    minkowski_holds,
+    naive_det,
+    naive_dist_sq,
+    naive_gs,
+    naive_same_lattice,
+    textbook_lll,
+    vdot,
+)
 
 
 def qv(*entries):
@@ -117,15 +123,21 @@ STALLING_OP164_ROWS = [
 
 
 def assert_reduced(basis: LatticeBasis, delta: F):
-    gs = gram_schmidt(basis.vectors)
-    n = len(basis.vectors)
-    norms = [b.norm_sq() for b in gs.bstar]
-    for i in range(n):
+    """Size reduction and the Lovasz condition, on naive Gram-Schmidt."""
+    rows = [v.entries for v in basis.vectors]
+    bstar = naive_gs(rows)
+    norms = [vdot(b, b) for b in bstar]
+    mu = [[vdot(rows[i], bstar[j]) / norms[j] for j in range(i)] for i in range(len(rows))]
+    for i in range(len(rows)):
         for j in range(i):
-            assert abs(gs.mu[i, j]) <= F(1, 2)
-    for k in range(1, n):
-        m = gs.mu[k, k - 1]
+            assert abs(mu[i][j]) <= F(1, 2)
+    for k in range(1, len(rows)):
+        m = mu[k][k - 1]
         assert norms[k] >= (delta - m * m) * norms[k - 1]
+
+
+def rows_of(basis: LatticeBasis):
+    return [v.entries for v in basis.vectors]
 
 
 class TestParams:
@@ -186,9 +198,7 @@ class TestLLL:
             delta = rng.choice([F(3, 4), F(99, 100), F(1, 2)])
             out, _ = lll_reduce(basis, LLLParams(delta))
             assert_reduced(out, delta)
-            ok, w = same_lattice(QMatrix.from_columns(basis.vectors),
-                                 QMatrix.from_columns(out.vectors))
-            assert ok and w is not None
+            assert naive_same_lattice(rows_of(basis), rows_of(out))
 
     def test_matches_textbook_implementation(self):
         rng = random.Random(149)
@@ -233,12 +243,20 @@ class TestLLL:
             assert abs(naive_det(out.vectors)) == abs(naive_det(basis.vectors))
 
     def test_minkowski_one_sided(self):
+        # the fixed bases first: Minkowski's bound is 2, 8 and 2 on them,
+        # and 3 * 16^(1/3), irrational, on the last, which needs no root
+        # in the exact comparison
+        fixed = [[qv(1, 0), qv(0, 1)], [qv(2, 0), qv(0, 2)], [qv(1, 1), qv(0, 1)],
+                 [qv(2, 0, 0), qv(0, 2, 0), qv(0, 0, 1)]]
         rng = random.Random(157)
-        for _ in range(10):
-            dim = rng.randint(2, 10)
-            basis = random_basis(rng, dim)
+        bases = [LatticeBasis(vecs) for vecs in fixed]
+        bases += [random_basis(rng, rng.randint(2, 10)) for _ in range(10)]
+        for basis in bases:
             out, trace = lll_reduce(basis, LLLParams(F(3, 4)))
-            assert trace.final_shortest_norm_sq <= minkowski_bound_sq(out)
+            assert minkowski_holds(rows_of(out), trace.final_shortest_norm_sq)
+        # on diag(2, 2, 1) the bound, about 7.56, lies between 7 and 8
+        assert minkowski_holds(rows_of(bases[3]), 7)
+        assert not minkowski_holds(rows_of(bases[3]), 8)
 
 
 class TestShortest:
@@ -293,9 +311,7 @@ class TestAccelerated:
             out, trace = accelerated_reduce(basis, cfg)
             assert trace.reached_target
             assert trace.final_shortest_norm_sq <= ref_trace.final_shortest_norm_sq
-            ok, _ = same_lattice(QMatrix.from_columns(basis.vectors),
-                                 QMatrix.from_columns(out.vectors))
-            assert ok
+            assert naive_same_lattice(rows_of(basis), rows_of(out))
 
     def test_unreachable_target_flags(self):
         basis = LatticeBasis([qv(2, 0), qv(0, 2)])
@@ -432,8 +448,8 @@ class TestAcceleratedEquivalence:
 def det_identity_holds(inst):
     """det([v|B])^2 = relvol^2(B) * dist^2(v, span(B)), checked exactly."""
     lhs = naive_det(inst.full_matrix().data) ** 2
-    rhs = rel_volume_sq(inst.rest.vectors) * dist_sq_to_span(
-        inst.fixed, inst.rest.vectors
+    rhs = rel_volume_sq(inst.rest.vectors) * naive_dist_sq(
+        inst.fixed.entries, [b.entries for b in inst.rest.vectors]
     )
     return lhs == rhs
 

@@ -3,7 +3,7 @@ import pickle
 import random
 from fractions import Fraction as F
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 import pytest
@@ -38,12 +38,9 @@ from latkit.qlinalg import (
     ceil_plus_sqrt,
     dist_sq_to_span,
     floor_minus_sqrt,
-    gram_schmidt,
     integer_gram,
     integer_rows,
     inverse,
-    iroot_ceil,
-    iroot_floor,
     is_unimodular,
     rational,
     rational_vectors,
@@ -74,53 +71,77 @@ def _random_independent(rng, count, dim, bound=9):
             for _ in range(count)
         ]
         try:
-            gram_schmidt(vecs)
+            rel_volume_sq(vecs)
         except DependentInput:
             continue
         return vecs
 
 
+def _check_record(vecs, bstar):
+    """The record of the vectors' rows r = s b, scaled to integers by s,
+    against their Gram-Schmidt vectors bstar: d_{k+1} = |r*_0|^2 ...
+    |r*_k|^2 with r* = s b*, lam_kj = d_{j+1} mu_kj, mu_kj =
+    <b_k, b*_j> / |b*_j|^2, and sum_j u_k[j] r_j = d_k s b*_k."""
+    rows, scale = integer_rows(vecs)
+    d, lam, u = _eliminate_gram(integer_gram(rows))
+    norms = [vdot(w, w) for w in bstar]
+    assert d == list(accumulate((scale * scale * q for q in norms), mul, initial=1))
+    n = len(vecs)
+    assert lam == [[d[j + 1] * vdot(vecs[k], bstar[j]) / norms[j] for k in range(j + 1, n)]
+                   for j in range(n)]
+    for k, uk in enumerate(u):
+        assert [sum(c * r[i] for c, r in zip(uk, rows)) for i in range(len(rows[0]))] == [
+            d[k] * scale * e for e in bstar[k]]
+    return rows, scale, (d, lam, u)
+
+
 class TestGramSchmidt:
+    """Gram-Schmidt's data read off the record of _eliminate_gram."""
+
     def test_already_orthogonal(self):
-        res = gram_schmidt([qv(1, 0), qv(0, 1)])
-        assert res.bstar == [qv(1, 0), qv(0, 1)]
-        assert res.mu[1, 0] == 0
+        _, _, (d, lam, u) = _check_record([qv(1, 0), qv(0, 1)], [(1, 0), (0, 1)])
+        assert (d, lam, u) == ([1, 1, 1], [[0], []], [[1], [0, 1]])
 
     def test_worked_example(self):
-        res = gram_schmidt([qv(1, 1), qv(0, 1)])
-        assert res.bstar == [qv(1, 1), qv(F(-1, 2), F(1, 2))]
-        assert res.mu[1, 0] == F(1, 2)
+        _, _, (d, lam, u) = _check_record([qv(1, 1), qv(0, 1)], [(1, 1), (F(-1, 2), F(1, 2))])
+        assert (d, lam, u) == ([1, 2, 1], [[1], []], [[1], [-1, 2]])  # mu_10 = 1/2
 
     def test_collinear_rejected(self):
         # the second vector, then only the last one, in the span of the others
         for basis in ([qv(1, 1), qv(2, 2)], [qv(1, 0, 0), qv(0, 1, 0), qv(1, 1, 0)],
                       [qv(F(1, 2), 1, 0), qv(0, F(1, 3), 2), qv(1, 3, 6)]):
             with pytest.raises(DependentInput):
-                gram_schmidt(basis)
+                rel_volume_sq(basis)
 
     def test_orthogonality_and_reconstruction(self):
+        # b*_k = sum_j u_k[j] r_j / (d_k s) and mu_ij = lam_ij / d_{j+1}
+        # rebuild every b_i, with no oracle
         rng = random.Random(101)
         for _ in range(50):
             dim = rng.randint(2, 6)
             count = rng.randint(2, dim)
             vecs = _random_independent(rng, count, dim)
-            res = gram_schmidt(vecs)
+            rows, scale = integer_rows(vecs)
+            d, lam, u = _eliminate_gram(integer_gram(rows))
+            bstar = [QVector(F(sum(c * r[i] for c, r in zip(uk, rows)), d[k] * scale)
+                             for i in range(dim)) for k, uk in enumerate(u)]
             for i in range(count):
                 for j in range(i):
-                    assert res.bstar[i].dot(res.bstar[j]) == 0
+                    assert bstar[i].dot(bstar[j]) == 0
             for i, b in enumerate(vecs):
-                rebuilt = QVector.zero(dim)
-                for j in range(i + 1):
-                    rebuilt = rebuilt + res.bstar[j].scaled(res.mu[i, j])
+                rebuilt = bstar[i]
+                for j in range(i):
+                    rebuilt = rebuilt + bstar[j].scaled(F(lam[j][i - j - 1], d[j + 1]))
                 assert rebuilt == b
 
     def test_dk_are_running_volume_products(self):
         rng = random.Random(7)
         for _ in range(20):
             vecs = _random_independent(rng, 3, 4)
-            res = gram_schmidt(vecs)
+            rows, scale = integer_rows(vecs)
+            d = _eliminate_gram(integer_gram(rows))[0]
             for k in range(1, 4):
-                assert res.dk[k - 1] == rel_volume_sq(vecs[:k])
+                assert F(d[k], scale ** (2 * k)) == rel_volume_sq(vecs[:k])
 
 
 def _random_rational(rng, dim, bound=9):
@@ -133,14 +154,14 @@ def _random_rational_independent(rng, count, dim):
     while True:
         vecs = [_random_rational(rng, dim) for _ in range(count)]
         try:
-            gram_schmidt(vecs)
+            rel_volume_sq(vecs)
         except DependentInput:
             continue
         return vecs
 
 
 class TestRationalFamilies:
-    """gram_schmidt on rational, non-square families (scale > 1,
+    """The record of rational, non-square families (scale > 1,
     dim > count) against naive_gs of tests/oracles.py."""
 
     def test_matches_naive_gs(self):
@@ -151,20 +172,13 @@ class TestRationalFamilies:
             dim = rng.randint(count + 1, count + 3)
             vecs = [_random_rational(rng, dim) for _ in range(count)]
             _random_rational(rng, dim)  # discarded; keeps the seeded families fixed
-            rows = [tuple(b) for b in vecs]
             scaled += integer_rows(vecs)[1] > 1
-            bstar = naive_gs(rows)
-            norms = [vdot(w, w) for w in bstar]
-            res = gram_schmidt(vecs)
-            assert [tuple(w) for w in res.bstar] == bstar
-            assert res.dk == list(accumulate(norms, mul))
-            for i, b in enumerate(rows):
-                for j in range(i):
-                    assert res.mu[i, j] == vdot(b, bstar[j]) / norms[j]
+            _check_record(vecs, naive_gs([tuple(b) for b in vecs]))
         assert scaled >= 50
 
     def test_bstar_are_scaled_last_prefix_duals(self):
-        # b*_k / |b*_k|^2 is the last vector of the dual basis of b_0..b_k
+        # b*_k / |b*_k|^2 is the last vector of the dual basis of b_0..b_k,
+        # so sum_j u_k[j] r_j = d_k s b*_k is d_{k+1} / s times it
         rng = random.Random(421)
         for _ in range(40):
             count = rng.randint(1, 7)
@@ -175,17 +189,19 @@ class TestRationalFamilies:
                 vecs = _random_rational_independent(rng, count, dim)
             rows = [tuple(b) for b in vecs]
             duals = [dual_basis(rows[:k + 1])[-1] for k in range(count)]
-            assert [tuple(w) for w in gram_schmidt(vecs).bstar] == [
-                tuple(e / vdot(u, u) for e in u) for u in duals
-            ]
+            scaled, scale = integer_rows(vecs)
+            d, _, u = _eliminate_gram(integer_gram(scaled))
+            assert [[sum(c * r[i] for c, r in zip(uk, scaled)) for i in range(dim)]
+                    for uk in u] == [[d[k + 1] * e / scale for e in w]
+                                     for k, w in enumerate(duals)]
             if count < dim:
                 _random_rational(rng, dim)  # discarded; keeps the seeded families fixed
 
     def test_zero_trailing_coordinates(self):
         # an independent family whose b* end in zeros is not dependent
-        assert gram_schmidt([qv(2, 0)]).bstar == [qv(2, 0)]
-        res = gram_schmidt([qv(1, 0, 0), qv(1, F(1, 2), 0)])
-        assert res.bstar == [qv(1, 0, 0), qv(0, F(1, 2), 0)]
+        _check_record([qv(2, 0)], [(2, 0)])
+        _check_record([qv(1, 0, 0), qv(1, F(1, 2), 0)], [(1, 0, 0), (0, F(1, 2), 0)])
+        assert rel_volume_sq([qv(1, 0, 0), qv(1, F(1, 2), 0)]) == F(1, 4)
 
     def test_dependent_rejected(self):
         rng = random.Random(419)
@@ -199,12 +215,14 @@ class TestRationalFamilies:
                 combo = combo + b.scaled(F(rng.randint(-3, 3), rng.randint(1, 4)))
             vecs[k] = combo
             _random_rational(rng, dim)  # discarded; keeps the seeded families fixed
-            with pytest.raises(DependentInput, match=f"^vector {k} "):
-                gram_schmidt(vecs)
+            # the first dependent pivot before the last, else det = 0
+            message = f"^vector {k} " if k < count - 1 else "^vectors are linearly dependent$"
+            with pytest.raises(DependentInput, match=message):
+                rel_volume_sq(vecs)
 
     def test_ragged_rejected(self):
         with pytest.raises(LengthMismatch):
-            gram_schmidt([qv(1, 2), qv(F(1, 2), 0, 1)])
+            rel_volume_sq([qv(1, 2), qv(F(1, 2), 0, 1)])
 
 
 class TestShapeChecks:
@@ -221,7 +239,7 @@ class TestShapeChecks:
             (lambda: QMatrix.from_columns([qv(1, 2), qv(3)]), "column dimensions differ"),
             (lambda: QMatrix.identity(2) @ QMatrix.identity(3), "inner dimensions"),
             (lambda: QMatrix.identity(2).mul_vec(qv(1, 2, 3)), "matrix-vector"),
-            (lambda: gram_schmidt([]), "nonempty basis"),
+            (lambda: LatticeBasis([]), "at least one vector"),
         ],
         ids=["empty-vector", "add", "dot", "empty-matrix", "empty-row", "ragged",
              "no-columns", "column-lengths", "matmul", "mul-vec", "empty-basis"],
@@ -392,8 +410,8 @@ class TestRelVolume:
             dim = rng.randint(2, 5)
             count = rng.randint(1, dim)
             vecs = _random_independent(rng, count, dim)
-            res = gram_schmidt(vecs)
-            assert rel_volume_sq(vecs) == res.dk[-1]
+            norms = [vdot(w, w) for w in naive_gs([tuple(b) for b in vecs])]
+            assert rel_volume_sq(vecs) == prod(norms)
 
 
 def _rational_square(rng, n):
@@ -441,7 +459,7 @@ class TestDeterminantInverse:
         assert not is_unimodular(QMatrix([[1, 0, 2], [3, 0, 4], [5, 0, 6]]))
 
     def test_matches_oracles(self):
-        # inverse and gram_schmidt against the textbook Fraction
+        # inverse and rel_volume_sq against the textbook Fraction
         # eliminations of tests/oracles.py
         rng = random.Random(71)
         singular = 0
@@ -456,10 +474,10 @@ class TestDeterminantInverse:
                 with pytest.raises(SingularMatrix):
                     inverse(m)
                 with pytest.raises(DependentInput):
-                    gram_schmidt(vecs)
+                    rel_volume_sq(vecs)
                 continue
             assert [list(r) for r in inverse(m).data] == naive_inverse(rows)
-            assert [tuple(w) for w in gram_schmidt(vecs).bstar] == naive_gs(rows)
+            assert rel_volume_sq(vecs) == det * det
         assert singular >= 5
 
     def test_inverse_roundtrip(self):
@@ -742,19 +760,6 @@ class TestRecordOracle:
 
 
 class TestRootHelpers:
-    def test_iroot(self):
-        assert iroot_floor(0, 3) == 0
-        assert iroot_floor(26, 3) == 2
-        assert iroot_floor(27, 3) == 3
-        assert iroot_ceil(27, 3) == 3
-        assert iroot_ceil(28, 3) == 4
-        rng = random.Random(23)
-        for _ in range(200):
-            x = rng.randint(0, 10**12)
-            n = rng.randint(1, 6)
-            r = iroot_floor(x, n)
-            assert r**n <= x < (r + 1) ** n
-
     def test_floor_ceil_sqrt_shifts(self):
         rng = random.Random(29)
         for _ in range(300):
@@ -768,10 +773,6 @@ class TestRootHelpers:
 
     def test_root_input_checks(self):
         with pytest.raises(ValueError, match="negative radicand"):
-            iroot_floor(-1, 2)
-        with pytest.raises(ValueError, match="root order must be positive"):
-            iroot_floor(8, 0)
-        with pytest.raises(ValueError, match="negative radicand"):
             floor_minus_sqrt(F(1), F(-1, 4))
         with pytest.raises(ValueError, match="negative radicand"):
             ceil_plus_sqrt(F(1), F(-1, 4))
@@ -784,11 +785,8 @@ def test_results_stay_canonical():
     rng = random.Random(31)
     for _ in range(10):
         vecs = _random_independent(rng, 3, 4)
-        res = gram_schmidt(vecs)
-        produced = [e for w in res.bstar for e in w.entries]
-        produced += [res.mu[i, j] for i in range(3) for j in range(3)]
-        produced += res.dk
-        produced.append(rel_volume_sq(vecs))
+        produced = [rel_volume_sq(vecs[:k]) for k in range(1, 4)]
+        produced += [dist_sq_to_span(vecs[k], vecs[:k]) for k in range(3)]
         for f in produced:
             assert f.denominator > 0
             assert gcd(abs(f.numerator), f.denominator) == 1

@@ -14,8 +14,8 @@ from latkit.exact import solve_exact, shift_ranges
 from latkit.heuristic import improve_coordinate, improve_pass, run_heuristic
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift, certificate_bounds
 from latkit.lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce
-from latkit.qlinalg import QMatrix, QVector, dist_sq_to_span, gram_schmidt
-from oracles import brute_force_mdsp
+from latkit.qlinalg import QMatrix, QVector, rel_volume_sq
+from oracles import brute_force_mdsp, naive_gs, vdot
 
 
 def rational_instance(rng, ambient, den_max=4):
@@ -26,7 +26,7 @@ def rational_instance(rng, ambient, den_max=4):
         ]
         try:
             vecs = [QVector(r) for r in rows]
-            gram_schmidt(vecs)
+            rel_volume_sq(vecs)
         except Exception:
             continue
         return MDSPInstance(vecs[0], LatticeBasis(vecs[1:], validate=False))
@@ -100,13 +100,15 @@ class TestRationalEntries:
                     continue
             delta = F(3, 4)
             out, _ = lll_reduce(basis, LLLParams(delta))
-            gs = gram_schmidt(out.vectors)
-            norms = [b.norm_sq() for b in gs.bstar]
+            rows = [v.entries for v in out.vectors]
+            bstar = naive_gs(rows)
+            norms = [vdot(b, b) for b in bstar]
+            mu = [[vdot(rows[i], bstar[j]) / norms[j] for j in range(i)] for i in range(4)]
             for i in range(4):
                 for j in range(i):
-                    assert abs(gs.mu[i, j]) <= F(1, 2)
+                    assert abs(mu[i][j]) <= F(1, 2)
             for k in range(1, 4):
-                m = gs.mu[k, k - 1]
+                m = mu[k][k - 1]
                 assert norms[k] >= (delta - m * m) * norms[k - 1]
 
 
