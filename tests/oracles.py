@@ -34,6 +34,17 @@ def naive_gs(vectors):
     return out
 
 
+def is_lll_reduced(rows, delta):
+    """Size reduction |mu_ij| <= 1/2 and the Lovasz condition
+    |b*_k|^2 >= (delta - mu_{k,k-1}^2) |b*_{k-1}|^2, on naive_gs."""
+    bstar = naive_gs(rows)
+    norms = [vdot(b, b) for b in bstar]
+    mu = [[vdot(rows[i], bstar[j]) / norms[j] for j in range(i)] for i in range(len(rows))]
+    return (all(abs(m) <= Fraction(1, 2) for row in mu for m in row)
+            and all(norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
+                    for k in range(1, len(rows))))
+
+
 def naive_dist_sq(v, basis):
     """Squared distance of v from span(basis) by plain Gram-Schmidt."""
     r = tuple(Fraction(x) for x in v)

@@ -35,6 +35,7 @@ from latkit.qlinalg import (
 from oracles import (
     brute_force_mdsp,
     cvp_exhaustive,
+    is_lll_reduced,
     minkowski_holds,
     naive_det,
     naive_dist_sq,
@@ -282,7 +283,6 @@ def test_criterion_5_det_identity_and_volume_monotonicity(solved_corpus):
 
 def test_criterion_6_lll_contract():
     rng = random.Random(SEED + 4)
-    half = F(1, 2)
     checked = 0
     for _ in range(18):
         dim = rng.randint(2, 10)
@@ -295,15 +295,7 @@ def test_criterion_6_lll_contract():
         delta = rng.choice([F(1, 2), F(3, 4), F(99, 100)])
         out, trace = lll_reduce(basis, LLLParams(delta))
         reduced = _rows(out)
-        bstar = naive_gs(reduced)
-        norms = [vdot(b, b) for b in bstar]
-        mu = [[vdot(reduced[i], bstar[j]) / norms[j] for j in range(i)] for i in range(dim)]
-        for i in range(dim):
-            for j in range(i):
-                assert abs(mu[i][j]) <= half
-        for k in range(1, dim):
-            mk = mu[k][k - 1]
-            assert norms[k] >= (delta - mk * mk) * norms[k - 1]
+        assert is_lll_reduced(reduced, delta)
         assert naive_same_lattice(rows, reduced)
         assert minkowski_holds(reduced, trace.final_shortest_norm_sq)
         checked += 1

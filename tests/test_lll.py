@@ -26,13 +26,12 @@ from latkit.qlinalg import (
     rel_volume_sq,
 )
 from oracles import (
+    is_lll_reduced,
     minkowski_holds,
     naive_det,
     naive_dist_sq,
-    naive_gs,
     naive_same_lattice,
     textbook_lll,
-    vdot,
 )
 
 
@@ -122,20 +121,6 @@ STALLING_OP164_ROWS = [
 ]
 
 
-def assert_reduced(basis: LatticeBasis, delta: F):
-    """Size reduction and the Lovasz condition, on naive Gram-Schmidt."""
-    rows = [v.entries for v in basis.vectors]
-    bstar = naive_gs(rows)
-    norms = [vdot(b, b) for b in bstar]
-    mu = [[vdot(rows[i], bstar[j]) / norms[j] for j in range(i)] for i in range(len(rows))]
-    for i in range(len(rows)):
-        for j in range(i):
-            assert abs(mu[i][j]) <= F(1, 2)
-    for k in range(1, len(rows)):
-        m = mu[k][k - 1]
-        assert norms[k] >= (delta - m * m) * norms[k - 1]
-
-
 def rows_of(basis: LatticeBasis):
     return [v.entries for v in basis.vectors]
 
@@ -197,7 +182,7 @@ class TestLLL:
             basis = random_basis(rng, dim)
             delta = rng.choice([F(3, 4), F(99, 100), F(1, 2)])
             out, _ = lll_reduce(basis, LLLParams(delta))
-            assert_reduced(out, delta)
+            assert is_lll_reduced(rows_of(out), delta)
             assert naive_same_lattice(rows_of(basis), rows_of(out))
 
     def test_matches_textbook_implementation(self):

@@ -15,7 +15,7 @@ from latkit.heuristic import improve_coordinate, improve_pass, run_heuristic
 from latkit.lattice import LatticeBasis, MDSPInstance, apply_shift, certificate_bounds
 from latkit.lll import AccelConfig, LLLParams, accelerated_reduce, lll_reduce
 from latkit.qlinalg import QMatrix, QVector, rel_volume_sq
-from oracles import brute_force_mdsp, naive_gs, vdot
+from oracles import brute_force_mdsp, is_lll_reduced
 
 
 def rational_instance(rng, ambient, den_max=4):
@@ -100,16 +100,7 @@ class TestRationalEntries:
                     continue
             delta = F(3, 4)
             out, _ = lll_reduce(basis, LLLParams(delta))
-            rows = [v.entries for v in out.vectors]
-            bstar = naive_gs(rows)
-            norms = [vdot(b, b) for b in bstar]
-            mu = [[vdot(rows[i], bstar[j]) / norms[j] for j in range(i)] for i in range(4)]
-            for i in range(4):
-                for j in range(i):
-                    assert abs(mu[i][j]) <= F(1, 2)
-            for k in range(1, 4):
-                m = mu[k][k - 1]
-                assert norms[k] >= (delta - m * m) * norms[k - 1]
+            assert is_lll_reduced([v.entries for v in out.vectors], delta)
 
 
 class TestDegenerate:
