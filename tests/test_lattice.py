@@ -20,6 +20,7 @@ from latkit.errors import (
 )
 from latkit.exact import shift_dist_sq, shift_ranges, solve_exact
 from latkit.heuristic import improve_coordinate, improve_pass, run_heuristic
+from latkit.lll import LLLParams, lll_reduce
 from latkit.lattice import (
     DMDSPQuery,
     LatticeBasis,
@@ -38,6 +39,7 @@ from latkit.qlinalg import (
 )
 from oracles import (
     int_gram_det,
+    minkowski_holds,
     naive_det,
     naive_dist_sq,
     naive_gs,
@@ -358,6 +360,39 @@ class TestCertificateBounds:
         monkeypatch.setattr(latkit.lattice, "_eliminate_gram", counted)
         assert [certificate_bounds(inst) for inst in insts] == want
         assert calls == [inst.n for inst in insts]
+
+
+class TestMinkowski:
+    """Minkowski's bound lambda_1^2 <= n det^(2/n), compared exactly by
+    minkowski_holds: the bound sits where it must on each basis, and the
+    shortest vector of LLL's output meets it."""
+
+    @staticmethod
+    def check(vecs, below, above, lambda_sq):
+        basis = LatticeBasis(vecs)
+        rows = [v.entries for v in basis.vectors]
+        assert rel_volume_sq(basis.vectors) == naive_det(rows) ** 2
+        assert minkowski_holds(rows, below)
+        assert not minkowski_holds(rows, above)
+        out, trace = lll_reduce(basis, LLLParams(F(3, 4)))
+        assert trace.final_shortest_norm_sq == lambda_sq
+        assert minkowski_holds([v.entries for v in out.vectors], lambda_sq)
+
+    def test_identity_dim2(self):
+        # bound 2, met exactly
+        self.check([qv(1, 0), qv(0, 1)], 2, F(2) + F(1, 10**9), 1)
+
+    def test_scaled(self):
+        self.check([qv(2, 0), qv(0, 2)], 8, F(8) + F(1, 10**9), 4)
+
+    def test_shear(self):
+        self.check([qv(1, 1), qv(0, 1)], 2, F(2) + F(1, 10**9), 1)
+
+    def test_irrational_enclosure_is_upper(self):
+        # det^2 = 16 in dim 3: the bound 3 * 16^(1/3) = 7.5595... is
+        # irrational, and the exact comparison pins it without a root
+        self.check([qv(2, 0, 0), qv(0, 2, 0), qv(0, 0, 1)],
+                   F(75595, 10**4), F(75596, 10**4), 1)
 
 
 class TestDetIdentity:
