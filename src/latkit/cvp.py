@@ -162,7 +162,7 @@ def _public_fields(e: _Record, scale_sq: int) -> tuple[QMatrix, QVector]:
     d, lam, _ = e
     adj = _adjugate(d, lam)
     gram = QMatrix([[Fraction(a * scale_sq, d[-1]) for a in row[:0:-1]] for row in adj[:0:-1]])
-    return gram, QVector([Fraction(w, d[1]) for w in reversed(lam[0])])
+    return gram, QVector._of_ints(lam[0][::-1], d[1])
 
 
 def cvp_to_mdsp(basis_rows: QMatrix, target: QVector) -> MDSPInstance:

@@ -1,12 +1,16 @@
 """Exact rational vectors, matrices, and orthogonalization primitives.
 
-Vectors and matrices hold ``fractions.Fraction`` entries, but every
-elimination runs on integer rows, scaled once by the lcm of their
-denominators (integer_rows); Fractions are built only from the results.
-An integer entry k with |k| <= 128 is one shared immutable Fraction,
-built at import (rational): the range holds almost every entry of the
-paper's experiment's bases, before and after LLL, so their vectors
-allocate no Fraction per entry.
+A vector holds integer numerators over one denominator >= 1 in lowest
+terms (QVector), and does its arithmetic on them. Every elimination runs
+on integer rows: a family is scaled once by the lcm of its vectors'
+denominators (integer_rows), and integer results come back as vectors
+without a Fraction (rational_vectors). Fractions are built only at the
+API boundary: where a vector's entries are read, for scalar results, and
+in QMatrix, which holds Fraction entries. A numerator k with |k| <= 128
+is one shared int (_SMALL_INTS), and an integral entry k read as a
+Fraction is one shared Fraction built at import (rational): the range
+holds almost every entry of the paper's experiment's bases, before and
+after LLL, so their vectors allocate no number object per entry.
 Every symmetric elimination is one left-looking pass over an integer Gram
 matrix G, which it only reads (_eliminate_gram). It builds the record
 (d, lambda, u): the leading minors d, the Bareiss entries
@@ -40,8 +44,8 @@ No floating point enters any correctness-bearing path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
-from operator import mul
+from math import gcd, isqrt, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -58,24 +62,32 @@ _SMALL_BOUND = 128
 _SMALL = tuple(Fraction(k) for k in range(-_SMALL_BOUND, _SMALL_BOUND + 1))
 _ZERO = _SMALL[_SMALL_BOUND]
 _ONE = _SMALL[_SMALL_BOUND + 1]
+_SMALL_INTS = {k: k for k in range(-_SMALL_BOUND, _SMALL_BOUND + 1)}
+_INT = {int}
 
 
 def rational(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings, or Fractions to a canonical Fraction.
 
     An int k with |k| <= 128 gives the one Fraction(k) built at import,
-    shared by every vector that holds k; Fractions are immutable, so the
-    sharing changes no value. The range covers the uniform bases of the
-    paper's experiment, whose entries bench bounds by 100, and almost
-    every entry of an LLL-reduced one, while a wider table only adds to
-    every process's memory. Other inputs, bools included, keep their own
-    Fraction.
+    shared by every matrix that holds k and every read of entry k of an
+    integral vector (vectors themselves hold ints, QVector); Fractions
+    are immutable, so the sharing changes no value. The range covers the
+    uniform bases of the paper's experiment, whose entries bench bounds
+    by 100, and almost every entry of an LLL-reduced one, while a wider
+    table only adds to every process's memory. Other inputs, bools
+    included, keep their own Fraction.
     """
     if type(x) is int and -_SMALL_BOUND <= x <= _SMALL_BOUND:
         return _SMALL[x + _SMALL_BOUND]
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """num / den as a canonical Fraction, for ints num and den >= 1."""
+    return rational(num) if den == 1 else Fraction(num, den)
 
 
 class _Frozen:
@@ -98,77 +110,104 @@ class _Frozen:
 
 
 class QVector(_Frozen):
-    """Immutable vector of rationals."""
+    """Immutable vector of rationals, held as integer numerators _num over
+    one denominator _den >= 1, in lowest terms: gcd(_den, *_num) = 1, so
+    equal vectors hold equal pairs. Arithmetic runs on the integers, and
+    Fractions are built only when entries, iteration or indexing read them.
+    """
 
-    __slots__ = ("entries",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, entries: Iterable[RationalLike]):
-        entries = tuple(rational(e) for e in entries)
+        entries, den = tuple(entries), 1
         if not entries:
             raise LengthMismatch("vector must have positive dimension")
-        object.__setattr__(self, "entries", entries)
+        if {*map(type, entries)} != _INT:  # not all plain ints: bools, strings, Fractions
+            entries = [rational(e) for e in entries]
+            den = lcm(*(f.denominator for f in entries))
+            entries = [f.numerator * (den // f.denominator) for f in entries]
+        self._hold(entries, den)
 
     @classmethod
-    def _of(cls, entries: tuple[Fraction, ...]) -> "QVector":
-        """The vector of a nonempty tuple of canonical Fractions, taken as
-        it is: no coercion and no check."""
-        v = cls.__new__(cls)
-        object.__setattr__(v, "entries", entries)
-        return v
+    def _of_ints(cls, nums: Sequence[int], den: int = 1) -> "QVector":
+        """The vector nums / den of a nonempty sequence of ints and an int
+        den >= 1, reduced by their gcd; no other check."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        return cls.__new__(cls)._hold(nums, den)
+
+    def _hold(self, nums: Sequence[int], den: int) -> "QVector":
+        # a numerator k with |k| <= 128 is the one int object of _SMALL_INTS
+        object.__setattr__(self, "_num", tuple(map(_SMALL_INTS.get, nums, nums)))
+        object.__setattr__(self, "_den", den)
+        return self
 
     @classmethod
     def zero(cls, dim: int) -> "QVector":
-        return cls([_ZERO] * dim)
+        return cls([0] * dim)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as canonical Fractions, built anew on each read."""
+        return tuple([_fraction(x, self._den) for x in self._num])
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._num)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._num)
 
     def __iter__(self):
         return iter(self.entries)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
+    def __getitem__(self, i: Union[int, slice]):
+        if isinstance(i, slice):
+            return self.entries[i]
+        return _fraction(self._num[i], self._den)
+
+    def _merge(self, other: "QVector", op) -> "QVector":
+        self._check_dim(other)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        return QVector._of_ints([op(x * a, y * b) for x, y in zip(self._num, other._num)], den)
 
     def __add__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector(a + b for a, b in zip(self.entries, other.entries))
+        return self._merge(other, add)
 
     def __sub__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector(a - b for a, b in zip(self.entries, other.entries))
+        return self._merge(other, sub)
 
     def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.entries)
+        return QVector._of_ints([-x for x in self._num], self._den)
 
     def scaled(self, c: RationalLike) -> "QVector":
         c = rational(c)
-        return QVector(c * a for a in self.entries)
+        return QVector._of_ints([c.numerator * x for x in self._num], c.denominator * self._den)
 
     def dot(self, other: "QVector") -> Fraction:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), _ZERO)
+        return _fraction(sum(map(mul, self._num, other._num)), self._den * other._den)
 
     def norm_sq(self) -> Fraction:
         return self.dot(self)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self._num)
 
     def _check_dim(self, other: "QVector") -> None:
-        if len(self.entries) != len(other.entries):
+        if len(self._num) != len(other._num):
             raise LengthMismatch(
-                f"dimension mismatch: {len(self.entries)} vs {len(other.entries)}"
+                f"dimension mismatch: {len(self._num)} vs {len(other._num)}"
             )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QVector) and self.entries == other.entries
+        return (isinstance(other, QVector) and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         return f"QVector({list(self.entries)!r})"
@@ -278,20 +317,19 @@ def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
 
 def integer_rows(vectors: Sequence[QVector]) -> tuple[list[list[int]], int]:
     """The vectors times the lcm of all their denominators, as integer rows,
-    together with that lcm. An integral family (lcm 1) gives its numerators
-    as they are."""
-    scale = lcm(*(e.denominator for v in vectors for e in v.entries))
+    together with that lcm: each vector's numerators, copied into a new
+    list, times lcm / its denominator. An integral family (lcm 1) gives
+    its numerators as they are."""
+    scale = lcm(*(v._den for v in vectors))
     if scale == 1:
-        return [[e.numerator for e in v.entries] for v in vectors], 1
-    rows = [[e.numerator * (scale // e.denominator) for e in v.entries] for v in vectors]
-    return rows, scale
+        return [list(v._num) for v in vectors], 1
+    return [[x * (scale // v._den) for x in v._num] for v in vectors], scale
 
 
 def rational_vectors(rows: Sequence[Sequence[int]], scale: int) -> list[QVector]:
-    """Inverse of integer_rows: each nonempty integer row divided by scale."""
-    if scale == 1:
-        return [QVector._of(tuple(map(rational, row))) for row in rows]
-    return [QVector._of(tuple([Fraction(e, scale) for e in row])) for row in rows]
+    """Inverse of integer_rows: each nonempty integer row divided by scale,
+    as integers in lowest terms (QVector._of_ints), with no Fraction."""
+    return [QVector._of_ints(row, scale) for row in rows]
 
 
 def integer_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -3,7 +3,7 @@ import pickle
 import random
 from fractions import Fraction as F
 from itertools import accumulate
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -15,9 +15,16 @@ from latkit.errors import (
     NonSquare,
     SingularMatrix,
 )
-from latkit.cvp import mdsp_to_cvp
+from latkit.cvp import enumerate_cvp, mdsp_to_cvp, recover_mdsp_distance_sq
 from latkit.exact import solve_exact
-from latkit.lattice import LatticeBasis, MDSPInstance, _value
+from latkit.heuristic import run_heuristic
+from latkit.lattice import (
+    DMDSPQuery,
+    LatticeBasis,
+    MDSPInstance,
+    _value,
+    verify_dmdsp_certificate,
+)
 from latkit.lll import (
     AccelConfig,
     LLLParams,
@@ -25,8 +32,11 @@ from latkit.lll import (
     _lll_rows,
     accelerated_reduce,
     lll_reduce,
+    shortest_basis_vector,
 )
+from latkit import qlinalg
 from latkit.qlinalg import (
+    _SMALL_INTS,
     QMatrix,
     QVector,
     _adjugate_diagonal,
@@ -57,6 +67,8 @@ from oracles import (
     naive_inverse,
     random_unimodular,
     vdot,
+    vscale,
+    vsub,
 )
 
 
@@ -288,9 +300,138 @@ class TestIntegerRows:
                     assert rows == [[e.numerator for e in v] for v in fam]
 
 
+def _is_canonical(v):
+    return (type(v._num) is tuple and all(type(x) is int for x in v._num)
+            and type(v._den) is int and v._den >= 1 and gcd(v._den, *v._num) == 1)
+
+
+class TestRepresentation:
+    """A QVector holds integer numerators over one denominator in lowest
+    terms, whichever way it was built, and computes on those integers."""
+
+    def test_every_constructor_is_canonical(self):
+        rng = random.Random(41)
+        built = [
+            QVector([3, -6, 9]), QVector([0, 0]), QVector([True, False, 2]),
+            QVector(["4/6", "-3", "5/10"]), QVector([F(2, 4), F(6, 3)]),
+            QVector([1, F(1, 2), "1/3", True]), QVector.zero(4),
+            *rational_vectors([[6, -12, 18], [0, 30, 6]], 6),
+            *rational_vectors([[4, -8], [2, 6]], 2),
+            *(_random_rational(rng, rng.randint(1, 6)) for _ in range(20)),
+        ]
+        assert all(_is_canonical(v) for v in built)
+        assert (built[0]._num, built[0]._den) == ((3, -6, 9), 1)
+        assert (built[2]._num, built[2]._den) == ((1, 0, 2), 1)
+        assert (built[3]._num, built[3]._den) == ((4, -18, 3), 6)
+        assert (built[5]._num, built[5]._den) == ((6, 3, 2, 6), 6)
+        assert (built[6]._num, built[6]._den) == ((0, 0, 0, 0), 1)
+        assert (built[7]._num, built[7]._den) == ((1, -2, 3), 1)
+        assert (built[8]._num, built[8]._den) == ((0, 5, 1), 1)
+        assert (built[9]._num, built[9]._den) == ((2, -4), 1)
+
+    def test_equal_vectors_built_differently(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            v = _random_rational(rng, rng.randint(1, 6))
+            scale = lcm(*(e.denominator for e in v)) * rng.randint(1, 5)
+            ways = [
+                QVector(list(v)), QVector([str(e) for e in v]),
+                QVector([e.numerator if e.denominator == 1 else e for e in v]),
+                rational_vectors([[int(e * scale) for e in v]], scale)[0],
+                v + QVector.zero(v.dim), -(-v), v.scaled(F(2, 3)).scaled(F(3, 2)),
+            ]
+            for w in ways:
+                assert w == v and hash(w) == hash(v)
+                assert (w._num, w._den) == (v._num, v._den)
+                assert w.entries == tuple(v) and list(w) == [w[i] for i in range(w.dim)]
+                assert w[1:] == w.entries[1:] and w[::-1] == w.entries[::-1]
+        assert QVector([1, 2]) != QVector([F(1, 2), 1]) and QVector([1]) != (F(1),)
+
+    def test_arithmetic_matches_oracles(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            dim = rng.randint(1, 6)
+            a, b = _random_rational(rng, dim), _random_rational(rng, dim)
+            if rng.random() < 0.3:
+                b = QVector([rng.randint(-9, 9) for _ in range(dim)])
+            c, k = F(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-3, 3)
+            ea, eb = tuple(a), tuple(b)
+            results = [a + b, a - b, -a, a.scaled(c), a.scaled(k)]
+            assert all(_is_canonical(r) for r in results)
+            assert tuple(results[0]) == vsub(ea, vscale(eb, -1))
+            assert tuple(results[1]) == vsub(ea, eb)
+            assert tuple(results[2]) == vscale(ea, -1)
+            assert tuple(results[3]) == vscale(ea, c)
+            assert tuple(results[4]) == vscale(ea, k)
+            assert a.dot(b) == vdot(ea, eb) and type(a.dot(b)) is F
+            assert a.norm_sq() == vdot(ea, ea) and type(a.norm_sq()) is F
+            assert a.is_zero() == all(e == 0 for e in ea)
+            assert (a - a).is_zero() and a.scaled(0) == QVector.zero(dim)
+        with pytest.raises(LengthMismatch):
+            QVector([1, 2]) + QVector([1])
+        with pytest.raises(LengthMismatch):
+            QVector([1, 2]).dot(QVector([1]))
+
+
+class TestHotPathsReadNoFraction:
+    """The calls the three benchmark workloads time, on integer inputs,
+    work on the vectors' integers: none of them reads a vector's entries
+    as Fractions or builds a vector from Fractions, so no later change
+    brings back a per-entry conversion."""
+
+    @pytest.fixture(autouse=True)
+    def _no_entry_reads(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a QVector's entries were read as Fractions")
+
+        def rational_of_int(x):
+            if type(x) is not int:
+                raise AssertionError(f"qlinalg coerced {x!r} to a Fraction")
+            return rational(x)
+
+        monkeypatch.setattr(QVector, "entries", property(refuse))
+        monkeypatch.setattr(QVector, "__iter__", refuse)
+        monkeypatch.setattr(QVector, "__getitem__", refuse)
+        monkeypatch.setattr(qlinalg, "rational", rational_of_int)
+
+    def _instances(self, seed, dims, bound=9):
+        rng = random.Random(seed)
+        out = []
+        for dim in dims:
+            fixed, *rest = _random_independent(rng, dim, dim, bound)
+            out.append(MDSPInstance.from_vectors(fixed._num, [list(b._num) for b in rest]))
+        return out
+
+    def test_exact_and_cvp_routes(self):
+        for inst in self._instances(53, (4, 5, 7)):
+            sol = solve_exact(inst)
+            c = mdsp_to_cvp(inst)
+            assert recover_mdsp_distance_sq(c, enumerate_cvp(c).j) == sol.dist_sq
+
+    def test_heuristic_and_certificate(self):
+        for inst in self._instances(59, (9, 12)):
+            out = run_heuristic(inst)
+            gamma_sq = out.dist_sq / inst.fixed.norm_sq()
+            assert verify_dmdsp_certificate(DMDSPQuery(inst, gamma_sq), out.x_total)
+            if gamma_sq < 1:
+                hi = DMDSPQuery(inst, gamma_sq * (1 + F(1, 1 << 32)))
+                assert not verify_dmdsp_certificate(hi, out.x_total)
+
+    def test_reductions(self):
+        rng = random.Random(61)
+        basis = LatticeBasis([QVector(r._num) for r in _random_independent(rng, 8, 8, 100)])
+        high, _ = lll_reduce(basis, LLLParams(F(99, 100)))
+        _, target = shortest_basis_vector(high)
+        accel, trace = accelerated_reduce(basis, AccelConfig(LLLParams(F(1, 3)), target))
+        assert trace.final_shortest_norm_sq <= target
+        assert all(_is_canonical(v) for v in high.vectors + accel.vectors)
+
+
 class TestSharedSmallIntegers:
-    """An int k with |k| <= 128 is one shared Fraction wherever latkit
-    builds it, so vectors of small integers hold no Fraction of their own."""
+    """An int k with |k| <= 128 is one shared object wherever latkit builds
+    it: as a vector's numerator, one int of _SMALL_INTS, and as an entry
+    read as a Fraction, one Fraction of rational's table. So vectors of
+    small integers hold no number object of their own."""
 
     def test_same_object_through_every_constructor(self):
         for k in (-128, -100, -1, 0, 1, 12, 100, 128):
@@ -326,10 +467,15 @@ class TestSharedSmallIntegers:
         copies = [copy.copy(v), copy.deepcopy(v)]
         copies += [pickle.loads(pickle.dumps(v, protocol))
                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert v._den == 3 and _is_canonical(v)
         for w in copies:
             assert type(w) is QVector and w == v and hash(w) == hash(v)
+            assert (w._num, w._den) == (v._num, v._den) and _is_canonical(w)
             assert all(type(e) is F for e in w)
             assert repr(w) == repr(v)
+        # the integral vector's Fractions are rational's shared ones again
+        w = pickle.loads(pickle.dumps(QVector(range(-128, 129)), pickle.HIGHEST_PROTOCOL))
+        assert all(e is rational(k) for k, e in zip(range(-128, 129), w))
 
     def test_small_integer_rows_hold_at_most_257_fractions(self):
         rng = random.Random(29)
@@ -339,6 +485,20 @@ class TestSharedSmallIntegers:
         entries = [e for v in vectors for e in v] + [e for row in matrix.data for e in row]
         assert len(entries) == 3 * 40 * 24
         assert len({id(e) for e in entries}) <= 257
+
+    def test_small_integer_vectors_hold_at_most_257_numerators(self):
+        rng = random.Random(67)
+        rows = [[rng.randint(-128, 128) for _ in range(24)] for _ in range(40)]
+        vectors = [QVector(r) for r in rows] + rational_vectors(rows, 1)
+        vectors += rational_vectors([[6 * e for e in r] for r in rows], 6)
+        basis = LatticeBasis(_random_independent(rng, 8, 8, bound=100))
+        vectors += lll_reduce(basis, LLLParams(F(99, 100)))[0].vectors
+        vectors += accelerated_reduce(basis, AccelConfig(LLLParams(F(1, 3)), F(1)))[0].vectors
+        nums = [x for v in vectors for x in v._num]
+        small = [x for x in nums if abs(x) <= 128]
+        assert len(small) > len(nums) * 9 // 10
+        assert len({id(x) for x in small}) <= 257
+        assert all(x is _SMALL_INTS[x] for x in small)
 
 
 class TestDistance:
