@@ -1,12 +1,11 @@
 """Line-oriented text format for exact rational matrices.
 
 Layout: a header line "m n", then m*n whitespace-separated tokens in
-row-major order. Tokens are integers or fractions "p/q". Anything after
-'#' on a line is a comment; blank lines are skipped. Parsing preserves
-values exactly and round-trips with serialize_matrix. An integer token
-(an optional sign and ASCII digits) is read through rational(), so a
-small entry is the shared Fraction of its value; every other token is
-read by Fraction itself.
+row-major order. Tokens are integers or fractions "p/q", each read by
+Fraction itself. Anything after '#' on a line is a comment; blank lines
+are skipped. Parsing preserves values exactly and round-trips with
+serialize_matrix. The parsed QMatrix holds integer rows (QVector), and
+serializing reads its entries back as Fractions.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .qlinalg import QMatrix, rational
+from .qlinalg import QMatrix
 
 _TOKEN = re.compile(r"\S+")
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _tokens_with_positions(text: str):
@@ -53,7 +51,7 @@ def parse_basis_text(text: str) -> QMatrix:
     values: list[Fraction] = []
     for tok, line, col in body:
         try:
-            values.append(rational(int(tok)) if _INTEGER.fullmatch(tok) else Fraction(tok))
+            values.append(Fraction(tok))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational token {tok!r}", line, col) from None
     return QMatrix([values[i * n:(i + 1) * n] for i in range(m)])

@@ -154,9 +154,8 @@ def cmd_from_cvp(args) -> int:
             "from-cvp expects n basis rows plus a final target row "
             f"(got {m.rows}x{m.cols})"
         )
-    basis_rows = QMatrix(m.data[:-1])
-    target = QVector(m.data[-1])
-    inst = cvp_to_mdsp(basis_rows, target)
+    *basis_rows, target = m.row_vectors()
+    inst = cvp_to_mdsp(QMatrix(basis_rows), target)
     rows = [inst.fixed] + list(inst.rest.vectors)
     if args.out:
         _write_vectors(args.out, rows)

@@ -161,7 +161,8 @@ def _public_fields(e: _Record, scale_sq: int) -> tuple[QMatrix, QVector]:
     """
     d, lam, _ = e
     adj = _adjugate(d, lam)
-    gram = QMatrix([[Fraction(a * scale_sq, d[-1]) for a in row[:0:-1]] for row in adj[:0:-1]])
+    gram = QMatrix([QVector._of_ints([a * scale_sq for a in row[:0:-1]], d[-1])
+                    for row in adj[:0:-1]])
     return gram, QVector._of_ints(lam[0][::-1], d[1])
 
 

@@ -1,16 +1,13 @@
 """Exact rational vectors, matrices, and orthogonalization primitives.
 
 A vector holds integer numerators over one denominator >= 1 in lowest
-terms (QVector), and does its arithmetic on them. Every elimination runs
-on integer rows: a family is scaled once by the lcm of its vectors'
+terms (QVector), and a matrix holds such vectors as its rows (QMatrix);
+both do their arithmetic on the integers. Every elimination runs on
+integer rows: a family is scaled once by the lcm of its vectors'
 denominators (integer_rows), and integer results come back as vectors
 without a Fraction (rational_vectors). Fractions are built only at the
-API boundary: where a vector's entries are read, for scalar results, and
-in QMatrix, which holds Fraction entries. A numerator k with |k| <= 128
-is one shared int (_SMALL_INTS), and an integral entry k read as a
-Fraction is one shared Fraction built at import (rational): the range
-holds almost every entry of the paper's experiment's bases, before and
-after LLL, so their vectors allocate no number object per entry.
+API boundary, anew on each read of a vector's or a matrix's entries, and
+for scalar results: no object of this module holds one at rest.
 Every symmetric elimination is one left-looking pass over an integer Gram
 matrix G, which it only reads (_eliminate_gram). It builds the record
 (d, lambda, u): the leading minors d, the Bareiss entries
@@ -58,36 +55,15 @@ from .errors import (
 
 RationalLike = Union[Fraction, int, str]
 
-_SMALL_BOUND = 128
-_SMALL = tuple(Fraction(k) for k in range(-_SMALL_BOUND, _SMALL_BOUND + 1))
-_ZERO = _SMALL[_SMALL_BOUND]
-_ONE = _SMALL[_SMALL_BOUND + 1]
-_SMALL_INTS = {k: k for k in range(-_SMALL_BOUND, _SMALL_BOUND + 1)}
 _INT = {int}
 
 
 def rational(x: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings, or Fractions to a canonical Fraction.
-
-    An int k with |k| <= 128 gives the one Fraction(k) built at import,
-    shared by every matrix that holds k and every read of entry k of an
-    integral vector (vectors themselves hold ints, QVector); Fractions
-    are immutable, so the sharing changes no value. The range covers the
-    uniform bases of the paper's experiment, whose entries bench bounds
-    by 100, and almost every entry of an LLL-reduced one, while a wider
-    table only adds to every process's memory. Other inputs, bools
-    included, keep their own Fraction.
-    """
-    if type(x) is int and -_SMALL_BOUND <= x <= _SMALL_BOUND:
-        return _SMALL[x + _SMALL_BOUND]
+    """Coerce ints, 'p/q' strings, or Fractions to a canonical Fraction; a
+    Fraction is returned as it is."""
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
-
-
-def _fraction(num: int, den: int) -> Fraction:
-    """num / den as a canonical Fraction, for ints num and den >= 1."""
-    return rational(num) if den == 1 else Fraction(num, den)
 
 
 class _Frozen:
@@ -138,8 +114,7 @@ class QVector(_Frozen):
         return cls.__new__(cls)._hold(nums, den)
 
     def _hold(self, nums: Sequence[int], den: int) -> "QVector":
-        # a numerator k with |k| <= 128 is the one int object of _SMALL_INTS
-        object.__setattr__(self, "_num", tuple(map(_SMALL_INTS.get, nums, nums)))
+        object.__setattr__(self, "_num", tuple(nums))
         object.__setattr__(self, "_den", den)
         return self
 
@@ -150,7 +125,7 @@ class QVector(_Frozen):
     @property
     def entries(self) -> tuple[Fraction, ...]:
         """The entries as canonical Fractions, built anew on each read."""
-        return tuple([_fraction(x, self._den) for x in self._num])
+        return tuple([Fraction(x, self._den) for x in self._num])
 
     @property
     def dim(self) -> int:
@@ -165,7 +140,7 @@ class QVector(_Frozen):
     def __getitem__(self, i: Union[int, slice]):
         if isinstance(i, slice):
             return self.entries[i]
-        return _fraction(self._num[i], self._den)
+        return Fraction(self._num[i], self._den)
 
     def _merge(self, other: "QVector", op) -> "QVector":
         self._check_dim(other)
@@ -188,7 +163,7 @@ class QVector(_Frozen):
 
     def dot(self, other: "QVector") -> Fraction:
         self._check_dim(other)
-        return _fraction(sum(map(mul, self._num, other._num)), self._den * other._den)
+        return Fraction(sum(map(mul, self._num, other._num)), self._den * other._den)
 
     def norm_sq(self) -> Fraction:
         return self.dot(self)
@@ -214,22 +189,26 @@ class QVector(_Frozen):
 
 
 class QMatrix(_Frozen):
-    """Immutable rectangular matrix of rationals, row-major."""
+    """Immutable rectangular matrix of rationals, held as a tuple of QVector
+    rows, each integer numerators over one denominator. Arithmetic runs on
+    the rows' integers, and Fractions are built only when data, indexing or
+    repr read them."""
 
-    __slots__ = ("data",)
+    __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        data = tuple(tuple(rational(e) for e in row) for row in rows)
-        if not data or not data[0]:
+        rows = [r if isinstance(r, QVector) else tuple(r) for r in rows]
+        if not rows or not rows[0]:
             raise LengthMismatch("matrix must have positive dimensions")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
             raise LengthMismatch("ragged rows in matrix")
-        object.__setattr__(self, "data", data)
+        rows = [r if isinstance(r, QVector) else QVector(r) for r in rows]
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls([QVector._of_ints([int(i == j) for j in range(n)]) for i in range(n)])
 
     @classmethod
     def from_columns(cls, cols: Sequence[QVector]) -> "QMatrix":
@@ -238,66 +217,69 @@ class QMatrix(_Frozen):
         dim = cols[0].dim
         if any(c.dim != dim for c in cols):
             raise LengthMismatch("column dimensions differ")
-        return cls([[c[i] for c in cols] for i in range(dim)])
+        a, scale = integer_rows(cols)
+        return cls(rational_vectors(list(zip(*a)), scale))
 
     @classmethod
     def from_rows(cls, rows: Sequence[QVector]) -> "QMatrix":
-        return cls([list(r) for r in rows])
+        return cls(rows)
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as rows of canonical Fractions, built anew on each read."""
+        return tuple([r.entries for r in self._rows])
 
     @property
     def rows(self) -> int:
-        return len(self.data)
+        return len(self._rows)
 
     @property
     def cols(self) -> int:
-        return len(self.data[0])
+        return len(self._rows[0])
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def col(self, j: int) -> QVector:
-        return QVector(r[j] for r in self.data)
+        den = lcm(*(r._den for r in self._rows))
+        return QVector._of_ints([r._num[j] * (den // r._den) for r in self._rows], den)
 
     def row_vectors(self) -> list[QVector]:
-        return [QVector(r) for r in self.data]
+        return list(self._rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.data[i][j]
+        return self._rows[i][j]
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self.data))
+        return QMatrix.from_columns(self._rows)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise LengthMismatch("inner dimensions do not match")
-        ot = list(zip(*other.data))
-        return QMatrix(
-            [
-                [sum((a * b for a, b in zip(row, col)), _ZERO) for col in ot]
-                for row in self.data
-            ]
-        )
+        a, s = integer_rows(self._rows)
+        b, t = integer_rows(other._rows)
+        cols = list(zip(*b))
+        return QMatrix(rational_vectors([[sum(map(mul, r, c)) for c in cols] for r in a], s * t))
 
     def mul_vec(self, v: QVector) -> QVector:
         if self.cols != v.dim:
             raise LengthMismatch("matrix-vector dimension mismatch")
-        return QVector(
-            sum((a * b for a, b in zip(row, v.entries)), _ZERO) for row in self.data
-        )
+        a, s = integer_rows(self._rows)
+        return QVector._of_ints([sum(map(mul, r, v._num)) for r in a], s * v._den)
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.data for e in row)
+        return all(r._den == 1 for r in self._rows)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QMatrix) and self.data == other.data
+        return isinstance(other, QMatrix) and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"QMatrix({[list(r) for r in self.data]!r})"
+        return f"QMatrix({[list(r) for r in self._rows]!r})"
 
 
 def dist_sq_to_span(v: QVector, basis: Sequence[QVector]) -> Fraction:
@@ -500,7 +482,7 @@ def rel_volume_sq(basis: Sequence[QVector]) -> Fraction:
     empty family has volume 1 by convention.
     """
     if not basis:
-        return _ONE
+        return Fraction(1)
     g, _, scale = _scaled_gram(basis)
     vol = _eliminate_gram(g)[0][-1]
     if vol == 0:
@@ -521,7 +503,7 @@ def inverse(m: QMatrix) -> QMatrix:
         raise SingularMatrix("matrix is singular") from None
     if det == 0:
         raise SingularMatrix("matrix is singular")
-    return QMatrix([[Fraction(scale * sum(map(mul, r, aj)), det) for aj in a] for r in adj])
+    return QMatrix([QVector._of_ints([scale * sum(map(mul, r, aj)) for aj in a], det) for r in adj])
 
 
 def is_unimodular(m: QMatrix) -> bool:

@@ -10,7 +10,7 @@ from latkit.basisio import parse_basis_text, serialize_matrix
 from latkit.bench import bench_compare, generate_random_basis, report_to_json
 from latkit.cli import build_parser, main
 from latkit.errors import ParseError
-from latkit.qlinalg import QMatrix, rational
+from latkit.qlinalg import QMatrix, QVector
 from oracles import naive_det
 
 DATA = Path(__file__).parent / "data"
@@ -47,16 +47,16 @@ class TestParse:
             parse_basis_text("1 1\n1/0\n")
 
     def test_small_integer_tokens_share_their_fraction(self):
-        # an integer token goes through rational(), so a small entry is the
-        # one Fraction of its value that every vector holding it shares
+        # every token is read by Fraction, and each entry reads back as a
+        # Fraction of its value, however it was spelled
         m = parse_basis_text("1 2\n3 -4")
-        assert m.data[0][0] is rational(3) and m.data[0][1] is rational(-4)
-        assert parse_basis_text("1 1\n+5").data[0][0] is rational(5)
-        assert parse_basis_text("1 1\n007").data[0][0] is rational(7)
-        # every other token keeps its value and type
+        assert m.data == ((F(3), F(-4)),) and m.row_vectors() == [QVector([3, -4])]
+        assert parse_basis_text("1 1\n+5").data == ((F(5),),)
+        assert parse_basis_text("1 1\n007").data == ((F(7),),)
         m = parse_basis_text("1 6\n1/2 -6/4 1e3 -0 129 " + str(10**30))
         assert m.data[0] == (F(1, 2), F(-3, 2), F(1000), F(0), F(129), F(10**30))
-        assert all(type(e) is F for e in m.data[0])
+        assert all(type(e) is F for row in m.data + parse_basis_text("1 2\n3 -4").data
+                   for e in row)
         for text, col in (("1 2\n1 x/3\n", 3), ("1 2\n+-5 1\n", 1), ("1 2\n2 3.5.1\n", 3)):
             with pytest.raises(ParseError) as e:
                 parse_basis_text(text)

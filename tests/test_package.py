@@ -1,6 +1,7 @@
 """What a bare `import latkit` loads: the routes' modules, not the
 two-arm experiment (bench), basis-file I/O (basisio) or the CLI, whose
-names are imported from their own modules."""
+names are imported from their own modules; and what it builds: almost no
+Fraction, so no table of numbers is made at import."""
 
 import json
 import os
@@ -43,3 +44,25 @@ def test_bare_import_loads_only_the_routes():
     assert not {"latkit.bench", "latkit.basisio", "latkit.cli"} & set(got["loaded"])
     assert got["present"] == []
     assert got["cli"] == "latkit.cli"
+
+
+# counts every Fraction built, through Fraction.__new__, during the import
+FRACTION_PROBE = """
+import fractions
+new, built = fractions.Fraction.__new__, []
+def counting(cls, *args, **kwargs):
+    built.append(cls)
+    return new(cls, *args, **kwargs)
+fractions.Fraction.__new__ = counting
+import latkit
+print(len(built))
+"""
+
+
+def test_bare_import_builds_almost_no_fraction():
+    # a module constant such as lll's delta = 1/4 is one Fraction; a table
+    # of small numbers built at import is hundreds
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", FRACTION_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) <= 4

@@ -36,7 +36,6 @@ from latkit.lll import (
 )
 from latkit import qlinalg
 from latkit.qlinalg import (
-    _SMALL_INTS,
     QMatrix,
     QVector,
     _adjugate_diagonal,
@@ -329,6 +328,34 @@ class TestRepresentation:
         assert (built[8]._num, built[8]._den) == ((0, 5, 1), 1)
         assert (built[9]._num, built[9]._den) == ((2, -4), 1)
 
+    def test_matrix_rows_are_canonical_vectors(self):
+        # a matrix of Fractions, ints and strings holds QVector rows, and
+        # its products, transpose and columns equal Fraction arithmetic
+        rng = random.Random(71)
+        for _ in range(30):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            spell = (lambda e: e, lambda e: str(e),
+                     lambda e: e.numerator if e.denominator == 1 else e)
+            rows = [[F(rng.randint(-9, 9), rng.choice((1, 1, 2, 6))) for _ in range(c)]
+                    for _ in range(r)]
+            m = QMatrix([[rng.choice(spell)(e) for e in row] for row in rows])
+            assert all(type(v) is QVector and _is_canonical(v) for v in m.row_vectors())
+            assert m.row_vectors() == [QVector(row) for row in rows]
+            assert m.data == tuple(map(tuple, rows)) and (m.rows, m.cols) == (r, c)
+            assert m.is_integral() == all(e.denominator == 1 for row in rows for e in row)
+            cols = [tuple(col) for col in zip(*rows)]
+            assert m.transpose().data == tuple(cols)
+            assert [m.col(j) for j in range(c)] == [QVector(col) for col in cols]
+            assert QMatrix.from_columns(m.transpose().row_vectors()) == m
+            x = _random_rational(rng, c)
+            assert tuple(m.mul_vec(x)) == tuple(vdot(row, tuple(x)) for row in rows)
+            k = rng.randint(1, 4)
+            other = [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)] for _ in cols]
+            product = m @ QMatrix(other)
+            assert product.data == tuple(
+                tuple(vdot(row, col) for col in zip(*other)) for row in rows)
+            assert all(_is_canonical(v) for v in product.row_vectors())
+
     def test_equal_vectors_built_differently(self):
         rng = random.Random(43)
         for _ in range(30):
@@ -428,31 +455,33 @@ class TestHotPathsReadNoFraction:
 
 
 class TestSharedSmallIntegers:
-    """An int k with |k| <= 128 is one shared object wherever latkit builds
-    it: as a vector's numerator, one int of _SMALL_INTS, and as an entry
-    read as a Fraction, one Fraction of rational's table. So vectors of
-    small integers hold no number object of their own."""
+    """Small integers, of which the paper's bases are made, are held as
+    plain ints, and no table of them is built at import: vectors, and
+    matrices through their QVector rows, hold no Fraction at rest, and
+    each read of an entry builds a canonical Fraction of its value. A
+    matrix built from vectors shares them as its rows."""
 
     def test_same_object_through_every_constructor(self):
-        for k in (-128, -100, -1, 0, 1, 12, 100, 128):
-            f = rational(k)
-            assert type(f) is F and f == k
-            assert rational(k) is f
-            assert QVector([k, 5])[0] is f
-            assert QMatrix([[3, k]])[0, 1] is f
-            assert rational_vectors([[k]], 1)[0][0] is f
-        assert QVector.zero(3)[2] is rational(0)
-        assert QMatrix.identity(2)[1, 1] is rational(1)
+        for k in (-129, -128, -100, -1, 0, 1, 12, 100, 128, 129, 10**30):
+            for e in (rational(k), QVector([k, 5])[0], QMatrix([[3, k]])[0, 1],
+                      rational_vectors([[k]], 1)[0][0]):
+                assert type(e) is F and e == k
+        for e, k in ((QVector.zero(3)[2], 0), (QMatrix.identity(2)[1, 0], 0),
+                     (QMatrix.identity(2)[1, 1], 1)):
+            assert type(e) is F and e == k
+        rows = [QVector([1, -2]), QVector([F(1, 2), 3])]
+        for m in (QMatrix(rows), QMatrix.from_rows(rows)):
+            assert all(a is b for a, b in zip(m.row_vectors(), rows))
 
     def test_reduced_bases_share_their_small_entries(self):
+        # the reduced vectors hold ints, and each read builds a Fraction
         rng = random.Random(17)
         basis = LatticeBasis(_random_independent(rng, 6, 6, bound=100))
         outs = [lll_reduce(basis, LLLParams(F(99, 100)))[0],
                 accelerated_reduce(basis, AccelConfig(LLLParams(F(1, 3)), F(1)))[0]]
-        entries = [e for out in outs for v in out.vectors for e in v]
-        small = [e for e in entries if abs(e) <= 128]
-        assert len(small) > len(entries) // 2
-        assert all(e is rational(e.numerator) for e in small)
+        for v in (v for out in outs for v in out.vectors):
+            assert _is_canonical(v) and v._den == 1
+            assert all(type(e) is F and e == x for e, x in zip(v, v._num))
 
     def test_other_inputs_keep_their_own_fraction(self):
         for x in (True, False, 10**40, -(10**40), "3", "-7/2", -129, 129, F(5), F(1, 3)):
@@ -464,29 +493,33 @@ class TestSharedSmallIntegers:
 
     def test_copy_deepcopy_and_pickle_round_trip(self):
         v = QVector([*range(-128, 129, 8), 129, -(10**30), F(2, 3)])
-        copies = [copy.copy(v), copy.deepcopy(v)]
-        copies += [pickle.loads(pickle.dumps(v, protocol))
-                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        m = QMatrix([v, [*range(-130, 127, 8), F(-1, 6), 10**30, "5/4"]])
         assert v._den == 3 and _is_canonical(v)
-        for w in copies:
-            assert type(w) is QVector and w == v and hash(w) == hash(v)
-            assert (w._num, w._den) == (v._num, v._den) and _is_canonical(w)
-            assert all(type(e) is F for e in w)
-            assert repr(w) == repr(v)
-        # the integral vector's Fractions are rational's shared ones again
-        w = pickle.loads(pickle.dumps(QVector(range(-128, 129)), pickle.HIGHEST_PROTOCOL))
-        assert all(e is rational(k) for k, e in zip(range(-128, 129), w))
+        for obj in (v, m):
+            copies = [copy.copy(obj), copy.deepcopy(obj)]
+            copies += [pickle.loads(pickle.dumps(obj, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for w in copies:
+                assert type(w) is type(obj) and w == obj and hash(w) == hash(obj)
+                assert repr(w) == repr(obj)
+                for row in w.row_vectors() if obj is m else [w]:
+                    assert type(row) is QVector and _is_canonical(row)
+                    assert all(type(e) is F for e in row)
 
     def test_small_integer_rows_hold_at_most_257_fractions(self):
+        # they hold none: entries are ints until they are read
         rng = random.Random(29)
         rows = [[rng.randint(-100, 100) for _ in range(24)] for _ in range(40)]
         vectors = [QVector(r) for r in rows] + rational_vectors(rows, 1)
         matrix = QMatrix(rows)
-        entries = [e for v in vectors for e in v] + [e for row in matrix.data for e in row]
-        assert len(entries) == 3 * 40 * 24
-        assert len({id(e) for e in entries}) <= 257
+        for v in vectors + matrix.row_vectors():
+            assert all(type(x) is int for x in v._num) and type(v._den) is int
+        assert [list(v) for v in vectors] == rows + rows
+        assert matrix.data == tuple(map(tuple, rows))
+        assert all(type(e) is F for row in matrix.data for e in row)
 
     def test_small_integer_vectors_hold_at_most_257_numerators(self):
+        # every numerator is a plain int, however the vector was built
         rng = random.Random(67)
         rows = [[rng.randint(-128, 128) for _ in range(24)] for _ in range(40)]
         vectors = [QVector(r) for r in rows] + rational_vectors(rows, 1)
@@ -494,11 +527,8 @@ class TestSharedSmallIntegers:
         basis = LatticeBasis(_random_independent(rng, 8, 8, bound=100))
         vectors += lll_reduce(basis, LLLParams(F(99, 100)))[0].vectors
         vectors += accelerated_reduce(basis, AccelConfig(LLLParams(F(1, 3)), F(1)))[0].vectors
-        nums = [x for v in vectors for x in v._num]
-        small = [x for x in nums if abs(x) <= 128]
-        assert len(small) > len(nums) * 9 // 10
-        assert len({id(x) for x in small}) <= 257
-        assert all(x is _SMALL_INTS[x] for x in small)
+        assert all(_is_canonical(v) and v._den == 1 for v in vectors)
+        assert [v._num for v in vectors[:120]] == [tuple(r) for r in rows] * 3
 
 
 class TestDistance:
